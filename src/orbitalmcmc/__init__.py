@@ -2,7 +2,6 @@
 Markov chains, verified against exact desk-scale analysis."""
 
 from .autgroup import (
-    ColoredGraph,
     automorphism_generators,
     brute_force_automorphisms,
     color_refine,
@@ -15,7 +14,6 @@ from .chains import (
     IndependentSetModel,
     gibbs_step,
     insert_delete_step,
-    orbital_step,
     run_chain,
 )
 from .clauses import (
@@ -37,11 +35,9 @@ from .perm import (
     PermutationGroup,
     ProductReplacement,
     SamplerMode,
-    compose,
     config_orbit_partition,
     format_cycles,
     parse_cycles,
-    sample_orbit_uniform,
 )
 
 __version__ = "0.1.0"

@@ -64,14 +64,13 @@ class ExactDistribution:
                 writer.writerow(["".join(map(str, s)), repr(float(p))])
 
 
-def enumerate_independent_sets(graph: Graph,
-                               cap: Optional[int] = None) -> list[Config]:
+def enumerate_independent_sets(graph: Graph) -> list[Config]:
     """All independent sets as bit tuples, in lexicographic order."""
     if graph.n > STATE_SPACE_VERTEX_LIMIT:
         raise GuardExceededError(
             f"independent-set enumeration limited to {STATE_SPACE_VERTEX_LIMIT} "
             f"vertices, got {graph.n}")
-    cap = cap if cap is not None else enumeration_cap()
+    cap = enumeration_cap()
     out: list[tuple[int, ...]] = []
 
     def grow(members: list[int], candidates: list[int]) -> None:
@@ -91,21 +90,19 @@ def enumerate_independent_sets(graph: Graph,
     return out
 
 
-def exact_pi_lambda(graph: Graph, lam: float,
-                    cap: Optional[int] = None) -> ExactDistribution:
+def exact_pi_lambda(graph: Graph, lam: float) -> ExactDistribution:
     """Normalized fugacity-weighted distribution over independent sets."""
     if lam <= 0:
         raise ValueError(f"fugacity must be positive, got {lam}")
-    states = enumerate_independent_sets(graph, cap)
+    states = enumerate_independent_sets(graph)
     weights = np.array([lam ** sum(s) for s in states], dtype=float)
     z = weights.sum()
     return ExactDistribution(states, weights / z, z)
 
 
-def enumerate_clause_states(model: WeightedClauseSet,
-                            cap: Optional[int] = None) -> list[Config]:
+def enumerate_clause_states(model: WeightedClauseSet) -> list[Config]:
     """All assignments satisfying every hard clause, in lexicographic order."""
-    cap = cap if cap is not None else enumeration_cap()
+    cap = enumeration_cap()
     if 2 ** model.n > cap:
         raise GuardExceededError(
             f"2^{model.n} assignments exceed enumeration cap {cap}")
@@ -118,10 +115,9 @@ def enumerate_clause_states(model: WeightedClauseSet,
     return states
 
 
-def exact_pi_clauses(model: WeightedClauseSet,
-                     cap: Optional[int] = None) -> ExactDistribution:
+def exact_pi_clauses(model: WeightedClauseSet) -> ExactDistribution:
     """Distribution proportional to exp(total weight of satisfied soft clauses)."""
-    states = enumerate_clause_states(model, cap)
+    states = enumerate_clause_states(model)
     if not states:
         raise InfeasibleModelError("no assignment satisfies every hard clause")
     soft = [(c, weight_value(c.weight)) for c in model.clauses if not c.is_hard]
@@ -168,20 +164,13 @@ def _state_orbit_ids(states: Sequence[Config],
     for i, s in enumerate(states):
         if ids[i] >= 0:
             continue
-        frontier = [s]
-        ids[i] = next_id
-        while frontier:
-            c = frontier.pop()
-            for g in group.generators:
-                d = g.apply_config(c)
-                j = index.get(d)
-                if j is None:
-                    raise ValueError(
-                        "group does not preserve the state space: "
-                        f"{c} maps outside it")
-                if ids[j] < 0:
-                    ids[j] = next_id
-                    frontier.append(d)
+        for d in group.orbit_of_config(s).elements:
+            j = index.get(d)
+            if j is None:
+                raise ValueError(
+                    "group does not preserve the state space: "
+                    f"the orbit of {s} reaches {d}")
+            ids[j] = next_id
         next_id += 1
     return ids
 
@@ -241,8 +230,7 @@ def _base_gibbs_matrix(model: ClauseModel,
 
 
 def transition_matrix(model, kind: ChainKind,
-                      group: Optional[PermutationGroup] = None,
-                      cap: Optional[int] = None) -> TransitionMatrix:
+                      group: Optional[PermutationGroup] = None) -> TransitionMatrix:
     """Exact transition matrix of a chain kind on an enumerated state space.
 
     Base kernels integrate over the step's random choices exhaustively;
@@ -253,12 +241,12 @@ def transition_matrix(model, kind: ChainKind,
     if kind.base is ChainKind.INSERT_DELETE:
         if not isinstance(model, IndependentSetModel):
             raise TypeError("insert/delete kernels need an IndependentSetModel")
-        states = tuple(enumerate_independent_sets(model.graph, cap))
+        states = tuple(enumerate_independent_sets(model.graph))
         base = _base_insert_delete_matrix(model, states)
     else:
         if not isinstance(model, ClauseModel):
             raise TypeError("Gibbs kernels need a ClauseModel")
-        states = tuple(enumerate_clause_states(model.clause_set, cap))
+        states = tuple(enumerate_clause_states(model.clause_set))
         base = _base_gibbs_matrix(model, states)
     if kind.is_orbital:
         if group is None:
@@ -309,9 +297,9 @@ def has_positive_diagonal(matrix: TransitionMatrix) -> bool:
     return bool((np.diag(matrix.rows) > 0).all())
 
 
-def is_connected(matrix: TransitionMatrix, tol: float = 0.0) -> bool:
+def is_connected(matrix: TransitionMatrix) -> bool:
     """Strong connectivity of the positive-transition graph."""
-    support = matrix.rows > tol
+    support = matrix.rows > 0
     n = len(matrix.states)
 
     def covers(step) -> bool:
@@ -497,11 +485,10 @@ class CouplingSimulator:
     that shared orbit and the pair coalesces.
     """
 
-    def __init__(self, model: IndependentSetModel, group: PermutationGroup,
-                 cap: Optional[int] = None):
+    def __init__(self, model: IndependentSetModel, group: PermutationGroup):
         self.model = model
         self.group = group
-        self.elements = group.elements(cap)
+        self.elements = group.elements()
 
     def _transporter_exists(self, src: Config, dst: Config) -> bool:
         # literal filter over the enumerated group, desk scale by design
@@ -521,72 +508,59 @@ class CouplingSimulator:
         p_ins = lam / (1.0 + lam)
         w = rng.randrange(graph.n)
         els = self.elements
-
-        def orbit_map(c: Config, g) -> Config:
-            return g.apply_config(c)
-
         if w == v:
             keep = rng.random() < p_ins
             g = els[rng.randrange(len(els))]
-            u = orbit_map(upper if keep else lower, g)
+            u = g.apply_config(upper if keep else lower)
             return u, u, 1
         if upper[w]:
             delete = rng.random() < 1.0 / (1.0 + lam)
             g = els[rng.randrange(len(els))]
             if delete:
-                return (orbit_map(upper[:w] + (0,) + upper[w + 1:], g),
-                        orbit_map(lower[:w] + (0,) + lower[w + 1:], g), 2)
-            return orbit_map(upper, g), orbit_map(lower, g), 2
+                return (g.apply_config(upper[:w] + (0,) + upper[w + 1:]),
+                        g.apply_config(lower[:w] + (0,) + lower[w + 1:]), 2)
+            return g.apply_config(upper), g.apply_config(lower), 2
         blocked_upper = any(upper[x] for x in graph.adj[w])
         if not blocked_upper:
             insert = rng.random() < p_ins
             g = els[rng.randrange(len(els))]
             if insert:
-                return (orbit_map(upper[:w] + (1,) + upper[w + 1:], g),
-                        orbit_map(lower[:w] + (1,) + lower[w + 1:], g), 3)
-            return orbit_map(upper, g), orbit_map(lower, g), 3
+                return (g.apply_config(upper[:w] + (1,) + upper[w + 1:]),
+                        g.apply_config(lower[:w] + (1,) + lower[w + 1:]), 3)
+            return g.apply_config(upper), g.apply_config(lower), 3
         blocked_lower = any(lower[x] for x in graph.adj[w])
         if not blocked_lower:
             insert = rng.random() < p_ins
             g = els[rng.randrange(len(els))]
             if not insert:
-                return orbit_map(upper, g), orbit_map(lower, g), 4
+                return g.apply_config(upper), g.apply_config(lower), 4
             inserted = lower[:w] + (1,) + lower[w + 1:]
             if self._transporter_exists(upper, inserted):
-                u = orbit_map(upper, g)
+                u = g.apply_config(upper)
                 return u, u, 4
-            return orbit_map(upper, g), orbit_map(inserted, g), 4
+            return g.apply_config(upper), g.apply_config(inserted), 4
         g = els[rng.randrange(len(els))]
-        return orbit_map(upper, g), orbit_map(lower, g), 5
+        return g.apply_config(upper), g.apply_config(lower), 5
 
 
-def coupling_step(upper: Config, lower: Config, model: IndependentSetModel,
-                  group: PermutationGroup, rng: Random,
-                  cap: Optional[int] = None) -> tuple[Config, Config, int]:
-    """One-shot coupled step; loops should hold a CouplingSimulator."""
-    return CouplingSimulator(model, group, cap).step(upper, lower, rng)
-
-
-def distance_one_pairs(graph: Graph,
-                       cap: Optional[int] = None) -> list[tuple[Config, Config]]:
+def distance_one_pairs(graph: Graph) -> list[tuple[Config, Config]]:
     """All ordered pairs (X, X minus one vertex) of independent sets."""
     pairs = []
-    for s in enumerate_independent_sets(graph, cap):
+    for s in enumerate_independent_sets(graph):
         for v in range(graph.n):
             if s[v]:
                 pairs.append((s, s[:v] + (0,) + s[v + 1:]))
     return pairs
 
 
-def exact_rho(graph: Graph, group: PermutationGroup,
-              cap: Optional[int] = None) -> float:
+def exact_rho(graph: Graph, group: PermutationGroup) -> float:
     """Fraction of adjacent-extension triples landing in different orbits.
 
     Enumerates every (X, v, w) with {v, w} an edge and both X + v and
     X + w independent, and reports how often the two extended sets are
     not in one orbit of the group.
     """
-    states = enumerate_independent_sets(graph, cap)
+    states = enumerate_independent_sets(graph)
     ids = _state_orbit_ids(states, group)
     orbit_of = {s: ids[i] for i, s in enumerate(states)}
     total = 0
@@ -610,10 +584,10 @@ def exact_rho(graph: Graph, group: PermutationGroup,
     return apart / total
 
 
-def exact_varrho(graph: Graph, cap: Optional[int] = None) -> float:
+def exact_varrho(graph: Graph) -> float:
     """Probability that a uniform vertex choice from a uniform distance-one
     pair can only be inserted into the smaller set."""
-    pairs = distance_one_pairs(graph, cap)
+    pairs = distance_one_pairs(graph)
     hits = 0
     for upper, lower in pairs:
         v = next(i for i in range(graph.n) if upper[i] != lower[i])
@@ -628,19 +602,18 @@ def exact_varrho(graph: Graph, cap: Optional[int] = None) -> float:
 
 
 def coupling_drift(model: IndependentSetModel, group: PermutationGroup,
-                   trials: int, seed: int = 0,
-                   cap: Optional[int] = None) -> CouplingReport:
+                   trials: int, seed: int = 0) -> CouplingReport:
     """Monte Carlo drift of the coupled chains against the exact bound."""
     if trials < 1:
         raise ValueError("need at least one trial")
     graph = model.graph
-    pairs = distance_one_pairs(graph, cap)
+    pairs = distance_one_pairs(graph)
     if not pairs:
         raise ValueError("graph admits no distance-one pairs")
-    sim = CouplingSimulator(model, group, cap)
+    sim = CouplingSimulator(model, group)
     rng = Random(seed)
-    rho = exact_rho(graph, group, cap)
-    varrho = exact_varrho(graph, cap)
+    rho = exact_rho(graph, group)
+    varrho = exact_varrho(graph)
 
     counts = {k: 0 for k in range(1, 6)}
     drift_sum = 0.0

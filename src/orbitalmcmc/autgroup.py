@@ -12,81 +12,15 @@ brute-force oracle in the test suite.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
+from .graphs import Graph
 from .perm import Permutation, PermutationGroup
 
 Cells = tuple[tuple[int, ...], ...]
 
 
-class ColoredGraph:
-    """Simple undirected graph with dense integer vertex colors."""
-
-    __slots__ = ("n", "colors", "edges", "adj", "vertex_names")
-
-    def __init__(self, n: int, colors: Sequence[int],
-                 edges: Iterable[tuple[int, int]],
-                 vertex_names: Optional[Sequence[str]] = None):
-        if len(colors) != n:
-            raise ValueError(f"{len(colors)} colors for {n} vertices")
-        palette = set(colors)
-        if palette and palette != set(range(len(palette))):
-            raise ValueError("colors must be dense integers starting at 0")
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            norm.add((u, v) if u < v else (v, u))
-        if vertex_names is not None and len(vertex_names) != n:
-            raise ValueError("vertex name count does not match n")
-        self.n = n
-        self.colors = tuple(colors)
-        self.edges = frozenset(norm)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
-        self.vertex_names = tuple(vertex_names) if vertex_names is not None else None
-
-    @property
-    def num_colors(self) -> int:
-        return len(set(self.colors)) if self.n else 0
-
-    def __repr__(self) -> str:
-        return f"ColoredGraph(n={self.n}, m={len(self.edges)}, c={self.num_colors})"
-
-
-def write_graph(path, graph: ColoredGraph) -> None:
-    """Text format: header "n m c", then "vertex color" lines, then "u v" lines."""
-    lines = [f"{graph.n} {len(graph.edges)} {graph.num_colors}"]
-    lines += [f"{v} {graph.colors[v]}" for v in range(graph.n)]
-    lines += [f"{u} {v}" for u, v in sorted(graph.edges)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_graph(path) -> ColoredGraph:
-    with open(path) as fh:
-        rows = [ln.split() for ln in fh if ln.strip()]
-    if not rows:
-        raise ValueError("empty graph file")
-    n, m, c = (int(x) for x in rows[0])
-    if len(rows) != 1 + n + m:
-        raise ValueError(f"expected {1 + n + m} lines, found {len(rows)}")
-    colors = [0] * n
-    for v, col in (map(int, r) for r in rows[1:1 + n]):
-        colors[v] = col
-    edges = [tuple(map(int, r)) for r in rows[1 + n:]]
-    graph = ColoredGraph(n, colors, edges)
-    if graph.num_colors != c:
-        raise ValueError(f"header declares {c} colors, found {graph.num_colors}")
-    return graph
-
-
-def color_cells(graph: ColoredGraph) -> Cells:
+def color_cells(graph: Graph) -> Cells:
     """Initial ordered partition: one cell per color, in color order."""
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(graph.colors):
@@ -94,7 +28,7 @@ def color_cells(graph: ColoredGraph) -> Cells:
     return tuple(tuple(cells[c]) for c in sorted(cells))
 
 
-def is_valid_partition(graph: ColoredGraph, cells: Cells) -> bool:
+def is_valid_partition(graph: Graph, cells: Cells) -> bool:
     seen: set[int] = set()
     for cell in cells:
         if not cell or (seen & set(cell)):
@@ -105,7 +39,7 @@ def is_valid_partition(graph: ColoredGraph, cells: Cells) -> bool:
     return seen == set(range(graph.n))
 
 
-def color_refine(graph: ColoredGraph, start: Optional[Cells] = None) -> Cells:
+def color_refine(graph: Graph, start: Optional[Cells] = None) -> Cells:
     """Coarsest equitable refinement of the starting partition.
 
     A partition is equitable when all vertices in a cell have the same
@@ -156,7 +90,7 @@ def _target_cell(cells: Cells) -> int:
     return best
 
 
-def _individualize(graph: ColoredGraph, cells: Cells, idx: int, v: int) -> Cells:
+def _individualize(graph: Graph, cells: Cells, idx: int, v: int) -> Cells:
     cell = cells[idx]
     rest = tuple(x for x in cell if x != v)
     split = cells[:idx] + ((v,), rest) + cells[idx + 1:]
@@ -167,7 +101,7 @@ def _profile(cells: Cells) -> tuple[int, ...]:
     return tuple(len(c) for c in cells)
 
 
-def is_automorphism(graph: ColoredGraph, p: Permutation) -> bool:
+def is_automorphism(graph: Graph, p: Permutation) -> bool:
     """True iff p preserves vertex colors and maps the edge set onto itself."""
     if p.n != graph.n:
         raise ValueError(f"permutation on {p.n} points for {graph.n} vertices")
@@ -182,7 +116,7 @@ def is_automorphism(graph: ColoredGraph, p: Permutation) -> bool:
     return True
 
 
-def automorphism_generators(graph: ColoredGraph) -> PermutationGroup:
+def automorphism_generators(graph: Graph) -> PermutationGroup:
     """Generating set of the full automorphism group of a colored graph.
 
     Walks the first branch of the individualization-refinement tree to a
@@ -234,26 +168,12 @@ def automorphism_generators(graph: ColoredGraph) -> PermutationGroup:
         return None
 
     gens: list[Permutation] = []
-
-    def reachable(v: int) -> set[int]:
-        # forward closure suffices: inverses are generator powers in a finite group
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = g.mapping[x]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
-
     for depth in range(len(path) - 1, -1, -1):
         cells, idx = path[depth]
         cell = cells[idx]
         v = cell[0]
         for u in cell[1:]:
-            if u in reachable(v):
+            if u in PermutationGroup(gens, n=graph.n).orbit_of_point(v):
                 continue
             found = search(_individualize(graph, cells, idx, u), depth + 1)
             if found is not None and found not in gens:
@@ -261,7 +181,7 @@ def automorphism_generators(graph: ColoredGraph) -> PermutationGroup:
     return PermutationGroup(gens, n=graph.n)
 
 
-def brute_force_automorphisms(graph: ColoredGraph) -> list[Permutation]:
+def brute_force_automorphisms(graph: Graph) -> list[Permutation]:
     """All automorphisms by exhaustion over color-respecting bijections (n <= 10)."""
     if graph.n > 10:
         raise ValueError(f"brute force limited to 10 vertices, got {graph.n}")

@@ -1,9 +1,9 @@
-"""Base Markov chains and their orbit-resampling wrappers.
+"""Base Markov chains and their orbit-resampling variants.
 
 Two base kernels are provided: single-site Gibbs over a weighted clause
 model, and the single-vertex insert/delete chain over independent sets of
-a graph with fugacity lambda.  The orbit wrapper runs the base kernel and
-then replaces the state by a uniform (or near-uniform) sample from its
+a graph with fugacity lambda.  An orbital chain kind runs the base kernel
+and then replaces the state by a uniform (or near-uniform) sample from its
 orbit under a symmetry group of the target distribution.
 
 Within a step the random draws happen in a fixed order (site choice, then
@@ -14,13 +14,12 @@ pure function of model, kind, steps and seed.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .clauses import WeightedClauseSet, weight_value
 from .errors import InfeasibleModelError
@@ -61,10 +60,6 @@ class IndependentSetModel:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    @property
-    def max_degree(self) -> int:
-        return self.graph.max_degree
 
     def __repr__(self) -> str:
         return f"IndependentSetModel({self.graph!r}, lam={self.lam})"
@@ -181,15 +176,6 @@ def insert_delete_step(model: IndependentSetModel, bits: Config,
     return tuple(bits)
 
 
-def orbital_step(base_step: Callable[..., Config], group: PermutationGroup,
-                 mode: SamplerMode, model, bits: Config, rng: Random,
-                 sampler: Optional[OrbitSampler] = None) -> Config:
-    """Base move followed by a uniform resample within the new state's orbit."""
-    if sampler is None:
-        sampler = OrbitSampler(group, mode, rng)
-    return sampler.sample(base_step(model, bits, rng))
-
-
 @dataclass
 class ChainTrace:
     """Recorded run of a chain; states[i] is the state after i*record_every steps."""
@@ -266,9 +252,3 @@ def run_chain(model, kind: ChainKind, steps: int, seed: int,
             trace.states.append(state)
     trace.elapsed_seconds = time.perf_counter() - t0
     return trace
-
-
-def derive_seed(master: int, replica: int) -> int:
-    """Stable per-replica seed derived from a master seed."""
-    digest = hashlib.sha256(f"{master}:{replica}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")

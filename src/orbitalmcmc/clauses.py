@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .autgroup import ColoredGraph, automorphism_generators
+from .autgroup import automorphism_generators
+from .graphs import Graph
 from .perm import Orbit, Permutation, PermutationGroup
 
 HARD = "inf"
@@ -100,22 +101,6 @@ class WeightedClauseSet:
         except ValueError:
             raise ValueError(f"unknown variable {name!r}") from None
 
-    def clause_multiset(self) -> dict:
-        out: dict[tuple, int] = {}
-        for c in self.clauses:
-            key = (c.literals, c.weight)
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    def permuted_clause_multiset(self, p: Permutation) -> dict:
-        """Clause multiset after renaming variables through p."""
-        out: dict[tuple, int] = {}
-        for c in self.clauses:
-            lits = tuple(sorted((p.apply(v), neg) for v, neg in c.literals))
-            key = (lits, c.weight)
-            out[key] = out.get(key, 0) + 1
-        return out
-
     def __repr__(self) -> str:
         return f"WeightedClauseSet({self.n} variables, {len(self.clauses)} clauses)"
 
@@ -199,16 +184,10 @@ class VertexMap:
     neg: tuple[int, ...]     # variable index -> negated vertex
     clause: tuple[int, ...]  # clause index -> clause vertex
 
-    def variable_of_pos(self, vertex: int) -> int:
-        return self.pos.index(vertex)
-
-    def clause_of(self, vertex: int) -> int:
-        return self.clause.index(vertex)
-
 
 def build_colored_graph(model: WeightedClauseSet,
                         evidence: Optional[Mapping[str, bool]] = None
-                        ) -> tuple[ColoredGraph, VertexMap]:
+                        ) -> tuple[Graph, VertexMap]:
     """Colored graph whose automorphisms are exactly the model symmetries.
 
     Layout: unnegated variable nodes first, then negated nodes, then one
@@ -256,7 +235,7 @@ def build_colored_graph(model: WeightedClauseSet,
     names = (list(model.variables)
              + ["!" + v for v in model.variables]
              + [f"c{j}" for j in range(len(model.clauses))])
-    graph = ColoredGraph(len(colors), colors, edges, vertex_names=names)
+    graph = Graph(len(colors), edges, colors, names)
     return graph, VertexMap(pos, neg, clause)
 
 
@@ -266,7 +245,7 @@ class SymmetryReport:
 
     clause_set: WeightedClauseSet
     evidence: tuple
-    graph: ColoredGraph
+    graph: Graph
     vertex_map: VertexMap
     graph_group: PermutationGroup       # acts on graph vertices
     model_group: PermutationGroup       # projected action on variables
@@ -330,11 +309,3 @@ def model_symmetry_group(model: WeightedClauseSet,
         variable_orbits=variable_orbits,
         feature_orbits=feature_orbits,
     )
-
-
-def variable_orbits(report: SymmetryReport) -> tuple[Orbit, ...]:
-    return report.variable_orbits
-
-
-def feature_orbits(report: SymmetryReport) -> tuple[Orbit, ...]:
-    return report.feature_orbits

@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import analysis, autgroup, chains, clauses, families, perm
+from . import analysis, autgroup, chains, clauses, families, graphs, perm
 from .errors import GuardExceededError, InfeasibleModelError
 
 GRAPH_MODELS = ("grid", "cliques", "complete")
@@ -40,17 +40,12 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-_CONFIG_TYPES = {
-    "k": int, "steps": int, "people": int, "trials": int,
-    "record_every": int, "seed": int,
-    "lam": float, "evidence_fraction": float,
-    "seeds": parse_seeds,
-    "epsilon": lambda s: [float(x) for x in s.split(",")],
-}
-
-
 def load_config(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment line."""
+    """Flat key=value file; '#' starts a comment line.
+
+    Values stay strings: argparse converts a string default with the
+    matching flag's own type.
+    """
     out = {}
     for ln in Path(path).read_text().splitlines():
         ln = ln.strip()
@@ -60,7 +55,7 @@ def load_config(path: str) -> dict:
             raise UsageError(f"config line missing '=': {ln!r}")
         key, value = (part.strip() for part in ln.split("=", 1))
         key = key.replace("-", "_")
-        out[key] = _CONFIG_TYPES.get(key, str)(value)
+        out[key] = value
     return out
 
 
@@ -92,7 +87,8 @@ class ModelBundle:
         self.kind = args.model
         if self.kind is None:
             raise UsageError("--model is required")
-        self.lam = getattr(args, "lam", 1.0)
+        # float(): detect and gen have no --lambda flag to type a config value
+        self.lam = float(getattr(args, "lam", 1.0))
         if self.kind in GRAPH_MODELS:
             maker = {"grid": families.gen_grid,
                      "cliques": families.gen_connected_cliques,
@@ -120,7 +116,7 @@ class ModelBundle:
     @property
     def group(self) -> perm.PermutationGroup:
         if self._group is None:
-            self._group = autgroup.automorphism_generators(self.graph.to_colored())
+            self._group = autgroup.automorphism_generators(self.graph)
         return self._group
 
     def exact_distribution(self) -> analysis.ExactDistribution:
@@ -154,8 +150,7 @@ def cmd_gen(args) -> int:
     target = out_dir(args)
     if args.model in GRAPH_MODELS:
         bundle = ModelBundle(args)
-        autgroup.write_graph(target / "model.graph.txt",
-                             bundle.graph.to_colored())
+        graphs.write_graph(target / "model.graph.txt", bundle.graph)
         print(f"wrote {target / 'model.graph.txt'} "
               f"({bundle.graph.n} vertices, {len(bundle.graph.edges)} edges)")
     elif args.model == "fs":
@@ -320,16 +315,6 @@ def build_parser() -> Parser:
                     description="Symmetry-aware sampling toolkit")
     parser.add_argument("--config", help="key=value file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.command_parsers = []
-
-    original_add = sub.add_parser
-
-    def tracked_add(*a, **kw):
-        p = original_add(*a, **kw)
-        parser.command_parsers.append(p)
-        return p
-
-    sub.add_parser = tracked_add
 
     p = sub.add_parser("gen", help="write a model to disk")
     p.add_argument("--model", choices=GRAPH_MODELS + ("fs",))
@@ -384,6 +369,7 @@ def build_parser() -> Parser:
                    default=[0.1, 0.01])
     p.add_argument("--out")
     p.set_defaults(func=cmd_mix)
+    parser.command_parsers = list(sub.choices.values())
     return parser
 
 

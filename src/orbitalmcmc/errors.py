@@ -13,15 +13,16 @@ class InfeasibleModelError(RuntimeError):
     """The model admits no valid state (e.g. hard constraints unsatisfiable)."""
 
 
-def enumeration_cap(default: int = DEFAULT_ENUMERATION_CAP) -> int:
+def enumeration_cap() -> int:
     """Return the active enumeration cap.
 
     The ORBITAL_GUARD environment variable, when set to a positive integer,
-    overrides the built-in default for all exact enumerations.
+    overrides the built-in default for all exact enumerations; it is the
+    one way to set the cap.  Each guard reads it at the point of checking.
     """
     raw = os.environ.get("ORBITAL_GUARD")
     if raw is None:
-        return default
+        return DEFAULT_ENUMERATION_CAP
     try:
         cap = int(raw)
     except ValueError as exc:

@@ -70,7 +70,8 @@ def gen_friends_smokers(people: int, evidence_fraction: float = 0.0,
     """Grounded smokers/friends/cancer model over a fixed population.
 
     Evidence fixes the smoking status of a random fraction of the people
-    (rounded up), drawn reproducibly from the seed.
+    (the count rounded to nearest, at least one), drawn reproducibly from
+    the seed.
     """
     if people < 2:
         raise ValueError(f"need at least 2 people, got {people}")

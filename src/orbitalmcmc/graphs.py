@@ -1,19 +1,27 @@
-"""Plain undirected graphs for independent-set models."""
+"""Undirected graphs with vertex colors, for independent-set models and
+automorphism search, and their text file format."""
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .autgroup import ColoredGraph
-
 
 class Graph:
-    """Simple undirected graph with optional vertex names."""
+    """Simple undirected graph with dense integer vertex colors (default: one
+    color) and optional vertex names."""
 
-    __slots__ = ("n", "edges", "adj", "names")
+    __slots__ = ("n", "colors", "edges", "adj", "names")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
+                 colors: Optional[Sequence[int]] = None,
                  names: Optional[Sequence[str]] = None):
+        if colors is None:
+            colors = [0] * n
+        if len(colors) != n:
+            raise ValueError(f"{len(colors)} colors for {n} vertices")
+        palette = set(colors)
+        if palette and palette != set(range(len(palette))):
+            raise ValueError("colors must be dense integers starting at 0")
         norm = set()
         for u, v in edges:
             if u == v:
@@ -24,6 +32,7 @@ class Graph:
         if names is not None and len(names) != n:
             raise ValueError("vertex name count does not match n")
         self.n = n
+        self.colors = tuple(colors)
         self.edges = frozenset(norm)
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
@@ -33,21 +42,52 @@ class Graph:
         self.names = tuple(names) if names is not None else None
 
     @property
+    def num_colors(self) -> int:
+        return len(set(self.colors)) if self.n else 0
+
+    @property
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 
-    def to_colored(self) -> ColoredGraph:
-        """Single-color view for automorphism search."""
-        return ColoredGraph(self.n, [0] * self.n, self.edges,
-                            vertex_names=self.names)
+    def to_colored(self) -> "Graph":
+        """The graph itself: every graph carries colors.  Kept for callers
+        written when plain and colored graphs were separate types."""
+        return self
 
     def is_independent(self, bits: Sequence[int]) -> bool:
         return not any(bits[u] and bits[v] for u, v in self.edges)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={len(self.edges)}, c={self.num_colors})"
 
 
 def default_names(n: int) -> list[str]:
     """Letters a..z, then v26, v27, ..."""
     return [chr(ord("a") + i) if i < 26 else f"v{i}" for i in range(n)]
+
+
+def write_graph(path, graph: Graph) -> None:
+    """Text format: header "n m c", then "vertex color" lines, then "u v" lines."""
+    lines = [f"{graph.n} {len(graph.edges)} {graph.num_colors}"]
+    lines += [f"{v} {graph.colors[v]}" for v in range(graph.n)]
+    lines += [f"{u} {v}" for u, v in sorted(graph.edges)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_graph(path) -> Graph:
+    with open(path) as fh:
+        rows = [ln.split() for ln in fh if ln.strip()]
+    if not rows:
+        raise ValueError("empty graph file")
+    n, m, c = (int(x) for x in rows[0])
+    if len(rows) != 1 + n + m:
+        raise ValueError(f"expected {1 + n + m} lines, found {len(rows)}")
+    colors = [0] * n
+    for v, col in (map(int, r) for r in rows[1:1 + n]):
+        colors[v] = col
+    edges = [tuple(map(int, r)) for r in rows[1 + n:]]
+    graph = Graph(n, edges, colors)
+    if graph.num_colors != c:
+        raise ValueError(f"header declares {c} colors, found {graph.num_colors}")
+    return graph

@@ -118,11 +118,6 @@ class Permutation:
         return f"Permutation({format_cycles(self)!r}, n={len(self.mapping)})"
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Left-to-right product: apply p, then q."""
-    return p.compose(q)
-
-
 def format_cycles(p: Permutation, names: Optional[Sequence[str]] = None) -> str:
     """Disjoint-cycle text form, identity printed as "()"."""
     cycs = p.cycles()
@@ -255,11 +250,11 @@ class PermutationGroup:
             orbits.append(orb)
         return orbits
 
-    def orbit_of_config(self, bits: Sequence[int], cap: Optional[int] = None) -> Orbit:
+    def orbit_of_config(self, bits: Sequence[int]) -> Orbit:
         """Exact orbit of a configuration under the generated group."""
         if len(bits) != self.n:
             raise ValueError(f"configuration length {len(bits)} != domain size {self.n}")
-        cap = cap if cap is not None else enumeration_cap()
+        cap = enumeration_cap()
         start = tuple(bits)
         seen = {start}
         frontier = [start]
@@ -277,25 +272,22 @@ class PermutationGroup:
             frontier = nxt
         return Orbit(frozenset(seen), min(seen))
 
-    def elements(self, cap: Optional[int] = None) -> tuple[Permutation, ...]:
+    def elements(self) -> tuple[Permutation, ...]:
         """All group elements by breadth-first closure, sorted, cached."""
         if self._elements is not None:
-            if cap is not None and len(self._elements) > cap:
-                raise GuardExceededError(
-                    f"group order {len(self._elements)} exceeds cap {cap}")
             return self._elements
-        cap = cap if cap is not None else enumeration_cap()
         if self.n <= 255:
-            raw = self._closure_bytes(cap)
+            raw = self._closure_bytes()
             els = tuple(Permutation._trusted(tuple(b)) for b in sorted(raw))
         else:
-            raw = self._closure_tuples(cap)
+            raw = self._closure_tuples()
             els = tuple(Permutation._trusted(t) for t in sorted(raw))
         self._elements = els
         return els
 
-    def _closure_bytes(self, cap: int) -> set:
+    def _closure_bytes(self) -> set:
         # bytes.translate gives C-speed composition for n <= 255
+        cap = enumeration_cap()
         pad = bytes(range(256))
         tables = [bytes(g.mapping) + pad[self.n:] for g in self.generators]
         ident = bytes(range(self.n))
@@ -315,7 +307,8 @@ class PermutationGroup:
             frontier = nxt
         return seen
 
-    def _closure_tuples(self, cap: int) -> set:
+    def _closure_tuples(self) -> set:
+        cap = enumeration_cap()
         gens = [g.mapping for g in self.generators]
         ident = tuple(range(self.n))
         seen = {ident}
@@ -334,17 +327,13 @@ class PermutationGroup:
             frontier = nxt
         return seen
 
-    def order(self, cap: Optional[int] = None) -> int:
-        return len(self.elements(cap))
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p in set(self.elements())
+    def order(self) -> int:
+        return len(self.elements())
 
 
-def config_orbit_partition(group: PermutationGroup,
-                           cap: Optional[int] = None) -> list[Orbit]:
+def config_orbit_partition(group: PermutationGroup) -> list[Orbit]:
     """Partition all 2^n configurations into orbits, ordered by representative."""
-    cap = cap if cap is not None else enumeration_cap()
+    cap = enumeration_cap()
     if 2 ** group.n > cap:
         raise GuardExceededError(
             f"2^{group.n} configurations exceed enumeration cap {cap}")
@@ -354,26 +343,25 @@ def config_orbit_partition(group: PermutationGroup,
         c = tuple((k >> (group.n - 1 - i)) & 1 for i in range(group.n))
         if c in done:
             continue
-        orb = group.orbit_of_config(c, cap=cap)
+        orb = group.orbit_of_config(c)
         done |= orb.elements
         orbits.append(orb)
     orbits.sort(key=lambda o: o.representative)
     return orbits
 
 
-def burnside_config_orbit_count(group: PermutationGroup,
-                                cap: Optional[int] = None) -> int:
+def burnside_config_orbit_count(group: PermutationGroup) -> int:
     """Number of configuration orbits as the average count of fixed configs.
 
     A permutation fixes 2^(number of point cycles, fixed points included)
     configurations; averaging over the enumerated group counts the orbits,
     giving an independent check on the exhaustive partition.
     """
-    els = group.elements(cap)
+    els = group.elements()
     total = 0
     for g in els:
-        moved = sum(len(c) for c in g.cycles())
-        n_cycles = len(g.cycles()) + (group.n - moved)
+        cycles = g.cycles()
+        n_cycles = len(cycles) + (group.n - sum(len(c) for c in cycles))
         total += 2 ** n_cycles
     count, rem = divmod(total, len(els))
     if rem:
@@ -384,6 +372,11 @@ def burnside_config_orbit_count(group: PermutationGroup,
 class SamplerMode(str, Enum):
     EXACT = "exact"
     PRODUCT_REPLACEMENT = "pr"
+
+
+MIN_SLOTS = 10              # slots: max(MIN_SLOTS, 2 * generators + 1)
+BURN_IN_PER_SLOT = 60       # replacement moves per slot before the first draw
+DRAW_MOVES = 3              # replacement moves per draw
 
 
 class ProductReplacement:
@@ -397,30 +390,16 @@ class ProductReplacement:
     member of the generated group.
     """
 
-    def __init__(self, group: PermutationGroup, slots: Optional[int] = None,
-                 burn_in: Optional[int] = None, seed: Optional[int] = None,
-                 rng: Optional[Random] = None, moves_per_draw: int = 3):
+    def __init__(self, group: PermutationGroup, *, seed: Optional[int] = None,
+                 rng: Optional[Random] = None):
         gens = group.generators
         self.group = group
         self.rng = rng if rng is not None else Random(seed)
-        if moves_per_draw < 1:
-            raise ValueError("need at least one move per draw")
-        self.moves_per_draw = moves_per_draw
-        if not gens:
-            self.slots = []
-            self.burn_in_done = True
-            self._acc = Permutation.identity(group.n)
-            return
-        n_slots = slots if slots is not None else max(10, 2 * len(gens) + 1)
-        if n_slots < len(gens):
-            raise ValueError(f"need at least {len(gens)} slots, got {n_slots}")
-        self.slots = [gens[i % len(gens)] for i in range(n_slots)]
         self._acc = Permutation.identity(group.n)
-        self.burn_in_done = False
-        moves = burn_in if burn_in is not None else 60 * n_slots
-        for _ in range(moves):
+        n_slots = max(MIN_SLOTS, 2 * len(gens) + 1) if gens else 0
+        self.slots = [gens[i % len(gens)] for i in range(n_slots)]
+        for _ in range(BURN_IN_PER_SLOT * n_slots):
             self._move()
-        self.burn_in_done = True
 
     def _move(self) -> Permutation:
         rng = self.rng
@@ -443,18 +422,9 @@ class ProductReplacement:
         """Advance the state and return a (near-uniform) group member."""
         if not self.slots:
             return self._acc
-        for _ in range(self.moves_per_draw - 1):
+        for _ in range(DRAW_MOVES - 1):
             self._move()
         return self._move()
-
-
-def pr_init(group: PermutationGroup, slots: Optional[int] = None,
-            burn_in: Optional[int] = None, seed: Optional[int] = None) -> ProductReplacement:
-    return ProductReplacement(group, slots=slots, burn_in=burn_in, seed=seed)
-
-
-def pr_next(state: ProductReplacement) -> Permutation:
-    return state.next()
 
 
 class OrbitSampler:
@@ -466,8 +436,7 @@ class OrbitSampler:
     scalability.  A trivial group consumes no randomness.
     """
 
-    def __init__(self, group: PermutationGroup, mode: SamplerMode, rng: Random,
-                 cap: Optional[int] = None):
+    def __init__(self, group: PermutationGroup, mode: SamplerMode, rng: Random):
         self.group = group
         self.mode = SamplerMode(mode)
         self.rng = rng
@@ -475,7 +444,7 @@ class OrbitSampler:
             self._els = None
             self._pr = None
         elif self.mode is SamplerMode.EXACT:
-            self._els = group.elements(cap)
+            self._els = group.elements()
             self._pr = None
         else:
             self._els = None
@@ -488,13 +457,6 @@ class OrbitSampler:
         if self._pr is not None:
             return self._pr.next().apply_config(bits)
         return tuple(bits)
-
-
-def sample_orbit_uniform(group: PermutationGroup, bits: Sequence[int],
-                         mode: SamplerMode, rng: Random,
-                         cap: Optional[int] = None) -> Config:
-    """One-shot orbit resample; loops should hold an OrbitSampler instead."""
-    return OrbitSampler(group, mode, rng, cap=cap).sample(bits)
 
 
 def save_generating_set(path, group: PermutationGroup,

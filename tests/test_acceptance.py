@@ -25,11 +25,7 @@ from orbitalmcmc.analysis import (
     transition_matrix,
     tv_curve,
 )
-from orbitalmcmc.autgroup import (
-    ColoredGraph,
-    automorphism_generators,
-    brute_force_automorphisms,
-)
+from orbitalmcmc.autgroup import automorphism_generators, brute_force_automorphisms
 from orbitalmcmc.chains import ChainKind, ClauseModel, IndependentSetModel, run_chain
 from orbitalmcmc.clauses import (
     WeightedClauseSet,
@@ -68,7 +64,7 @@ def benchmark_models():
     for name, graph in [("grid", gen_grid(3)),
                         ("cliques", gen_connected_cliques(3)),
                         ("complete", gen_complete(3))]:
-        group = automorphism_generators(graph.to_colored())
+        group = automorphism_generators(graph)
         out[name] = (graph, group)
     return out
 
@@ -174,7 +170,7 @@ def test_c06_complete_graph_mixing_bound():
     for n in range(4, 10):
         graph = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
         model = IndependentSetModel(graph, 1.0)
-        group = automorphism_generators(graph.to_colored())
+        group = automorphism_generators(graph)
         matrix = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE,
                                    group=group)
         pi = exact_pi_lambda(graph, 1.0)
@@ -222,7 +218,7 @@ def test_c07_coupling_faithful_and_drift(benchmark_models):
     drift_details = []
     for k in (3, 4):
         graph = gen_grid(k)
-        group = group3 if k == 3 else automorphism_generators(graph.to_colored())
+        group = group3 if k == 3 else automorphism_generators(graph)
         rep = coupling_drift(IndependentSetModel(graph, 1.0), group,
                              trials=trials, seed=78)
         within = rep.expected_drift <= rep.bound + 3 * rep.drift_se
@@ -230,7 +226,7 @@ def test_c07_coupling_faithful_and_drift(benchmark_models):
         drift_details.append(
             f"{k}x{k}: drift {rep.expected_drift:.5f} vs bound {rep.bound:.5f}")
     rho4 = exact_rho(gen_grid(4),
-                     automorphism_generators(gen_grid(4).to_colored()))
+                     automorphism_generators(gen_grid(4)))
     elapsed = time.time() - t0
     ok = faithful and drift_ok and rho4 < 1.0 and elapsed < 300.0
     report(7, "coupling marginals faithful, drift within bound", ok,
@@ -287,7 +283,7 @@ def test_c09_product_replacement_uniformity(benchmark_models):
     report(9, "product replacement near-uniform", ok, "; ".join(details))
 
 
-def _random_colored_graph(rng: Random) -> ColoredGraph:
+def _random_colored_graph(rng: Random) -> Graph:
     n = rng.randrange(1, 9)
     n_colors = rng.randrange(1, min(3, n) + 1)
     colors = [rng.randrange(n_colors) for _ in range(n)]
@@ -296,7 +292,7 @@ def _random_colored_graph(rng: Random) -> ColoredGraph:
     colors = [remap[c] for c in colors]
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < 0.4]
-    return ColoredGraph(n, colors, edges)
+    return Graph(n, edges, colors)
 
 
 def _random_clause_set(rng: Random) -> WeightedClauseSet:

@@ -13,7 +13,6 @@ from orbitalmcmc.analysis import (
     TransitionMatrix,
     check_detailed_balance,
     coupling_drift,
-    coupling_step,
     distance_one_pairs,
     empirical_distribution,
     enumerate_independent_sets,
@@ -112,6 +111,13 @@ class TestTransitionMatrices:
                                     group=PermutationGroup([], n=9))
         assert np.allclose(base.rows, orbital.rows, atol=0)
 
+    def test_group_must_preserve_state_space(self):
+        # on the path 0-1-2, swapping 0 and 1 maps {0, 2} to {1, 2}
+        model = IndependentSetModel(Graph(3, [(0, 1), (1, 2)]), 1.0)
+        swap = PermutationGroup([parse_cycles("(0 1)", n=3)])
+        with pytest.raises(ValueError, match="does not preserve the state space"):
+            transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE, group=swap)
+
     def test_insert_delete_stationary_matches_pi(self):
         model = IndependentSetModel(gen_grid(3), 1.0)
         matrix = transition_matrix(model, ChainKind.INSERT_DELETE)
@@ -153,7 +159,7 @@ class TestTransitionMatrices:
 
     def test_structure_flags(self):
         model = IndependentSetModel(gen_connected_cliques(3), 1.0)
-        group = automorphism_generators(gen_connected_cliques(3).to_colored())
+        group = automorphism_generators(gen_connected_cliques(3))
         for kind, g in ((ChainKind.INSERT_DELETE, None),
                         (ChainKind.ORBITAL_INSERT_DELETE, group)):
             matrix = transition_matrix(model, kind, group=g)
@@ -162,7 +168,7 @@ class TestTransitionMatrices:
 
     def test_orbital_kernels_leave_pi_stationary(self):
         for graph in (gen_grid(3), gen_connected_cliques(3)):
-            group = automorphism_generators(graph.to_colored())
+            group = automorphism_generators(graph)
             model = IndependentSetModel(graph, 1.0)
             matrix = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE,
                                        group=group)
@@ -194,7 +200,7 @@ class TestTotalVariation:
     def test_sampled_orbital_chain_approaches_pi(self):
         graph = gen_complete(3)
         model = IndependentSetModel(graph, 1.0)
-        group = automorphism_generators(graph.to_colored())
+        group = automorphism_generators(graph)
         pi = exact_pi_lambda(graph, 1.0)
         trace = run_chain(model, ChainKind.ORBITAL_INSERT_DELETE, 100_000,
                           seed=50, group=group,
@@ -228,7 +234,7 @@ class TestMixingTime:
     def test_complete_graph_bound(self):
         graph = gen_complete(3)
         model = IndependentSetModel(graph, 1.0)
-        group = automorphism_generators(graph.to_colored())
+        group = automorphism_generators(graph)
         matrix = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE,
                                    group=group)
         pi = exact_pi_lambda(graph, 1.0)
@@ -285,7 +291,7 @@ class TestCoupling:
         # on a complete graph every blocked/free insertion shares an orbit
         graph = gen_complete(2)
         model = IndependentSetModel(graph, 1.0)
-        group = automorphism_generators(graph.to_colored())
+        group = automorphism_generators(graph)
         sim = CouplingSimulator(model, group)
         rng = Random(53)
         upper = (1, 0, 0, 0)
@@ -312,18 +318,18 @@ class TestCoupling:
         graph = gen_grid(3)
         model = IndependentSetModel(graph, 1.0)
         with pytest.raises(ValueError):
-            coupling_step((0,) * 9, (0,) * 9, model, grid3_group(), Random(0))
+            CouplingSimulator(model, grid3_group()).step((0,) * 9, (0,) * 9, Random(0))
 
     def test_exact_rho_extremes(self):
         complete = gen_complete(2)
-        sym = automorphism_generators(complete.to_colored())
+        sym = automorphism_generators(complete)
         assert exact_rho(complete, sym) == 0.0
         path = Graph(3, [(0, 1), (1, 2)])
         assert exact_rho(path, PermutationGroup([], n=3)) == 1.0
 
     def test_exact_rho_grid4_below_one(self):
         grid4 = gen_grid(4)
-        group = automorphism_generators(grid4.to_colored())
+        group = automorphism_generators(grid4)
         assert group.order() == 8
         rho = exact_rho(grid4, group)
         assert 0.0 < rho < 1.0

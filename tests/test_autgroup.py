@@ -5,19 +5,17 @@ from random import Random
 import pytest
 
 from orbitalmcmc.autgroup import (
-    ColoredGraph,
     automorphism_generators,
     brute_force_automorphisms,
     color_cells,
     color_refine,
     is_automorphism,
-    read_graph,
-    write_graph,
 )
+from orbitalmcmc.graphs import Graph, read_graph, write_graph
 from orbitalmcmc.perm import Permutation, PermutationGroup, parse_cycles
 
 
-def example_clause_graph() -> ColoredGraph:
+def example_clause_graph() -> Graph:
     """Two weighted clauses over three variables: the 8-vertex benchmark graph.
 
     Vertices 0..2 unnegated a,b,c (color 1); 3..5 negated (color 0);
@@ -26,11 +24,11 @@ def example_clause_graph() -> ColoredGraph:
     """
     edges = [(0, 3), (1, 4), (2, 5),        # negation pairing
              (6, 0), (6, 5), (7, 1), (7, 5)]  # occurrence edges
-    return ColoredGraph(8, [1, 1, 1, 0, 0, 0, 2, 2], edges,
-                        vertex_names=["a", "b", "c", "-a", "-b", "-c", "f1", "f2"])
+    return Graph(8, edges, [1, 1, 1, 0, 0, 0, 2, 2],
+                 names=["a", "b", "c", "-a", "-b", "-c", "f1", "f2"])
 
 
-def grid3_plain() -> ColoredGraph:
+def grid3_plain() -> Graph:
     edges = []
     for r in range(3):
         for c in range(3):
@@ -39,18 +37,18 @@ def grid3_plain() -> ColoredGraph:
                 edges.append((v, v + 1))
             if r < 2:
                 edges.append((v, v + 3))
-    return ColoredGraph(9, [0] * 9, edges)
+    return Graph(9, edges)
 
 
-def triangle() -> ColoredGraph:
-    return ColoredGraph(3, [0, 0, 0], [(0, 1), (1, 2), (0, 2)])
+def triangle() -> Graph:
+    return Graph(3, [(0, 1), (1, 2), (0, 2)])
 
 
-def path3() -> ColoredGraph:
-    return ColoredGraph(3, [0, 0, 0], [(0, 1), (1, 2)])
+def path3() -> Graph:
+    return Graph(3, [(0, 1), (1, 2)])
 
 
-def random_colored_graph(rng: Random, max_n: int = 8) -> ColoredGraph:
+def random_colored_graph(rng: Random, max_n: int = 8) -> Graph:
     n = rng.randrange(1, max_n + 1)
     n_colors = rng.randrange(1, min(3, n) + 1)
     colors = [rng.randrange(n_colors) for _ in range(n)]
@@ -60,17 +58,17 @@ def random_colored_graph(rng: Random, max_n: int = 8) -> ColoredGraph:
     colors = [remap[c] for c in colors]
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < 0.4]
-    return ColoredGraph(n, colors, edges)
+    return Graph(n, edges, colors)
 
 
 class TestColoredGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
-            ColoredGraph(2, [0, 0], [(1, 1)])
+            Graph(2, [(1, 1)])
 
     def test_rejects_sparse_colors(self):
         with pytest.raises(ValueError):
-            ColoredGraph(2, [0, 2], [])
+            Graph(2, [], [0, 2])
 
     def test_file_round_trip(self, tmp_path):
         g = example_clause_graph()
@@ -149,7 +147,7 @@ class TestBruteForce:
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            brute_force_automorphisms(ColoredGraph(11, [0] * 11, []))
+            brute_force_automorphisms(Graph(11, []))
 
 
 class TestSearch:
@@ -163,7 +161,7 @@ class TestSearch:
         assert automorphism_generators(grid3_plain()).order() == 8
 
     def test_rigid_graph(self):
-        g = ColoredGraph(3, [0, 1, 2], [])
+        g = Graph(3, [], [0, 1, 2])
         group = automorphism_generators(g)
         assert group.is_trivial()
         assert group.order() == 1
@@ -193,10 +191,10 @@ class TestSearch:
             rho = list(range(g.n))
             rng.shuffle(rho)
             rho_p = Permutation(rho)
-            relabeled = ColoredGraph(
+            relabeled = Graph(
                 g.n,
-                [g.colors[rho_p.inverse().apply(v)] for v in range(g.n)],
-                [(rho_p.apply(u), rho_p.apply(v)) for u, v in g.edges])
+                [(rho_p.apply(u), rho_p.apply(v)) for u, v in g.edges],
+                [g.colors[rho_p.inverse().apply(v)] for v in range(g.n)])
             conj_group = automorphism_generators(relabeled)
             assert conj_group.order() == order
             # conjugating back by rho yields automorphisms of the original

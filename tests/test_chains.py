@@ -9,18 +9,16 @@ from orbitalmcmc.chains import (
     ChainKind,
     ClauseModel,
     IndependentSetModel,
-    derive_seed,
     gibbs_step,
     initial_state,
     insert_delete_step,
-    orbital_step,
     run_chain,
 )
 from orbitalmcmc.clauses import parse_clause_file
 from orbitalmcmc.errors import InfeasibleModelError
 from orbitalmcmc.families import gen_complete, gen_grid
 from orbitalmcmc.graphs import Graph
-from orbitalmcmc.perm import PermutationGroup, SamplerMode, parse_cycles
+from orbitalmcmc.perm import OrbitSampler, PermutationGroup, SamplerMode, parse_cycles
 
 from helpers import two_spin_model
 
@@ -152,15 +150,13 @@ class TestOrbitalStep:
         assert base.states == orbital.states
 
     def test_two_spin_orbit_resampling(self):
-        # once the base move lands on 10 the wrapper returns 01 or 10 evenly
-        model = two_spin_chain_model()
-        group = swap_group()
+        # once the base move lands on 10 the resample returns 01 or 10 evenly
         rng = Random(37)
+        sampler = OrbitSampler(swap_group(), SamplerMode.EXACT, rng)
         counts = {(1, 0): 0, (0, 1): 0}
         trials = 20_000
         for _ in range(trials):
-            result = orbital_step(lambda m, s, r: (1, 0), group,
-                                  SamplerMode.EXACT, model, (1, 0), rng)
+            result = sampler.sample((1, 0))
             counts[result] += 1
         assert abs(counts[(0, 1)] - trials / 2) <= 3 * (trials * 0.25) ** 0.5
 
@@ -172,10 +168,10 @@ class TestOrbitalStep:
             [parse_cycles("(a c)(d f)(g i)", names=names),
              parse_cycles("(a i)(b f)(d h)", names=names)])
         rng = Random(38)
+        sampler = OrbitSampler(group, SamplerMode.EXACT, rng)
         state = (0,) * 9
         for _ in range(300):
-            nxt = orbital_step(insert_delete_step, group, SamplerMode.EXACT,
-                               model, state, rng)
+            nxt = sampler.sample(insert_delete_step(model, state, rng))
             assert graph.is_independent(nxt)
             state = nxt
 
@@ -213,7 +209,3 @@ class TestRunChain:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,state"
         assert len(lines) == 7
-
-    def test_derived_seeds_differ(self):
-        seeds = {derive_seed(7, i) for i in range(100)}
-        assert len(seeds) == 100

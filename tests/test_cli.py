@@ -149,6 +149,44 @@ class TestAnalysisCommands:
         resolved = (tmp_path / "results" / "config.resolved.txt").read_text()
         assert "steps=100" in resolved
 
+    def test_config_values_are_typed(self, capsys, tmp_path):
+        # float and list values from a config file must act like the flags
+        config = tmp_path / "run.cfg"
+        config.write_text("model=grid\nk=3\nepsilon=0.1,0.01\nlam=2\nseeds=0,3\n")
+        runs = {"mix": (["--chain", "id"], ["--epsilon", "0.1,0.01"]),
+                "sample": (["--steps", "50", "--mode", "exact"],
+                           ["--seeds", "0,3"])}
+        for command, (common, typed) in runs.items():
+            via_config = tmp_path / f"{command}_config"
+            via_flags = tmp_path / f"{command}_flags"
+            code, _, _ = run_cli(capsys, "--config", str(config), command,
+                                 *common, "--out", str(via_config))
+            assert code == 0
+            code, _, _ = run_cli(capsys, command, *common, "--model", "grid",
+                                 "--k", "3", "--lambda", "2", *typed,
+                                 "--out", str(via_flags))
+            assert code == 0
+            outputs = sorted(p.name for p in via_flags.iterdir())
+            assert outputs == sorted(p.name for p in via_config.iterdir())
+            for name in outputs:
+                if name != "config.resolved.txt":
+                    assert (via_config / name).read_text() == \
+                        (via_flags / name).read_text()
+            resolved = (via_config / "config.resolved.txt").read_text()
+            assert "lam=2.0\n" in resolved
+            assert "epsilon=0.1,0.01\n" in resolved
+            assert "seeds=0,3\n" in resolved
+        assert (tmp_path / "sample_config" / "trace_id_seed3.csv").exists()
+        mix_rows = (tmp_path / "mix_config" / "mix.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in mix_rows[1:]] == ["0.1", "0.01"]
+
+    def test_config_lambda_for_command_without_flag(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("model=grid\nk=3\nlam=2\n")
+        code, out, _ = run_cli(capsys, "--config", str(config), "detect")
+        assert code == 0
+        assert "group order: 8" in out
+
 
 class TestExitCodes:
     def test_guard_exceeded(self, capsys, monkeypatch, tmp_path):

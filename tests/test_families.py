@@ -32,7 +32,7 @@ class TestGraphFamilies:
 
     def test_cliques_group_order(self):
         g = gen_connected_cliques(3)
-        assert automorphism_generators(g.to_colored()).order() == 24
+        assert automorphism_generators(g).order() == 24
 
     def test_complete_shape(self):
         g = gen_complete(3)
