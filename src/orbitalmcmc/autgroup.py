@@ -105,7 +105,7 @@ def is_automorphism(graph: Graph, p: Permutation) -> bool:
     """True iff p preserves vertex colors and maps the edge set onto itself."""
     if p.n != graph.n:
         raise ValueError(f"permutation on {p.n} points for {graph.n} vertices")
-    m = p.mapping
+    m = p.image
     for v in range(graph.n):
         if graph.colors[m[v]] != graph.colors[v]:
             return False
@@ -149,7 +149,7 @@ def automorphism_generators(graph: Graph) -> PermutationGroup:
             mapping[src_cell[0]] = dst_cell[0]
         if len(set(mapping)) != graph.n:
             return None
-        p = Permutation._trusted(tuple(mapping))
+        p = Permutation._trusted(mapping)
         return p if is_automorphism(graph, p) else None
 
     def search(cells: Cells, depth: int) -> Optional[Permutation]:
@@ -195,7 +195,7 @@ def brute_force_automorphisms(graph: Graph) -> list[Permutation]:
         for k, img in zip(keys, images):
             for src, dst in zip(classes[k], img):
                 mapping[src] = dst
-        p = Permutation._trusted(tuple(mapping))
+        p = Permutation._trusted(mapping)
         if is_automorphism(graph, p):
             out.append(p)
     return out

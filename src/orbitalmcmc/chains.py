@@ -9,6 +9,12 @@ orbit under a symmetry group of the target distribution.
 Within a step the random draws happen in a fixed order (site choice, then
 acceptance coin or conditional draw, then group element), so a trace is a
 pure function of model, kind, steps and seed.
+
+States are validated once, by `initial_state`, when a chain starts.  The
+step functions trust their input: each base move keeps an independent set
+independent and never leaves a hard clause violated, and an orbit resample
+under a symmetry group of the model keeps a valid state valid, so no step
+pays an O(n + m) check.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .clauses import WeightedClauseSet, weight_value
-from .errors import InfeasibleModelError
+from .errors import GuardExceededError, InfeasibleModelError, enumeration_cap
 from .graphs import Graph
 from .perm import Config, OrbitSampler, PermutationGroup, SamplerMode
 
@@ -69,32 +75,50 @@ class ClauseModel:
     """Gibbs-ready view of a weighted clause set.
 
     Precomputes, per variable, the clauses it occurs in, so the exact
-    single-site conditional costs only the touched clauses.
+    single-site conditional costs only the touched clauses.  Construction
+    finds `start`, the first assignment (all-zeros first) that satisfies
+    every hard clause.
     """
 
     def __init__(self, clause_set: WeightedClauseSet):
         self.clause_set = clause_set
         self.n = clause_set.n
-        self.soft_weights = [0.0 if c.is_hard else weight_value(c.weight)
-                             for c in clause_set.clauses]
         self.hard = [c.is_hard for c in clause_set.clauses]
-        touching: list[list[int]] = [[] for _ in range(self.n)]
-        for j, c in enumerate(clause_set.clauses):
-            for v, _ in c.literals:
-                touching[v].append(j)
-        self.touching = [tuple(t) for t in touching]
-        if not self._some_hard_consistent():
+        # per variable, one term per clause it occurs in, in clause order:
+        # (hard, weight, the value of the variable that satisfies the
+        # clause, the other literals as (variable, satisfying value) pairs)
+        terms: list[list[tuple]] = [[] for _ in range(self.n)]
+        for c in clause_set.clauses:
+            weight = 0.0 if c.is_hard else weight_value(c.weight)
+            for v, neg in c.literals:
+                others = tuple((u, int(not m)) for u, m in c.literals if u != v)
+                terms[v].append((c.is_hard, weight, int(not neg), others))
+        self._terms = [tuple(t) for t in terms]
+        start = self._hard_witness()
+        if start is None:
             raise InfeasibleModelError("no assignment satisfies every hard clause")
+        self.start = start
 
-    def _some_hard_consistent(self) -> bool:
-        if not any(self.hard) or self.n == 0:
-            return True
-        clauses = self.clause_set.clauses
+    def _hard_witness(self) -> Optional[Config]:
+        """First assignment satisfying every hard clause, or None if none does.
+
+        Scans assignments in counting order, bit i of the counter being
+        variable i, so all-zeros comes first.  The scan is exponential in n;
+        it raises GuardExceededError after `enumeration_cap()` assignments
+        without a hit.
+        """
+        if not any(self.hard):
+            return (0,) * self.n
+        cap = enumeration_cap()
         for k in range(2 ** self.n):
+            if k >= cap:
+                raise GuardExceededError(
+                    f"no assignment satisfying the hard clauses among the first "
+                    f"{cap} of 2^{self.n} (enumeration cap)")
             bits = tuple((k >> i) & 1 for i in range(self.n))
-            if all(c.satisfied_by(bits) for c, h in zip(clauses, self.hard) if h):
-                return True
-        return False
+            if self.satisfies_hard(bits):
+                return bits
+        return None
 
     def satisfies_hard(self, bits: Sequence[int]) -> bool:
         clauses = self.clause_set.clauses
@@ -107,33 +131,37 @@ class ClauseModel:
         Only clauses touching v matter; hard clauses zero out a value of v
         that violates them.  Raises if neither value is consistent.
         """
-        clauses = self.clause_set.clauses
-        scores = []
-        work = list(bits)
-        for value in (0, 1):
-            work[v] = value
-            score = 0.0
-            ok = True
-            for j in self.touching[v]:
-                sat = clauses[j].satisfied_by(work)
-                if self.hard[j]:
-                    if not sat:
-                        ok = False
-                        break
-                elif sat:
-                    score += self.soft_weights[j]
-            scores.append(score if ok else None)
-        if scores[0] is None and scores[1] is None:
+        score0 = score1 = 0.0
+        ok0 = ok1 = True
+        # each score sums its satisfied soft weights in clause order
+        for hard, weight, want, others in self._terms[v]:
+            for u, b in others:
+                if bits[u] == b:
+                    if not hard:
+                        score0 += weight
+                        score1 += weight
+                    break
+            else:
+                if hard:
+                    if want:
+                        ok0 = False
+                    else:
+                        ok1 = False
+                elif want:
+                    score1 += weight
+                else:
+                    score0 += weight
+        if not ok0 and not ok1:
             raise InfeasibleModelError(
                 f"no value of variable {self.clause_set.variables[v]} "
                 "satisfies the hard clauses")
-        if scores[0] is None:
+        if not ok0:
             return 1.0
-        if scores[1] is None:
+        if not ok1:
             return 0.0
         # exp-normalize against the larger score for stability
-        m = max(scores)
-        w0, w1 = math.exp(scores[0] - m), math.exp(scores[1] - m)
+        m = max(score0, score1)
+        w0, w1 = math.exp(score0 - m), math.exp(score1 - m)
         return w1 / (w0 + w1)
 
     def __repr__(self) -> str:
@@ -141,9 +169,10 @@ class ClauseModel:
 
 
 def gibbs_step(model: ClauseModel, bits: Config, rng: Random) -> Config:
-    """Resample one uniformly chosen variable from its exact conditional."""
-    if not model.satisfies_hard(bits):
-        raise InfeasibleModelError("state violates a hard clause")
+    """Resample one uniformly chosen variable from its exact conditional.
+
+    `bits` must satisfy every hard clause (see `initial_state`).
+    """
     v = rng.randrange(model.n)
     p1 = model.conditional_p1(bits, v)
     value = 1 if rng.random() < p1 else 0
@@ -158,11 +187,10 @@ def insert_delete_step(model: IndependentSetModel, bits: Config,
 
     Pick a vertex uniformly; delete it with probability 1/(1+lam) if
     present, insert it with probability lam/(1+lam) if absent and
-    unblocked, otherwise leave the state unchanged.
+    unblocked, otherwise leave the state unchanged.  `bits` must be an
+    independent set (see `initial_state`).
     """
     graph = model.graph
-    if not graph.is_independent(bits):
-        raise ValueError("state is not an independent set")
     v = rng.randrange(graph.n)
     lam = model.lam
     if bits[v]:
@@ -198,22 +226,34 @@ class ChainTrace:
 
 def initial_state(model, kind: ChainKind,
                   override: Optional[Sequence[int]] = None) -> Config:
-    if override is not None:
-        return tuple(override)
-    n = model.n
-    zeros = (0,) * n
-    if kind.base is ChainKind.GIBBS and not model.satisfies_hard(zeros):
-        raise InfeasibleModelError(
-            "the all-zeros state violates a hard clause; "
-            "pass an explicit initial state")
-    return zeros
+    """The validated start state of a chain.
+
+    Without `override`: the empty set for insert/delete chains, and for
+    Gibbs chains the model's `start` (all-zeros whenever that satisfies the
+    hard clauses).  An override must have one 0/1 entry per variable
+    (ValueError) and be an independent set (ValueError) or satisfy every
+    hard clause (InfeasibleModelError).
+    """
+    gibbs = kind.base is ChainKind.GIBBS
+    if override is None:
+        return model.start if gibbs else (0,) * model.n
+    state = tuple(override)
+    if len(state) != model.n or not set(state) <= {0, 1}:
+        raise ValueError(
+            f"initial state must be {model.n} entries of 0 or 1, got {state}")
+    if gibbs:
+        if not model.satisfies_hard(state):
+            raise InfeasibleModelError("initial state violates a hard clause")
+    elif not model.graph.is_independent(state):
+        raise ValueError("initial state is not an independent set")
+    return state
 
 
 def run_chain(model, kind: ChainKind, steps: int, seed: int,
               record_every: int = 1, group: Optional[PermutationGroup] = None,
               mode: SamplerMode = SamplerMode.EXACT,
               initial: Optional[Sequence[int]] = None) -> ChainTrace:
-    """Run a chain from the empty/all-zeros state and record its states.
+    """Run a chain from `initial_state` and record its states.
 
     Orbital kinds require `group`, a symmetry group of the model's
     distribution (the caller asserts this; desk-scale validation lives in
@@ -232,6 +272,7 @@ def run_chain(model, kind: ChainKind, steps: int, seed: int,
         if not isinstance(model, IndependentSetModel):
             raise TypeError("insert/delete chains need an IndependentSetModel")
         step = insert_delete_step
+    state = initial_state(model, kind, initial)
 
     rng = Random(seed)
     sampler = None
@@ -240,7 +281,6 @@ def run_chain(model, kind: ChainKind, steps: int, seed: int,
             raise ValueError(f"chain kind {kind.value} requires a symmetry group")
         sampler = OrbitSampler(group, mode, rng)
 
-    state = initial_state(model, kind, initial)
     trace = ChainTrace(chain_kind=kind, seed=seed, step_count=steps,
                        record_every=record_every, states=[state])
     t0 = time.perf_counter()

@@ -40,11 +40,12 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, known: set) -> dict:
     """Flat key=value file; '#' starts a comment line.
 
     Values stay strings: argparse converts a string default with the
-    matching flag's own type.
+    matching flag's own type.  A key outside `known` (the flag names of all
+    commands) is a usage error; a key that only some commands have is kept.
     """
     out = {}
     for ln in Path(path).read_text().splitlines():
@@ -55,6 +56,8 @@ def load_config(path: str) -> dict:
             raise UsageError(f"config line missing '=': {ln!r}")
         key, value = (part.strip() for part in ln.split("=", 1))
         key = key.replace("-", "_")
+        if key not in known:
+            raise UsageError(f"unknown config key {key!r} in {path}")
         out[key] = value
     return out
 
@@ -378,10 +381,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            defaults = load_config(args.config)
+            parsers = [parser] + parser.command_parsers
+            known = {a.dest for p in parsers for a in p._actions
+                     if a.option_strings and a.default is not argparse.SUPPRESS}
+            defaults = load_config(args.config, known)
             # subcommands parse into their own namespace, so defaults must
             # land on every command parser, not just the root
-            for p in [parser] + parser.command_parsers:
+            for p in parsers:
                 p.set_defaults(**defaults)
             args = parser.parse_args(argv)
         return args.func(args)

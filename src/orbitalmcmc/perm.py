@@ -4,6 +4,15 @@ Permutations act on points 0..n-1 and, extended pointwise, on binary
 configurations of length n.  Composition is fixed left-to-right across the
 whole package: (p * q) applied to x is q applied to (p applied to x).
 
+A permutation is stored as one raw image, the sequence of images of
+0..n-1: `bytes` when n <= 255 and a tuple of ints above that (the colored
+graphs of larger clause models have more than 255 vertices).  For `bytes`,
+`bytes.translate` gathers and `bytes.maketrans` scatters at C speed, which
+gives composition, inversion and the action on configurations.  Only
+`_compose` (gather) and `_scatter` look at the storage form, and the group
+closure, which hoists `_compose`'s table building out of its loop; all
+other code indexes an image, which reads the same ints from both forms.
+
 Groups are represented by generating sets only.  Orbits and full element
 lists are computed by breadth-first closure, which is exact and entirely
 sufficient at the scales this toolkit targets; there is deliberately no
@@ -16,19 +25,54 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import GuardExceededError, enumeration_cap
 
 Config = tuple  # binary configuration: tuple of 0/1 ints
+Image = Union[bytes, tuple]  # raw image of a permutation, see the module docstring
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_PAD = bytes(range(256))
+MAX_BYTES_N = 255  # largest domain stored as bytes
+
+
+def _as_image(mapping: Sequence[int]) -> Image:
+    return bytes(mapping) if len(mapping) <= MAX_BYTES_N else tuple(mapping)
+
+
+def _compose(a: Image, b: Image) -> Image:
+    """Raw image of a followed by b: x -> b[a[x]]."""
+    if type(a) is bytes:
+        return a.translate(b + _PAD[len(a):])
+    return tuple(map(b.__getitem__, a))
+
+
+def _scatter(a: Image, values: Image) -> Image:
+    """Raw image holding values[i] at position a[i].
+
+    `values` has a's length and storage form.  With the identity as
+    `values` this is the inverse of a; with a configuration it moves bit i
+    to position a[i].
+    """
+    if type(a) is bytes:
+        return bytes.maketrans(a, values)[:len(a)]
+    out = [0] * len(a)
+    for i, v in zip(a, values):
+        out[i] = v
+    return tuple(out)
 
 
 class Permutation:
-    """A bijection on {0, ..., n-1}, stored as the image array."""
+    """A bijection on {0, ..., n-1}.
 
-    __slots__ = ("mapping",)
+    `image` holds the images of 0..n-1 as `bytes` when n <= 255 and as a
+    tuple above that; `mapping` is the same images as a tuple whatever the
+    storage.  Equality and hashing follow the image, so two permutations
+    are equal exactly when they have the same domain and the same images.
+    """
+
+    __slots__ = ("image",)
 
     def __init__(self, mapping: Iterable[int]):
         m = tuple(mapping)
@@ -38,70 +82,71 @@ class Permutation:
             if not isinstance(v, int) or not 0 <= v < n or seen[v]:
                 raise ValueError(f"not a permutation of 0..{n - 1}: {m}")
             seen[v] = True
-        self.mapping = m
+        self.image = _as_image(m)
 
     @classmethod
-    def _trusted(cls, mapping: tuple) -> "Permutation":
+    def _trusted(cls, mapping: Sequence[int]) -> "Permutation":
         # internal fast path: caller guarantees mapping is a bijection
+        return cls._wrap(_as_image(mapping))
+
+    @classmethod
+    def _wrap(cls, image: Image) -> "Permutation":
+        # internal fast path: image is already a raw image of a bijection
         p = object.__new__(cls)
-        p.mapping = mapping
+        p.image = image
         return p
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls._trusted(tuple(range(n)))
+        return cls._trusted(range(n))
 
     @property
     def n(self) -> int:
-        return len(self.mapping)
+        return len(self.image)
+
+    @property
+    def mapping(self) -> tuple[int, ...]:
+        """The images of 0..n-1 as a tuple of ints (a copy for n <= 255)."""
+        return tuple(self.image)
 
     def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.mapping))
+        return self.image == _as_image(range(len(self.image)))
 
     def apply(self, x: int) -> int:
         """Image of point x."""
-        if not 0 <= x < len(self.mapping):
-            raise ValueError(f"point {x} outside domain 0..{len(self.mapping) - 1}")
-        return self.mapping[x]
+        if not 0 <= x < len(self.image):
+            raise ValueError(f"point {x} outside domain 0..{len(self.image) - 1}")
+        return self.image[x]
 
     def apply_config(self, bits: Sequence[int]) -> Config:
-        """Move bit i of the configuration to position mapping[i]."""
-        m = self.mapping
-        if len(bits) != len(m):
-            raise ValueError(f"configuration length {len(bits)} != domain size {len(m)}")
-        out = [0] * len(m)
-        for i, b in enumerate(bits):
-            out[m[i]] = b
-        return tuple(out)
+        """Move bit i of the configuration to position image[i]."""
+        if len(bits) != len(self.image):
+            raise ValueError(
+                f"configuration length {len(bits)} != domain size {len(self.image)}")
+        return tuple(_scatter(self.image, _as_image(bits)))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self followed by other: x -> other(self(x))."""
-        q = other.mapping
-        if len(q) != len(self.mapping):
+        if len(other.image) != len(self.image):
             raise ValueError("cannot compose permutations of different domain sizes")
-        return Permutation._trusted(tuple(q[v] for v in self.mapping))
+        return Permutation._wrap(_compose(self.image, other.image))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for i, v in enumerate(self.mapping):
-            inv[v] = i
-        return Permutation._trusted(tuple(inv))
+        return Permutation._wrap(_scatter(self.image, _as_image(range(self.n))))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles of length >= 2, each starting at its least point."""
-        seen = [False] * len(self.mapping)
+        m = self.image
+        seen = [False] * len(m)
         out = []
-        for i in range(len(self.mapping)):
-            if seen[i] or self.mapping[i] == i:
-                seen[i] = True
+        for i, j in enumerate(m):
+            if seen[i] or j == i:
                 continue
             cyc = [i]
-            seen[i] = True
-            j = self.mapping[i]
             while j != i:
                 cyc.append(j)
                 seen[j] = True
-                j = self.mapping[j]
+                j = m[j]
             out.append(tuple(cyc))
         return out
 
@@ -109,13 +154,13 @@ class Permutation:
         return self.compose(other)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.mapping == other.mapping
+        return isinstance(other, Permutation) and self.image == other.image
 
     def __hash__(self) -> int:
-        return hash(self.mapping)
+        return hash(self.image)
 
     def __repr__(self) -> str:
-        return f"Permutation({format_cycles(self)!r}, n={len(self.mapping)})"
+        return f"Permutation({format_cycles(self)!r}, n={len(self.image)})"
 
 
 def format_cycles(p: Permutation, names: Optional[Sequence[str]] = None) -> str:
@@ -170,7 +215,7 @@ def parse_cycles(text: str, n: Optional[int] = None,
         for a, b in zip(points, points[1:]):
             mapping[a] = b
         mapping[points[-1]] = points[0]
-        result = result.compose(Permutation._trusted(tuple(mapping)))
+        result = result.compose(Permutation._trusted(mapping))
     return result
 
 
@@ -224,13 +269,14 @@ class PermutationGroup:
     def orbit_of_point(self, x: int) -> Orbit:
         if not 0 <= x < self.n:
             raise ValueError(f"point {x} outside domain 0..{self.n - 1}")
+        images = [g.image for g in self.generators]
         seen = {x}
         frontier = [x]
         while frontier:
             nxt = []
             for y in frontier:
-                for g in self.generators:
-                    z = g.mapping[y]
+                for g in images:
+                    z = g[y]
                     if z not in seen:
                         seen.add(z)
                         nxt.append(z)
@@ -255,14 +301,15 @@ class PermutationGroup:
         if len(bits) != self.n:
             raise ValueError(f"configuration length {len(bits)} != domain size {self.n}")
         cap = enumeration_cap()
-        start = tuple(bits)
+        gens = [g.image for g in self.generators]
+        start = _as_image(bits)  # the search runs on configurations in image form
         seen = {start}
         frontier = [start]
         while frontier:
             nxt = []
             for c in frontier:
-                for g in self.generators:
-                    d = g.apply_config(c)
+                for g in gens:
+                    d = _scatter(g, c)
                     if d not in seen:
                         if len(seen) >= cap:
                             raise GuardExceededError(
@@ -270,54 +317,30 @@ class PermutationGroup:
                         seen.add(d)
                         nxt.append(d)
             frontier = nxt
-        return Orbit(frozenset(seen), min(seen))
+        return Orbit(frozenset(map(tuple, seen)), tuple(min(seen)))
 
     def elements(self) -> tuple[Permutation, ...]:
         """All group elements by breadth-first closure, sorted, cached."""
-        if self._elements is not None:
-            return self._elements
-        if self.n <= 255:
-            raw = self._closure_bytes()
-            els = tuple(Permutation._trusted(tuple(b)) for b in sorted(raw))
-        else:
-            raw = self._closure_tuples()
-            els = tuple(Permutation._trusted(t) for t in sorted(raw))
-        self._elements = els
-        return els
+        if self._elements is None:
+            self._elements = tuple(map(Permutation._wrap, sorted(self._closure())))
+        return self._elements
 
-    def _closure_bytes(self) -> set:
-        # bytes.translate gives C-speed composition for n <= 255
+    def _closure(self) -> set:
         cap = enumeration_cap()
-        pad = bytes(range(256))
-        tables = [bytes(g.mapping) + pad[self.n:] for g in self.generators]
-        ident = bytes(range(self.n))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for t in tables:
-                    q = p.translate(t)
-                    if q not in seen:
-                        if len(seen) >= cap:
-                            raise GuardExceededError(
-                                f"group enumeration exceeds cap {cap}")
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return seen
-
-    def _closure_tuples(self) -> set:
-        cap = enumeration_cap()
-        gens = [g.mapping for g in self.generators]
-        ident = tuple(range(self.n))
+        ident = Permutation.identity(self.n).image
+        gens = [g.image for g in self.generators]
+        compose = _compose
+        if type(ident) is bytes:
+            # _compose's bytes branch with the translation tables built once
+            compose = bytes.translate
+            gens = [g + _PAD[self.n:] for g in gens]
         seen = {ident}
         frontier = [ident]
         while frontier:
             nxt = []
             for p in frontier:
                 for g in gens:
-                    q = tuple(g[v] for v in p)
+                    q = compose(p, g)
                     if q not in seen:
                         if len(seen) >= cap:
                             raise GuardExceededError(
@@ -383,11 +406,11 @@ class ProductReplacement:
     """Near-uniform random group elements via randomized slot replacement.
 
     Keeps a list of slots initialized from the generators plus an
-    accumulator (the "rattle" variant).  A draw performs a few replacement
-    moves, folding each changed slot into the accumulator, and returns the
-    accumulator; the extra moves decorrelate consecutive draws enough for
-    frequency tests at the 10^5-draw scale.  Every value produced is a
-    member of the generated group.
+    accumulator (the "rattle" variant), all as raw images.  A draw performs
+    a few replacement moves, folding each changed slot into the
+    accumulator, and returns the accumulator; the extra moves decorrelate
+    consecutive draws enough for frequency tests at the 10^5-draw scale.
+    Every value produced is a member of the generated group.
     """
 
     def __init__(self, group: PermutationGroup, *, seed: Optional[int] = None,
@@ -395,36 +418,44 @@ class ProductReplacement:
         gens = group.generators
         self.group = group
         self.rng = rng if rng is not None else Random(seed)
-        self._acc = Permutation.identity(group.n)
+        self._ident = self._acc = Permutation.identity(group.n).image
         n_slots = max(MIN_SLOTS, 2 * len(gens) + 1) if gens else 0
-        self.slots = [gens[i % len(gens)] for i in range(n_slots)]
+        self._slots = [gens[i % len(gens)].image for i in range(n_slots)]
         for _ in range(BURN_IN_PER_SLOT * n_slots):
             self._move()
 
-    def _move(self) -> Permutation:
+    @property
+    def slots(self) -> list[Permutation]:
+        """The current slots as permutations."""
+        return [Permutation._wrap(s) for s in self._slots]
+
+    def _move(self) -> None:
         rng = self.rng
-        s = len(self.slots)
+        slots = self._slots
+        s = len(slots)
         i = rng.randrange(s)
         j = rng.randrange(s - 1)
         if j >= i:
             j += 1
-        q = self.slots[j]
+        q = slots[j]
+        # scattering the identity inverts
         if rng.random() < 0.5:
-            q = q.inverse()
-        self.slots[i] = self.slots[i].compose(q)
-        r = self.slots[i]
+            q = _scatter(q, self._ident)
+        r = slots[i] = _compose(slots[i], q)
         if rng.random() < 0.5:
-            r = r.inverse()
-        self._acc = self._acc.compose(r)
+            r = _scatter(r, self._ident)
+        self._acc = _compose(self._acc, r)
+
+    def _draw(self) -> Image:
+        """Advance the state and return the accumulator's raw image."""
+        if self._slots:
+            for _ in range(DRAW_MOVES):
+                self._move()
         return self._acc
 
     def next(self) -> Permutation:
         """Advance the state and return a (near-uniform) group member."""
-        if not self.slots:
-            return self._acc
-        for _ in range(DRAW_MOVES - 1):
-            self._move()
-        return self._move()
+        return Permutation._wrap(self._draw())
 
 
 class OrbitSampler:
@@ -452,11 +483,15 @@ class OrbitSampler:
 
     def sample(self, bits: Sequence[int]) -> Config:
         if self._els is not None:
-            g = self._els[self.rng.randrange(len(self._els))]
-            return g.apply_config(bits)
-        if self._pr is not None:
-            return self._pr.next().apply_config(bits)
-        return tuple(bits)
+            image = self._els[self.rng.randrange(len(self._els))].image
+        elif self._pr is not None:
+            image = self._pr._draw()
+        else:
+            return tuple(bits)
+        if len(bits) != len(image):
+            raise ValueError(
+                f"configuration length {len(bits)} != domain size {len(image)}")
+        return tuple(_scatter(image, _as_image(bits)))
 
 
 def save_generating_set(path, group: PermutationGroup,

@@ -15,7 +15,7 @@ from orbitalmcmc.chains import (
     run_chain,
 )
 from orbitalmcmc.clauses import parse_clause_file
-from orbitalmcmc.errors import InfeasibleModelError
+from orbitalmcmc.errors import GuardExceededError, InfeasibleModelError
 from orbitalmcmc.families import gen_complete, gen_grid
 from orbitalmcmc.graphs import Graph
 from orbitalmcmc.perm import OrbitSampler, PermutationGroup, SamplerMode, parse_cycles
@@ -51,6 +51,14 @@ class TestClauseModel:
         with pytest.raises(InfeasibleModelError):
             ClauseModel(parse_clause_file("vars: a\ninf :: a\ninf :: !a\n"))
 
+    def test_hard_clause_scan_guarded(self, monkeypatch):
+        # all four unit clauses hold first at assignment 15 in counting order
+        text = "vars: a b c d\ninf :: a\ninf :: b\ninf :: c\ninf :: d\n"
+        assert ClauseModel(parse_clause_file(text)).start == (1, 1, 1, 1)
+        monkeypatch.setenv("ORBITAL_GUARD", "8")
+        with pytest.raises(GuardExceededError):
+            ClauseModel(parse_clause_file(text))
+
     def test_single_free_variable_uniform(self):
         model = ClauseModel(parse_clause_file("vars: a\n0 :: a\n"))
         assert model.conditional_p1((0,), 0) == pytest.approx(0.5)
@@ -78,6 +86,11 @@ class TestGibbsStep:
         mass = row[matrix.index_of((0, 0))] + row[matrix.index_of((1, 1))]
         assert mass == pytest.approx(0.02, abs=1e-12)
         assert row[matrix.index_of((0, 1))] == 0.0
+
+    def test_rejects_state_violating_hard_clause(self):
+        model = ClauseModel(parse_clause_file("vars: a b\ninf :: a | b\n"))
+        with pytest.raises(InfeasibleModelError):
+            run_chain(model, ChainKind.GIBBS, 10, seed=0, initial=(0, 0))
 
     def test_changes_at_most_one_variable(self):
         model = two_spin_chain_model()
@@ -127,7 +140,7 @@ class TestInsertDeleteStep:
         graph = Graph(2, [(0, 1)])
         model = IndependentSetModel(graph, 1.0)
         with pytest.raises(ValueError):
-            insert_delete_step(model, (1, 1), Random(0))
+            run_chain(model, ChainKind.INSERT_DELETE, 10, seed=0, initial=(1, 1))
 
     def test_traces_stay_independent(self):
         graph = gen_grid(3)
@@ -195,11 +208,13 @@ class TestRunChain:
         assert len(trace.states) == 11
 
     def test_hard_conflict_with_zero_state(self):
+        # all-zeros violates the hard clause: start from the first assignment
+        # in counting order that satisfies it
         model = ClauseModel(parse_clause_file("vars: a b\ninf :: a | b\n"))
-        with pytest.raises(InfeasibleModelError):
-            initial_state(model, ChainKind.GIBBS)
-        trace = run_chain(model, ChainKind.GIBBS, 50, seed=42, initial=(1, 0))
-        assert all(model.satisfies_hard(s) for s in trace.states)
+        assert initial_state(model, ChainKind.GIBBS) == (1, 0)
+        for initial in (None, (0, 1)):
+            trace = run_chain(model, ChainKind.GIBBS, 50, seed=42, initial=initial)
+            assert all(model.satisfies_hard(s) for s in trace.states)
 
     def test_trace_csv(self, tmp_path):
         model = two_spin_chain_model()

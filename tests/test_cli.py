@@ -187,6 +187,15 @@ class TestAnalysisCommands:
         assert code == 0
         assert "group order: 8" in out
 
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("model=grid\nk=3\nstepz=5\n")
+        code, _, err = run_cli(capsys, "--config", str(config), "sample",
+                               "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "stepz" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestExitCodes:
     def test_guard_exceeded(self, capsys, monkeypatch, tmp_path):
@@ -210,6 +219,28 @@ class TestExitCodes:
                                "--clauses", str(bad), "--chain", "gibbs",
                                "--steps", "5", "--out", str(tmp_path / "o"))
         assert code == 3
+
+    def test_hard_clause_scan_guarded(self, capsys, monkeypatch, tmp_path):
+        # the first assignment satisfying all four unit clauses is number 15
+        model = tmp_path / "units.txt"
+        model.write_text("vars: a b c d\ninf :: a\ninf :: b\ninf :: c\ninf :: d\n")
+        monkeypatch.setenv("ORBITAL_GUARD", "8")
+        code, _, err = run_cli(capsys, "sample", "--model", "clauses",
+                               "--clauses", str(model), "--chain", "gibbs",
+                               "--steps", "5", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "guard" in err.lower()
+
+    def test_feasible_model_zero_state_violates(self, capsys, tmp_path):
+        model = tmp_path / "a.txt"
+        model.write_text("inf :: a\n")
+        code, _, _ = run_cli(capsys, "sample", "--model", "clauses",
+                             "--clauses", str(model), "--chain", "gibbs",
+                             "--steps", "20", "--out", str(tmp_path / "o"))
+        assert code == 0
+        with open(tmp_path / "o" / "trace_gibbs_seed0.csv") as fh:
+            states = [row["state"] for row in csv.DictReader(fh)]
+        assert states == ["1"] * 21
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "detect", "--model", "clauses",

@@ -89,6 +89,72 @@ class TestCompose:
             Permutation.identity(3).compose(Permutation.identity(4))
 
 
+def oracle_cycles(m: tuple) -> list:
+    out, seen = [], set()
+    for i in range(len(m)):
+        if i in seen or m[i] == i:
+            continue
+        cyc, j = [], i
+        while j not in seen:
+            seen.add(j)
+            cyc.append(j)
+            j = m[j]
+        out.append(tuple(cyc))
+    return out
+
+
+class TestRepresentation:
+    """Every operation against plain-tuple oracles on both sides of the
+    bytes/tuple storage boundary (n = 255 / 256) and at the tiny sizes."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 300])
+    def test_operations_match_tuple_oracle(self, n):
+        rng = Random(n)
+        pm, qm = list(range(n)), list(range(n))
+        rng.shuffle(pm)
+        rng.shuffle(qm)
+        pm, qm = tuple(pm), tuple(qm)
+        p, q = Permutation(pm), Permutation(qm)
+        assert isinstance(p.image, bytes) == (n <= 255)
+        assert p.n == n and p.mapping == pm
+        assert p.compose(q).mapping == tuple(qm[v] for v in pm)
+        inv = [0] * n
+        for i, v in enumerate(pm):
+            inv[v] = i
+        assert p.inverse().mapping == tuple(inv)
+        bits = tuple(rng.randrange(2) for _ in range(n))
+        moved = [0] * n
+        for i, b in enumerate(bits):
+            moved[pm[i]] = b
+        assert p.apply_config(bits) == tuple(moved)
+        assert p.apply_config(list(bits)) == tuple(moved)
+        assert p.cycles() == oracle_cycles(pm)
+        assert p.is_identity() == (pm == tuple(range(n)))
+        same = Permutation(list(pm))
+        assert same == p and hash(same) == hash(p)
+        assert Permutation.identity(n) == Permutation(range(n))
+        if n >= 2:
+            assert p != p.compose(Permutation(tuple(range(1, n)) + (0,)))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 300])
+    def test_elements_sorted_like_tuples(self, n):
+        gens = []
+        if n >= 2:
+            gens.append(parse_cycles("(0 1)", n=n))
+        if n >= 5:
+            gens.append(parse_cycles(f"({n - 3} {n - 2} {n - 1})", n=n))
+        els = PermutationGroup(gens, n=n).elements()
+        mappings = [g.mapping for g in els]
+        assert mappings == sorted(mappings)
+        assert len(els) == {0: 1, 1: 1, 2: 2}.get(n, 6)
+        assert els[0] == Permutation.identity(n)
+
+    def test_apply_config_single_point(self):
+        assert Permutation.identity(1).apply_config((1,)) == (1,)
+        assert Permutation.identity(1).apply_config([0]) == (0,)
+        assert Permutation.identity(0).apply_config(()) == ()
+
+
 class TestCycleText:
     def test_named_pairs(self):
         p = parse_cycles("(a c)(d f)(g i)", names=NAMES9)
