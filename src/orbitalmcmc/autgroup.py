@@ -7,12 +7,21 @@ partitions.  Discovered automorphisms prune sibling branches in the same
 orbit.  Every emitted permutation is re-checked explicitly, so the search
 is sound by construction; completeness is exercised against the
 brute-force oracle in the test suite.
+
+Refinement works in synchronous passes with a sparse key: a vertex is keyed
+by the (-cell index, neighbor count) pairs of the cells it has neighbors
+in, which orders fragments exactly as dense per-cell count vectors would,
+without a pass costing n * cells.  After the first pass only fresh cells,
+those the previous pass split off, are counted, and only the cells next to
+them are examined; individualizing a vertex of an equitable partition
+counts the new singleton alone.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from collections import Counter, defaultdict
+from typing import Optional, Sequence
 
 from .graphs import Graph
 from .perm import Permutation, PermutationGroup
@@ -43,41 +52,80 @@ def color_refine(graph: Graph, start: Optional[Cells] = None) -> Cells:
     """Coarsest equitable refinement of the starting partition.
 
     A partition is equitable when all vertices in a cell have the same
-    number of neighbors in every cell.  Cells split into fragments ordered
-    by their neighbor-count signature, so the output order depends only on
-    graph structure; splitting never merges cells and a second pass on an
-    equitable partition is a no-op.
+    number of neighbors in every cell.  Refinement runs in passes; each
+    pass splits every cell into fragments by a key taken against the
+    partition at the start of the pass, fragments ordered by key and each
+    sorted by vertex, so the output order depends only on graph structure.
+    Splitting never merges cells and a pass over an equitable partition is
+    a no-op.
+
+    The key is sparse: the (-cell index, count) pairs, ascending by cell,
+    of the cells a vertex has neighbors in.  It orders fragments as the
+    dense vector of counts in every cell would: at the first cell where two
+    vertices differ, the one with more neighbors there sorts later, and a
+    missing pair is a count of 0.
+
+    The first pass counts neighbors in every cell.  Later passes count only
+    neighbors in fresh cells, the fragments the previous pass split off
+    except the last fragment of each split cell, and examine only cells
+    holding such a neighbor.  Counts in any other cell are already uniform
+    within a cell, so they neither split it nor reorder its fragments; a
+    last fragment's count is the split cell's uniform count minus its
+    siblings', so it never holds the first difference between two vertices.
     """
     if start is None:
-        cells = [list(c) for c in color_cells(graph)]
-    else:
-        if not is_valid_partition(graph, start):
-            raise ValueError("start partition must respect vertex colors")
-        cells = [list(c) for c in start]
-    while True:
-        cell_of = [0] * graph.n
+        start = color_cells(graph)
+    elif not is_valid_partition(graph, start):
+        raise ValueError("start partition must respect vertex colors")
+    cells = [sorted(c) for c in start]
+    return _refine(graph, cells, range(len(cells)))
+
+
+def _refine(graph: Graph, cells: list[list[int]], fresh: Sequence[int]) -> Cells:
+    """Refine sorted cells to equitable; see `color_refine` for the rules.
+
+    `fresh` lists, ascending, the cells whose neighbors the first pass
+    counts.  It must be what a pass would list: every cell, or the pieces
+    just split off the cells of an equitable partition except the last
+    piece of each.
+    """
+    adj = graph.adj
+    cell_of = [0] * graph.n
+    while fresh:
         for idx, cell in enumerate(cells):
             for v in cell:
                 cell_of[v] = idx
-        sig = {}
-        for v in range(graph.n):
-            counts = [0] * len(cells)
-            for w in graph.adj[v]:
-                counts[cell_of[w]] += 1
-            sig[v] = tuple(counts)
-        new_cells: list[list[int]] = []
-        changed = False
-        for cell in cells:
+        # hits[v]: (-c, count of v's neighbors in c) per fresh cell c, c ascending
+        hits: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        for c in fresh:
+            counts = Counter(itertools.chain.from_iterable(adj[w] for w in cells[c]))
+            for v, k in counts.items():
+                hits[v].append((-c, k))
+        splits: dict[int, list[list[int]]] = {}
+        for x in {cell_of[v] for v in hits}:
+            cell = cells[x]
+            if len(cell) == 1:
+                continue
             groups: dict[tuple, list[int]] = {}
             for v in cell:
-                groups.setdefault(sig[v], []).append(v)
+                groups.setdefault(tuple(hits.get(v, ())), []).append(v)
             if len(groups) > 1:
-                changed = True
-            for key in sorted(groups):
-                new_cells.append(sorted(groups[key]))
+                splits[x] = [groups[k] for k in sorted(groups)]
+        if not splits:
+            break
+        new_cells: list[list[int]] = []
+        fresh = []
+        for idx, cell in enumerate(cells):
+            frags = splits.get(idx)
+            if frags is None:
+                new_cells.append(cell)
+                continue
+            for frag in frags[:-1]:
+                fresh.append(len(new_cells))
+                new_cells.append(frag)
+            new_cells.append(frags[-1])
         cells = new_cells
-        if not changed:
-            return tuple(tuple(c) for c in cells)
+    return tuple(tuple(c) for c in cells)
 
 
 def _target_cell(cells: Cells) -> int:
@@ -91,10 +139,11 @@ def _target_cell(cells: Cells) -> int:
 
 
 def _individualize(graph: Graph, cells: Cells, idx: int, v: int) -> Cells:
-    cell = cells[idx]
-    rest = tuple(x for x in cell if x != v)
-    split = cells[:idx] + ((v,), rest) + cells[idx + 1:]
-    return color_refine(graph, split)
+    # cells is equitable and (v,) comes before the rest of its cell, so
+    # counting v's neighbors decides the first pass
+    split = [list(c) for c in cells]
+    split[idx:idx + 1] = [[v], [x for x in cells[idx] if x != v]]
+    return _refine(graph, split, (idx,))
 
 
 def _profile(cells: Cells) -> tuple[int, ...]:

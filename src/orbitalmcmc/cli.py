@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import math
 import sys
 from pathlib import Path
@@ -98,7 +99,6 @@ class ModelBundle:
                      "complete": families.gen_complete}[self.kind]
             self.graph = maker(args.k)
             self.names = list(self.graph.names)
-            self.chain_model = chains.IndependentSetModel(self.graph, self.lam)
             self._group = None
         elif self.kind == "clauses":
             if not getattr(args, "clauses", None):
@@ -111,10 +111,18 @@ class ModelBundle:
                     Path(args.evidence).read_text())
             self.report = clauses.model_symmetry_group(self.clause_set, evidence)
             self.names = list(self.clause_set.variables)
-            self.chain_model = chains.ClauseModel(self.clause_set)
             self._group = self.report.model_group
         else:
             raise UsageError(f"unknown model {self.kind!r}")
+
+    @functools.cached_property
+    def chain_model(self):
+        # built on first use: a clause model scans for a state satisfying
+        # the hard clauses, exponential in the worst case, and detect runs
+        # no chain
+        if self.kind in GRAPH_MODELS:
+            return chains.IndependentSetModel(self.graph, self.lam)
+        return chains.ClauseModel(self.clause_set)
 
     @property
     def group(self) -> perm.PermutationGroup:

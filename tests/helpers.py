@@ -1,8 +1,11 @@
-"""Shared model fixtures for the test suite."""
+"""Shared model fixtures and reference oracles for the test suite."""
 
 import math
+from typing import Optional
 
+from orbitalmcmc.autgroup import Cells, color_cells, is_valid_partition
 from orbitalmcmc.clauses import WeightedClauseSet, parse_clause_file
+from orbitalmcmc.graphs import Graph
 from orbitalmcmc.perm import Permutation
 
 # Two equal-weight clauses over three variables; the classic two-fold
@@ -11,6 +14,10 @@ EXAMPLE_CLAUSES = parse_clause_file(
     "vars: a b c\n"
     "0.5 :: a | !c\n"
     "0.5 :: b | !c\n")
+
+# friends-smokers evidence pinning three people, two smoking and one not:
+# the symmetry group is S_{k-3} x S_2 x S_1 on the people
+FS_EVIDENCE = {"smokes_p1": True, "smokes_p4": True, "smokes_p5": False}
 
 
 def two_spin_model() -> WeightedClauseSet:
@@ -45,3 +52,43 @@ def permuted_clause_multiset(model: WeightedClauseSet, p: Permutation) -> dict:
         key = (lits, c.weight)
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def dense_color_refine(graph: Graph, start: Optional[Cells] = None) -> Cells:
+    """Ordering oracle: refinement by dense neighbor-count vectors.
+
+    Every pass gives each vertex its count of neighbors in every cell and
+    splits each cell by that vector, fragments in vector order, each
+    sorted by vertex.  O(n * cells) per pass; `autgroup.color_refine` must
+    return the identical tuple.
+    """
+    if start is None:
+        cells = [list(c) for c in color_cells(graph)]
+    else:
+        if not is_valid_partition(graph, start):
+            raise ValueError("start partition must respect vertex colors")
+        cells = [list(c) for c in start]
+    while True:
+        cell_of = [0] * graph.n
+        for idx, cell in enumerate(cells):
+            for v in cell:
+                cell_of[v] = idx
+        sig = {}
+        for v in range(graph.n):
+            counts = [0] * len(cells)
+            for w in graph.adj[v]:
+                counts[cell_of[w]] += 1
+            sig[v] = tuple(counts)
+        new_cells: list[list[int]] = []
+        changed = False
+        for cell in cells:
+            groups: dict[tuple, list[int]] = {}
+            for v in cell:
+                groups.setdefault(sig[v], []).append(v)
+            if len(groups) > 1:
+                changed = True
+            for key in sorted(groups):
+                new_cells.append(sorted(groups[key]))
+        cells = new_cells
+        if not changed:
+            return tuple(tuple(c) for c in cells)

@@ -1,9 +1,12 @@
 """Colored-graph refinement and automorphism search against the brute-force oracle."""
 
+from collections import Counter
 from random import Random
 
 import pytest
 
+from helpers import FS_EVIDENCE, dense_color_refine
+from orbitalmcmc import autgroup, clauses, families
 from orbitalmcmc.autgroup import (
     automorphism_generators,
     brute_force_automorphisms,
@@ -61,6 +64,32 @@ def random_colored_graph(rng: Random, max_n: int = 8) -> Graph:
     return Graph(n, edges, colors)
 
 
+def random_start(rng: Random, graph: Graph) -> tuple:
+    """A valid start partition: color classes cut into random pieces,
+    cells in random order, each cell in random vertex order."""
+    cells = []
+    for cell in color_cells(graph):
+        cell = list(cell)
+        rng.shuffle(cell)
+        while len(cell) > 1 and rng.random() < 0.3:
+            cut = rng.randrange(1, len(cell))
+            cells.append(tuple(cell[:cut]))
+            cell = cell[cut:]
+        cells.append(tuple(cell))
+    rng.shuffle(cells)
+    return tuple(cells)
+
+
+def assert_equitable(graph: Graph, cells) -> None:
+    """Every vertex of a cell has the same neighbor count in every cell."""
+    cell_of = {v: i for i, cell in enumerate(cells) for v in cell}
+    assert sorted(cell_of) == list(range(graph.n))
+    for cell in cells:
+        profiles = {frozenset(Counter(cell_of[w] for w in graph.adj[v]).items())
+                    for v in cell}
+        assert len(profiles) == 1, cell
+
+
 class TestColoredGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -112,6 +141,39 @@ class TestColorRefine:
         g = example_clause_graph()
         with pytest.raises(ValueError):
             color_refine(g, ((0, 3), (1, 2, 4, 5), (6, 7)))
+
+
+class TestRefinementOrder:
+    """The sparse incremental refinement returns the dense oracle's tuple."""
+
+    def test_matches_dense_oracle_on_random_starts(self):
+        rng = Random(21)
+        for _ in range(200):
+            g = random_colored_graph(rng, max_n=rng.choice((8, 16)))
+            starts = [None] + [random_start(rng, g) for _ in range(3)]
+            for start in starts:
+                refined = color_refine(g, start)
+                assert refined == dense_color_refine(g, start)
+                assert_equitable(g, refined)
+
+    def test_individualize_matches_dense_oracle(self, monkeypatch):
+        calls = []
+        individualize = autgroup._individualize
+
+        def recording(graph, cells, idx, v):
+            out = individualize(graph, cells, idx, v)
+            calls.append((graph, cells, idx, v, out))
+            return out
+
+        monkeypatch.setattr(autgroup, "_individualize", recording)
+        model, _ = families.gen_friends_smokers(7)
+        clauses.model_symmetry_group(model, FS_EVIDENCE)
+        assert len(calls) >= 10
+        for graph, cells, idx, v, out in calls:
+            rest = tuple(x for x in cells[idx] if x != v)
+            split = cells[:idx] + ((v,), rest) + cells[idx + 1:]
+            assert out == dense_color_refine(graph, split)
+            assert_equitable(graph, out)
 
 
 class TestIsAutomorphism:

@@ -231,6 +231,21 @@ class TestExitCodes:
         assert code == 2
         assert "guard" in err.lower()
 
+    def test_detect_skips_hard_clause_scan(self, capsys, monkeypatch, tmp_path):
+        # detect runs no chain, so the guarded start-state scan never runs
+        model = tmp_path / "units.txt"
+        model.write_text("vars: a b c d\ninf :: a\ninf :: b\ninf :: c\ninf :: d\n")
+        monkeypatch.setenv("ORBITAL_GUARD", "8")
+        code, out, _ = run_cli(capsys, "detect", "--model", "clauses",
+                               "--clauses", str(model))
+        assert code == 0
+        assert "generators (3):" in out
+        code, _, err = run_cli(capsys, "sample", "--model", "clauses",
+                               "--clauses", str(model), "--chain", "gibbs",
+                               "--steps", "5", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "guard" in err.lower()
+
     def test_feasible_model_zero_state_violates(self, capsys, tmp_path):
         model = tmp_path / "a.txt"
         model.write_text("inf :: a\n")

@@ -1,15 +1,19 @@
 """Pinned random streams: draws, traces and detected generators.
 
 The digests were recorded with the tuple-based permutation code that
-preceded the `bytes` storage.  Any change to how random numbers are
-consumed, to the element order of an enumerated group, or to the detection
-search shows up here as a changed digest.
+preceded the `bytes` storage, and the fs7-with-evidence digests with the
+dense-signature refinement that preceded the sparse incremental one.  Any
+change to how random numbers are consumed, to the element order of an
+enumerated group, or to the detection search shows up here as a changed
+digest.
 """
 
 import hashlib
+import math
 
 import pytest
 
+from helpers import FS_EVIDENCE
 from orbitalmcmc import autgroup, clauses, families
 from orbitalmcmc.chains import ChainKind, ClauseModel, IndependentSetModel, run_chain
 from orbitalmcmc.perm import ProductReplacement, SamplerMode
@@ -42,6 +46,10 @@ GOLDEN = {
     "gens/fs7/graph": "28efee920bad8bc5",
     "orbits/fs7/graph": "45f7fca323cb39f6",
     "gens/fs7/model": "2f5483aea640565d",
+    # fs7 with three people pinned, two smoking and one not
+    "gens/fs7e/graph": "07330c18623841a6",
+    "orbits/fs7e/graph": "f848ea4c9250f5c5",
+    "gens/fs7e/model": "a560161b09e2b7b7",
 }
 
 
@@ -107,3 +115,34 @@ def test_detection_beyond_255_points():
     orbits = [sorted(o.elements) for o in report.graph_group.orbit_partition()]
     assert digest(orbits) == GOLDEN["orbits/fs7/graph"]
     assert digest(images(report.model_group)) == GOLDEN["gens/fs7/model"]
+
+
+def test_detection_with_evidence_classes():
+    model, _ = families.gen_friends_smokers(7)
+    report = clauses.model_symmetry_group(model, FS_EVIDENCE)
+    assert digest(images(report.graph_group)) == GOLDEN["gens/fs7e/graph"]
+    orbits = [sorted(o.elements) for o in report.graph_group.orbit_partition()]
+    assert digest(orbits) == GOLDEN["orbits/fs7e/graph"]
+    assert digest(images(report.model_group)) == GOLDEN["gens/fs7e/model"]
+    order, orbits = fs_expected(7, FS_EVIDENCE)
+    assert report.model_group.order() == order
+    assert len(report.variable_orbits) == orbits
+
+
+def fs_expected(people: int, evidence: dict) -> tuple[int, int]:
+    """Group order and variable-orbit count implied by the evidence classes."""
+    sizes = [people - len(evidence)]
+    sizes += [sum(1 for v in evidence.values() if v is value) for value in (True, False)]
+    sizes = [s for s in sizes if s]
+    order = math.prod(math.factorial(s) for s in sizes)
+    # smokes and cancer: one orbit per class; friends: one per ordered pair
+    # of classes, same-class pairs only for classes with two or more people
+    orbits = 2 * len(sizes) + len(sizes) * (len(sizes) - 1) + sum(s >= 2 for s in sizes)
+    return order, orbits
+
+
+@pytest.mark.parametrize("evidence", [{}, FS_EVIDENCE], ids=["none", "pinned"])
+def test_fs12_variable_orbits(evidence):
+    model, _ = families.gen_friends_smokers(12)
+    report = clauses.model_symmetry_group(model, evidence)
+    assert len(report.variable_orbits) == fs_expected(12, evidence)[1]
