@@ -178,17 +178,9 @@ def _state_orbit_ids(states: Sequence[Config],
 def orbit_average_matrix(states: Sequence[Config],
                          group: PermutationGroup) -> np.ndarray:
     """Row-stochastic matrix spreading each state uniformly over its orbit."""
-    ids = _state_orbit_ids(states, group)
-    sizes: dict[int, int] = {}
-    for oid in ids:
-        sizes[oid] = sizes.get(oid, 0) + 1
-    avg = np.zeros((len(states), len(states)))
-    for i, oid_i in enumerate(ids):
-        share = 1.0 / sizes[oid_i]
-        for j, oid_j in enumerate(ids):
-            if oid_i == oid_j:
-                avg[i, j] = share
-    return avg
+    ids = np.array(_state_orbit_ids(states, group))
+    same = ids[:, None] == ids[None, :]
+    return same / same.sum(axis=1, keepdims=True)
 
 
 def _base_insert_delete_matrix(model: IndependentSetModel,
@@ -392,10 +384,15 @@ def tv_curve(trace: ChainTrace, exact: ExactDistribution,
 
 def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution,
                 eps: float, horizon: int = 1_000_000) -> int:
-    """Least t with max_x d_tv(P^t(x, .), pi) <= eps.
+    """Least t with d(t) = max_x d_tv(P^t(x, .), pi) <= eps.
 
-    Uses repeated squaring with row renormalization; verifies the distance
-    stays below eps at doubling points after the crossing.
+    d(t) never increases with t, so tau is one past the largest t with
+    d(t) > eps, read off bit by bit.  Squarings: P^(2^j), each row
+    renormalized, until the first at or below eps.  Descent: from the last
+    square above eps, multiply in each lower square in turn and keep the
+    product while its distance stays above eps; tau is one past the
+    exponent reached.  Verification: P^tau squared up to three times, the
+    distance staying at or below eps at 2 tau, 4 tau and 8 tau.
     """
     if not (0 < eps < 1):
         raise ValueError("eps must be in (0, 1)")
@@ -407,44 +404,38 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution,
         raise ValueError("cannot verify aperiodicity: no positive diagonal")
 
     pi = dist.probs
-    powers = {1: matrix.rows}
 
-    def power(t: int) -> np.ndarray:
-        # binary decomposition over cached squarings
-        result = None
-        bit = 1
-        while bit <= t:
-            if bit not in powers:
-                half = power(bit // 2)
-                prod = half @ half
-                prod /= prod.sum(axis=1, keepdims=True)
-                powers[bit] = prod
-            if t & bit:
-                result = powers[bit] if result is None else result @ powers[bit]
-            bit <<= 1
-        return result / result.sum(axis=1, keepdims=True)
+    def distance(power: np.ndarray) -> float:
+        return float(0.5 * np.abs(power - pi).sum(axis=1).max())
 
-    def distance(t: int) -> float:
-        return float(0.5 * np.abs(power(t) - pi).sum(axis=1).max())
+    def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        prod = a @ b
+        prod /= prod.sum(axis=1, keepdims=True)
+        return prod
 
-    hi = 1
-    while distance(hi) > eps:
-        hi *= 2
-        if hi > horizon:
+    squares = [matrix.rows]  # squares[j] = P^(2^j)
+    last = distance(matrix.rows)
+    while last > eps:
+        if 2 ** len(squares) > horizon:
             raise GuardExceededError(
                 f"no crossing below eps={eps} within horizon {horizon}; "
-                f"last distance {distance(horizon)}")
-    lo = hi // 2  # distance(lo) > eps when lo >= 1
-    while hi - lo > 1 and lo > 0:
-        mid = (lo + hi) // 2
-        if distance(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    tau = hi
+                f"last distance {last} at t={2 ** (len(squares) - 1)}")
+        squares.append(times(squares[-1], squares[-1]))
+        last = distance(squares[-1])
+
+    power, t = None, 0  # power = P^t with d(t) > eps
+    for j in reversed(range(len(squares) - 1)):
+        step = squares[j] if power is None else times(power, squares[j])
+        if distance(step) > eps:
+            power, t = step, t + 2 ** j
+    tau = t + 1
+    power = squares[0] if power is None else times(power, squares[0])
+    squares = step = None  # no square outlives the descent
+
     check = 2 * tau
     while check <= min(horizon, 8 * tau):
-        if distance(check) > eps + 1e-12:
+        power = times(power, power)
+        if distance(power) > eps + 1e-12:
             raise AssertionError(
                 f"distance rose above eps after crossing at t={check}")
         check *= 2
@@ -482,17 +473,15 @@ class CouplingSimulator:
     the orbit-resampled insert/delete kernel.  When only the lower state
     can accept the chosen insertion and the upper state already lies in
     the inserted state's orbit, both sides move to one uniform sample of
-    that shared orbit and the pair coalesces.
+    that shared orbit and the pair coalesces.  Whether it does is decided
+    by orbit membership: some group element maps the upper state to the
+    inserted one exactly when the two share an orbit.
     """
 
     def __init__(self, model: IndependentSetModel, group: PermutationGroup):
         self.model = model
         self.group = group
         self.elements = group.elements()
-
-    def _transporter_exists(self, src: Config, dst: Config) -> bool:
-        # literal filter over the enumerated group, desk scale by design
-        return any(g.apply_config(src) == dst for g in self.elements)
 
     def step(self, upper: Config, lower: Config,
              rng: Random) -> tuple[Config, Config, int]:
@@ -535,7 +524,7 @@ class CouplingSimulator:
             if not insert:
                 return g.apply_config(upper), g.apply_config(lower), 4
             inserted = lower[:w] + (1,) + lower[w + 1:]
-            if self._transporter_exists(upper, inserted):
+            if inserted in self.group.orbit_of_config(upper):
                 u = g.apply_config(upper)
                 return u, u, 4
             return g.apply_config(upper), g.apply_config(inserted), 4

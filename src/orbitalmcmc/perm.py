@@ -283,12 +283,11 @@ class PermutationGroup:
             frontier = nxt
         return Orbit(frozenset(seen), min(seen))
 
-    def orbit_partition(self, domain: Optional[Iterable[int]] = None) -> list[Orbit]:
+    def orbit_partition(self) -> list[Orbit]:
         """Disjoint orbits covering the domain, ordered by least representative."""
-        points = sorted(domain) if domain is not None else range(self.n)
         done: set[int] = set()
         orbits = []
-        for x in points:
+        for x in range(self.n):
             if x in done:
                 continue
             orb = self.orbit_of_point(x)

@@ -34,7 +34,7 @@ from orbitalmcmc.chains import ChainKind, ClauseModel, IndependentSetModel, run_
 from orbitalmcmc.errors import GuardExceededError
 from orbitalmcmc.families import gen_complete, gen_connected_cliques, gen_grid
 from orbitalmcmc.graphs import Graph
-from orbitalmcmc.perm import PermutationGroup, SamplerMode, parse_cycles
+from orbitalmcmc.perm import Permutation, PermutationGroup, SamplerMode, parse_cycles
 
 from helpers import two_spin_model
 
@@ -313,6 +313,29 @@ class TestCoupling:
             if case == 4:
                 distances.add(hamming(nu, nl))
         assert 2 in distances
+
+    def test_coalescence_test_does_not_scan_group(self, monkeypatch):
+        # K_9 has 9! elements; deciding case 4 must not apply each of them
+        graph = gen_complete(3)
+        sim = CouplingSimulator(IndependentSetModel(graph, 1.0),
+                                automorphism_generators(graph))
+        calls = [0]
+        apply_config = Permutation.apply_config
+
+        def counted(self, bits):
+            calls[0] += 1
+            return apply_config(self, bits)
+
+        monkeypatch.setattr(Permutation, "apply_config", counted)
+        rng = Random(55)
+        upper, lower = (1,) + (0,) * 8, (0,) * 9
+        cases = set()
+        for _ in range(200):
+            calls[0] = 0
+            _, _, case = sim.step(upper, lower, rng)
+            cases.add(case)
+            assert calls[0] <= 2
+        assert 4 in cases
 
     def test_precondition_rejected(self):
         graph = gen_grid(3)

@@ -130,6 +130,13 @@ class TestAnalysisCommands:
         assert rows[0] == ["case", "count", "rho", "varrho", "drift", "bound"]
         assert len(rows) == 6
 
+    def test_coupling_on_complete_model(self, capsys, tmp_path):
+        # K_9: the coalescence test must not scan the 9! group elements
+        code, out, _ = run_cli(capsys, "coupling", "--model", "complete", "--k", "3",
+                               "--trials", "2000", "--out", str(tmp_path))
+        assert code == 0
+        assert ": ok" in out
+
     def test_mix_with_bound(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "mix", "--model", "complete", "--k", "3",
                                "--chain", "orbital-id", "--out", str(tmp_path))

@@ -2,21 +2,28 @@
 
 The digests were recorded with the tuple-based permutation code that
 preceded the `bytes` storage, and the fs7-with-evidence digests with the
-dense-signature refinement that preceded the sparse incremental one.  Any
-change to how random numbers are consumed, to the element order of an
-enumerated group, or to the detection search shows up here as a changed
-digest.
+dense-signature refinement that preceded the sparse incremental one.  The
+exact-analysis digests (orbital kernels, coupled steps and mixing times)
+were recorded with the bisection mixing time, the looped orbit averaging
+and the group-scanning coalescence test that preceded the current ones.
+Any change to how random numbers are consumed, to the element order of an
+enumerated group, to the detection search or to an exact result shows up
+here as a changed digest.
 """
 
 import hashlib
 import math
+from random import Random
 
 import pytest
 
-from helpers import FS_EVIDENCE
+from helpers import FS_EVIDENCE, two_spin_model
 from orbitalmcmc import autgroup, clauses, families
+from orbitalmcmc.analysis import (CouplingSimulator, distance_one_pairs,
+                                  exact_pi_lambda, mixing_time, transition_matrix)
 from orbitalmcmc.chains import ChainKind, ClauseModel, IndependentSetModel, run_chain
-from orbitalmcmc.perm import ProductReplacement, SamplerMode
+from orbitalmcmc.graphs import Graph
+from orbitalmcmc.perm import PermutationGroup, ProductReplacement, SamplerMode, parse_cycles
 
 EXACT, PR = SamplerMode.EXACT, SamplerMode.PRODUCT_REPLACEMENT
 GRAPHS = {"grid3": (families.gen_grid, 3),
@@ -50,6 +57,15 @@ GOLDEN = {
     "gens/fs7e/graph": "07330c18623841a6",
     "orbits/fs7e/graph": "f848ea4c9250f5c5",
     "gens/fs7e/model": "a560161b09e2b7b7",
+    "kernel/grid3": "bac07869742a1582",
+    "kernel/cliques3": "76c214daae07a8b1",
+    "kernel/complete3": "c066cecd24e5d084",
+    "kernel/two-spin": "67f6ed4d74e7e591",
+    "coupling/grid3": "fc07633365e145c4",
+    "coupling/complete2": "5f8fbcf957cbd8d4",
+    "coupling/complete3": "5be2d6008e40d3c3",
+    # 324 mixing times: both insert/delete kinds, 3 fugacities, 6 epsilons
+    "tau": "8081e8de9f052cb8",
 }
 
 
@@ -63,11 +79,13 @@ def images(group) -> list:
 
 @pytest.fixture(scope="module")
 def graph_groups():
-    out = {}
-    for name, (make, k) in GRAPHS.items():
-        graph = make(k)
-        out[name] = (graph, autgroup.automorphism_generators(graph))
+    out = {name: with_group(make(k)) for name, (make, k) in GRAPHS.items()}
+    out["complete2"] = with_group(families.gen_complete(2))
     return out
+
+
+def with_group(graph):
+    return graph, autgroup.automorphism_generators(graph)
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -146,3 +164,48 @@ def test_fs12_variable_orbits(evidence):
     model, _ = families.gen_friends_smokers(12)
     report = clauses.model_symmetry_group(model, evidence)
     assert len(report.variable_orbits) == fs_expected(12, evidence)[1]
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_orbital_insert_delete_kernels(graph_groups, name):
+    graph, group = graph_groups[name]
+    matrix = transition_matrix(IndependentSetModel(graph, 1.0),
+                               ChainKind.ORBITAL_INSERT_DELETE, group)
+    assert digest(matrix.rows.tobytes()) == GOLDEN[f"kernel/{name}"]
+
+
+def test_orbital_gibbs_kernel():
+    swap = PermutationGroup([parse_cycles("(0 1)", n=2)])
+    matrix = transition_matrix(ClauseModel(two_spin_model()), ChainKind.ORBITAL_GIBBS, swap)
+    assert digest(matrix.rows.tobytes()) == GOLDEN["kernel/two-spin"]
+
+
+@pytest.mark.parametrize("name,steps", [("grid3", 3000), ("complete2", 3000),
+                                        ("complete3", 500)])
+def test_coupled_steps(graph_groups, name, steps):
+    graph, group = graph_groups[name]
+    sim = CouplingSimulator(IndependentSetModel(graph, 1.0), group)
+    rng = Random(52)
+    pairs = distance_one_pairs(graph)
+    moves = []
+    for _ in range(steps):
+        upper, lower = pairs[rng.randrange(len(pairs))]
+        moves.append(sim.step(upper, lower, rng))
+    assert digest(moves) == GOLDEN[f"coupling/{name}"]
+
+
+def test_mixing_times(graph_groups):
+    complete = [Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+                for n in range(4, 9)]
+    cases = [graph_groups[name] for name in ["grid3", "cliques3", "complete2", "complete3"]]
+    cases += [with_group(graph) for graph in complete]
+    taus = []
+    for graph, group in cases:
+        for lam in (0.5, 1.0, 2.0):
+            model = IndependentSetModel(graph, lam)
+            pi = exact_pi_lambda(graph, lam)
+            for kind in (ChainKind.INSERT_DELETE, ChainKind.ORBITAL_INSERT_DELETE):
+                matrix = transition_matrix(model, kind, group)
+                for eps in (0.5, 0.25, 0.1, 0.05, 0.01, 0.001):
+                    taus.append(mixing_time(matrix, pi, eps))
+    assert digest(taus) == GOLDEN["tau"]
