@@ -17,13 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chains import ChainKind, ChainTrace, ClauseModel, IndependentSetModel
-from .clauses import WeightedClauseSet, weight_value
-from .errors import GuardExceededError, InfeasibleModelError, enumeration_cap
-from .graphs import Graph
+from .chains import ChainKind, ChainTrace, IndependentSetModel
+from .errors import GuardExceededError
+from .graphs import Graph, enumerate_independent_sets
 from .perm import Config, PermutationGroup
-
-STATE_SPACE_VERTEX_LIMIT = 24
 
 
 class ExactDistribution:
@@ -64,68 +61,17 @@ class ExactDistribution:
                 writer.writerow(["".join(map(str, s)), repr(float(p))])
 
 
-def enumerate_independent_sets(graph: Graph) -> list[Config]:
-    """All independent sets as bit tuples, in lexicographic order."""
-    if graph.n > STATE_SPACE_VERTEX_LIMIT:
-        raise GuardExceededError(
-            f"independent-set enumeration limited to {STATE_SPACE_VERTEX_LIMIT} "
-            f"vertices, got {graph.n}")
-    cap = enumeration_cap()
-    out: list[tuple[int, ...]] = []
-
-    def grow(members: list[int], candidates: list[int]) -> None:
-        if len(out) >= cap:
-            raise GuardExceededError(
-                f"more than {cap} independent sets (cap exceeded)")
-        bits = [0] * graph.n
-        for v in members:
-            bits[v] = 1
-        out.append(tuple(bits))
-        for i, v in enumerate(candidates):
-            blocked = set(graph.adj[v])
-            grow(members + [v], [w for w in candidates[i + 1:] if w not in blocked])
-
-    grow([], list(range(graph.n)))
-    out.sort()
-    return out
+def exact_distribution(model) -> ExactDistribution:
+    """The model's normalized stationary distribution over `model.states()`."""
+    states = model.states()
+    weights = model.weights(states)
+    z = weights.sum()
+    return ExactDistribution(states, weights / z, z)
 
 
 def exact_pi_lambda(graph: Graph, lam: float) -> ExactDistribution:
     """Normalized fugacity-weighted distribution over independent sets."""
-    if lam <= 0:
-        raise ValueError(f"fugacity must be positive, got {lam}")
-    states = enumerate_independent_sets(graph)
-    weights = np.array([lam ** sum(s) for s in states], dtype=float)
-    z = weights.sum()
-    return ExactDistribution(states, weights / z, z)
-
-
-def enumerate_clause_states(model: WeightedClauseSet) -> list[Config]:
-    """All assignments satisfying every hard clause, in lexicographic order."""
-    cap = enumeration_cap()
-    if 2 ** model.n > cap:
-        raise GuardExceededError(
-            f"2^{model.n} assignments exceed enumeration cap {cap}")
-    hard = [c for c in model.clauses if c.is_hard]
-    states = []
-    for k in range(2 ** model.n):
-        bits = tuple((k >> (model.n - 1 - i)) & 1 for i in range(model.n))
-        if all(c.satisfied_by(bits) for c in hard):
-            states.append(bits)
-    return states
-
-
-def exact_pi_clauses(model: WeightedClauseSet) -> ExactDistribution:
-    """Distribution proportional to exp(total weight of satisfied soft clauses)."""
-    states = enumerate_clause_states(model)
-    if not states:
-        raise InfeasibleModelError("no assignment satisfies every hard clause")
-    soft = [(c, weight_value(c.weight)) for c in model.clauses if not c.is_hard]
-    scores = np.array([sum(w for c, w in soft if c.satisfied_by(s))
-                       for s in states])
-    weights = np.exp(scores)
-    z = weights.sum()
-    return ExactDistribution(states, weights / z, z)
+    return exact_distribution(IndependentSetModel(graph, lam))
 
 
 @dataclass(frozen=True)
@@ -183,68 +129,29 @@ def orbit_average_matrix(states: Sequence[Config],
     return same / same.sum(axis=1, keepdims=True)
 
 
-def _base_insert_delete_matrix(model: IndependentSetModel,
-                               states: Sequence[Config]) -> np.ndarray:
-    index = {s: i for i, s in enumerate(states)}
-    n = model.n
-    lam = model.lam
-    p_del = 1.0 / (n * (1.0 + lam))
-    p_ins = lam / (n * (1.0 + lam))
-    rows = np.zeros((len(states), len(states)))
-    for i, s in enumerate(states):
-        for v in range(n):
-            if s[v]:
-                j = index[s[:v] + (0,) + s[v + 1:]]
-                rows[i, j] += p_del
-                rows[i, i] += 1.0 / n - p_del
-            elif not any(s[w] for w in model.graph.adj[v]):
-                j = index[s[:v] + (1,) + s[v + 1:]]
-                rows[i, j] += p_ins
-                rows[i, i] += 1.0 / n - p_ins
-            else:
-                rows[i, i] += 1.0 / n
-    return rows
-
-
-def _base_gibbs_matrix(model: ClauseModel,
-                       states: Sequence[Config]) -> np.ndarray:
-    index = {s: i for i, s in enumerate(states)}
-    n = model.n
-    rows = np.zeros((len(states), len(states)))
-    for i, s in enumerate(states):
-        for v in range(n):
-            p1 = model.conditional_p1(s, v)
-            for value, p in ((1, p1), (0, 1.0 - p1)):
-                if p == 0.0:
-                    continue
-                rows[i, index[s[:v] + (value,) + s[v + 1:]]] += p / n
-    return rows
-
-
 def transition_matrix(model, kind: ChainKind,
                       group: Optional[PermutationGroup] = None) -> TransitionMatrix:
     """Exact transition matrix of a chain kind on an enumerated state space.
 
-    Base kernels integrate over the step's random choices exhaustively;
-    orbital kernels multiply the base kernel by the exact orbit-averaging
-    matrix of the group action on the state list.
+    Base kernels sum `model.moves` over every state; orbital kernels
+    multiply the base kernel by the exact orbit-averaging matrix of the
+    group action on the state list.
     """
     kind = ChainKind(kind)
-    if kind.base is ChainKind.INSERT_DELETE:
-        if not isinstance(model, IndependentSetModel):
-            raise TypeError("insert/delete kernels need an IndependentSetModel")
-        states = tuple(enumerate_independent_sets(model.graph))
-        base = _base_insert_delete_matrix(model, states)
-    else:
-        if not isinstance(model, ClauseModel):
-            raise TypeError("Gibbs kernels need a ClauseModel")
-        states = tuple(enumerate_clause_states(model.clause_set))
-        base = _base_gibbs_matrix(model, states)
+    if kind.base is not model.base:
+        raise TypeError(
+            f"{kind.value} kernels do not run on {type(model).__name__}")
+    states = tuple(model.states())
+    index = {s: i for i, s in enumerate(states)}
+    rows = np.zeros((len(states), len(states)))
+    for i, s in enumerate(states):
+        for t, p in model.moves(s):
+            rows[i, index[t]] += p
     if kind.is_orbital:
         if group is None:
             raise ValueError(f"kernel {kind.value} requires a symmetry group")
-        base = base @ orbit_average_matrix(states, group)
-    return TransitionMatrix(states, base)
+        rows = rows @ orbit_average_matrix(states, group)
+    return TransitionMatrix(states, rows)
 
 
 @dataclass(frozen=True)
@@ -285,25 +192,18 @@ def pi_orbit_deviation(dist: ExactDistribution,
     return worst
 
 
-def has_positive_diagonal(matrix: TransitionMatrix) -> bool:
-    return bool((np.diag(matrix.rows) > 0).all())
-
-
 def is_connected(matrix: TransitionMatrix) -> bool:
     """Strong connectivity of the positive-transition graph."""
     support = matrix.rows > 0
-    n = len(matrix.states)
 
-    def covers(step) -> bool:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for y in np.nonzero(step[x])[0]:
-                if int(y) not in seen:
-                    seen.add(int(y))
-                    frontier.append(int(y))
-        return len(seen) == n
+    def covers(step: np.ndarray) -> bool:
+        seen = np.zeros(len(step), dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = step[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        return bool(seen.all())
 
     return covers(support) and covers(support.T)
 

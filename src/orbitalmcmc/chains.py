@@ -1,20 +1,32 @@
 """Base Markov chains and their orbit-resampling variants.
 
-Two base kernels are provided: single-site Gibbs over a weighted clause
-model, and the single-vertex insert/delete chain over independent sets of
-a graph with fugacity lambda.  An orbital chain kind runs the base kernel
-and then replaces the state by a uniform (or near-uniform) sample from its
-orbit under a symmetry group of the target distribution.
+Each model class owns its chain's rules, and `run_chain` and the exact
+analysis read them instead of branching on the model family:
+
+- `base`, the base chain kind the model runs;
+- `start`, the start state, valid by construction;
+- `step(bits, rng)`, one base move;
+- `moves(bits)`, the exact one-step distribution of `step` as
+  (state, probability) pairs;
+- `states()` and `weights(states)`, the enumerated state space and its
+  unnormalized stationary weights.
+
+`IndependentSetModel` moves by single-vertex insert/delete over the
+independent sets of a graph with fugacity lambda.  `ClauseModel` moves by
+single-site Gibbs over a weighted clause set and is the one place where
+evidence lives: clamped variables are never resampled or enumerated.  An
+orbital chain kind runs the base move and then replaces the state by a
+uniform (or near-uniform) sample from its orbit under a symmetry group of
+the target distribution; with evidence, that is the conditioned one.
 
 Within a step the random draws happen in a fixed order (site choice, then
 acceptance coin or conditional draw, then group element), so a trace is a
 pure function of model, kind, steps and seed.
 
-States are validated once, by `initial_state`, when a chain starts.  The
-step functions trust their input: each base move keeps an independent set
-independent and never leaves a hard clause violated, and an orbit resample
-under a symmetry group of the model keeps a valid state valid, so no step
-pays an O(n + m) check.
+The steps trust their input: each base move keeps an independent set
+independent, never leaves a hard clause violated and never touches a
+clamped variable, and an orbit resample under a symmetry group of the
+model keeps a valid state valid, so no step pays an O(n + m) check.
 """
 
 from __future__ import annotations
@@ -25,11 +37,13 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from typing import Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .clauses import WeightedClauseSet, weight_value
 from .errors import GuardExceededError, InfeasibleModelError, enumeration_cap
-from .graphs import Graph
+from .graphs import Graph, enumerate_independent_sets
 from .perm import Config, OrbitSampler, PermutationGroup, SamplerMode
 
 
@@ -53,37 +67,96 @@ class ChainKind(str, Enum):
 
 
 class IndependentSetModel:
-    """Independent sets of a graph weighted by fugacity: pi(X) ~ lam^|X|."""
+    """Independent sets of a graph weighted by fugacity: pi(X) ~ lam^|X|.
 
-    __slots__ = ("graph", "lam")
+    Chains start from the empty set.
+    """
+
+    __slots__ = ("graph", "lam", "start")
+    base = ChainKind.INSERT_DELETE
 
     def __init__(self, graph: Graph, lam: float):
         if lam <= 0:
             raise ValueError(f"fugacity must be positive, got {lam}")
         self.graph = graph
         self.lam = lam
+        self.start = (0,) * graph.n
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    def step(self, bits: Config, rng: Random) -> Config:
+        """One insert/delete move.
+
+        Pick a vertex uniformly; delete it with probability 1/(1+lam) if
+        present, insert it with probability lam/(1+lam) if absent and
+        unblocked, otherwise leave the state unchanged.
+        """
+        graph = self.graph
+        v = rng.randrange(graph.n)
+        lam = self.lam
+        if bits[v]:
+            if rng.random() < 1.0 / (1.0 + lam):
+                return bits[:v] + (0,) + bits[v + 1:]
+            return tuple(bits)
+        if not any(bits[w] for w in graph.adj[v]):
+            if rng.random() < lam / (1.0 + lam):
+                return bits[:v] + (1,) + bits[v + 1:]
+            return tuple(bits)
+        return tuple(bits)
+
+    def moves(self, bits: Config) -> Iterator[tuple[Config, float]]:
+        """`step` from `bits` as (state, probability) pairs; a state can
+        appear more than once."""
+        n = self.graph.n
+        lam = self.lam
+        p_del = 1.0 / (n * (1.0 + lam))
+        p_ins = lam / (n * (1.0 + lam))
+        for v in range(n):
+            if bits[v]:
+                yield bits[:v] + (0,) + bits[v + 1:], p_del
+                yield bits, 1.0 / n - p_del
+            elif not any(bits[w] for w in self.graph.adj[v]):
+                yield bits[:v] + (1,) + bits[v + 1:], p_ins
+                yield bits, 1.0 / n - p_ins
+            else:
+                yield bits, 1.0 / n
+
+    def states(self) -> list[Config]:
+        return enumerate_independent_sets(self.graph)
+
+    def weights(self, states: Sequence[Config]) -> np.ndarray:
+        return np.array([self.lam ** sum(s) for s in states], dtype=float)
 
     def __repr__(self) -> str:
         return f"IndependentSetModel({self.graph!r}, lam={self.lam})"
 
 
 class ClauseModel:
-    """Gibbs-ready view of a weighted clause set.
+    """A weighted clause set conditioned on evidence, moved by Gibbs.
 
-    Precomputes, per variable, the clauses it occurs in, so the exact
-    single-site conditional costs only the touched clauses.  Construction
-    finds `start`, the first assignment (all-zeros first) that satisfies
-    every hard clause.
+    `evidence` maps variable names to truth values.  Clamped variables keep
+    their value: `step` and `moves` resample only `free`, the unclamped
+    variables, and the scans below enumerate the free variables alone.
+    Per variable, the model precomputes the clauses it occurs in, so the
+    exact single-site conditional costs only the touched clauses.
+    Construction finds `start`, the first assignment in counting order
+    (bit i of the counter is the i-th free variable, so free variables all
+    zero comes first) that satisfies every hard clause.
     """
 
-    def __init__(self, clause_set: WeightedClauseSet):
+    base = ChainKind.GIBBS
+
+    def __init__(self, clause_set: WeightedClauseSet,
+                 evidence: Optional[Mapping[str, bool]] = None):
         self.clause_set = clause_set
         self.n = clause_set.n
-        self.hard = [c.is_hard for c in clause_set.clauses]
+        clamped = {clause_set.var_index(name): int(value)
+                   for name, value in (evidence or {}).items()}
+        self.free = tuple(v for v in range(self.n) if v not in clamped)
+        self._clamped = tuple(clamped.get(v, 0) for v in range(self.n))
+        self._hard = tuple(c for c in clause_set.clauses if c.is_hard)
         # per variable, one term per clause it occurs in, in clause order:
         # (hard, weight, the value of the variable that satisfies the
         # clause, the other literals as (variable, satisfying value) pairs)
@@ -94,36 +167,36 @@ class ClauseModel:
                 others = tuple((u, int(not m)) for u, m in c.literals if u != v)
                 terms[v].append((c.is_hard, weight, int(not neg), others))
         self._terms = [tuple(t) for t in terms]
-        start = self._hard_witness()
+        start = next(self._satisfying(low_first=True), None)
         if start is None:
-            raise InfeasibleModelError("no assignment satisfies every hard clause")
+            raise InfeasibleModelError(
+                "no assignment satisfies every hard clause and the evidence")
         self.start = start
 
-    def _hard_witness(self) -> Optional[Config]:
-        """First assignment satisfying every hard clause, or None if none does.
+    def _satisfying(self, low_first: bool) -> Iterator[Config]:
+        """Assignments satisfying every hard clause, the free variables
+        taken from a counter 0, 1, ..., 2^|free| - 1.
 
-        Scans assignments in counting order, bit i of the counter being
-        variable i, so all-zeros comes first.  The scan is exponential in n;
-        it raises GuardExceededError after `enumeration_cap()` assignments
-        without a hit.
+        The i-th free variable is bit i of the counter if `low_first`, else
+        bit |free| - 1 - i (lexicographic order).  The scan is exponential
+        in |free|; it raises GuardExceededError at counter
+        `enumeration_cap()`.
         """
-        if not any(self.hard):
-            return (0,) * self.n
+        m = len(self.free)
+        shifts = range(m) if low_first else range(m - 1, -1, -1)
+        places = tuple(zip(self.free, shifts))
+        bits = list(self._clamped)
         cap = enumeration_cap()
-        for k in range(2 ** self.n):
+        for k in range(2 ** m):
             if k >= cap:
                 raise GuardExceededError(
                     f"no assignment satisfying the hard clauses among the first "
-                    f"{cap} of 2^{self.n} (enumeration cap)")
-            bits = tuple((k >> i) & 1 for i in range(self.n))
-            if self.satisfies_hard(bits):
-                return bits
-        return None
-
-    def satisfies_hard(self, bits: Sequence[int]) -> bool:
-        clauses = self.clause_set.clauses
-        return all(c.satisfied_by(bits)
-                   for c, h in zip(clauses, self.hard) if h)
+                    f"{cap} of 2^{m} (enumeration cap)")
+            for v, shift in places:
+                bits[v] = (k >> shift) & 1
+            state = tuple(bits)
+            if all(c.satisfied_by(state) for c in self._hard):
+                yield state
 
     def conditional_p1(self, bits: Sequence[int], v: int) -> float:
         """Exact probability that variable v is 1 given all other variables.
@@ -164,44 +237,55 @@ class ClauseModel:
         w0, w1 = math.exp(score0 - m), math.exp(score1 - m)
         return w1 / (w0 + w1)
 
+    def step(self, bits: Config, rng: Random) -> Config:
+        """Resample one uniformly chosen free variable from its exact
+        conditional; with no free variable, draw nothing and stay."""
+        free = self.free
+        if not free:
+            return bits
+        v = free[rng.randrange(len(free))]
+        p1 = self.conditional_p1(bits, v)
+        value = 1 if rng.random() < p1 else 0
+        if bits[v] == value:
+            return tuple(bits)
+        return bits[:v] + (value,) + bits[v + 1:]
+
+    def moves(self, bits: Config) -> Iterator[tuple[Config, float]]:
+        """`step` from `bits` as (state, probability) pairs; a state can
+        appear more than once."""
+        free = self.free
+        if not free:
+            yield bits, 1.0
+        for v in free:
+            p1 = self.conditional_p1(bits, v)
+            for value, p in ((1, p1), (0, 1.0 - p1)):
+                if p == 0.0:
+                    continue
+                yield bits[:v] + (value,) + bits[v + 1:], p / len(free)
+
+    def states(self) -> list[Config]:
+        """Every assignment satisfying the hard clauses and the evidence,
+        in lexicographic order."""
+        cap = enumeration_cap()
+        if 2 ** len(self.free) > cap:
+            raise GuardExceededError(
+                f"2^{len(self.free)} assignments exceed enumeration cap {cap}")
+        return list(self._satisfying(low_first=False))
+
+    def weights(self, states: Sequence[Config]) -> np.ndarray:
+        """exp(total weight of the satisfied soft clauses) per state."""
+        soft = [(c, weight_value(c.weight))
+                for c in self.clause_set.clauses if not c.is_hard]
+        return np.exp(np.array([sum(w for c, w in soft if c.satisfied_by(s))
+                                for s in states]))
+
     def __repr__(self) -> str:
-        return f"ClauseModel({self.clause_set!r})"
+        clamped = self.n - len(self.free)
+        return f"ClauseModel({self.clause_set!r}, {clamped} clamped)"
 
 
-def gibbs_step(model: ClauseModel, bits: Config, rng: Random) -> Config:
-    """Resample one uniformly chosen variable from its exact conditional.
-
-    `bits` must satisfy every hard clause (see `initial_state`).
-    """
-    v = rng.randrange(model.n)
-    p1 = model.conditional_p1(bits, v)
-    value = 1 if rng.random() < p1 else 0
-    if bits[v] == value:
-        return tuple(bits)
-    return bits[:v] + (value,) + bits[v + 1:]
-
-
-def insert_delete_step(model: IndependentSetModel, bits: Config,
-                       rng: Random) -> Config:
-    """One insert/delete move on an independent set.
-
-    Pick a vertex uniformly; delete it with probability 1/(1+lam) if
-    present, insert it with probability lam/(1+lam) if absent and
-    unblocked, otherwise leave the state unchanged.  `bits` must be an
-    independent set (see `initial_state`).
-    """
-    graph = model.graph
-    v = rng.randrange(graph.n)
-    lam = model.lam
-    if bits[v]:
-        if rng.random() < 1.0 / (1.0 + lam):
-            return bits[:v] + (0,) + bits[v + 1:]
-        return tuple(bits)
-    if not any(bits[w] for w in graph.adj[v]):
-        if rng.random() < lam / (1.0 + lam):
-            return bits[:v] + (1,) + bits[v + 1:]
-        return tuple(bits)
-    return tuple(bits)
+gibbs_step = ClauseModel.step
+insert_delete_step = IndependentSetModel.step
 
 
 @dataclass
@@ -224,35 +308,21 @@ class ChainTrace:
                                  "".join(map(str, state))])
 
 
-def initial_state(model, kind: ChainKind,
-                  override: Optional[Sequence[int]] = None) -> Config:
-    """The validated start state of a chain.
+def initial_state(model, kind: ChainKind) -> Config:
+    """The start state of a `kind` chain on `model`: the model's `start`.
 
-    Without `override`: the empty set for insert/delete chains, and for
-    Gibbs chains the model's `start` (all-zeros whenever that satisfies the
-    hard clauses).  An override must have one 0/1 entry per variable
-    (ValueError) and be an independent set (ValueError) or satisfy every
-    hard clause (InfeasibleModelError).
+    Raises TypeError when the kind's base chain is not the model's.
     """
-    gibbs = kind.base is ChainKind.GIBBS
-    if override is None:
-        return model.start if gibbs else (0,) * model.n
-    state = tuple(override)
-    if len(state) != model.n or not set(state) <= {0, 1}:
-        raise ValueError(
-            f"initial state must be {model.n} entries of 0 or 1, got {state}")
-    if gibbs:
-        if not model.satisfies_hard(state):
-            raise InfeasibleModelError("initial state violates a hard clause")
-    elif not model.graph.is_independent(state):
-        raise ValueError("initial state is not an independent set")
-    return state
+    kind = ChainKind(kind)
+    if kind.base is not model.base:
+        raise TypeError(
+            f"{kind.value} chains do not run on {type(model).__name__}")
+    return model.start
 
 
 def run_chain(model, kind: ChainKind, steps: int, seed: int,
               record_every: int = 1, group: Optional[PermutationGroup] = None,
-              mode: SamplerMode = SamplerMode.EXACT,
-              initial: Optional[Sequence[int]] = None) -> ChainTrace:
+              mode: SamplerMode = SamplerMode.EXACT) -> ChainTrace:
     """Run a chain from `initial_state` and record its states.
 
     Orbital kinds require `group`, a symmetry group of the model's
@@ -264,15 +334,8 @@ def run_chain(model, kind: ChainKind, steps: int, seed: int,
         raise ValueError("steps must be nonnegative")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
-    if kind.base is ChainKind.GIBBS:
-        if not isinstance(model, ClauseModel):
-            raise TypeError("Gibbs chains need a ClauseModel")
-        step = gibbs_step
-    else:
-        if not isinstance(model, IndependentSetModel):
-            raise TypeError("insert/delete chains need an IndependentSetModel")
-        step = insert_delete_step
-    state = initial_state(model, kind, initial)
+    state = initial_state(model, kind)
+    step = type(model).step
 
     rng = Random(seed)
     sampler = None

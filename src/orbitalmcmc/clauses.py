@@ -244,7 +244,6 @@ class SymmetryReport:
     """Detected symmetries of a clause set, on the graph and on the model."""
 
     clause_set: WeightedClauseSet
-    evidence: tuple
     graph: Graph
     vertex_map: VertexMap
     graph_group: PermutationGroup       # acts on graph vertices
@@ -301,7 +300,6 @@ def model_symmetry_group(model: WeightedClauseSet,
 
     return SymmetryReport(
         clause_set=model,
-        evidence=tuple(sorted((evidence or {}).items())),
         graph=graph,
         vertex_map=vmap,
         graph_group=graph_group,

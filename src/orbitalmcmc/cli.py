@@ -105,11 +105,12 @@ class ModelBundle:
                 raise UsageError("--model clauses requires --clauses FILE")
             text = Path(args.clauses).read_text()
             self.clause_set = clauses.parse_clause_file(text)
-            evidence = {}
+            self.evidence = {}
             if getattr(args, "evidence", None):
-                evidence = clauses.parse_evidence_file(
+                self.evidence = clauses.parse_evidence_file(
                     Path(args.evidence).read_text())
-            self.report = clauses.model_symmetry_group(self.clause_set, evidence)
+            self.report = clauses.model_symmetry_group(self.clause_set,
+                                                       self.evidence)
             self.names = list(self.clause_set.variables)
             self._group = self.report.model_group
         else:
@@ -122,18 +123,13 @@ class ModelBundle:
         # no chain
         if self.kind in GRAPH_MODELS:
             return chains.IndependentSetModel(self.graph, self.lam)
-        return chains.ClauseModel(self.clause_set)
+        return chains.ClauseModel(self.clause_set, self.evidence)
 
     @property
     def group(self) -> perm.PermutationGroup:
         if self._group is None:
             self._group = autgroup.automorphism_generators(self.graph)
         return self._group
-
-    def exact_distribution(self) -> analysis.ExactDistribution:
-        if self.kind in GRAPH_MODELS:
-            return analysis.exact_pi_lambda(self.graph, self.lam)
-        return analysis.exact_pi_clauses(self.clause_set)
 
     def chain_kinds(self, spec: str) -> list[chains.ChainKind]:
         kinds = [chains.ChainKind(tok.strip()) for tok in spec.split(",")]
@@ -241,7 +237,7 @@ def cmd_sample(args) -> int:
 def cmd_exact(args) -> int:
     bundle = ModelBundle(args)
     target = out_dir(args)
-    dist = bundle.exact_distribution()
+    dist = analysis.exact_distribution(bundle.chain_model)
     dist.to_csv(target / "pi.csv")
     print(f"wrote {target / 'pi.csv'} ({len(dist)} states, Z={dist.partition_value:g})")
     for kind in bundle.chain_kinds(args.chain):
@@ -258,7 +254,7 @@ def cmd_exact(args) -> int:
 def cmd_tvcurve(args) -> int:
     bundle = ModelBundle(args)
     target = out_dir(args)
-    dist = bundle.exact_distribution()
+    dist = analysis.exact_distribution(bundle.chain_model)
     mode = perm.SamplerMode(args.mode)
     step = max(1, (args.steps + 1) // CHECKPOINT_COUNT)
     checkpoints = list(range(step, args.steps + 2, step))
@@ -296,7 +292,7 @@ def cmd_coupling(args) -> int:
 def cmd_mix(args) -> int:
     bundle = ModelBundle(args)
     target = out_dir(args)
-    dist = bundle.exact_distribution()
+    dist = analysis.exact_distribution(bundle.chain_model)
     rows = []
     for kind in bundle.chain_kinds(args.chain):
         group = bundle.group if kind.is_orbital else None

@@ -1,9 +1,13 @@
 """Undirected graphs with vertex colors, for independent-set models and
-automorphism search, and their text file format."""
+automorphism search, their independent sets, and their text file format."""
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
+
+from .errors import GuardExceededError, enumeration_cap
+
+STATE_SPACE_VERTEX_LIMIT = 24
 
 
 class Graph:
@@ -59,6 +63,32 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)}, c={self.num_colors})"
+
+
+def enumerate_independent_sets(graph: Graph) -> list[tuple[int, ...]]:
+    """All independent sets as bit tuples, in lexicographic order."""
+    if graph.n > STATE_SPACE_VERTEX_LIMIT:
+        raise GuardExceededError(
+            f"independent-set enumeration limited to {STATE_SPACE_VERTEX_LIMIT} "
+            f"vertices, got {graph.n}")
+    cap = enumeration_cap()
+    out: list[tuple[int, ...]] = []
+
+    def grow(members: list[int], candidates: list[int]) -> None:
+        if len(out) >= cap:
+            raise GuardExceededError(
+                f"more than {cap} independent sets (cap exceeded)")
+        bits = [0] * graph.n
+        for v in members:
+            bits[v] = 1
+        out.append(tuple(bits))
+        for i, v in enumerate(candidates):
+            blocked = set(graph.adj[v])
+            grow(members + [v], [w for w in candidates[i + 1:] if w not in blocked])
+
+    grow([], list(range(graph.n)))
+    out.sort()
+    return out
 
 
 def default_names(n: int) -> list[str]:

@@ -16,10 +16,9 @@ from orbitalmcmc.analysis import (
     CouplingSimulator,
     check_detailed_balance,
     coupling_drift,
-    exact_pi_clauses,
+    exact_distribution,
     exact_pi_lambda,
     exact_rho,
-    has_positive_diagonal,
     is_connected,
     mixing_time,
     transition_matrix,
@@ -118,7 +117,7 @@ def _orbital_kernels(benchmark_models):
     yield ("two-spin orbital gibbs",
            transition_matrix(ClauseModel(spin), ChainKind.ORBITAL_GIBBS,
                              group=spin_group),
-           exact_pi_clauses(spin))
+           exact_distribution(ClauseModel(spin)))
     for name in ("grid", "cliques"):
         graph, group = benchmark_models[name]
         model = IndependentSetModel(graph, 1.0)
@@ -134,7 +133,7 @@ def test_c04_orbital_kernels_reversible(benchmark_models):
     details = []
     for label, matrix, pi in _orbital_kernels(benchmark_models):
         balance = check_detailed_balance(matrix, pi, tol=1e-10)
-        structure = has_positive_diagonal(matrix) and is_connected(matrix)
+        structure = (np.diag(matrix.rows) > 0).all() and is_connected(matrix)
         ok = ok and balance.passed and structure
         details.append(f"{label}: violation {balance.max_violation:.1e}")
     elapsed = time.time() - t0
@@ -324,7 +323,7 @@ def test_c10_oracle_equivalence():
         rep = model_symmetry_group(model)
         if rep.model_group.order() > 1:
             symmetric_models += 1
-        pi = exact_pi_clauses(model)
+        pi = exact_distribution(ClauseModel(model))
         for orbit in rep.variable_orbits:
             members = sorted(orbit.elements)
             base = pi.marginal(members[0])

@@ -16,11 +16,10 @@ from orbitalmcmc.analysis import (
     distance_one_pairs,
     empirical_distribution,
     enumerate_independent_sets,
-    exact_pi_clauses,
+    exact_distribution,
     exact_pi_lambda,
     exact_rho,
     exact_varrho,
-    has_positive_diagonal,
     is_connected,
     mixing_time,
     pi_orbit_deviation,
@@ -31,8 +30,10 @@ from orbitalmcmc.analysis import (
 )
 from orbitalmcmc.autgroup import automorphism_generators
 from orbitalmcmc.chains import ChainKind, ClauseModel, IndependentSetModel, run_chain
+from orbitalmcmc.clauses import model_symmetry_group
 from orbitalmcmc.errors import GuardExceededError
-from orbitalmcmc.families import gen_complete, gen_connected_cliques, gen_grid
+from orbitalmcmc.families import (gen_complete, gen_connected_cliques,
+                                  gen_friends_smokers, gen_grid)
 from orbitalmcmc.graphs import Graph
 from orbitalmcmc.perm import Permutation, PermutationGroup, SamplerMode, parse_cycles
 
@@ -93,7 +94,7 @@ class TestExactDistributions:
         assert dist.prob_of((1,)) == pytest.approx(0.75)
 
     def test_two_spin_distribution(self):
-        dist = exact_pi_clauses(two_spin_model())
+        dist = exact_distribution(ClauseModel(two_spin_model()))
         expected = {(0, 0): 0.01, (0, 1): 0.49, (1, 0): 0.49, (1, 1): 0.01}
         for state, p in expected.items():
             assert dist.prob_of(state) == pytest.approx(p, abs=1e-12)
@@ -147,7 +148,7 @@ class TestTransitionMatrices:
         model = ClauseModel(two_spin_model())
         group = PermutationGroup([parse_cycles("(0 1)", n=2)])
         matrix = transition_matrix(model, ChainKind.ORBITAL_GIBBS, group=group)
-        pi = exact_pi_clauses(two_spin_model())
+        pi = exact_distribution(ClauseModel(two_spin_model()))
         report = check_detailed_balance(matrix, pi, tol=1e-12)
         assert report.passed
 
@@ -163,7 +164,7 @@ class TestTransitionMatrices:
         for kind, g in ((ChainKind.INSERT_DELETE, None),
                         (ChainKind.ORBITAL_INSERT_DELETE, group)):
             matrix = transition_matrix(model, kind, group=g)
-            assert has_positive_diagonal(matrix)
+            assert (np.diag(matrix.rows) > 0).all()
             assert is_connected(matrix)
 
     def test_orbital_kernels_leave_pi_stationary(self):
@@ -174,6 +175,54 @@ class TestTransitionMatrices:
                                        group=group)
             pi = exact_pi_lambda(graph, 1.0)
             assert stationary_deviation(matrix, pi) <= 1e-10
+
+
+# friends-smokers over three people (12 variables) with one and with two
+# people's smoking clamped
+FS3_EVIDENCE = [{"smokes_p0": False}, {"smokes_p0": True, "smokes_p2": False}]
+
+
+class TestEvidence:
+    @pytest.mark.parametrize("evidence", FS3_EVIDENCE, ids=["one", "two"])
+    def test_conditioned_pi_is_renormalised_restriction(self, evidence):
+        clause_set, _ = gen_friends_smokers(3)
+        full = exact_distribution(ClauseModel(clause_set))
+        cond = exact_distribution(ClauseModel(clause_set, evidence))
+        pinned = [(clause_set.var_index(name), int(value))
+                  for name, value in evidence.items()]
+        keep = [i for i, s in enumerate(full.states)
+                if all(s[v] == b for v, b in pinned)]
+        assert len(cond) == len(full) >> len(evidence)
+        assert cond.states == tuple(full.states[i] for i in keep)
+        restricted = full.probs[keep] / full.probs[keep].sum()
+        assert np.abs(cond.probs - restricted).max() <= 1e-15
+
+    @pytest.mark.parametrize("evidence", FS3_EVIDENCE, ids=["one", "two"])
+    def test_gibbs_kernels_balance_conditioned_pi(self, evidence):
+        clause_set, _ = gen_friends_smokers(3)
+        model = ClauseModel(clause_set, evidence)
+        group = model_symmetry_group(clause_set, evidence).model_group
+        pi = exact_distribution(model)
+        assert pi_orbit_deviation(pi, group) <= 1e-15
+        for kind in (ChainKind.GIBBS, ChainKind.ORBITAL_GIBBS):
+            matrix = transition_matrix(model, kind, group=group)
+            assert check_detailed_balance(matrix, pi, tol=1e-15).passed
+            assert stationary_deviation(matrix, pi) <= 1e-12
+            assert is_connected(matrix)
+
+    def test_group_without_evidence_leaves_state_space(self):
+        clause_set, _ = gen_friends_smokers(3)
+        model = ClauseModel(clause_set, FS3_EVIDENCE[0])
+        unconditioned = model_symmetry_group(clause_set).model_group
+        with pytest.raises(ValueError, match="does not preserve the state space"):
+            transition_matrix(model, ChainKind.ORBITAL_GIBBS, group=unconditioned)
+
+    def test_fully_clamped_kernel_stays(self):
+        model = ClauseModel(two_spin_model(), {"x1": True, "x2": False})
+        matrix = transition_matrix(model, ChainKind.GIBBS)
+        assert matrix.states == ((1, 0),)
+        assert matrix.rows.tolist() == [[1.0]]
+        assert exact_distribution(model).probs.tolist() == [1.0]
 
 
 class TestTotalVariation:
@@ -251,6 +300,21 @@ class TestMixingTime:
         tau_base = mixing_time(base, pi, 0.1)
         tau_orb = mixing_time(orbital, pi, 0.1)
         assert tau_orb <= tau_base
+
+    def test_reducible_and_one_way_chains_rejected(self):
+        states = tuple((i,) for i in range(4))
+        # two closed classes, {0, 1} and {2, 3}
+        reducible = [[.5, .5, 0, 0], [.5, .5, 0, 0], [0, 0, .5, .5], [0, 0, .5, .5]]
+        # 0 -> 1 -> 2 -> 3 and no way back: forward from 0 reaches every state
+        one_way = [[.5, .5, 0, 0], [0, .5, .5, 0], [0, 0, .5, .5], [0, 0, 0, 1.]]
+        cycle = [[.5, .5, 0, 0], [0, .5, .5, 0], [0, 0, .5, .5], [.5, 0, 0, .5]]
+        uniform = ExactDistribution(states, [0.25] * 4, 1.0)
+        for rows in (reducible, one_way):
+            matrix = TransitionMatrix(states, np.array(rows))
+            assert not is_connected(matrix)
+            with pytest.raises(ValueError, match="not irreducible"):
+                mixing_time(matrix, uniform, 0.1)
+        assert is_connected(TransitionMatrix(states, np.array(cycle)))
 
     def test_horizon_error(self):
         states = ((0,), (1,))

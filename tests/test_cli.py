@@ -204,6 +204,86 @@ class TestAnalysisCommands:
         assert not (tmp_path / "o").exists()
 
 
+def trace_states(path) -> list[str]:
+    with open(path) as fh:
+        return [row["state"] for row in csv.DictReader(fh)]
+
+
+class TestEvidence:
+    def test_sample_keeps_evidence(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "gen", "--model", "fs", "--people", "3",
+                             "--evidence-fraction", "0.3", "--seed", "1",
+                             "--out", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "model.evidence.txt").read_text() == "smokes_p0=false\n"
+        code, _, _ = run_cli(capsys, "sample", "--model", "clauses",
+                             "--clauses", str(tmp_path / "model.clauses.txt"),
+                             "--evidence", str(tmp_path / "model.evidence.txt"),
+                             "--chain", "gibbs,orbital-gibbs", "--steps", "2000",
+                             "--out", str(tmp_path / "o"))
+        assert code == 0
+        for kind in ("gibbs", "orbital-gibbs"):
+            states = trace_states(tmp_path / "o" / f"trace_{kind}_seed0.csv")
+            assert len(states) == 2001
+            # smokes_p0 is the first variable
+            assert sum(s[0] == "1" for s in states) == 0
+
+    def test_exact_conditions_pi(self, capsys, tmp_path):
+        run_cli(capsys, "gen", "--model", "fs", "--people", "3",
+                "--evidence-fraction", "0.3", "--seed", "1", "--out", str(tmp_path))
+        code, out, _ = run_cli(capsys, "exact", "--model", "clauses",
+                               "--clauses", str(tmp_path / "model.clauses.txt"),
+                               "--evidence", str(tmp_path / "model.evidence.txt"),
+                               "--chain", "gibbs", "--out", str(tmp_path / "o"))
+        assert code == 0
+        # 12 variables, one clamped: half of the 4096 assignments
+        assert "(2048 states" in out
+        rows = list(csv.reader((tmp_path / "o" / "pi.csv").open()))
+        assert len(rows) == 1 + 2048
+        assert all(row[0][0] == "0" for row in rows[1:])
+
+    def test_evidence_against_hard_clause_is_infeasible(self, capsys, tmp_path):
+        (tmp_path / "m.txt").write_text("inf :: a\n")
+        (tmp_path / "ev.txt").write_text("a=false\n")
+        code, _, err = run_cli(capsys, "sample", "--model", "clauses",
+                               "--clauses", str(tmp_path / "m.txt"),
+                               "--evidence", str(tmp_path / "ev.txt"),
+                               "--chain", "gibbs", "--steps", "5",
+                               "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert "infeasible" in err
+
+    def test_clamped_variables_leave_the_scan(self, capsys, monkeypatch, tmp_path):
+        # without evidence this scan stops at the cap (exit 2, see below)
+        (tmp_path / "units.txt").write_text(
+            "vars: a b c d\ninf :: a\ninf :: b\ninf :: c\ninf :: d\n")
+        (tmp_path / "ev.txt").write_text("a=true\nb=true\nc=true\nd=true\n")
+        monkeypatch.setenv("ORBITAL_GUARD", "8")
+        code, _, _ = run_cli(capsys, "sample", "--model", "clauses",
+                             "--clauses", str(tmp_path / "units.txt"),
+                             "--evidence", str(tmp_path / "ev.txt"),
+                             "--chain", "gibbs,orbital-gibbs", "--steps", "20",
+                             "--out", str(tmp_path / "o"))
+        assert code == 0
+        for kind in ("gibbs", "orbital-gibbs"):
+            states = trace_states(tmp_path / "o" / f"trace_{kind}_seed0.csv")
+            assert states == ["1111"] * 21
+
+    def test_mix_and_tvcurve_with_evidence(self, capsys, tmp_path):
+        (tmp_path / "m.txt").write_text("vars: a b c\n0.5 :: a | !c\n0.5 :: b | !c\n")
+        (tmp_path / "ev.txt").write_text("c=true\n")
+        model = ["--model", "clauses", "--clauses", str(tmp_path / "m.txt"),
+                 "--evidence", str(tmp_path / "ev.txt"),
+                 "--chain", "gibbs,orbital-gibbs"]
+        code, out, _ = run_cli(capsys, "mix", *model, "--out", str(tmp_path / "mix"))
+        assert code == 0
+        assert out.count("tau=") == 4
+        code, out, _ = run_cli(capsys, "tvcurve", *model, "--steps", "200",
+                               "--out", str(tmp_path / "tv"))
+        assert code == 0
+        assert out.count("final d_tv") == 2
+
+
 class TestExitCodes:
     def test_guard_exceeded(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("ORBITAL_GUARD", "5")

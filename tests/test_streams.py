@@ -8,7 +8,9 @@ were recorded with the bisection mixing time, the looped orbit averaging
 and the group-scanning coalescence test that preceded the current ones.
 Any change to how random numbers are consumed, to the element order of an
 enumerated group, to the detection search or to an exact result shows up
-here as a changed digest.
+here as a changed digest.  The fs4-with-evidence traces were recorded when
+`ClauseModel` began to hold the evidence; the fs4 traces without it run the
+unconditioned model under the evidence group, as they always have.
 """
 
 import hashlib
@@ -49,6 +51,10 @@ GOLDEN = {
     "chain/fs4/gibbs/exact": "8f4f1220c8877184",
     "chain/fs4/orbital-gibbs/exact": "f11927cb78a57be8",
     "chain/fs4/orbital-gibbs/pr": "30052dc7559e4625",
+    # the same chains with smokes_p3 clamped false
+    "chain/fs4e/gibbs/exact": "68f27a3bcf59df32",
+    "chain/fs4e/orbital-gibbs/exact": "ce8ecf7e9db40d30",
+    "chain/fs4e/orbital-gibbs/pr": "9685aa7a75ee8d5c",
     # the fs7 graph has 301 vertices, so its group is stored as tuples
     "gens/fs7/graph": "28efee920bad8bc5",
     "orbits/fs7/graph": "45f7fca323cb39f6",
@@ -123,6 +129,18 @@ def test_friends_smokers_detection_and_gibbs_traces():
         trace = run_chain(chain_model, kind, 2000, seed=7,
                           group=report.model_group, mode=mode)
         assert digest(trace.states) == GOLDEN[f"chain/fs4/{kind.value}/{mode.value}"]
+
+
+def test_friends_smokers_gibbs_traces_with_evidence():
+    model, evidence = families.gen_friends_smokers(4, 0.25, 0)
+    group = clauses.model_symmetry_group(model, evidence).model_group
+    chain_model = ClauseModel(model, evidence)
+    pinned = [(model.var_index(name), int(value)) for name, value in evidence.items()]
+    for kind, mode in [(ChainKind.GIBBS, EXACT), (ChainKind.ORBITAL_GIBBS, EXACT),
+                       (ChainKind.ORBITAL_GIBBS, PR)]:
+        trace = run_chain(chain_model, kind, 2000, seed=7, group=group, mode=mode)
+        assert all(s[v] == b for s in trace.states for v, b in pinned)
+        assert digest(trace.states) == GOLDEN[f"chain/fs4e/{kind.value}/{mode.value}"]
 
 
 def test_detection_beyond_255_points():
