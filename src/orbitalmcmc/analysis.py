@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chains import ChainKind, ChainTrace, IndependentSetModel
-from .errors import GuardExceededError
+from .errors import GuardExceededError, enumeration_cap
 from .graphs import Graph, enumerate_independent_sets
 from .perm import Config, PermutationGroup
 
@@ -76,13 +76,19 @@ def exact_pi_lambda(graph: Graph, lam: float) -> ExactDistribution:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
+    """A row-stochastic kernel over enumerated states; `orbits`, set on
+    orbital kernels only, holds the orbit id of each state."""
+
     states: tuple[Config, ...]
     rows: np.ndarray
+    orbits: Optional[np.ndarray] = None
 
     def __post_init__(self):
         rows = self.rows
         if rows.shape != (len(self.states), len(self.states)):
             raise ValueError("matrix shape does not match state count")
+        if self.orbits is not None and len(self.orbits) != len(self.states):
+            raise ValueError("orbit ids do not match state count")
         if np.any(rows < -1e-15):
             raise ValueError("negative transition probability")
         bad = np.abs(rows.sum(axis=1) - 1.0) > 1e-12
@@ -121,37 +127,58 @@ def _state_orbit_ids(states: Sequence[Config],
     return ids
 
 
-def orbit_average_matrix(states: Sequence[Config],
-                         group: PermutationGroup) -> np.ndarray:
-    """Row-stochastic matrix spreading each state uniformly over its orbit."""
-    ids = np.array(_state_orbit_ids(states, group))
-    same = ids[:, None] == ids[None, :]
-    return same / same.sum(axis=1, keepdims=True)
-
-
 def transition_matrix(model, kind: ChainKind,
                       group: Optional[PermutationGroup] = None) -> TransitionMatrix:
     """Exact transition matrix of a chain kind on an enumerated state space.
 
     Base kernels sum `model.moves` over every state; orbital kernels
     multiply the base kernel by the exact orbit-averaging matrix of the
-    group action on the state list.
+    group action on the state list and keep the orbit ids.  An N x N kernel
+    over 64 x `enumeration_cap()` cells raises GuardExceededError unbuilt.
     """
     kind = ChainKind(kind)
     if kind.base is not model.base:
         raise TypeError(
             f"{kind.value} kernels do not run on {type(model).__name__}")
     states = tuple(model.states())
+    n, cells = len(states), 64 * enumeration_cap()
+    if n * n > cells:
+        raise GuardExceededError(f"a dense {n} x {n} kernel ({n * n * 8 >> 20:,} "
+                                 f"MiB) exceeds {cells:,} cells, 64 x the enumeration cap")
     index = {s: i for i, s in enumerate(states)}
-    rows = np.zeros((len(states), len(states)))
+    rows = np.zeros((n, n))
     for i, s in enumerate(states):
         for t, p in model.moves(s):
             rows[i, index[t]] += p
+    orbits = None
     if kind.is_orbital:
         if group is None:
             raise ValueError(f"kernel {kind.value} requires a symmetry group")
-        rows = rows @ orbit_average_matrix(states, group)
-    return TransitionMatrix(states, rows)
+        orbits = np.array(_state_orbit_ids(states, group))
+        same = orbits[:, None] == orbits[None, :]
+        rows = rows @ (same / same.sum(axis=1, keepdims=True))
+    return TransitionMatrix(states, rows, orbits)
+
+
+def orbit_quotient(matrix: TransitionMatrix,
+                   dist: ExactDistribution) -> tuple[TransitionMatrix, ExactDistribution]:
+    """The kernel lumped on its M orbits, Q(O, O') = K(first state of O, O'),
+    and the lumped pi.  Raises ValueError unless, to 1e-12, the rows of an
+    orbit lump alike and kernel columns and pi are constant on orbits."""
+    _, reps, inv = np.unique(matrix.orbits, return_index=True, return_inverse=True)
+    rows, pi = matrix.rows, dist.probs
+    indicator = np.zeros((len(inv), len(reps)))
+    indicator[np.arange(len(inv)), inv] = 1.0
+    lumped = rows @ indicator
+    if np.abs(lumped - lumped[reps][inv]).max() > 1e-12:
+        raise ValueError("kernel is not lumpable: rows differ within an orbit")
+    if np.abs(rows - rows[:, reps[inv]]).max() > 1e-12:
+        raise ValueError("kernel columns are not constant on orbits")
+    if np.abs(pi - pi[reps[inv]]).max() > 1e-12:
+        raise ValueError("pi is not constant on orbits")
+    states = tuple(matrix.states[r] for r in reps)
+    return (TransitionMatrix(states, lumped[reps]),
+            ExactDistribution(states, pi @ indicator, dist.partition_value))
 
 
 @dataclass(frozen=True)
@@ -293,11 +320,18 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution,
     product while its distance stays above eps; tau is one past the
     exponent reached.  Verification: P^tau squared up to three times, the
     distance staying at or below eps at 2 tau, 4 tau and 8 tau.
+
+    A kernel with `orbits` runs all this on its `orbit_quotient`: rows of
+    K^t (t >= 1) and pi are constant on orbits, so d(t) sums orbit by orbit
+    and equals the M x M quotient's (Kemeny & Snell 1960, lumpability); the
+    quotient raises ValueError when the lumping checks fail.
     """
     if not (0 < eps < 1):
         raise ValueError("eps must be in (0, 1)")
     if matrix.states != dist.states:
         raise ValueError("matrix and distribution enumerate different states")
+    if matrix.orbits is not None:
+        matrix, dist = orbit_quotient(matrix, dist)
     if not is_connected(matrix):
         raise ValueError("chain is not irreducible")
     if not (np.diag(matrix.rows) > 0).any():

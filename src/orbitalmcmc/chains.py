@@ -273,11 +273,17 @@ class ClauseModel:
         return list(self._satisfying(low_first=False))
 
     def weights(self, states: Sequence[Config]) -> np.ndarray:
-        """exp(total weight of the satisfied soft clauses) per state."""
-        soft = [(c, weight_value(c.weight))
-                for c in self.clause_set.clauses if not c.is_hard]
-        return np.exp(np.array([sum(w for c, w in soft if c.satisfied_by(s))
-                                for s in states]))
+        """exp(total weight of the satisfied soft clauses) per state, each
+        total added in clause order as a per-state loop would add it."""
+        bits = np.array(states, dtype=np.int8).reshape(len(states), self.n)
+        total = np.zeros(len(states))
+        for c in self.clause_set.clauses:
+            if not c.is_hard:
+                sat = np.zeros(len(states), dtype=bool)
+                for v, neg in c.literals:
+                    sat |= bits[:, v] == (0 if neg else 1)
+                total[sat] += weight_value(c.weight)
+        return np.exp(total)
 
     def __repr__(self) -> str:
         clamped = self.n - len(self.free)

@@ -1,7 +1,9 @@
 """Exact enumeration, transition matrices, TV curves, mixing and coupling."""
 
+import dataclasses
 import itertools
 import math
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -22,6 +24,7 @@ from orbitalmcmc.analysis import (
     exact_varrho,
     is_connected,
     mixing_time,
+    orbit_quotient,
     pi_orbit_deviation,
     stationary_deviation,
     transition_matrix,
@@ -30,7 +33,7 @@ from orbitalmcmc.analysis import (
 )
 from orbitalmcmc.autgroup import automorphism_generators
 from orbitalmcmc.chains import ChainKind, ClauseModel, IndependentSetModel, run_chain
-from orbitalmcmc.clauses import model_symmetry_group
+from orbitalmcmc.clauses import model_symmetry_group, parse_clause_file
 from orbitalmcmc.errors import GuardExceededError
 from orbitalmcmc.families import (gen_complete, gen_connected_cliques,
                                   gen_friends_smokers, gen_grid)
@@ -323,6 +326,119 @@ class TestMixingTime:
         dist = ExactDistribution(states, [0.5, 0.5], 1.0)
         with pytest.raises(GuardExceededError):
             mixing_time(matrix, dist, 0.01, horizon=64)
+
+
+def tau_digest_cases():
+    """The graphs and groups of the pinned mixing-time digest."""
+    graphs = [gen_grid(3), gen_connected_cliques(3), gen_complete(2), gen_complete(3)]
+    graphs += [Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+               for n in range(4, 9)]
+    return [(graph, automorphism_generators(graph)) for graph in graphs]
+
+
+class TestOrbitQuotient:
+    def test_lumped_equals_dense_on_digest_cases(self):
+        for graph, group in tau_digest_cases():
+            for lam in (0.5, 1.0, 2.0):
+                model = IndependentSetModel(graph, lam)
+                pi = exact_pi_lambda(graph, lam)
+                matrix = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE, group)
+                dense = dataclasses.replace(matrix, orbits=None)
+                for eps in (0.1, 0.01):
+                    assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps)
+
+    @pytest.mark.parametrize("make,k,taus", [(gen_grid, 4, (83, 159)),
+                                             (gen_connected_cliques, 4, (115, 236))])
+    def test_lumped_equals_dense_at_four(self, make, k, taus):
+        graph = make(k)
+        pi = exact_pi_lambda(graph, 1.0)
+        matrix = transition_matrix(IndependentSetModel(graph, 1.0),
+                                   ChainKind.ORBITAL_INSERT_DELETE,
+                                   automorphism_generators(graph))
+        dense = dataclasses.replace(matrix, orbits=None)
+        for eps, tau in zip((0.1, 0.01), taus):
+            assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps) == tau
+
+    def test_base_kernels_keep_the_dense_path(self):
+        model = IndependentSetModel(gen_grid(3), 1.0)
+        assert transition_matrix(model, ChainKind.INSERT_DELETE, grid3_group()).orbits is None
+
+    def test_quotient_is_the_lumped_kernel(self):
+        clause_set, _ = gen_friends_smokers(3)
+        evidence = FS3_EVIDENCE[0]
+        fs3 = (ClauseModel(clause_set, evidence), ChainKind.ORBITAL_GIBBS,
+               model_symmetry_group(clause_set, evidence).model_group)
+        for model, kind, group in (
+                (IndependentSetModel(gen_grid(3), 2.0), ChainKind.ORBITAL_INSERT_DELETE,
+                 grid3_group()),
+                (IndependentSetModel(gen_connected_cliques(3), 0.5),
+                 ChainKind.ORBITAL_INSERT_DELETE,
+                 automorphism_generators(gen_connected_cliques(3))),
+                fs3):
+            matrix = transition_matrix(model, kind, group)
+            pi = exact_distribution(model)
+            quotient, lumped_pi = orbit_quotient(matrix, pi)
+            ids = matrix.orbits
+            reps = [list(ids).index(o) for o in dict.fromkeys(ids.tolist())]
+            assert quotient.states == tuple(matrix.states[r] for r in reps)
+            assert quotient.orbits is None
+            # per-orbit sums, in the order of the representatives
+            assert np.abs(lumped_pi.probs
+                          - np.bincount(ids, weights=pi.probs)[ids[reps]]).max() <= 1e-15
+            for a, r in enumerate(reps):
+                expected = np.bincount(ids, weights=matrix.rows[r])[ids[reps]]
+                assert np.abs(quotient.rows[a] - expected).max() <= 1e-15
+            assert check_detailed_balance(quotient, lumped_pi, tol=1e-15).passed
+
+    def test_base_kernel_with_orbit_ids_rejected(self):
+        model = IndependentSetModel(gen_grid(3), 1.0)
+        orbital = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE, grid3_group())
+        base = dataclasses.replace(transition_matrix(model, ChainKind.INSERT_DELETE),
+                                   orbits=orbital.orbits)
+        pi = exact_pi_lambda(gen_grid(3), 1.0)
+        with pytest.raises(ValueError, match="columns are not constant on orbits"):
+            mixing_time(base, pi, 0.1)
+
+    def test_group_not_preserving_the_kernel_rejected(self):
+        # swapping a and b preserves the four states but not the weights
+        model = ClauseModel(parse_clause_file("vars: a b\n0.5 :: a\n"))
+        swap = PermutationGroup([parse_cycles("(0 1)", n=2)])
+        matrix = transition_matrix(model, ChainKind.ORBITAL_GIBBS, group=swap)
+        with pytest.raises(ValueError, match="rows differ within an orbit"):
+            mixing_time(matrix, exact_distribution(model), 0.1)
+
+    def test_pi_not_constant_on_orbits_rejected(self):
+        states = tuple((i,) for i in range(3))
+        matrix = TransitionMatrix(states, np.full((3, 3), 1 / 3), np.array([0, 0, 1]))
+        dist = ExactDistribution(states, [0.2, 0.3, 0.5], 1.0)
+        with pytest.raises(ValueError, match="pi is not constant on orbits"):
+            mixing_time(matrix, dist, 0.1)
+
+    def test_orbit_ids_must_match_states(self):
+        with pytest.raises(ValueError, match="orbit ids"):
+            TransitionMatrix(((0,), (1,)), np.eye(2), np.array([0]))
+
+
+class TestKernelMemoryGuard:
+    def test_guard_raises_before_allocating(self, monkeypatch):
+        # 64 x 2,000 cells admit at most a 357 x 357 kernel; grid 4 has 1,234 states
+        monkeypatch.setenv("ORBITAL_GUARD", "2000")
+        model = IndependentSetModel(gen_grid(4), 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceededError, match="1234 x 1234"):
+                transition_matrix(model, ChainKind.INSERT_DELETE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1234 * 1234 * 8 // 4
+
+    def test_kernel_at_the_limit_is_built(self, monkeypatch):
+        # grid 3 has 63 states: 63^2 = 3,969 <= 64 x 63 cells
+        monkeypatch.setenv("ORBITAL_GUARD", "63")
+        matrix = transition_matrix(IndependentSetModel(gen_grid(3), 1.0),
+                                   ChainKind.INSERT_DELETE)
+        assert matrix.rows.shape == (63, 63)
 
 
 def hamming(a, b):

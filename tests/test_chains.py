@@ -2,6 +2,7 @@
 
 from random import Random
 
+import numpy as np
 import pytest
 
 from orbitalmcmc.analysis import exact_distribution, transition_matrix
@@ -14,9 +15,9 @@ from orbitalmcmc.chains import (
     insert_delete_step,
     run_chain,
 )
-from orbitalmcmc.clauses import parse_clause_file
+from orbitalmcmc.clauses import parse_clause_file, weight_value
 from orbitalmcmc.errors import GuardExceededError, InfeasibleModelError
-from orbitalmcmc.families import gen_complete, gen_grid
+from orbitalmcmc.families import gen_complete, gen_friends_smokers, gen_grid
 from orbitalmcmc.graphs import Graph
 from orbitalmcmc.perm import OrbitSampler, PermutationGroup, SamplerMode, parse_cycles
 
@@ -62,6 +63,16 @@ class TestClauseModel:
     def test_single_free_variable_uniform(self):
         model = ClauseModel(parse_clause_file("vars: a\n0 :: a\n"))
         assert model.conditional_p1((0,), 0) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("evidence", [None, {"smokes_p0": True, "friends_p1_p2": False}])
+    def test_weights_match_per_state_clause_sums(self, evidence):
+        clause_set, _ = gen_friends_smokers(3)
+        model = ClauseModel(clause_set, evidence)
+        states = model.states()
+        soft = [(c, weight_value(c.weight)) for c in clause_set.clauses if not c.is_hard]
+        expected = np.exp(np.array([sum(w for c, w in soft if c.satisfied_by(s))
+                                    for s in states]))
+        assert model.weights(states).tobytes() == expected.tobytes()
 
 
 class TestEvidence:

@@ -146,6 +146,14 @@ class TestAnalysisCommands:
         assert rows[0] == "chain_kind,epsilon,tau,bound,within_bound"
         assert len(rows) == 3
 
+    def test_orbital_mix_on_the_quotient(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "mix", "--model", "cliques", "--k", "4",
+                               "--chain", "orbital-id", "--epsilon", "0.1,0.01",
+                               "--out", str(tmp_path))
+        assert code == 0
+        assert "orbital-id eps=0.1: tau=115" in out
+        assert "orbital-id eps=0.01: tau=236" in out
+
     def test_config_file_defaults(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("model=grid\nk=3\nsteps=100\nseeds=1\nmode=exact\n"
@@ -291,6 +299,15 @@ class TestExitCodes:
                                "--out", str(tmp_path / "o"))
         assert code == 2
         assert "guard" in err.lower()
+
+    @pytest.mark.parametrize("command", ["exact", "mix"])
+    def test_dense_kernel_guarded_by_memory(self, capsys, monkeypatch, tmp_path, command):
+        # grid 4 has 1,234 states, under the cap; its kernel exceeds 64 x 2,000 cells
+        monkeypatch.setenv("ORBITAL_GUARD", "2000")
+        code, _, err = run_cli(capsys, command, "--model", "grid", "--k", "4",
+                               "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "1234 x 1234 kernel" in err
 
     def test_detect_degrades_when_guarded(self, capsys, monkeypatch):
         monkeypatch.setenv("ORBITAL_GUARD", "5")
