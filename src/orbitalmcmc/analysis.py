@@ -76,19 +76,27 @@ def exact_pi_lambda(graph: Graph, lam: float) -> ExactDistribution:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """A row-stochastic kernel over enumerated states; `orbits`, set on
+    """A row-stochastic kernel over enumerated states.  `action`, set when
+    the kernel was built with a group, holds one row per generator g with
+    action[g][i] the index of g applied to state i; `orbits`, set on
     orbital kernels only, holds the orbit id of each state."""
 
     states: tuple[Config, ...]
     rows: np.ndarray
     orbits: Optional[np.ndarray] = None
+    action: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        rows = self.rows
-        if rows.shape != (len(self.states), len(self.states)):
+        rows, n = self.rows, len(self.states)
+        if rows.shape != (n, n):
             raise ValueError("matrix shape does not match state count")
-        if self.orbits is not None and len(self.orbits) != len(self.states):
+        if self.orbits is not None and len(self.orbits) != n:
             raise ValueError("orbit ids do not match state count")
+        if self.action is not None:
+            if self.action.ndim != 2 or self.action.shape[1] != n:
+                raise ValueError("group action does not match state count")
+            if (np.sort(self.action, axis=1) != np.arange(n)).any():
+                raise ValueError("group action does not permute the states")
         if np.any(rows < -1e-15):
             raise ValueError("negative transition probability")
         bad = np.abs(rows.sum(axis=1) - 1.0) > 1e-12
@@ -107,23 +115,52 @@ class TransitionMatrix:
                 writer.writerow([label] + [repr(float(x)) for x in row])
 
 
-def _state_orbit_ids(states: Sequence[Config],
-                     group: PermutationGroup) -> list[int]:
-    """Orbit id per state; orbits must stay inside the state list."""
-    index = {s: i for i, s in enumerate(states)}
-    ids = [-1] * len(states)
-    next_id = 0
-    for i, s in enumerate(states):
-        if ids[i] >= 0:
-            continue
-        for d in group.orbit_of_config(s).elements:
+def _group_action(index: dict, group: PermutationGroup) -> np.ndarray:
+    """action[g][i] = index[generator g applied to state i], the states being
+    the keys of `index` in order; the group must preserve the state list."""
+    action = np.empty((len(group.generators), len(index)), dtype=np.intp)
+    for g, perm in enumerate(group.generators):
+        for i, s in enumerate(index):
+            d = perm.apply_config(s)
             j = index.get(d)
             if j is None:
-                raise ValueError(
-                    "group does not preserve the state space: "
-                    f"the orbit of {s} reaches {d}")
-            ids[j] = next_id
-        next_id += 1
+                raise ValueError("group does not preserve the state space: "
+                                 f"a generator maps {s} to {d}")
+            action[g, i] = j
+    return action
+
+
+def _orbit_walk(action: np.ndarray):
+    """Breadth-first walk of the states under the generators, one orbit at a
+    time in order of its first state.  Yields (x, z, g) with x = action[g][z],
+    or z = g = -1 when x is the first state of its orbit."""
+    images = action.tolist()
+    seen = [False] * action.shape[1]
+    for start in range(len(seen)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        yield start, -1, -1
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for z in frontier:
+                for g, image in enumerate(images):
+                    x = image[z]
+                    if not seen[x]:
+                        seen[x] = True
+                        nxt.append(x)
+                        yield x, z, g
+            frontier = nxt
+
+
+def _state_orbit_ids(action: np.ndarray) -> np.ndarray:
+    """Orbit id per state, numbered in order of each orbit's first state."""
+    ids = np.empty(action.shape[1], dtype=np.intp)
+    count = 0
+    for x, z, _ in _orbit_walk(action):
+        count += z < 0
+        ids[x] = count - 1
     return ids
 
 
@@ -133,31 +170,34 @@ def transition_matrix(model, kind: ChainKind,
 
     Base kernels sum `model.moves` over every state; orbital kernels
     multiply the base kernel by the exact orbit-averaging matrix of the
-    group action on the state list and keep the orbit ids.  An N x N kernel
-    over 64 x `enumeration_cap()` cells raises GuardExceededError unbuilt.
+    group action on the state list and keep the orbit ids.  Given a group,
+    any kernel keeps the group's action on the state list, which must stay
+    inside it (ValueError otherwise).  An N x N kernel over
+    64 x `enumeration_cap()` cells raises GuardExceededError unbuilt.
     """
     kind = ChainKind(kind)
     if kind.base is not model.base:
         raise TypeError(
             f"{kind.value} kernels do not run on {type(model).__name__}")
+    if kind.is_orbital and group is None:
+        raise ValueError(f"kernel {kind.value} requires a symmetry group")
     states = tuple(model.states())
     n, cells = len(states), 64 * enumeration_cap()
     if n * n > cells:
         raise GuardExceededError(f"a dense {n} x {n} kernel ({n * n * 8 >> 20:,} "
                                  f"MiB) exceeds {cells:,} cells, 64 x the enumeration cap")
     index = {s: i for i, s in enumerate(states)}
+    action = None if group is None else _group_action(index, group)
     rows = np.zeros((n, n))
     for i, s in enumerate(states):
         for t, p in model.moves(s):
             rows[i, index[t]] += p
     orbits = None
     if kind.is_orbital:
-        if group is None:
-            raise ValueError(f"kernel {kind.value} requires a symmetry group")
-        orbits = np.array(_state_orbit_ids(states, group))
+        orbits = _state_orbit_ids(action)
         same = orbits[:, None] == orbits[None, :]
         rows = rows @ (same / same.sum(axis=1, keepdims=True))
-    return TransitionMatrix(states, rows, orbits)
+    return TransitionMatrix(states, rows, orbits, action)
 
 
 def orbit_quotient(matrix: TransitionMatrix,
@@ -179,6 +219,36 @@ def orbit_quotient(matrix: TransitionMatrix,
     states = tuple(matrix.states[r] for r in reps)
     return (TransitionMatrix(states, lumped[reps]),
             ExactDistribution(states, pi @ indicator, dist.partition_value))
+
+
+def representative_rows(matrix: TransitionMatrix,
+                        dist: ExactDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the first state of each orbit of the kernel's group
+    action, M x N, and the N x N flat index `gather` with which
+    `reps.take(gather)` expands them to the whole kernel.  The same gather
+    expands the representative rows of every power P^t: if x = g r, then
+    P^t(x, y) = P^t(r, g^-1 y).  Raises ValueError unless, to 1e-12,
+    P[s, s] = P and pi[s] = pi for the index array s of every generator."""
+    rows, pi, n = matrix.rows, dist.probs, len(matrix.states)
+    back = np.argsort(matrix.action, axis=1)  # index arrays of the inverses
+    # P[s, s] - P vanishes off the nonzeros of P and their preimages under s
+    i, j = np.nonzero(rows)
+    values = rows[i, j]
+    for sigma, inverse in zip(matrix.action, back):
+        for s in (sigma, inverse):
+            if np.abs(rows[s[i], s[j]] - values).max() > 1e-12:
+                raise ValueError("kernel does not commute with the group action")
+        if np.abs(pi[sigma] - pi).max() > 1e-12:
+            raise ValueError("pi is not invariant under the group action")
+    gather = np.empty((n, n), dtype=np.intp)
+    reps = []
+    for x, z, g in _orbit_walk(matrix.action):
+        if z < 0:
+            gather[x] = len(reps) * n + np.arange(n)
+            reps.append(x)
+        else:  # row x = row z with its columns moved by generator g
+            gather[x] = gather[z][back[g]]
+    return rows[reps], gather
 
 
 @dataclass(frozen=True)
@@ -324,7 +394,13 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution,
     A kernel with `orbits` runs all this on its `orbit_quotient`: rows of
     K^t (t >= 1) and pi are constant on orbits, so d(t) sums orbit by orbit
     and equals the M x M quotient's (Kemeny & Snell 1960, lumpability); the
-    quotient raises ValueError when the lumping checks fail.
+    quotient raises ValueError when the lumping checks fail.  Otherwise a
+    kernel with a group `action` runs it on the M x N `representative_rows`
+    of its M state orbits, expanding a right factor to N x N by one gather:
+    P commutes with the group and pi is invariant, so row g r of P^t is row
+    r with its columns permuted, at the same distance from pi (Boyd,
+    Diaconis, Parrilo & Xiao 2005).  Those checks raise ValueError too.
+    Without either, M = N and nothing is gathered.
     """
     if not (0 < eps < 1):
         raise ValueError("eps must be in (0, 1)")
@@ -332,6 +408,9 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution,
         raise ValueError("matrix and distribution enumerate different states")
     if matrix.orbits is not None:
         matrix, dist = orbit_quotient(matrix, dist)
+    rows, gather = matrix.rows, None
+    if matrix.action is not None:
+        rows, gather = representative_rows(matrix, dist)
     if not is_connected(matrix):
         raise ValueError("chain is not irreducible")
     if not (np.diag(matrix.rows) > 0).any():
@@ -343,12 +422,12 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution,
         return float(0.5 * np.abs(power - pi).sum(axis=1).max())
 
     def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        prod = a @ b
+        prod = a @ (b if gather is None else b.take(gather))
         prod /= prod.sum(axis=1, keepdims=True)
         return prod
 
-    squares = [matrix.rows]  # squares[j] = P^(2^j)
-    last = distance(matrix.rows)
+    squares = [rows]  # squares[j] = P^(2^j), M rows
+    last = distance(rows)
     while last > eps:
         if 2 ** len(squares) > horizon:
             raise GuardExceededError(
@@ -483,12 +562,11 @@ def exact_rho(graph: Graph, group: PermutationGroup) -> float:
     X + w independent, and reports how often the two extended sets are
     not in one orbit of the group.
     """
-    states = enumerate_independent_sets(graph)
-    ids = _state_orbit_ids(states, group)
-    orbit_of = {s: ids[i] for i, s in enumerate(states)}
+    index = {s: i for i, s in enumerate(enumerate_independent_sets(graph))}
+    orbit_of = dict(zip(index, _state_orbit_ids(_group_action(index, group)).tolist()))
     total = 0
     apart = 0
-    for s in states:
+    for s in index:
         for u, w in graph.edges:
             for v, other in ((u, w), (w, u)):
                 if s[v] or s[other]:

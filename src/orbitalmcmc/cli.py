@@ -295,8 +295,8 @@ def cmd_mix(args) -> int:
     dist = analysis.exact_distribution(bundle.chain_model)
     rows = []
     for kind in bundle.chain_kinds(args.chain):
-        group = bundle.group if kind.is_orbital else None
-        matrix = analysis.transition_matrix(bundle.chain_model, kind, group=group)
+        # with the group, base kernels too mix on one row per state orbit
+        matrix = analysis.transition_matrix(bundle.chain_model, kind, group=bundle.group)
         for eps in args.epsilon:
             tau = analysis.mixing_time(matrix, dist, eps)
             bound = ""

@@ -7,7 +7,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import GuardExceededError, enumeration_cap
 
-STATE_SPACE_VERTEX_LIMIT = 24
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to bit values
 
 
 class Graph:
@@ -66,29 +66,31 @@ class Graph:
 
 
 def enumerate_independent_sets(graph: Graph) -> list[tuple[int, ...]]:
-    """All independent sets as bit tuples, in lexicographic order."""
-    if graph.n > STATE_SPACE_VERTEX_LIMIT:
-        raise GuardExceededError(
-            f"independent-set enumeration limited to {STATE_SPACE_VERTEX_LIMIT} "
-            f"vertices, got {graph.n}")
-    cap = enumeration_cap()
-    out: list[tuple[int, ...]] = []
+    """All independent sets as bit tuples, in lexicographic order.
 
-    def grow(members: list[int], candidates: list[int]) -> None:
-        if len(out) >= cap:
+    Raises GuardExceededError once more than `enumeration_cap()` sets are
+    certain: at the cap, or on reaching a set of s vertices with 2^s over
+    it, since its subsets are all independent.  The search keeps each set
+    as an integer with vertex 0 as the top bit, so neither its memory nor
+    its depth grows with the vertex count before the guard.
+    """
+    cap = enumeration_cap()
+    n = graph.n
+    masks: list[int] = []
+
+    def grow(mask: int, size: int, candidates: list[int]) -> None:
+        if len(masks) >= cap or 1 << size > cap:
             raise GuardExceededError(
                 f"more than {cap} independent sets (cap exceeded)")
-        bits = [0] * graph.n
-        for v in members:
-            bits[v] = 1
-        out.append(tuple(bits))
+        masks.append(mask)
         for i, v in enumerate(candidates):
             blocked = set(graph.adj[v])
-            grow(members + [v], [w for w in candidates[i + 1:] if w not in blocked])
+            grow(mask | 1 << (n - 1 - v), size + 1,
+                 [w for w in candidates[i + 1:] if w not in blocked])
 
-    grow([], list(range(graph.n)))
-    out.sort()
-    return out
+    grow(0, 0, list(range(n)))
+    masks.sort()
+    return [tuple(bin(m | 1 << n)[3:].encode().translate(_BITS)) for m in masks]
 
 
 def default_names(n: int) -> list[str]:

@@ -26,6 +26,7 @@ from orbitalmcmc.analysis import (
     mixing_time,
     orbit_quotient,
     pi_orbit_deviation,
+    representative_rows,
     stationary_deviation,
     transition_matrix,
     tv_curve,
@@ -80,6 +81,22 @@ class TestEnumeration:
     def test_vertex_guard(self):
         with pytest.raises(GuardExceededError):
             enumerate_independent_sets(Graph(25, []))
+
+    def test_large_independent_set_trips_the_cap_at_once(self):
+        # 2,000 isolated vertices: a depth-first scan would recurse past
+        # Python's limit long before a million sets; 2^21 subsets exceed it
+        with pytest.raises(GuardExceededError, match="more than 1000000"):
+            enumerate_independent_sets(Graph(2000, []))
+
+    @pytest.mark.parametrize("cap,ok", [("8", True), ("7", False)])
+    def test_subset_bound_is_exact(self, monkeypatch, cap, ok):
+        # three isolated vertices: one set of size 3, 2^3 = 8 sets in all
+        monkeypatch.setenv("ORBITAL_GUARD", cap)
+        if ok:
+            assert len(enumerate_independent_sets(Graph(3, []))) == 8
+        else:
+            with pytest.raises(GuardExceededError):
+                enumerate_independent_sets(Graph(3, []))
 
 
 class TestExactDistributions:
@@ -217,8 +234,9 @@ class TestEvidence:
         clause_set, _ = gen_friends_smokers(3)
         model = ClauseModel(clause_set, FS3_EVIDENCE[0])
         unconditioned = model_symmetry_group(clause_set).model_group
-        with pytest.raises(ValueError, match="does not preserve the state space"):
-            transition_matrix(model, ChainKind.ORBITAL_GIBBS, group=unconditioned)
+        for kind in (ChainKind.GIBBS, ChainKind.ORBITAL_GIBBS):
+            with pytest.raises(ValueError, match="does not preserve the state space"):
+                transition_matrix(model, kind, group=unconditioned)
 
     def test_fully_clamped_kernel_stays(self):
         model = ClauseModel(two_spin_model(), {"x1": True, "x2": False})
@@ -343,7 +361,7 @@ class TestOrbitQuotient:
                 model = IndependentSetModel(graph, lam)
                 pi = exact_pi_lambda(graph, lam)
                 matrix = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE, group)
-                dense = dataclasses.replace(matrix, orbits=None)
+                dense = dataclasses.replace(matrix, orbits=None, action=None)
                 for eps in (0.1, 0.01):
                     assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps)
 
@@ -355,13 +373,16 @@ class TestOrbitQuotient:
         matrix = transition_matrix(IndependentSetModel(graph, 1.0),
                                    ChainKind.ORBITAL_INSERT_DELETE,
                                    automorphism_generators(graph))
-        dense = dataclasses.replace(matrix, orbits=None)
+        dense = dataclasses.replace(matrix, orbits=None, action=None)
         for eps, tau in zip((0.1, 0.01), taus):
             assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps) == tau
 
-    def test_base_kernels_keep_the_dense_path(self):
+    def test_base_kernels_keep_the_action_not_orbit_ids(self):
         model = IndependentSetModel(gen_grid(3), 1.0)
-        assert transition_matrix(model, ChainKind.INSERT_DELETE, grid3_group()).orbits is None
+        matrix = transition_matrix(model, ChainKind.INSERT_DELETE, grid3_group())
+        assert matrix.orbits is None
+        assert matrix.action.shape == (2, 63)
+        assert transition_matrix(model, ChainKind.INSERT_DELETE).action is None
 
     def test_quotient_is_the_lumped_kernel(self):
         clause_set, _ = gen_friends_smokers(3)
@@ -417,6 +438,93 @@ class TestOrbitQuotient:
     def test_orbit_ids_must_match_states(self):
         with pytest.raises(ValueError, match="orbit ids"):
             TransitionMatrix(((0,), (1,)), np.eye(2), np.array([0]))
+
+
+class TestRepresentativeRows:
+    def test_rep_rows_equal_dense_on_digest_cases(self):
+        for graph, group in tau_digest_cases():
+            for lam in (0.5, 1.0, 2.0):
+                model = IndependentSetModel(graph, lam)
+                pi = exact_pi_lambda(graph, lam)
+                matrix = transition_matrix(model, ChainKind.INSERT_DELETE, group)
+                assert matrix.action is not None
+                dense = dataclasses.replace(matrix, action=None)
+                for eps in (0.1, 0.01):
+                    assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps)
+
+    @pytest.mark.parametrize("make,k,taus", [(gen_grid, 4, (192, 405)),
+                                             (gen_connected_cliques, 4, (115, 236))])
+    def test_rep_rows_equal_dense_at_four(self, make, k, taus):
+        graph = make(k)
+        pi = exact_pi_lambda(graph, 1.0)
+        matrix = transition_matrix(IndependentSetModel(graph, 1.0),
+                                   ChainKind.INSERT_DELETE,
+                                   automorphism_generators(graph))
+        dense = dataclasses.replace(matrix, action=None)
+        for eps, tau in zip((0.1, 0.01), taus):
+            assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps) == tau
+
+    def test_expanded_rows_of_the_square_are_the_square(self):
+        clause_set, _ = gen_friends_smokers(3)
+        evidence = FS3_EVIDENCE[0]
+        fs3 = (ClauseModel(clause_set, evidence), ChainKind.GIBBS, ChainKind.ORBITAL_GIBBS,
+               model_symmetry_group(clause_set, evidence).model_group)
+        insert_delete = (ChainKind.INSERT_DELETE, ChainKind.ORBITAL_INSERT_DELETE)
+        # a quarter turn has order 4: its index array is not its own inverse
+        turn = PermutationGroup([parse_cycles("(a c i g)(b f h d)", names=NAMES9)])
+        for model, kind, orbital, group in (
+                (IndependentSetModel(gen_grid(3), 2.0), *insert_delete, grid3_group()),
+                (IndependentSetModel(gen_grid(3), 2.0), *insert_delete, turn),
+                (IndependentSetModel(gen_connected_cliques(3), 0.5), *insert_delete,
+                 automorphism_generators(gen_connected_cliques(3))),
+                fs3):
+            matrix = transition_matrix(model, kind, group)
+            reps, gather = representative_rows(matrix, exact_distribution(model))
+            ids = transition_matrix(model, orbital, group).orbits
+            assert len(reps) == len(set(ids.tolist())) < len(matrix.states)
+            assert np.abs(reps.take(gather) - matrix.rows).max() <= 1e-12
+            square = reps @ reps.take(gather)
+            assert np.abs(square.take(gather) - matrix.rows @ matrix.rows).max() <= 1e-12
+
+    def test_group_not_commuting_with_the_kernel_rejected(self):
+        # swapping a and b preserves the four states but not the weights
+        model = ClauseModel(parse_clause_file("vars: a b\n0.5 :: a\n"))
+        swap = PermutationGroup([parse_cycles("(0 1)", n=2)])
+        matrix = transition_matrix(model, ChainKind.GIBBS, group=swap)
+        with pytest.raises(ValueError, match="does not commute with the group action"):
+            mixing_time(matrix, exact_distribution(model), 0.1)
+
+    def test_commutation_is_checked_where_the_kernel_is_zero(self):
+        # g cycles four states; P(g x, g y) - P(x, y) stays within 1e-12 at
+        # every nonzero (x, y), yet P(g 0, g 0) - P(0, 0) = 2.4e-12 while P(0, 0) = 0
+        diag = np.array([0.0, 2.4, 1.6, 0.8]) * 1e-12
+        rows = np.empty((4, 4))
+        for x in range(4):
+            rows[x, x] = diag[x]
+            for j in (1, 2, 3):
+                rows[x, (x + j) % 4] = 1 / 3 - diag[x] / 3
+        states = tuple((i,) for i in range(4))
+        matrix = TransitionMatrix(states, rows, action=np.array([[1, 2, 3, 0]]))
+        with pytest.raises(ValueError, match="does not commute with the group action"):
+            representative_rows(matrix, ExactDistribution(states, [0.25] * 4, 1.0))
+
+    def test_pi_not_invariant_rejected(self):
+        # the uniform kernel commutes with every permutation of the states
+        states = tuple((i,) for i in range(3))
+        matrix = TransitionMatrix(states, np.full((3, 3), 1 / 3),
+                                  action=np.array([[1, 0, 2]]))
+        dist = ExactDistribution(states, [0.2, 0.3, 0.5], 1.0)
+        with pytest.raises(ValueError, match="pi is not invariant"):
+            mixing_time(matrix, dist, 0.1)
+
+    @pytest.mark.parametrize("action,message", [
+        ([[0]], "does not match state count"),
+        ([0, 1], "does not match state count"),
+        ([[0, 0]], "does not permute the states"),
+    ])
+    def test_action_must_permute_the_states(self, action, message):
+        with pytest.raises(ValueError, match=message):
+            TransitionMatrix(((0,), (1,)), np.eye(2), action=np.array(action))
 
 
 class TestKernelMemoryGuard:

@@ -4,6 +4,8 @@ import csv
 
 import pytest
 
+from orbitalmcmc import analysis
+from orbitalmcmc.analysis import representative_rows
 from orbitalmcmc.cli import main, parse_seeds
 
 
@@ -153,6 +155,22 @@ class TestAnalysisCommands:
         assert code == 0
         assert "orbital-id eps=0.1: tau=115" in out
         assert "orbital-id eps=0.01: tau=236" in out
+
+    def test_base_mix_on_representative_rows(self, capsys, monkeypatch, tmp_path):
+        calls = []
+
+        def spy(matrix, dist):
+            calls.append(len(matrix.states))
+            return representative_rows(matrix, dist)
+
+        monkeypatch.setattr(analysis, "representative_rows", spy)
+        code, out, _ = run_cli(capsys, "mix", "--model", "cliques", "--k", "4",
+                               "--chain", "id", "--epsilon", "0.1,0.01",
+                               "--out", str(tmp_path))
+        assert code == 0
+        assert calls == [1267, 1267]
+        assert "id eps=0.1: tau=115" in out
+        assert "id eps=0.01: tau=236" in out
 
     def test_config_file_defaults(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
@@ -308,6 +326,14 @@ class TestExitCodes:
                                "--out", str(tmp_path / "o"))
         assert code == 2
         assert "1234 x 1234 kernel" in err
+
+    def test_cliques_five_stops_at_the_dense_kernel(self, capsys, tmp_path):
+        # 25 vertices enumerate (19,721 states); the dense kernel is refused
+        code, _, err = run_cli(capsys, "mix", "--model", "cliques", "--k", "5",
+                               "--chain", "orbital-id", "--epsilon", "0.1",
+                               "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "19721 x 19721 kernel" in err
 
     def test_detect_degrades_when_guarded(self, capsys, monkeypatch):
         monkeypatch.setenv("ORBITAL_GUARD", "5")
