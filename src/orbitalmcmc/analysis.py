@@ -77,21 +77,18 @@ def exact_pi_lambda(graph: Graph, lam: float) -> ExactDistribution:
 @dataclass(frozen=True)
 class TransitionMatrix:
     """A row-stochastic kernel over enumerated states.  `action`, set when
-    the kernel was built with a group, holds one row per generator g with
-    action[g][i] the index of g applied to state i; `orbits`, set on
-    orbital kernels only, holds the orbit id of each state."""
+    the kernel was built with a group, is the one record of its symmetry:
+    one row per generator g with action[g][i] the index of g applied to
+    state i."""
 
     states: tuple[Config, ...]
     rows: np.ndarray
-    orbits: Optional[np.ndarray] = None
     action: Optional[np.ndarray] = None
 
     def __post_init__(self):
         rows, n = self.rows, len(self.states)
         if rows.shape != (n, n):
             raise ValueError("matrix shape does not match state count")
-        if self.orbits is not None and len(self.orbits) != n:
-            raise ValueError("orbit ids do not match state count")
         if self.action is not None:
             if self.action.ndim != 2 or self.action.shape[1] != n:
                 raise ValueError("group action does not match state count")
@@ -170,10 +167,11 @@ def transition_matrix(model, kind: ChainKind,
 
     Base kernels sum `model.moves` over every state; orbital kernels
     multiply the base kernel by the exact orbit-averaging matrix of the
-    group action on the state list and keep the orbit ids.  Given a group,
-    any kernel keeps the group's action on the state list, which must stay
-    inside it (ValueError otherwise).  An N x N kernel over
-    64 x `enumeration_cap()` cells raises GuardExceededError unbuilt.
+    group action on the state list.  Given a group, any kernel keeps the
+    group's action on the state list, which must stay inside it (ValueError
+    otherwise); `representative_rows` reduces the kernel by it.  An N x N
+    kernel over 64 x `enumeration_cap()` cells raises GuardExceededError
+    unbuilt.
     """
     kind = ChainKind(kind)
     if kind.base is not model.base:
@@ -192,63 +190,59 @@ def transition_matrix(model, kind: ChainKind,
     for i, s in enumerate(states):
         for t, p in model.moves(s):
             rows[i, index[t]] += p
-    orbits = None
     if kind.is_orbital:
         orbits = _state_orbit_ids(action)
         same = orbits[:, None] == orbits[None, :]
         rows = rows @ (same / same.sum(axis=1, keepdims=True))
-    return TransitionMatrix(states, rows, orbits, action)
+    return TransitionMatrix(states, rows, action)
 
 
-def orbit_quotient(matrix: TransitionMatrix,
-                   dist: ExactDistribution) -> tuple[TransitionMatrix, ExactDistribution]:
-    """The kernel lumped on its M orbits, Q(O, O') = K(first state of O, O'),
-    and the lumped pi.  Raises ValueError unless, to 1e-12, the rows of an
-    orbit lump alike and kernel columns and pi are constant on orbits."""
-    _, reps, inv = np.unique(matrix.orbits, return_index=True, return_inverse=True)
-    rows, pi = matrix.rows, dist.probs
-    indicator = np.zeros((len(inv), len(reps)))
-    indicator[np.arange(len(inv)), inv] = 1.0
-    lumped = rows @ indicator
-    if np.abs(lumped - lumped[reps][inv]).max() > 1e-12:
-        raise ValueError("kernel is not lumpable: rows differ within an orbit")
-    if np.abs(rows - rows[:, reps[inv]]).max() > 1e-12:
-        raise ValueError("kernel columns are not constant on orbits")
-    if np.abs(pi - pi[reps[inv]]).max() > 1e-12:
-        raise ValueError("pi is not constant on orbits")
-    states = tuple(matrix.states[r] for r in reps)
-    return (TransitionMatrix(states, lumped[reps]),
-            ExactDistribution(states, pi @ indicator, dist.partition_value))
+def representative_rows(matrix: TransitionMatrix, dist: ExactDistribution
+                        ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The kernel and pi reduced to one row per orbit of the kernel's group
+    action, for `mixing_time`: (rows, pi, gather), with the M orbits in
+    order of their first states.
 
-
-def representative_rows(matrix: TransitionMatrix,
-                        dist: ExactDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of the first state of each orbit of the kernel's group
-    action, M x N, and the N x N flat index `gather` with which
-    `reps.take(gather)` expands them to the whole kernel.  The same gather
-    expands the representative rows of every power P^t: if x = g r, then
-    P^t(x, y) = P^t(r, g^-1 y).  Raises ValueError unless, to 1e-12,
-    P[s, s] = P and pi[s] = pi for the index array s of every generator."""
+    If the rows of the first states are constant on column orbits, as those
+    of every orbital kernel K = P A are, the kernel is lumped: rows is the
+    M x M quotient Q(O, O') = K(first state of O, O'), pi the lumped pi and
+    gather None.  ValueError unless, to 1e-12, the rows of an orbit lump
+    alike and every column is constant on orbits.  Otherwise rows are the
+    M x N rows of the first states, pi is unchanged, and `rows.take(gather)`
+    expands them, and those of every power P^t, to the whole kernel: if
+    x = g r, then P^t(x, y) = P^t(r, g^-1 y).  ValueError unless, to 1e-12,
+    P[s, s] = P for the index array s of every generator.  Either way
+    ValueError unless pi[s] = pi to 1e-12 for every generator."""
     rows, pi, n = matrix.rows, dist.probs, len(matrix.states)
-    back = np.argsort(matrix.action, axis=1)  # index arrays of the inverses
-    # P[s, s] - P vanishes off the nonzeros of P and their preimages under s
-    i, j = np.nonzero(rows)
-    values = rows[i, j]
-    for sigma, inverse in zip(matrix.action, back):
-        for s in (sigma, inverse):
+    ids = _state_orbit_ids(matrix.action)
+    reps = np.unique(ids, return_index=True)[1]
+    columns = reps[ids]  # the first state of each state's orbit
+    first, gather = rows[reps], None
+    if np.abs(first - first[:, columns]).max() <= 1e-12:
+        indicator = np.zeros((n, len(reps)))
+        indicator[np.arange(n), ids] = 1.0
+        lumped = rows @ indicator
+        if np.abs(lumped - lumped[reps][ids]).max() > 1e-12:
+            raise ValueError("kernel is not lumpable: rows differ within an orbit")
+        if np.abs(rows - rows[:, columns]).max() > 1e-12:
+            raise ValueError("kernel columns are not constant on orbits")
+        reduced, reduced_pi = lumped[reps], pi @ indicator
+    else:
+        back = np.argsort(matrix.action, axis=1)  # index arrays of the inverses
+        # P[s, s] - P vanishes off the nonzeros of P and their preimages under s
+        i, j = np.nonzero(rows)
+        values = rows[i, j]
+        for s in (*matrix.action, *back):
             if np.abs(rows[s[i], s[j]] - values).max() > 1e-12:
                 raise ValueError("kernel does not commute with the group action")
-        if np.abs(pi[sigma] - pi).max() > 1e-12:
-            raise ValueError("pi is not invariant under the group action")
-    gather = np.empty((n, n), dtype=np.intp)
-    reps = []
-    for x, z, g in _orbit_walk(matrix.action):
-        if z < 0:
-            gather[x] = len(reps) * n + np.arange(n)
-            reps.append(x)
-        else:  # row x = row z with its columns moved by generator g
-            gather[x] = gather[z][back[g]]
-    return rows[reps], gather
+        gather = np.empty((n, n), dtype=np.intp)
+        for x, z, g in _orbit_walk(matrix.action):
+            # row x = row z with its columns moved by generator g
+            gather[x] = ids[x] * n + np.arange(n) if z < 0 else gather[z][back[g]]
+        reduced, reduced_pi = first, pi
+    if any(np.abs(pi[s] - pi).max() > 1e-12 for s in matrix.action):
+        raise ValueError("pi is not invariant under the group action")
+    return reduced, reduced_pi, gather
 
 
 @dataclass(frozen=True)
@@ -391,32 +385,28 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution,
     exponent reached.  Verification: P^tau squared up to three times, the
     distance staying at or below eps at 2 tau, 4 tau and 8 tau.
 
-    A kernel with `orbits` runs all this on its `orbit_quotient`: rows of
-    K^t (t >= 1) and pi are constant on orbits, so d(t) sums orbit by orbit
-    and equals the M x M quotient's (Kemeny & Snell 1960, lumpability); the
-    quotient raises ValueError when the lumping checks fail.  Otherwise a
-    kernel with a group `action` runs it on the M x N `representative_rows`
-    of its M state orbits, expanding a right factor to N x N by one gather:
-    P commutes with the group and pi is invariant, so row g r of P^t is row
-    r with its columns permuted, at the same distance from pi (Boyd,
-    Diaconis, Parrilo & Xiao 2005).  Those checks raise ValueError too.
-    Without either, M = N and nothing is gathered.
+    A kernel with a group `action` runs all this on its
+    `representative_rows`, one row per state orbit, and d(t) is unchanged:
+    the kernel commutes with the group and pi is invariant, so row g r of
+    P^t is row r with its columns permuted, at the same distance from pi
+    (Boyd, Diaconis, Parrilo & Xiao 2005).  An orbital kernel, its rows
+    constant on orbits, runs on the M x M lumped quotient, the distance
+    summing orbit by orbit (Kemeny & Snell 1960, lumpability); any other
+    runs on M x N rows, a right factor being expanded to N x N by one
+    gather.  The reduction raises ValueError when its checks fail.  Without
+    an action, M = N and nothing is gathered.
     """
     if not (0 < eps < 1):
         raise ValueError("eps must be in (0, 1)")
     if matrix.states != dist.states:
         raise ValueError("matrix and distribution enumerate different states")
-    if matrix.orbits is not None:
-        matrix, dist = orbit_quotient(matrix, dist)
-    rows, gather = matrix.rows, None
-    if matrix.action is not None:
-        rows, gather = representative_rows(matrix, dist)
     if not is_connected(matrix):
         raise ValueError("chain is not irreducible")
     if not (np.diag(matrix.rows) > 0).any():
         raise ValueError("cannot verify aperiodicity: no positive diagonal")
-
-    pi = dist.probs
+    rows, pi, gather = matrix.rows, dist.probs, None
+    if matrix.action is not None:
+        rows, pi, gather = representative_rows(matrix, dist)
 
     def distance(power: np.ndarray) -> float:
         return float(0.5 * np.abs(power - pi).sum(axis=1).max())
@@ -509,40 +499,28 @@ class CouplingSimulator:
         lam = self.model.lam
         p_ins = lam / (1.0 + lam)
         w = rng.randrange(graph.n)
-        els = self.elements
+        case, a, b = 5, upper, lower  # the pre-images of the common element
         if w == v:
-            keep = rng.random() < p_ins
-            g = els[rng.randrange(len(els))]
-            u = g.apply_config(upper if keep else lower)
-            return u, u, 1
-        if upper[w]:
-            delete = rng.random() < 1.0 / (1.0 + lam)
-            g = els[rng.randrange(len(els))]
-            if delete:
-                return (g.apply_config(upper[:w] + (0,) + upper[w + 1:]),
-                        g.apply_config(lower[:w] + (0,) + lower[w + 1:]), 2)
-            return g.apply_config(upper), g.apply_config(lower), 2
-        blocked_upper = any(upper[x] for x in graph.adj[w])
-        if not blocked_upper:
-            insert = rng.random() < p_ins
-            g = els[rng.randrange(len(els))]
-            if insert:
-                return (g.apply_config(upper[:w] + (1,) + upper[w + 1:]),
-                        g.apply_config(lower[:w] + (1,) + lower[w + 1:]), 3)
-            return g.apply_config(upper), g.apply_config(lower), 3
-        blocked_lower = any(lower[x] for x in graph.adj[w])
-        if not blocked_lower:
-            insert = rng.random() < p_ins
-            g = els[rng.randrange(len(els))]
-            if not insert:
-                return g.apply_config(upper), g.apply_config(lower), 4
-            inserted = lower[:w] + (1,) + lower[w + 1:]
-            if inserted in self.group.orbit_of_config(upper):
-                u = g.apply_config(upper)
-                return u, u, 4
-            return g.apply_config(upper), g.apply_config(inserted), 4
+            case = 1
+            a = b = upper if rng.random() < p_ins else lower
+        elif upper[w]:
+            case = 2
+            if rng.random() < 1.0 / (1.0 + lam):
+                a, b = upper[:w] + (0,) + upper[w + 1:], lower[:w] + (0,) + lower[w + 1:]
+        elif not any(upper[x] for x in graph.adj[w]):
+            case = 3
+            if rng.random() < p_ins:
+                a, b = upper[:w] + (1,) + upper[w + 1:], lower[:w] + (1,) + lower[w + 1:]
+        elif not any(lower[x] for x in graph.adj[w]):
+            case = 4
+            if rng.random() < p_ins:
+                b = lower[:w] + (1,) + lower[w + 1:]
+                if b in self.group.orbit_of_config(upper):
+                    b = upper
+        els = self.elements
         g = els[rng.randrange(len(els))]
-        return g.apply_config(upper), g.apply_config(lower), 5
+        u = g.apply_config(a)
+        return u, (u if a == b else g.apply_config(b)), case
 
 
 def distance_one_pairs(graph: Graph) -> list[tuple[Config, Config]]:

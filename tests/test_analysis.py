@@ -13,6 +13,7 @@ from orbitalmcmc.analysis import (
     CouplingSimulator,
     ExactDistribution,
     TransitionMatrix,
+    _state_orbit_ids,
     check_detailed_balance,
     coupling_drift,
     distance_one_pairs,
@@ -24,7 +25,6 @@ from orbitalmcmc.analysis import (
     exact_varrho,
     is_connected,
     mixing_time,
-    orbit_quotient,
     pi_orbit_deviation,
     representative_rows,
     stationary_deviation,
@@ -361,7 +361,7 @@ class TestOrbitQuotient:
                 model = IndependentSetModel(graph, lam)
                 pi = exact_pi_lambda(graph, lam)
                 matrix = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE, group)
-                dense = dataclasses.replace(matrix, orbits=None, action=None)
+                dense = dataclasses.replace(matrix, action=None)
                 for eps in (0.1, 0.01):
                     assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps)
 
@@ -373,16 +373,23 @@ class TestOrbitQuotient:
         matrix = transition_matrix(IndependentSetModel(graph, 1.0),
                                    ChainKind.ORBITAL_INSERT_DELETE,
                                    automorphism_generators(graph))
-        dense = dataclasses.replace(matrix, orbits=None, action=None)
+        dense = dataclasses.replace(matrix, action=None)
         for eps, tau in zip((0.1, 0.01), taus):
             assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps) == tau
 
     def test_base_kernels_keep_the_action_not_orbit_ids(self):
         model = IndependentSetModel(gen_grid(3), 1.0)
-        matrix = transition_matrix(model, ChainKind.INSERT_DELETE, grid3_group())
-        assert matrix.orbits is None
-        assert matrix.action.shape == (2, 63)
+        pi = exact_pi_lambda(gen_grid(3), 1.0)
+        base = transition_matrix(model, ChainKind.INSERT_DELETE, grid3_group())
+        assert base.action.shape == (2, 63)
         assert transition_matrix(model, ChainKind.INSERT_DELETE).action is None
+        rows, same_pi, gather = representative_rows(base, pi)
+        m = len(rows)
+        assert m < 63 and rows.shape == (m, 63) and gather.shape == (63, 63)
+        assert same_pi is pi.probs
+        orbital = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE, grid3_group())
+        rows, lumped_pi, gather = representative_rows(orbital, pi)
+        assert rows.shape == (m, m) and lumped_pi.shape == (m,) and gather is None
 
     def test_quotient_is_the_lumped_kernel(self):
         clause_set, _ = gen_friends_smokers(3)
@@ -398,27 +405,31 @@ class TestOrbitQuotient:
                 fs3):
             matrix = transition_matrix(model, kind, group)
             pi = exact_distribution(model)
-            quotient, lumped_pi = orbit_quotient(matrix, pi)
-            ids = matrix.orbits
+            rows, lumped_pi, gather = representative_rows(matrix, pi)
+            assert gather is None
+            ids = _state_orbit_ids(matrix.action)
             reps = [list(ids).index(o) for o in dict.fromkeys(ids.tolist())]
-            assert quotient.states == tuple(matrix.states[r] for r in reps)
-            assert quotient.orbits is None
             # per-orbit sums, in the order of the representatives
-            assert np.abs(lumped_pi.probs
+            assert np.abs(lumped_pi
                           - np.bincount(ids, weights=pi.probs)[ids[reps]]).max() <= 1e-15
             for a, r in enumerate(reps):
                 expected = np.bincount(ids, weights=matrix.rows[r])[ids[reps]]
-                assert np.abs(quotient.rows[a] - expected).max() <= 1e-15
-            assert check_detailed_balance(quotient, lumped_pi, tol=1e-15).passed
+                assert np.abs(rows[a] - expected).max() <= 1e-15
+            states = tuple(matrix.states[r] for r in reps)
+            assert check_detailed_balance(TransitionMatrix(states, rows),
+                                          ExactDistribution(states, lumped_pi, 1.0),
+                                          tol=1e-15).passed
 
     def test_base_kernel_with_orbit_ids_rejected(self):
-        model = IndependentSetModel(gen_grid(3), 1.0)
-        orbital = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE, grid3_group())
-        base = dataclasses.replace(transition_matrix(model, ChainKind.INSERT_DELETE),
-                                   orbits=orbital.orbits)
-        pi = exact_pi_lambda(gen_grid(3), 1.0)
+        # the swap of states 1 and 2: the first states 0 and 1 have rows
+        # constant on {1, 2}, and rows 1 and 2 lump alike, but row 2 is not
+        # constant on {1, 2}
+        states = tuple((i,) for i in range(3))
+        rows = np.array([[.5, .25, .25], [.2, .4, .4], [.2, .3, .5]])
+        matrix = TransitionMatrix(states, rows, action=np.array([[0, 2, 1]]))
+        dist = ExactDistribution(states, [0.2, 0.4, 0.4], 1.0)
         with pytest.raises(ValueError, match="columns are not constant on orbits"):
-            mixing_time(base, pi, 0.1)
+            mixing_time(matrix, dist, 0.1)
 
     def test_group_not_preserving_the_kernel_rejected(self):
         # swapping a and b preserves the four states but not the weights
@@ -429,15 +440,30 @@ class TestOrbitQuotient:
             mixing_time(matrix, exact_distribution(model), 0.1)
 
     def test_pi_not_constant_on_orbits_rejected(self):
+        # the kernel commutes with the swap of states 1 and 2, its rows are
+        # not constant on {1, 2}, and pi is not invariant under the swap
         states = tuple((i,) for i in range(3))
-        matrix = TransitionMatrix(states, np.full((3, 3), 1 / 3), np.array([0, 0, 1]))
+        rows = np.array([[.5, .25, .25], [.2, .5, .3], [.2, .3, .5]])
+        matrix = TransitionMatrix(states, rows, action=np.array([[0, 2, 1]]))
         dist = ExactDistribution(states, [0.2, 0.3, 0.5], 1.0)
-        with pytest.raises(ValueError, match="pi is not constant on orbits"):
+        invariant = ExactDistribution(states, [0.2, 0.4, 0.4], 1.0)
+        assert representative_rows(matrix, invariant)[2] is not None  # M x N rows
+        with pytest.raises(ValueError, match="pi is not invariant"):
             mixing_time(matrix, dist, 0.1)
 
-    def test_orbit_ids_must_match_states(self):
-        with pytest.raises(ValueError, match="orbit ids"):
-            TransitionMatrix(((0,), (1,)), np.eye(2), np.array([0]))
+    def test_trivial_group_equals_dense(self):
+        # an asymmetric model: its group has no generators, every state is
+        # its own orbit
+        clause_set = parse_clause_file("vars: a b c\n0.5 :: a\n1.0 :: a | !b\n-0.3 :: c\n")
+        group = model_symmetry_group(clause_set, {}).model_group
+        model = ClauseModel(clause_set)
+        pi = exact_distribution(model)
+        for kind in (ChainKind.GIBBS, ChainKind.ORBITAL_GIBBS):
+            matrix = transition_matrix(model, kind, group)
+            assert matrix.action.shape == (0, 8)
+            dense = dataclasses.replace(matrix, action=None)
+            for eps in (0.1, 0.01):
+                assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps)
 
 
 class TestRepresentativeRows:
@@ -479,8 +505,8 @@ class TestRepresentativeRows:
                  automorphism_generators(gen_connected_cliques(3))),
                 fs3):
             matrix = transition_matrix(model, kind, group)
-            reps, gather = representative_rows(matrix, exact_distribution(model))
-            ids = transition_matrix(model, orbital, group).orbits
+            reps, _, gather = representative_rows(matrix, exact_distribution(model))
+            ids = _state_orbit_ids(transition_matrix(model, orbital, group).action)
             assert len(reps) == len(set(ids.tolist())) < len(matrix.states)
             assert np.abs(reps.take(gather) - matrix.rows).max() <= 1e-12
             square = reps @ reps.take(gather)

@@ -172,6 +172,19 @@ class TestAnalysisCommands:
         assert "id eps=0.1: tau=115" in out
         assert "id eps=0.01: tau=236" in out
 
+    def test_mix_with_the_trivial_group(self, capsys, tmp_path):
+        # an asymmetric model reaches mixing_time with a generator-free action
+        clause_file = tmp_path / "m.txt"
+        clause_file.write_text("vars: a b\n0.5 :: a\n")
+        code, out, _ = run_cli(capsys, "mix", "--model", "clauses",
+                               "--clauses", str(clause_file),
+                               "--chain", "gibbs,orbital-gibbs", "--epsilon", "0.1,0.01",
+                               "--out", str(tmp_path / "mix"))
+        assert code == 0
+        for kind in ("gibbs", "orbital-gibbs"):
+            assert f"{kind} eps=0.1: tau=3" in out
+            assert f"{kind} eps=0.01: tau=6" in out
+
     def test_config_file_defaults(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("model=grid\nk=3\nsteps=100\nseeds=1\nmode=exact\n"
