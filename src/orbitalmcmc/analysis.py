@@ -9,7 +9,6 @@ ground truth on small models.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from random import Random
@@ -53,13 +52,6 @@ class ExactDistribution:
     def __len__(self) -> int:
         return len(self.states)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["state", "prob"])
-            for s, p in zip(self.states, self.probs):
-                writer.writerow(["".join(map(str, s)), repr(float(p))])
-
 
 def exact_distribution(model) -> ExactDistribution:
     """The model's normalized stationary distribution over `model.states()`."""
@@ -102,14 +94,6 @@ class TransitionMatrix:
 
     def index_of(self, state: Config) -> int:
         return self.states.index(tuple(state))
-
-    def to_csv(self, path) -> None:
-        labels = ["".join(map(str, s)) for s in self.states]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["state"] + labels)
-            for label, row in zip(labels, self.rows):
-                writer.writerow([label] + [repr(float(x)) for x in row])
 
 
 def _group_action(index: dict, group: PermutationGroup) -> np.ndarray:
@@ -167,9 +151,11 @@ def transition_matrix(model, kind: ChainKind,
 
     Base kernels sum `model.moves` over every state; orbital kernels
     multiply the base kernel by the exact orbit-averaging matrix of the
-    group action on the state list.  Given a group, any kernel keeps the
-    group's action on the state list, which must stay inside it (ValueError
-    otherwise); `representative_rows` reduces the kernel by it.  An N x N
+    group action on the state list.  Given a group with generators, any
+    kernel keeps the group's action on the state list, which must stay
+    inside it (ValueError otherwise); `representative_rows` reduces the
+    kernel by it.  A group without generators averages over one-state
+    orbits, so its kernels are the dense base ones, action None.  An N x N
     kernel over 64 x `enumeration_cap()` cells raises GuardExceededError
     unbuilt.
     """
@@ -185,12 +171,13 @@ def transition_matrix(model, kind: ChainKind,
         raise GuardExceededError(f"a dense {n} x {n} kernel ({n * n * 8 >> 20:,} "
                                  f"MiB) exceeds {cells:,} cells, 64 x the enumeration cap")
     index = {s: i for i, s in enumerate(states)}
-    action = None if group is None else _group_action(index, group)
+    action = (_group_action(index, group)
+              if group is not None and group.generators else None)
     rows = np.zeros((n, n))
     for i, s in enumerate(states):
         for t, p in model.moves(s):
             rows[i, index[t]] += p
-    if kind.is_orbital:
+    if kind.is_orbital and action is not None:
         orbits = _state_orbit_ids(action)
         same = orbits[:, None] == orbits[None, :]
         rows = rows @ (same / same.sum(axis=1, keepdims=True))
@@ -273,16 +260,6 @@ def stationary_deviation(matrix: TransitionMatrix,
     return float(np.abs(dist.probs @ matrix.rows - dist.probs).max())
 
 
-def pi_orbit_deviation(dist: ExactDistribution,
-                       group: PermutationGroup) -> float:
-    """Max |pi(x) - pi(x^g)| over enumerated states and generators."""
-    worst = 0.0
-    for s, p in zip(dist.states, dist.probs):
-        for g in group.generators:
-            worst = max(worst, abs(p - dist.prob_of(g.apply_config(s))))
-    return worst
-
-
 def is_connected(matrix: TransitionMatrix) -> bool:
     """Strong connectivity of the positive-transition graph."""
     support = matrix.rows > 0
@@ -299,50 +276,16 @@ def is_connected(matrix: TransitionMatrix) -> bool:
     return covers(support) and covers(support.T)
 
 
-def empirical_distribution(samples: Sequence[Config],
-                           universe: ExactDistribution) -> ExactDistribution:
-    """Frequency distribution of samples over an enumerated universe."""
-    if not samples:
-        raise ValueError("no samples")
-    counts = np.zeros(len(universe.states))
-    for s in samples:
-        counts[universe.index_of(s)] += 1
-    return ExactDistribution(universe.states, counts / len(samples), len(samples))
-
-
-def tv_distance(p: ExactDistribution, q: ExactDistribution) -> float:
-    """Half the L1 distance between two distributions on the same universe."""
-    if p.states != q.states:
-        raise ValueError("distributions enumerate different states")
-    return float(0.5 * np.abs(p.probs - q.probs).sum())
-
-
 @dataclass
 class TVSeries:
     """Total-variation distance of the cumulative empirical distribution."""
 
     points: list  # (samples used, d_tv)
-    chain_kind: Optional[ChainKind] = None
-    seed: Optional[int] = None
 
     def auc(self) -> float:
         xs = [s for s, _ in self.points]
         ys = [d for _, d in self.points]
         return float(np.trapezoid(ys, xs))
-
-    def write_rows(self, writer) -> None:
-        kind = self.chain_kind.value if self.chain_kind else ""
-        seed = self.seed if self.seed is not None else ""
-        for samples, dtv in self.points:
-            writer.writerow([samples, repr(float(dtv)), kind, seed])
-
-
-def tv_curve_csv(path, series: Sequence[TVSeries]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["samples", "d_tv", "chain_kind", "seed"])
-        for s in series:
-            s.write_rows(writer)
 
 
 def tv_curve(trace: ChainTrace, exact: ExactDistribution,
@@ -370,7 +313,7 @@ def tv_curve(trace: ChainTrace, exact: ExactDistribution,
             target = next(upcoming, None)
             if target is None:
                 break
-    return TVSeries(points, chain_kind=trace.chain_kind, seed=trace.seed)
+    return TVSeries(points)
 
 
 def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution,
@@ -457,15 +400,6 @@ class CouplingReport:
     beta: float
     diameter: int
     alpha: float
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["case", "count", "rho", "varrho", "drift", "bound"])
-            for case in sorted(self.case_counts):
-                writer.writerow([case, self.case_counts[case],
-                                 repr(self.rho), repr(self.varrho),
-                                 repr(self.expected_drift), repr(self.bound)])
 
 
 class CouplingSimulator:

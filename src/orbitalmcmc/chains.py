@@ -31,10 +31,9 @@ model keeps a valid state valid, so no step pays an O(n + m) check.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import Iterator, Mapping, Optional, Sequence
@@ -298,20 +297,8 @@ insert_delete_step = IndependentSetModel.step
 class ChainTrace:
     """Recorded run of a chain; states[i] is the state after i*record_every steps."""
 
-    chain_kind: ChainKind
-    seed: int
-    step_count: int
-    record_every: int
-    states: list = field(default_factory=list)
+    states: list
     elapsed_seconds: float = 0.0
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "state"])
-            for i, state in enumerate(self.states):
-                writer.writerow([i * self.record_every,
-                                 "".join(map(str, state))])
 
 
 def initial_state(model, kind: ChainKind) -> Config:
@@ -350,8 +337,7 @@ def run_chain(model, kind: ChainKind, steps: int, seed: int,
             raise ValueError(f"chain kind {kind.value} requires a symmetry group")
         sampler = OrbitSampler(group, mode, rng)
 
-    trace = ChainTrace(chain_kind=kind, seed=seed, step_count=steps,
-                       record_every=record_every, states=[state])
+    trace = ChainTrace([state])
     t0 = time.perf_counter()
     for t in range(1, steps + 1):
         state = step(model, state, rng)

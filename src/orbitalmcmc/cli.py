@@ -1,5 +1,6 @@
 """Command-line front end: model generation, symmetry detection, sampling,
-exact kernels, TV curves, coupling drift, and mixing times.
+exact kernels, TV curves, coupling drift, and mixing times.  Every result
+file is a CSV written here by `write_csv`.
 
 Exit codes: 0 success, 1 usage or input error, 2 enumeration guard
 exceeded, 3 model infeasible.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import csv
 import functools
 import math
 import sys
@@ -73,6 +75,19 @@ def write_resolved_config(args: argparse.Namespace, out_dir: Path) -> None:
             value = ",".join(str(v) for v in value)
         lines.append(f"{key}={value}")
     (out_dir / "config.resolved.txt").write_text("\n".join(lines) + "\n")
+
+
+def write_csv(path: Path, header: list, rows) -> None:
+    """`header`, then each row, in the csv module's default dialect, whose
+    lines end in CR LF."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def state_label(state) -> str:
+    return "".join(map(str, state))
 
 
 def out_dir(args) -> Path:
@@ -227,7 +242,9 @@ def cmd_sample(args) -> int:
                                      seed, record_every=args.record_every,
                                      group=group, mode=mode)
             path = target / f"trace_{kind.value}_seed{seed}.csv"
-            trace.to_csv(path)
+            write_csv(path, ["step", "state"],
+                      ((i * args.record_every, state_label(state))
+                       for i, state in enumerate(trace.states)))
             rate = (args.steps / trace.elapsed_seconds
                     if trace.elapsed_seconds > 0 else float("inf"))
             print(f"{path}: {args.steps} steps, {rate:,.0f} steps/s")
@@ -238,13 +255,17 @@ def cmd_exact(args) -> int:
     bundle = ModelBundle(args)
     target = out_dir(args)
     dist = analysis.exact_distribution(bundle.chain_model)
-    dist.to_csv(target / "pi.csv")
+    labels = [state_label(state) for state in dist.states]
+    write_csv(target / "pi.csv", ["state", "prob"],
+              zip(labels, map(repr, dist.probs.tolist())))
     print(f"wrote {target / 'pi.csv'} ({len(dist)} states, Z={dist.partition_value:g})")
     for kind in bundle.chain_kinds(args.chain):
         group = bundle.group if kind.is_orbital else None
         matrix = analysis.transition_matrix(bundle.chain_model, kind, group=group)
         path = target / f"matrix_{kind.value}.csv"
-        matrix.to_csv(path)
+        write_csv(path, ["state"] + labels,
+                  ([label, *map(repr, row.tolist())]
+                   for label, row in zip(labels, matrix.rows)))
         balance = analysis.check_detailed_balance(matrix, dist, tol=1e-10)
         print(f"wrote {path} (detailed balance violation "
               f"{balance.max_violation:.3e})")
@@ -258,29 +279,38 @@ def cmd_tvcurve(args) -> int:
     mode = perm.SamplerMode(args.mode)
     step = max(1, (args.steps + 1) // CHECKPOINT_COUNT)
     checkpoints = list(range(step, args.steps + 2, step))
-    series = []
+    rows = []
     for kind in bundle.chain_kinds(args.chain):
         group = bundle.group if kind.is_orbital else None
         for seed in args.seeds:
             trace = chains.run_chain(bundle.chain_model, kind, args.steps,
                                      seed, group=group, mode=mode)
             curve = analysis.tv_curve(trace, dist, checkpoints)
-            series.append(curve)
+            rows += [(used, repr(dtv), kind.value, seed)
+                     for used, dtv in curve.points]
             print(f"{kind.value} seed {seed}: final d_tv "
                   f"{curve.points[-1][1]:.4f}, auc {curve.auc():,.1f}")
-    analysis.tv_curve_csv(target / "tvcurve.csv", series)
+    write_csv(target / "tvcurve.csv", ["samples", "d_tv", "chain_kind", "seed"],
+              rows)
     print(f"wrote {target / 'tvcurve.csv'}")
     return 0
 
 
 def cmd_coupling(args) -> int:
+    if len(args.seeds) != 1:
+        raise UsageError("coupling takes one seed: give it as a list, such as "
+                         "--seeds 42, (a bare count N means seeds 0..N-1)")
     bundle = ModelBundle(args)
     if bundle.kind not in GRAPH_MODELS:
         raise UsageError("coupling runs on independent-set models only")
     target = out_dir(args)
     report = analysis.coupling_drift(bundle.chain_model, bundle.group,
                                      trials=args.trials, seed=args.seeds[0])
-    report.to_csv(target / "coupling.csv")
+    write_csv(target / "coupling.csv",
+              ["case", "count", "rho", "varrho", "drift", "bound"],
+              ((case, count, repr(report.rho), repr(report.varrho),
+                repr(report.expected_drift), repr(report.bound))
+               for case, count in sorted(report.case_counts.items())))
     ok = report.expected_drift <= report.bound + 3 * report.drift_se
     print(f"rho={report.rho:.6f} varrho={report.varrho:.6f}")
     print(f"measured drift {report.expected_drift:.6f} (se {report.drift_se:.6f})"
@@ -299,20 +329,17 @@ def cmd_mix(args) -> int:
         matrix = analysis.transition_matrix(bundle.chain_model, kind, group=bundle.group)
         for eps in args.epsilon:
             tau = analysis.mixing_time(matrix, dist, eps)
-            bound = ""
-            within = ""
+            bound = within = note = ""
             if bundle.kind == "complete":
                 n = bundle.graph.n
-                bound = n * math.log(n / eps)
-                within = tau <= bound
+                limit = n * math.log(n / eps)
+                within = tau <= limit
+                bound = f"{limit:.6f}"
+                note = f" (bound {limit:.1f}, within={within})"
             rows.append((kind.value, eps, tau, bound, within))
-            note = f" (bound {bound:.1f}, within={within})" if bound else ""
             print(f"{kind.value} eps={eps}: tau={tau}{note}")
-    with open(target / "mix.csv", "w") as fh:
-        fh.write("chain_kind,epsilon,tau,bound,within_bound\n")
-        for kind, eps, tau, bound, within in rows:
-            b = f"{bound:.6f}" if bound != "" else ""
-            fh.write(f"{kind},{eps},{tau},{b},{within}\n")
+    write_csv(target / "mix.csv",
+              ["chain_kind", "epsilon", "tau", "bound", "within_bound"], rows)
     print(f"wrote {target / 'mix.csv'}")
     return 0
 

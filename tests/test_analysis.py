@@ -17,7 +17,6 @@ from orbitalmcmc.analysis import (
     check_detailed_balance,
     coupling_drift,
     distance_one_pairs,
-    empirical_distribution,
     enumerate_independent_sets,
     exact_distribution,
     exact_pi_lambda,
@@ -25,15 +24,14 @@ from orbitalmcmc.analysis import (
     exact_varrho,
     is_connected,
     mixing_time,
-    pi_orbit_deviation,
     representative_rows,
     stationary_deviation,
     transition_matrix,
     tv_curve,
-    tv_distance,
 )
 from orbitalmcmc.autgroup import automorphism_generators
-from orbitalmcmc.chains import ChainKind, ClauseModel, IndependentSetModel, run_chain
+from orbitalmcmc.chains import (ChainKind, ChainTrace, ClauseModel, IndependentSetModel,
+                                run_chain)
 from orbitalmcmc.clauses import model_symmetry_group, parse_clause_file
 from orbitalmcmc.errors import GuardExceededError
 from orbitalmcmc.families import (gen_complete, gen_connected_cliques,
@@ -120,8 +118,12 @@ class TestExactDistributions:
             assert dist.prob_of(state) == pytest.approx(p, abs=1e-12)
 
     def test_orbit_constancy(self):
+        model = IndependentSetModel(gen_grid(3), 1.0)
+        matrix = transition_matrix(model, ChainKind.INSERT_DELETE, grid3_group())
         dist = exact_pi_lambda(gen_grid(3), 1.0)
-        assert pi_orbit_deviation(dist, grid3_group()) <= 1e-12
+        assert matrix.states == dist.states
+        for s in matrix.action:
+            assert np.abs(dist.probs[s] - dist.probs).max() <= 1e-12
 
 
 class TestTransitionMatrices:
@@ -223,9 +225,11 @@ class TestEvidence:
         model = ClauseModel(clause_set, evidence)
         group = model_symmetry_group(clause_set, evidence).model_group
         pi = exact_distribution(model)
-        assert pi_orbit_deviation(pi, group) <= 1e-15
         for kind in (ChainKind.GIBBS, ChainKind.ORBITAL_GIBBS):
             matrix = transition_matrix(model, kind, group=group)
+            # two clamped people leave no generators, and so no action
+            for s in () if matrix.action is None else matrix.action:
+                assert np.abs(pi.probs[s] - pi.probs).max() <= 1e-15
             assert check_detailed_balance(matrix, pi, tol=1e-15).passed
             assert stationary_deviation(matrix, pi) <= 1e-12
             assert is_connected(matrix)
@@ -247,25 +251,10 @@ class TestEvidence:
 
 
 class TestTotalVariation:
-    def test_identical_distributions(self):
-        dist = exact_pi_lambda(gen_grid(3), 1.0)
-        assert tv_distance(dist, dist) == 0.0
-
-    def test_point_mass_vs_uniform(self):
-        states = tuple((i,) for i in range(5))
-        point = ExactDistribution(states, [1, 0, 0, 0, 0], 1.0)
-        uniform = ExactDistribution(states, [0.2] * 5, 1.0)
-        assert tv_distance(point, uniform) == pytest.approx(1 - 1 / 5)
-
-    def test_empirical_distribution_counts(self):
-        universe = exact_pi_lambda(Graph(1, []), 1.0)
-        emp = empirical_distribution([(0,), (0,), (1,), (0,)], universe)
-        assert emp.prob_of((0,)) == pytest.approx(0.75)
-
     def test_empirical_rejects_foreign_state(self):
         universe = exact_pi_lambda(Graph(2, [(0, 1)]), 1.0)
         with pytest.raises(KeyError):
-            empirical_distribution([(1, 1)], universe)
+            tv_curve(ChainTrace([(1, 1)]), universe, [1])
 
     def test_sampled_orbital_chain_approaches_pi(self):
         graph = gen_complete(3)
@@ -275,8 +264,7 @@ class TestTotalVariation:
         trace = run_chain(model, ChainKind.ORBITAL_INSERT_DELETE, 100_000,
                           seed=50, group=group,
                           mode=SamplerMode.PRODUCT_REPLACEMENT)
-        emp = empirical_distribution(trace.states, pi)
-        assert tv_distance(emp, pi) < 0.02
+        assert tv_curve(trace, pi, [len(trace.states)]).points[-1][1] < 0.02
 
     def test_curve_is_cumulative(self):
         graph = gen_complete(3)
@@ -458,10 +446,11 @@ class TestOrbitQuotient:
         group = model_symmetry_group(clause_set, {}).model_group
         model = ClauseModel(clause_set)
         pi = exact_distribution(model)
+        dense = transition_matrix(model, ChainKind.GIBBS)
         for kind in (ChainKind.GIBBS, ChainKind.ORBITAL_GIBBS):
             matrix = transition_matrix(model, kind, group)
-            assert matrix.action.shape == (0, 8)
-            dense = dataclasses.replace(matrix, action=None)
+            assert matrix.action is None
+            assert np.array_equal(matrix.rows, dense.rows)
             for eps in (0.1, 0.01):
                 assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps)
 

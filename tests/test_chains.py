@@ -278,12 +278,3 @@ class TestRunChain:
         assert initial_state(model, ChainKind.GIBBS) == (1, 0)
         trace = run_chain(model, ChainKind.GIBBS, 50, seed=42)
         assert all(s != (0, 0) for s in trace.states)
-
-    def test_trace_csv(self, tmp_path):
-        model = two_spin_chain_model()
-        trace = run_chain(model, ChainKind.GIBBS, 5, seed=43)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,state"
-        assert len(lines) == 7

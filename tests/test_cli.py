@@ -1,12 +1,19 @@
 """End-to-end command-line tests."""
 
 import csv
+import hashlib
 
 import pytest
 
 from orbitalmcmc import analysis
 from orbitalmcmc.analysis import representative_rows
+from orbitalmcmc.autgroup import automorphism_generators
+from orbitalmcmc.chains import IndependentSetModel
 from orbitalmcmc.cli import main, parse_seeds
+from orbitalmcmc.clauses import format_clause_file
+from orbitalmcmc.families import gen_grid
+
+from helpers import EXAMPLE_CLAUSES
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +100,14 @@ class TestSampleAndExact:
                 assert rows[0] == ["step", "state"]
                 assert len(rows) == 202
 
+    def test_trace_csv(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "sample", "--model", "grid", "--k", "3",
+                             "--steps", "5", "--out", str(tmp_path))
+        assert code == 0
+        lines = (tmp_path / "trace_id_seed0.csv").read_text().strip().splitlines()
+        assert lines[0] == "step,state"
+        assert len(lines) == 7
+
     def test_chain_model_mismatch(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sample", "--model", "grid", "--k", "3",
                                "--chain", "gibbs", "--steps", "10",
@@ -131,6 +146,26 @@ class TestAnalysisCommands:
         rows = list(csv.reader((tmp_path / "coupling.csv").open()))
         assert rows[0] == ["case", "count", "rho", "varrho", "drift", "bound"]
         assert len(rows) == 6
+
+    def test_coupling_rejects_a_seed_count(self, capsys, tmp_path):
+        # --seeds 3 means seeds 0, 1, 2; coupling runs one seed
+        code, _, err = run_cli(capsys, "coupling", "--model", "grid", "--k", "3",
+                               "--trials", "10", "--seeds", "3",
+                               "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "--seeds 42," in err
+        assert not (tmp_path / "o").exists()
+
+    def test_coupling_runs_the_listed_seed(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "coupling", "--model", "grid", "--k", "3",
+                               "--trials", "3000", "--seeds", "42,",
+                               "--out", str(tmp_path))
+        assert code == 0
+        graph = gen_grid(3)
+        report = analysis.coupling_drift(IndependentSetModel(graph, 1.0),
+                                         automorphism_generators(graph),
+                                         trials=3000, seed=42)
+        assert f"measured drift {report.expected_drift:.6f} " in out
 
     def test_coupling_on_complete_model(self, capsys, tmp_path):
         # K_9: the coalescence test must not scan the 9! group elements
@@ -241,6 +276,65 @@ class TestAnalysisCommands:
         assert code == 1
         assert "stepz" in err
         assert not (tmp_path / "o").exists()
+
+
+# SHA-256 of each CSV file the runs below write, as the package wrote them
+# before every result file went through cli.write_csv; mix.csv's lines then
+# ended in LF and were recorded here after their change to CR LF
+RESULT_DIGESTS = {
+    "sample/trace_id_seed0.csv":
+        "a30b5815516d0a272a0d26dacd3e3f2a4435e106f245059a705dedff6744349a",
+    "sample/trace_id_seed1.csv":
+        "c56e266565a1c66559ab841aa21d42945e2a460941278cb05a91f0ff959681c6",
+    "sample/trace_orbital-id_seed0.csv":
+        "13a75ebe3c5c7fe20c9a8c3cb7f7db844f36fcfa6dd70d62759ac622ad0b0c58",
+    "sample/trace_orbital-id_seed1.csv":
+        "f3fbc3669daf2c6af7e45157ce5819c304e36a0b1dafac626d6ca76afb10c57d",
+    "exact-cliques/matrix_id.csv":
+        "0fa1008fb43c414497a9a9124929da47788939e35322aa1ec5630e83360ec154",
+    "exact-cliques/matrix_orbital-id.csv":
+        "47d7d8212a37595688d5ea73dfc21664dba92212b5fbe148ba74e488bcba2a86",
+    "exact-cliques/pi.csv":
+        "55780a81f6dfbb573c13501222db54422609962417e58f054030a8550f970f63",
+    "exact-clauses/matrix_gibbs.csv":
+        "f429217c738c6c9cb5b5e7b1d1524a3fe97bd5893995b5e5cbb248cb0c42089e",
+    "exact-clauses/matrix_orbital-gibbs.csv":
+        "a96f1dd0961942b175cfd9d3d1b8831fa5b65f46a64ce44664a8f25121c0e4b8",
+    "exact-clauses/pi.csv":
+        "54c21b9b84589e18ba5f142f3403711147c3667d2c078590f129870f1701543b",
+    "tvcurve/tvcurve.csv":
+        "4dd68bef398fcb78df3c87c2db0ab232f49dbac665b8760d33e5b23d65157aab",
+    "coupling/coupling.csv":
+        "3760b4f10cd992a82a6013df9d039f223692b44f1b9ea85361fa5eb385d6f352",
+    "mix/mix.csv":
+        "0ab855b1a9ac299de25533427943fc2ad3962bc9502e9572143680a3454c6343",
+}
+
+
+class TestResultFiles:
+    def test_csv_digests(self, capsys, tmp_path):
+        clause_file = tmp_path / "example.clauses.txt"
+        clause_file.write_text(format_clause_file(EXAMPLE_CLAUSES))
+        grid = ["--model", "grid", "--k", "3"]
+        runs = {
+            "sample": ["sample", *grid, "--chain", "id,orbital-id", "--steps", "300",
+                       "--seeds", "2", "--record-every", "3"],
+            "exact-cliques": ["exact", "--model", "cliques", "--k", "3",
+                              "--chain", "id,orbital-id"],
+            "exact-clauses": ["exact", "--model", "clauses", "--clauses", str(clause_file),
+                              "--chain", "gibbs,orbital-gibbs"],
+            "tvcurve": ["tvcurve", *grid, "--steps", "2000", "--seeds", "2"],
+            "coupling": ["coupling", *grid, "--trials", "2000"],
+            "mix": ["mix", "--model", "complete", "--k", "2", "--chain", "id,orbital-id"],
+        }
+        digests = {}
+        for name, argv in runs.items():
+            code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / name))
+            assert code == 0
+            for path in (tmp_path / name).glob("*.csv"):
+                digests[f"{name}/{path.name}"] = hashlib.sha256(
+                    path.read_bytes()).hexdigest()
+        assert digests == RESULT_DIGESTS
 
 
 def trace_states(path) -> list[str]:
