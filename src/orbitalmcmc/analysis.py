@@ -19,7 +19,7 @@ import numpy as np
 from .chains import ChainKind, ChainTrace, IndependentSetModel
 from .errors import GuardExceededError, enumeration_cap
 from .graphs import Graph, enumerate_independent_sets
-from .perm import Config, PermutationGroup
+from .perm import Config, PermutationGroup, _orbit_walk, _state_orbit_ids, state_action
 
 
 class ExactDistribution:
@@ -33,7 +33,7 @@ class ExactDistribution:
             raise ValueError("states and probabilities differ in length")
         if np.any(self.probs < -1e-15):
             raise ValueError("negative probability")
-        if abs(self.probs.sum() - 1.0) > 1e-12:
+        if not abs(self.probs.sum() - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
         self._index = {s: i for i, s in enumerate(self.states)}
 
@@ -58,6 +58,8 @@ def exact_distribution(model) -> ExactDistribution:
     states = model.states()
     weights = model.weights(states)
     z = weights.sum()
+    if not math.isfinite(z):
+        raise ValueError(f"state weights overflow: the partition function Z is {z}")
     return ExactDistribution(states, weights / z, z)
 
 
@@ -96,55 +98,6 @@ class TransitionMatrix:
         return self.states.index(tuple(state))
 
 
-def _group_action(index: dict, group: PermutationGroup) -> np.ndarray:
-    """action[g][i] = index[generator g applied to state i], the states being
-    the keys of `index` in order; the group must preserve the state list."""
-    action = np.empty((len(group.generators), len(index)), dtype=np.intp)
-    for g, perm in enumerate(group.generators):
-        for i, s in enumerate(index):
-            d = perm.apply_config(s)
-            j = index.get(d)
-            if j is None:
-                raise ValueError("group does not preserve the state space: "
-                                 f"a generator maps {s} to {d}")
-            action[g, i] = j
-    return action
-
-
-def _orbit_walk(action: np.ndarray):
-    """Breadth-first walk of the states under the generators, one orbit at a
-    time in order of its first state.  Yields (x, z, g) with x = action[g][z],
-    or z = g = -1 when x is the first state of its orbit."""
-    images = action.tolist()
-    seen = [False] * action.shape[1]
-    for start in range(len(seen)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        yield start, -1, -1
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for z in frontier:
-                for g, image in enumerate(images):
-                    x = image[z]
-                    if not seen[x]:
-                        seen[x] = True
-                        nxt.append(x)
-                        yield x, z, g
-            frontier = nxt
-
-
-def _state_orbit_ids(action: np.ndarray) -> np.ndarray:
-    """Orbit id per state, numbered in order of each orbit's first state."""
-    ids = np.empty(action.shape[1], dtype=np.intp)
-    count = 0
-    for x, z, _ in _orbit_walk(action):
-        count += z < 0
-        ids[x] = count - 1
-    return ids
-
-
 def transition_matrix(model, kind: ChainKind,
                       group: Optional[PermutationGroup] = None) -> TransitionMatrix:
     """Exact transition matrix of a chain kind on an enumerated state space.
@@ -171,7 +124,7 @@ def transition_matrix(model, kind: ChainKind,
         raise GuardExceededError(f"a dense {n} x {n} kernel ({n * n * 8 >> 20:,} "
                                  f"MiB) exceeds {cells:,} cells, 64 x the enumeration cap")
     index = {s: i for i, s in enumerate(states)}
-    action = (_group_action(index, group)
+    action = (state_action(group, states)
               if group is not None and group.generators else None)
     rows = np.zeros((n, n))
     for i, s in enumerate(states):
@@ -402,6 +355,11 @@ class CouplingReport:
     alpha: float
 
 
+def _orbit_of(states: Sequence[Config], group: PermutationGroup) -> dict:
+    """Orbit id of each state in a list that the group maps onto itself."""
+    return dict(zip(states, _state_orbit_ids(state_action(group, states)).tolist()))
+
+
 class CouplingSimulator:
     """Coupled one-step evolution of two independent sets at distance one.
 
@@ -411,14 +369,15 @@ class CouplingSimulator:
     can accept the chosen insertion and the upper state already lies in
     the inserted state's orbit, both sides move to one uniform sample of
     that shared orbit and the pair coalesces.  Whether it does is decided
-    by orbit membership: some group element maps the upper state to the
-    inserted one exactly when the two share an orbit.
+    by comparing orbit ids, mapped once from the group action: some group
+    element maps the upper state to the inserted one iff both share an orbit.
     """
 
     def __init__(self, model: IndependentSetModel, group: PermutationGroup):
         self.model = model
         self.group = group
         self.elements = group.elements()
+        self.orbit_of = _orbit_of(model.states(), group)
 
     def step(self, upper: Config, lower: Config,
              rng: Random) -> tuple[Config, Config, int]:
@@ -449,7 +408,7 @@ class CouplingSimulator:
             case = 4
             if rng.random() < p_ins:
                 b = lower[:w] + (1,) + lower[w + 1:]
-                if b in self.group.orbit_of_config(upper):
+                if self.orbit_of[b] == self.orbit_of[upper]:
                     b = upper
         els = self.elements
         g = els[rng.randrange(len(els))]
@@ -474,11 +433,10 @@ def exact_rho(graph: Graph, group: PermutationGroup) -> float:
     X + w independent, and reports how often the two extended sets are
     not in one orbit of the group.
     """
-    index = {s: i for i, s in enumerate(enumerate_independent_sets(graph))}
-    orbit_of = dict(zip(index, _state_orbit_ids(_group_action(index, group)).tolist()))
+    orbit_of = _orbit_of(enumerate_independent_sets(graph), group)
     total = 0
     apart = 0
-    for s in index:
+    for s in orbit_of:
         for u, w in graph.edges:
             for v, other in ((u, w), (w, u)):
                 if s[v] or s[other]:

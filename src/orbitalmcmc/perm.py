@@ -13,19 +13,23 @@ gives composition, inversion and the action on configurations.  Only
 closure, which hoists `_compose`'s table building out of its loop; all
 other code indexes an image, which reads the same ints from both forms.
 
-Groups are represented by generating sets only.  Orbits and full element
-lists are computed by breadth-first closure, which is exact and entirely
+Groups are represented by generating sets only.  Point orbits and full
+element lists are computed by breadth-first closure, exact and entirely
 sufficient at the scales this toolkit targets; there is deliberately no
-stabilizer-chain machinery.
+stabilizer-chain machinery.  Configuration orbits all come from one
+vectorised action of the generators on a configuration list, `state_action`.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import GuardExceededError, enumeration_cap
 
@@ -295,29 +299,6 @@ class PermutationGroup:
             orbits.append(orb)
         return orbits
 
-    def orbit_of_config(self, bits: Sequence[int]) -> Orbit:
-        """Exact orbit of a configuration under the generated group."""
-        if len(bits) != self.n:
-            raise ValueError(f"configuration length {len(bits)} != domain size {self.n}")
-        cap = enumeration_cap()
-        gens = [g.image for g in self.generators]
-        start = _as_image(bits)  # the search runs on configurations in image form
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for g in gens:
-                    d = _scatter(g, c)
-                    if d not in seen:
-                        if len(seen) >= cap:
-                            raise GuardExceededError(
-                                f"orbit too large for exact enumeration (cap {cap})")
-                        seen.add(d)
-                        nxt.append(d)
-            frontier = nxt
-        return Orbit(frozenset(map(tuple, seen)), tuple(min(seen)))
-
     def elements(self) -> tuple[Permutation, ...]:
         """All group elements by breadth-first closure, sorted, cached."""
         if self._elements is None:
@@ -353,23 +334,82 @@ class PermutationGroup:
         return len(self.elements())
 
 
+def state_action(group: PermutationGroup, states) -> np.ndarray:
+    """action[g][i], the index in a list of distinct configurations of
+    generator g applied to states[i]: each generator permutes the columns
+    of the states' 0/1 matrix once, and one sorted lookup on the rows packed
+    to bytes finds every image.  ValueError unless all images are listed."""
+    bits = np.asarray(states, dtype=np.uint8).reshape(len(states), group.n)
+    action = np.empty((len(group.generators), len(bits)), dtype=np.intp)
+    if not group.generators:
+        return action
+
+    def packed(rows):  # one key per row: the row packed to bytes, compared bytewise
+        rows = np.ascontiguousarray(np.packbits(rows, axis=1))
+        return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+    keys = packed(bits)
+    order = np.argsort(keys)
+    keys, ordered = keys[order], bits[order]
+    for g, perm in enumerate(group.generators):
+        image = bits[:, np.argsort(perm.mapping)]  # bit i moves to position perm[i]
+        pos = np.searchsorted(keys, packed(image)).clip(max=len(bits) - 1)
+        miss = np.flatnonzero((ordered[pos] != image).any(axis=1))
+        if miss.size:
+            i = miss[0]
+            raise ValueError("group does not preserve the state space: a generator "
+                             f"maps {tuple(bits[i].tolist())} to {tuple(image[i].tolist())}")
+        action[g] = order[pos]
+    return action
+
+
+def _orbit_walk(action: np.ndarray):
+    """Breadth-first walk of the states under the generators, one orbit at a
+    time in order of its first state.  Yields (x, z, g) with x = action[g][z],
+    or z = g = -1 when x is the first state of its orbit."""
+    images = action.tolist()
+    seen = [False] * action.shape[1]
+    for start in range(len(seen)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        yield start, -1, -1
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for z in frontier:
+                for g, image in enumerate(images):
+                    x = image[z]
+                    if not seen[x]:
+                        seen[x] = True
+                        nxt.append(x)
+                        yield x, z, g
+            frontier = nxt
+
+
+def _state_orbit_ids(action: np.ndarray) -> np.ndarray:
+    """Orbit id per state, numbered in order of each orbit's first state.
+    Each state's label, at first its index, becomes the label of the least
+    of its own and its generator images' labels until no label moves; each
+    label is then the first state of its orbit."""
+    first, nearer = None, np.arange(action.shape[1])
+    while not np.array_equal(first, nearer):
+        first, nearer = nearer, nearer[np.vstack((nearer, nearer[action])).min(axis=0)]
+    return np.unique(first, return_inverse=True)[1]
+
+
 def config_orbit_partition(group: PermutationGroup) -> list[Orbit]:
-    """Partition all 2^n configurations into orbits, ordered by representative."""
+    """Partition all 2^n configurations into orbits, ordered by representative:
+    listed in lexicographic order, each orbit's first configuration is its least."""
     cap = enumeration_cap()
     if 2 ** group.n > cap:
         raise GuardExceededError(
             f"2^{group.n} configurations exceed enumeration cap {cap}")
-    orbits = []
-    done: set[Config] = set()
-    for k in range(2 ** group.n):
-        c = tuple((k >> (group.n - 1 - i)) & 1 for i in range(group.n))
-        if c in done:
-            continue
-        orb = group.orbit_of_config(c)
-        done |= orb.elements
-        orbits.append(orb)
-    orbits.sort(key=lambda o: o.representative)
-    return orbits
+    configs = list(itertools.product((0, 1), repeat=group.n))
+    ids = _state_orbit_ids(state_action(group, configs))
+    members = np.split(np.argsort(ids, kind="stable"), np.bincount(ids).cumsum()[:-1])
+    return [Orbit(frozenset(configs[i] for i in orbit), configs[orbit[0]])
+            for orbit in members]
 
 
 def burnside_config_orbit_count(group: PermutationGroup) -> int:

@@ -3,10 +3,12 @@
 import math
 from typing import Optional
 
+import numpy as np
+
 from orbitalmcmc.autgroup import Cells, color_cells, is_valid_partition
 from orbitalmcmc.clauses import WeightedClauseSet, parse_clause_file
 from orbitalmcmc.graphs import Graph
-from orbitalmcmc.perm import Permutation
+from orbitalmcmc.perm import Permutation, PermutationGroup, config_orbit_partition
 
 # Two equal-weight clauses over three variables; the classic two-fold
 # symmetric example: (a or !c) and (b or !c), both weighted 0.5.
@@ -33,6 +35,19 @@ def two_spin_model() -> WeightedClauseSet:
         ["x1", "x2"],
         [([(0, False), (1, False)], w),
          ([(0, True), (1, True)], w)])
+
+
+def apply_config_action(group: PermutationGroup, states) -> np.ndarray:
+    """Reference for `perm.state_action`: action[g][i] is the index of
+    generator g applied to states[i], one `apply_config` call per state."""
+    index = {s: i for i, s in enumerate(states)}
+    action = [[index[g.apply_config(s)] for s in states] for g in group.generators]
+    return np.array(action, dtype=np.intp).reshape(len(group.generators), len(states))
+
+
+def config_orbits(group: PermutationGroup) -> dict:
+    """The orbit of every configuration, from `config_orbit_partition`."""
+    return {c: orbit for orbit in config_orbit_partition(group) for c in orbit.elements}
 
 
 def clause_multiset(model: WeightedClauseSet) -> dict:

@@ -13,7 +13,6 @@ from orbitalmcmc.analysis import (
     CouplingSimulator,
     ExactDistribution,
     TransitionMatrix,
-    _state_orbit_ids,
     check_detailed_balance,
     coupling_drift,
     distance_one_pairs,
@@ -37,7 +36,8 @@ from orbitalmcmc.errors import GuardExceededError
 from orbitalmcmc.families import (gen_complete, gen_connected_cliques,
                                   gen_friends_smokers, gen_grid)
 from orbitalmcmc.graphs import Graph
-from orbitalmcmc.perm import Permutation, PermutationGroup, SamplerMode, parse_cycles
+from orbitalmcmc.perm import (Permutation, PermutationGroup, SamplerMode, _state_orbit_ids,
+                              parse_cycles)
 
 from helpers import two_spin_model
 

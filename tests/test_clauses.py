@@ -22,6 +22,7 @@ from orbitalmcmc.perm import config_orbit_partition, parse_cycles
 from helpers import (
     EXAMPLE_CLAUSES,
     clause_multiset,
+    config_orbits,
     permuted_clause_multiset,
     two_spin_model,
 )
@@ -115,7 +116,7 @@ class TestModelSymmetry:
     def test_two_spin_orbits(self):
         report = model_symmetry_group(two_spin_model())
         assert report.model_group.order() == 2
-        orbits = report.model_group.orbit_of_config((0, 1))
+        orbits = config_orbits(report.model_group)[(0, 1)]
         assert orbits.elements == {(0, 1), (1, 0)}
         partition = config_orbit_partition(report.model_group)
         assert sorted(len(p.elements) for p in partition) == [1, 1, 2]

@@ -457,6 +457,17 @@ class TestExitCodes:
                                "--steps", "5", "--out", str(tmp_path / "o"))
         assert code == 3
 
+    def test_overflowing_weights_exit_one(self, capsys, tmp_path):
+        # e^800 overflows a float: no NaN pi is written
+        model = tmp_path / "big.txt"
+        model.write_text("vars: a b\n800 :: a | b\n1 :: !a\n")
+        code, _, err = run_cli(capsys, "exact", "--model", "clauses",
+                               "--clauses", str(model), "--chain", "gibbs",
+                               "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "weights overflow" in err
+        assert not (tmp_path / "o" / "pi.csv").exists()
+
     def test_hard_clause_scan_guarded(self, capsys, monkeypatch, tmp_path):
         # the first assignment satisfying all four unit clauses is number 15
         model = tmp_path / "units.txt"

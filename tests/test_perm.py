@@ -3,21 +3,33 @@
 import math
 from random import Random
 
+import numpy as np
 import pytest
 
+from orbitalmcmc.autgroup import automorphism_generators
+from orbitalmcmc.chains import ClauseModel, IndependentSetModel
+from orbitalmcmc.clauses import model_symmetry_group
 from orbitalmcmc.errors import GuardExceededError
+from orbitalmcmc.families import (gen_complete, gen_connected_cliques,
+                                  gen_friends_smokers, gen_grid)
+from orbitalmcmc.graphs import Graph
 from orbitalmcmc.perm import (
+    Orbit,
     OrbitSampler,
     Permutation,
     PermutationGroup,
     ProductReplacement,
     SamplerMode,
+    _state_orbit_ids,
     config_orbit_partition,
     format_cycles,
     load_generating_set,
     parse_cycles,
     save_generating_set,
+    state_action,
 )
+
+from helpers import apply_config_action, config_orbits
 
 NAMES9 = list("abcdefghi")
 
@@ -270,9 +282,9 @@ class TestOrbits:
 
     def test_config_orbit_examples(self):
         swap = PermutationGroup([parse_cycles("(0 1)", n=2)])
-        assert swap.orbit_of_config((0, 1)).elements == {(0, 1), (1, 0)}
+        assert config_orbits(swap)[(0, 1)].elements == {(0, 1), (1, 0)}
         triv = PermutationGroup([], n=3)
-        assert triv.orbit_of_config((1, 0, 1)).elements == {(1, 0, 1)}
+        assert config_orbits(triv)[(1, 0, 1)].elements == {(1, 0, 1)}
 
     def test_grid_corner_orbit(self):
         group = grid3_group()
@@ -280,13 +292,55 @@ class TestOrbits:
         expected = set()
         for name in "acgi":
             expected.add(tuple(1 if x == name else 0 for x in NAMES9))
-        assert group.orbit_of_config(corner).elements == expected
+        assert config_orbits(group)[corner].elements == expected
 
     def test_config_orbit_cap(self, monkeypatch):
         monkeypatch.setenv("ORBITAL_GUARD", "10")
         group = complete3_group()
-        with pytest.raises(GuardExceededError):
-            group.orbit_of_config((1, 0, 1, 0, 1, 0, 1, 0, 1))
+        with pytest.raises(GuardExceededError, match="exceed enumeration cap 10"):
+            config_orbit_partition(group)
+
+    def test_empty_domain(self):
+        group = PermutationGroup([], n=0)
+        assert config_orbit_partition(group) == [Orbit(frozenset({()}), ())]
+
+
+class TestStateAction:
+    def test_matches_the_apply_config_oracle(self):
+        clause_set, _ = gen_friends_smokers(3)
+        evidence = {"smokes_p0": False}
+        cases = [(IndependentSetModel(family(3), 1.0), automorphism_generators(family(3)))
+                 for family in (gen_grid, gen_connected_cliques, gen_complete)]
+        cases.append((ClauseModel(clause_set, evidence),
+                      model_symmetry_group(clause_set, evidence).model_group))
+        for model, group in cases:
+            states = model.states()
+            assert group.generators
+            expected = apply_config_action(group, states)
+            assert np.array_equal(state_action(group, states), expected)
+
+    def test_tuple_images_above_255_points(self):
+        n = 300
+        group = PermutationGroup([Permutation([*range(1, n), 0]),
+                                  parse_cycles("(0 299)", n=n)])
+        assert all(type(g.image) is tuple for g in group.generators)
+        states = [tuple(int(i == v or i == (v + 7) % n) for i in range(n))
+                  for v in range(n)]
+        states += [tuple(int(i == v) for i in range(n)) for v in range(n)]
+        states.append((0,) * n)
+        with pytest.raises(ValueError, match="does not preserve the state space"):
+            state_action(group, states)
+        group = PermutationGroup(group.generators[:1])
+        action = state_action(group, states)
+        assert np.array_equal(action, apply_config_action(group, states))
+        assert list(_state_orbit_ids(action)) == [0] * n + [1] * n + [2]
+
+    def test_group_must_preserve_the_states(self):
+        # on the path 0-1-2, swapping 0 and 1 maps {0, 2} to {1, 2}
+        states = IndependentSetModel(Graph(3, [(0, 1), (1, 2)]), 1.0).states()
+        swap = PermutationGroup([parse_cycles("(0 1)", n=3)])
+        with pytest.raises(ValueError, match="maps \\(1, 0, 1\\) to \\(0, 1, 1\\)"):
+            state_action(swap, states)
 
 
 class TestEnumeration:
@@ -316,9 +370,10 @@ class TestEnumeration:
         rng = Random(6)
         for group in (grid3_group(), cliques3_group()):
             els = group.elements()
+            orbits = config_orbits(group)
             for _ in range(10):
                 c = tuple(rng.randrange(2) for _ in range(9))
-                orbit = group.orbit_of_config(c)
+                orbit = orbits[c]
                 stab = sum(1 for g in els if g.apply_config(c) == c)
                 assert len(orbit) * stab == len(els)
 
@@ -376,11 +431,12 @@ class TestOrbitSampling:
     def test_result_in_orbit(self):
         group = grid3_group()
         rng = Random(8)
+        orbits = config_orbits(group)
         for mode in (SamplerMode.EXACT, SamplerMode.PRODUCT_REPLACEMENT):
             sampler = OrbitSampler(group, mode, rng)
             for _ in range(50):
                 c = tuple(rng.randrange(2) for _ in range(9))
-                assert sampler.sample(c) in group.orbit_of_config(c)
+                assert sampler.sample(c) in orbits[c]
 
 
 class TestSerialization:
