@@ -18,7 +18,7 @@ import numpy as np
 
 from .chains import ChainKind, ChainTrace, IndependentSetModel
 from .errors import GuardExceededError, enumeration_cap
-from .graphs import Graph, enumerate_independent_sets
+from .graphs import Graph
 from .perm import Config, PermutationGroup, _orbit_walk, _state_orbit_ids, state_action
 
 
@@ -269,8 +269,10 @@ def tv_curve(trace: ChainTrace, exact: ExactDistribution,
     return TVSeries(points)
 
 
-def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution,
-                eps: float, horizon: int = 1_000_000) -> int:
+MIXING_HORIZON = 1_000_000  # mixing_time gives up on t beyond this
+
+
+def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution, eps: float) -> int:
     """Least t with d(t) = max_x d_tv(P^t(x, .), pi) <= eps.
 
     d(t) never increases with t, so tau is one past the largest t with
@@ -315,9 +317,9 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution,
     squares = [rows]  # squares[j] = P^(2^j), M rows
     last = distance(rows)
     while last > eps:
-        if 2 ** len(squares) > horizon:
+        if 2 ** len(squares) > MIXING_HORIZON:
             raise GuardExceededError(
-                f"no crossing below eps={eps} within horizon {horizon}; "
+                f"no crossing below eps={eps} within horizon {MIXING_HORIZON}; "
                 f"last distance {last} at t={2 ** (len(squares) - 1)}")
         squares.append(times(squares[-1], squares[-1]))
         last = distance(squares[-1])
@@ -332,7 +334,7 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution,
     squares = step = None  # no square outlives the descent
 
     check = 2 * tau
-    while check <= min(horizon, 8 * tau):
+    while check <= min(MIXING_HORIZON, 8 * tau):
         power = times(power, power)
         if distance(power) > eps + 1e-12:
             raise AssertionError(
@@ -343,177 +345,143 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution,
 
 @dataclass
 class CouplingReport:
-    pairs_examined: int
     case_counts: dict
     rho: float
     varrho: float
     expected_drift: float
     drift_se: float
     bound: float
-    beta: float
-    diameter: int
-    alpha: float
 
 
-def _orbit_of(states: Sequence[Config], group: PermutationGroup) -> dict:
-    """Orbit id of each state in a list that the group maps onto itself."""
-    return dict(zip(states, _state_orbit_ids(state_action(group, states)).tolist()))
+def _with(bits: Config, v: int, value: int) -> Config:
+    return bits[:v] + (value,) + bits[v + 1:]
 
 
 class CouplingSimulator:
-    """Coupled one-step evolution of two independent sets at distance one.
+    """Coupled one-step evolution of two independent sets at distance one,
+    and the exact constants of its drift bound.
+
+    The model's states are enumerated once, in lexicographic order, and
+    each is mapped once to its orbit id from the group action; the
+    distance-one pairs, rho and varrho are all read from that list and map.
 
     The two chains share the vertex choice and acceptance coin and apply a
     common uniformly drawn group element, so each side marginally follows
     the orbit-resampled insert/delete kernel.  When only the lower state
     can accept the chosen insertion and the upper state already lies in
     the inserted state's orbit, both sides move to one uniform sample of
-    that shared orbit and the pair coalesces.  Whether it does is decided
-    by comparing orbit ids, mapped once from the group action: some group
-    element maps the upper state to the inserted one iff both share an orbit.
+    that shared orbit and the pair coalesces: some group element maps the
+    upper state to the inserted one iff their orbit ids agree.
     """
 
     def __init__(self, model: IndependentSetModel, group: PermutationGroup):
         self.model = model
         self.group = group
         self.elements = group.elements()
-        self.orbit_of = _orbit_of(model.states(), group)
+        self.states = model.states()
+        ids = _state_orbit_ids(state_action(group, self.states))
+        self.orbit_of = dict(zip(self.states, ids.tolist()))
+
+    def case(self, upper: Config, lower: Config, w: int) -> int:
+        """The case of vertex w for a pair at distance one: 1 if the pair
+        differs at w, 2 if w is in both, 3 if both can take w, 4 if only
+        the lower can, 5 if neither."""
+        if upper[w] != lower[w]:
+            return 1
+        if upper[w]:
+            return 2
+        adj = self.model.graph.adj[w]
+        if not any(upper[x] for x in adj):
+            return 3
+        return 5 if any(lower[x] for x in adj) else 4
+
+    def pairs(self) -> list[tuple[Config, Config]]:
+        """All ordered pairs (X, X minus one vertex), X in lexicographic
+        order and the vertex ascending."""
+        return [(s, _with(s, v, 0)) for s in self.states for v in range(len(s)) if s[v]]
+
+    def rho(self) -> float:
+        """Fraction of adjacent-extension triples landing in different orbits:
+        over every state X and ordered edge (v, w) with both X + v and X + w
+        independent, how often the two are not in one orbit."""
+        adj, total, apart = self.model.graph.adj, 0, 0
+        for s in self.states:
+            # the orbit of X + v for every vertex v that X can take
+            free = {v: self.orbit_of[_with(s, v, 1)] for v in range(len(s))
+                    if not s[v] and not any(s[x] for x in adj[v])}
+            for v, orbit in free.items():
+                for w in adj[v]:
+                    if w in free:
+                        total += 1
+                        apart += orbit != free[w]
+        if total == 0:
+            raise ValueError("no valid adjacent extensions; graph has no edges?")
+        return apart / total
+
+    def varrho(self) -> float:
+        """Probability that a uniform vertex choice from a uniform distance-one
+        pair can only be inserted into the smaller set: case 4."""
+        pairs, n = self.pairs(), self.model.n
+        hits = sum(self.case(upper, lower, w) == 4 for upper, lower in pairs for w in range(n))
+        return hits / (len(pairs) * n)
 
     def step(self, upper: Config, lower: Config,
              rng: Random) -> tuple[Config, Config, int]:
-        graph = self.model.graph
-        if not graph.is_independent(upper) or not graph.is_independent(lower):
+        orbit_of = self.orbit_of
+        if upper not in orbit_of or lower not in orbit_of:
             raise ValueError("coupled states must be independent sets")
-        diff = [v for v in range(graph.n) if upper[v] != lower[v]]
+        diff = [v for v, (a, b) in enumerate(zip(upper, lower)) if a != b]
         if len(diff) != 1 or not upper[diff[0]]:
             raise ValueError(
                 "states must differ at exactly one vertex present in the first")
-        v = diff[0]
         lam = self.model.lam
         p_ins = lam / (1.0 + lam)
-        w = rng.randrange(graph.n)
-        case, a, b = 5, upper, lower  # the pre-images of the common element
-        if w == v:
-            case = 1
+        w = rng.randrange(len(upper))
+        case = self.case(upper, lower, w)
+        a, b = upper, lower  # the pre-images of the common element
+        if case == 1:
             a = b = upper if rng.random() < p_ins else lower
-        elif upper[w]:
-            case = 2
-            if rng.random() < 1.0 / (1.0 + lam):
-                a, b = upper[:w] + (0,) + upper[w + 1:], lower[:w] + (0,) + lower[w + 1:]
-        elif not any(upper[x] for x in graph.adj[w]):
-            case = 3
-            if rng.random() < p_ins:
-                a, b = upper[:w] + (1,) + upper[w + 1:], lower[:w] + (1,) + lower[w + 1:]
-        elif not any(lower[x] for x in graph.adj[w]):
-            case = 4
-            if rng.random() < p_ins:
-                b = lower[:w] + (1,) + lower[w + 1:]
-                if self.orbit_of[b] == self.orbit_of[upper]:
-                    b = upper
+        elif case == 2 and rng.random() < 1.0 / (1.0 + lam):
+            a, b = _with(upper, w, 0), _with(lower, w, 0)
+        elif case == 3 and rng.random() < p_ins:
+            a, b = _with(upper, w, 1), _with(lower, w, 1)
+        elif case == 4 and rng.random() < p_ins:
+            b = _with(lower, w, 1)
+            if orbit_of[b] == orbit_of[upper]:
+                b = upper
         els = self.elements
         g = els[rng.randrange(len(els))]
         u = g.apply_config(a)
         return u, (u if a == b else g.apply_config(b)), case
 
 
-def distance_one_pairs(graph: Graph) -> list[tuple[Config, Config]]:
-    """All ordered pairs (X, X minus one vertex) of independent sets."""
-    pairs = []
-    for s in enumerate_independent_sets(graph):
-        for v in range(graph.n):
-            if s[v]:
-                pairs.append((s, s[:v] + (0,) + s[v + 1:]))
-    return pairs
-
-
-def exact_rho(graph: Graph, group: PermutationGroup) -> float:
-    """Fraction of adjacent-extension triples landing in different orbits.
-
-    Enumerates every (X, v, w) with {v, w} an edge and both X + v and
-    X + w independent, and reports how often the two extended sets are
-    not in one orbit of the group.
-    """
-    orbit_of = _orbit_of(enumerate_independent_sets(graph), group)
-    total = 0
-    apart = 0
-    for s in orbit_of:
-        for u, w in graph.edges:
-            for v, other in ((u, w), (w, u)):
-                if s[v] or s[other]:
-                    continue
-                with_v = s[:v] + (1,) + s[v + 1:]
-                if not graph.is_independent(with_v):
-                    continue
-                with_other = s[:other] + (1,) + s[other + 1:]
-                if not graph.is_independent(with_other):
-                    continue
-                total += 1
-                if orbit_of[with_v] != orbit_of[with_other]:
-                    apart += 1
-    if total == 0:
-        raise ValueError("no valid adjacent extensions; graph has no edges?")
-    return apart / total
-
-
-def exact_varrho(graph: Graph) -> float:
-    """Probability that a uniform vertex choice from a uniform distance-one
-    pair can only be inserted into the smaller set."""
-    pairs = distance_one_pairs(graph)
-    hits = 0
-    for upper, lower in pairs:
-        v = next(i for i in range(graph.n) if upper[i] != lower[i])
-        for w in range(graph.n):
-            if w == v or upper[w]:
-                continue
-            in_upper = any(upper[x] for x in graph.adj[w])
-            in_lower = any(lower[x] for x in graph.adj[w])
-            if in_upper and not in_lower:
-                hits += 1
-    return hits / (len(pairs) * graph.n)
-
-
 def coupling_drift(model: IndependentSetModel, group: PermutationGroup,
                    trials: int, seed: int = 0) -> CouplingReport:
-    """Monte Carlo drift of the coupled chains against the exact bound."""
+    """Monte Carlo drift of the coupled chains against the exact bound
+    -1/n + varrho (2 rho - 1) lam / (1 + lam), all read from one simulator."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    graph = model.graph
-    pairs = distance_one_pairs(graph)
+    sim = CouplingSimulator(model, group)
+    pairs = sim.pairs()
     if not pairs:
         raise ValueError("graph admits no distance-one pairs")
-    sim = CouplingSimulator(model, group)
     rng = Random(seed)
-    rho = exact_rho(graph, group)
-    varrho = exact_varrho(graph)
+    rho, varrho = sim.rho(), sim.varrho()
 
     counts = {k: 0 for k in range(1, 6)}
     drift_sum = 0.0
     drift_sq = 0.0
-    changed = 0
     for _ in range(trials):
         upper, lower = pairs[rng.randrange(len(pairs))]
         new_upper, new_lower, case = sim.step(upper, lower, rng)
         counts[case] += 1
-        h = sum(a != b for a, b in zip(new_upper, new_lower))
-        d = h - 1
+        d = sum(a != b for a, b in zip(new_upper, new_lower)) - 1
         drift_sum += d
         drift_sq += d * d
-        if h != 1:
-            changed += 1
     mean = drift_sum / trials
     var = max(drift_sq / trials - mean * mean, 0.0)
     se = math.sqrt(var / trials)
     lam = model.lam
-    bound = -1.0 / graph.n + varrho * (2 * rho - 1) * lam / (1 + lam)
-    return CouplingReport(
-        pairs_examined=trials,
-        case_counts=counts,
-        rho=rho,
-        varrho=varrho,
-        expected_drift=mean,
-        drift_se=se,
-        bound=bound,
-        beta=1.0 + bound,
-        diameter=graph.n,
-        alpha=changed / trials,
-    )
+    bound = -1.0 / model.n + varrho * (2 * rho - 1) * lam / (1 + lam)
+    return CouplingReport(case_counts=counts, rho=rho, varrho=varrho,
+                          expected_drift=mean, drift_se=se, bound=bound)

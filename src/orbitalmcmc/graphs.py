@@ -49,10 +49,6 @@ class Graph:
     def num_colors(self) -> int:
         return len(set(self.colors)) if self.n else 0
 
-    @property
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
-
     def to_colored(self) -> "Graph":
         """The graph itself: every graph carries colors.  Kept for callers
         written when plain and colored graphs were separate types."""
@@ -106,20 +102,3 @@ def write_graph(path, graph: Graph) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_graph(path) -> Graph:
-    with open(path) as fh:
-        rows = [ln.split() for ln in fh if ln.strip()]
-    if not rows:
-        raise ValueError("empty graph file")
-    n, m, c = (int(x) for x in rows[0])
-    if len(rows) != 1 + n + m:
-        raise ValueError(f"expected {1 + n + m} lines, found {len(rows)}")
-    colors = [0] * n
-    for v, col in (map(int, r) for r in rows[1:1 + n]):
-        colors[v] = col
-    edges = [tuple(map(int, r)) for r in rows[1 + n:]]
-    graph = Graph(n, edges, colors)
-    if graph.num_colors != c:
-        raise ValueError(f"header declares {c} colors, found {graph.num_colors}")
-    return graph

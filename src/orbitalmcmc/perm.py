@@ -452,11 +452,10 @@ class ProductReplacement:
     Every value produced is a member of the generated group.
     """
 
-    def __init__(self, group: PermutationGroup, *, seed: Optional[int] = None,
-                 rng: Optional[Random] = None):
+    def __init__(self, group: PermutationGroup, *, rng: Random):
         gens = group.generators
         self.group = group
-        self.rng = rng if rng is not None else Random(seed)
+        self.rng = rng
         self._ident = self._acc = Permutation.identity(group.n).image
         n_slots = max(MIN_SLOTS, 2 * len(gens) + 1) if gens else 0
         self._slots = [gens[i % len(gens)].image for i in range(n_slots)]
@@ -545,12 +544,3 @@ def save_generating_set(path, group: PermutationGroup,
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def load_generating_set(path) -> tuple[PermutationGroup, list[str]]:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError("empty generating-set file")
-    names = lines[0].split()
-    gens = [parse_cycles(ln, names=names) for ln in lines[1:]]
-    return PermutationGroup(gens, n=len(names)), names

@@ -7,8 +7,9 @@ import numpy as np
 
 from orbitalmcmc.autgroup import Cells, color_cells, is_valid_partition
 from orbitalmcmc.clauses import WeightedClauseSet, parse_clause_file
-from orbitalmcmc.graphs import Graph
-from orbitalmcmc.perm import Permutation, PermutationGroup, config_orbit_partition
+from orbitalmcmc.graphs import Graph, enumerate_independent_sets
+from orbitalmcmc.perm import (Permutation, PermutationGroup, _state_orbit_ids,
+                              config_orbit_partition, parse_cycles)
 
 # Two equal-weight clauses over three variables; the classic two-fold
 # symmetric example: (a or !c) and (b or !c), both weighted 0.5.
@@ -43,6 +44,94 @@ def apply_config_action(group: PermutationGroup, states) -> np.ndarray:
     index = {s: i for i, s in enumerate(states)}
     action = [[index[g.apply_config(s)] for s in states] for g in group.generators]
     return np.array(action, dtype=np.intp).reshape(len(group.generators), len(states))
+
+
+def read_graph(path) -> Graph:
+    """Reader for `graphs.write_graph`'s text format, for round trips."""
+    with open(path) as fh:
+        rows = [ln.split() for ln in fh if ln.strip()]
+    if not rows:
+        raise ValueError("empty graph file")
+    n, m, c = (int(x) for x in rows[0])
+    if len(rows) != 1 + n + m:
+        raise ValueError(f"expected {1 + n + m} lines, found {len(rows)}")
+    colors = [0] * n
+    for v, col in (map(int, r) for r in rows[1:1 + n]):
+        colors[v] = col
+    edges = [tuple(map(int, r)) for r in rows[1 + n:]]
+    graph = Graph(n, edges, colors)
+    if graph.num_colors != c:
+        raise ValueError(f"header declares {c} colors, found {graph.num_colors}")
+    return graph
+
+
+def load_generating_set(path) -> tuple[PermutationGroup, list[str]]:
+    """Reader for `perm.save_generating_set`'s format, for round trips."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError("empty generating-set file")
+    names = lines[0].split()
+    gens = [parse_cycles(ln, names=names) for ln in lines[1:]]
+    return PermutationGroup(gens, n=len(names)), names
+
+
+def distance_one_pairs(graph: Graph) -> list:
+    """Reference for `CouplingSimulator.pairs`: all ordered pairs
+    (X, X minus one vertex) of independent sets."""
+    pairs = []
+    for s in enumerate_independent_sets(graph):
+        for v in range(graph.n):
+            if s[v]:
+                pairs.append((s, s[:v] + (0,) + s[v + 1:]))
+    return pairs
+
+
+def exact_rho(graph: Graph, group: PermutationGroup) -> float:
+    """Reference for `CouplingSimulator.rho`: enumerates every (X, v, w)
+    with {v, w} an edge and both X + v and X + w independent, checked by a
+    scan over all edges, and reports how often the two extended sets are
+    not in one orbit."""
+    states = enumerate_independent_sets(graph)
+    ids = _state_orbit_ids(apply_config_action(group, states))
+    orbit_of = dict(zip(states, ids.tolist()))
+    total = 0
+    apart = 0
+    for s in orbit_of:
+        for u, w in graph.edges:
+            for v, other in ((u, w), (w, u)):
+                if s[v] or s[other]:
+                    continue
+                with_v = s[:v] + (1,) + s[v + 1:]
+                if not graph.is_independent(with_v):
+                    continue
+                with_other = s[:other] + (1,) + s[other + 1:]
+                if not graph.is_independent(with_other):
+                    continue
+                total += 1
+                if orbit_of[with_v] != orbit_of[with_other]:
+                    apart += 1
+    if total == 0:
+        raise ValueError("no valid adjacent extensions; graph has no edges?")
+    return apart / total
+
+
+def exact_varrho(graph: Graph) -> float:
+    """Reference for `CouplingSimulator.varrho`: the probability that a
+    uniform vertex choice from a uniform distance-one pair can only be
+    inserted into the smaller set, by a scan of every pair and vertex."""
+    pairs = distance_one_pairs(graph)
+    hits = 0
+    for upper, lower in pairs:
+        v = next(i for i in range(graph.n) if upper[i] != lower[i])
+        for w in range(graph.n):
+            if w == v or upper[w]:
+                continue
+            in_upper = any(upper[x] for x in graph.adj[w])
+            in_lower = any(lower[x] for x in graph.adj[w])
+            if in_upper and not in_lower:
+                hits += 1
+    return hits / (len(pairs) * graph.n)
 
 
 def config_orbits(group: PermutationGroup) -> dict:

@@ -9,18 +9,15 @@ from random import Random
 import numpy as np
 import pytest
 
+from orbitalmcmc import analysis, chains
 from orbitalmcmc.analysis import (
     CouplingSimulator,
     ExactDistribution,
     TransitionMatrix,
     check_detailed_balance,
     coupling_drift,
-    distance_one_pairs,
-    enumerate_independent_sets,
     exact_distribution,
     exact_pi_lambda,
-    exact_rho,
-    exact_varrho,
     is_connected,
     mixing_time,
     representative_rows,
@@ -35,11 +32,11 @@ from orbitalmcmc.clauses import model_symmetry_group, parse_clause_file
 from orbitalmcmc.errors import GuardExceededError
 from orbitalmcmc.families import (gen_complete, gen_connected_cliques,
                                   gen_friends_smokers, gen_grid)
-from orbitalmcmc.graphs import Graph
+from orbitalmcmc.graphs import Graph, enumerate_independent_sets
 from orbitalmcmc.perm import (Permutation, PermutationGroup, SamplerMode, _state_orbit_ids,
                               parse_cycles)
 
-from helpers import two_spin_model
+from helpers import distance_one_pairs, exact_rho, exact_varrho, two_spin_model
 
 NAMES9 = list("abcdefghi")
 
@@ -331,7 +328,7 @@ class TestMixingTime:
         matrix = TransitionMatrix(states, rows)
         dist = ExactDistribution(states, [0.5, 0.5], 1.0)
         with pytest.raises(GuardExceededError):
-            mixing_time(matrix, dist, 0.01, horizon=64)
+            mixing_time(matrix, dist, 0.01)
 
 
 def tau_digest_cases():
@@ -574,7 +571,7 @@ class TestCoupling:
         model = IndependentSetModel(graph, 1.0)
         sim = CouplingSimulator(model, grid3_group())
         rng = Random(52)
-        pairs = distance_one_pairs(graph)
+        pairs = sim.pairs()
         seen_cases = set()
         for _ in range(4000):
             upper, lower = pairs[rng.randrange(len(pairs))]
@@ -643,31 +640,66 @@ class TestCoupling:
     def test_precondition_rejected(self):
         graph = gen_grid(3)
         model = IndependentSetModel(graph, 1.0)
+        sim = CouplingSimulator(model, grid3_group())
         with pytest.raises(ValueError):
-            CouplingSimulator(model, grid3_group()).step((0,) * 9, (0,) * 9, Random(0))
+            sim.step((0,) * 9, (0,) * 9, Random(0))
+        edge = (1, 1) + (0,) * 7  # a and b are adjacent
+        with pytest.raises(ValueError, match="independent sets"):
+            sim.step(edge, (1,) + (0,) * 8, Random(0))
+        with pytest.raises(ValueError, match="independent sets"):
+            sim.step((1,) + (0,) * 9, (0,) * 10, Random(0))
 
     def test_exact_rho_extremes(self):
         complete = gen_complete(2)
         sym = automorphism_generators(complete)
-        assert exact_rho(complete, sym) == 0.0
+        assert CouplingSimulator(IndependentSetModel(complete, 1.0), sym).rho() == 0.0
         path = Graph(3, [(0, 1), (1, 2)])
-        assert exact_rho(path, PermutationGroup([], n=3)) == 1.0
+        trivial = PermutationGroup([], n=3)
+        assert CouplingSimulator(IndependentSetModel(path, 1.0), trivial).rho() == 1.0
 
     def test_exact_rho_grid4_below_one(self):
         grid4 = gen_grid(4)
         group = automorphism_generators(grid4)
         assert group.order() == 8
-        rho = exact_rho(grid4, group)
+        rho = CouplingSimulator(IndependentSetModel(grid4, 1.0), group).rho()
         assert 0.0 < rho < 1.0
+
+    @pytest.mark.parametrize("graph,trivial", [
+        (gen_grid(3), False), (gen_grid(4), False), (gen_connected_cliques(3), False),
+        (gen_complete(2), False), (gen_complete(3), False),
+        (Graph(3, [(0, 1), (1, 2)]), True)],
+        ids=["grid3", "grid4", "cliques3", "complete2", "complete3", "path3-trivial"])
+    def test_constants_equal_the_oracles(self, graph, trivial):
+        group = (PermutationGroup([], n=graph.n) if trivial
+                 else automorphism_generators(graph))
+        sim = CouplingSimulator(IndependentSetModel(graph, 1.0), group)
+        assert sim.pairs() == distance_one_pairs(graph)
+        assert sim.rho() == exact_rho(graph, group)
+        assert sim.varrho() == exact_varrho(graph)
+
+    def test_drift_enumerates_and_maps_orbits_once(self, monkeypatch):
+        calls = {"enumerate_independent_sets": 0, "state_action": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # both modules' references, through which the coupling reaches them
+        for module in (analysis, chains):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        coupling_drift(IndependentSetModel(gen_grid(3), 1.0), grid3_group(), trials=100)
+        assert calls == {"enumerate_independent_sets": 1, "state_action": 1}
 
     def test_drift_satisfies_bound_grid3(self):
         model = IndependentSetModel(gen_grid(3), 1.0)
         report = coupling_drift(model, grid3_group(), trials=20_000, seed=55)
-        assert sum(report.case_counts.values()) == report.pairs_examined
+        assert sum(report.case_counts.values()) == 20_000
         assert 0.0 <= report.rho <= 1.0
         assert report.expected_drift <= report.bound + 3 * report.drift_se
-        assert report.diameter == 9
-        assert 0.0 < report.alpha < 1.0
 
     def test_marginal_faithfulness_small(self):
         graph = gen_grid(3)
@@ -696,5 +728,6 @@ class TestCoupling:
 
     def test_varrho_probability_range(self):
         for graph in (gen_grid(3), gen_complete(2)):
-            v = exact_varrho(graph)
+            v = CouplingSimulator(IndependentSetModel(graph, 1.0),
+                                  automorphism_generators(graph)).varrho()
             assert 0.0 <= v <= 1.0

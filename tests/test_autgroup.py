@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from helpers import FS_EVIDENCE, dense_color_refine
+from helpers import FS_EVIDENCE, dense_color_refine, read_graph
 from orbitalmcmc import autgroup, clauses, families
 from orbitalmcmc.autgroup import (
     automorphism_generators,
@@ -14,7 +14,7 @@ from orbitalmcmc.autgroup import (
     color_refine,
     is_automorphism,
 )
-from orbitalmcmc.graphs import Graph, read_graph, write_graph
+from orbitalmcmc.graphs import Graph, write_graph
 from orbitalmcmc.perm import Permutation, PermutationGroup, parse_cycles
 
 

@@ -23,13 +23,12 @@ from orbitalmcmc.perm import (
     _state_orbit_ids,
     config_orbit_partition,
     format_cycles,
-    load_generating_set,
     parse_cycles,
     save_generating_set,
     state_action,
 )
 
-from helpers import apply_config_action, config_orbits
+from helpers import apply_config_action, config_orbits, load_generating_set
 
 NAMES9 = list("abcdefghi")
 
@@ -380,21 +379,21 @@ class TestEnumeration:
 
 class TestProductReplacement:
     def test_trivial_group(self):
-        state = ProductReplacement(PermutationGroup([], n=6), seed=0)
+        state = ProductReplacement(PermutationGroup([], n=6), rng=Random(0))
         for _ in range(5):
             assert state.next().is_identity()
 
     def test_membership(self):
         group = cliques3_group()
         members = set(group.elements())
-        state = ProductReplacement(group, seed=1)
+        state = ProductReplacement(group, rng=Random(1))
         for _ in range(500):
             assert state.next() in members
 
     def test_slots_stay_members(self):
         group = grid3_group()
         members = set(group.elements())
-        state = ProductReplacement(group, seed=2)
+        state = ProductReplacement(group, rng=Random(2))
         for _ in range(100):
             state.next()
         assert all(s in members for s in state.slots)
@@ -404,7 +403,7 @@ class TestProductReplacement:
         group = grid3_group()
         els = group.elements()
         index = {g: i for i, g in enumerate(els)}
-        state = ProductReplacement(group, seed=3)
+        state = ProductReplacement(group, rng=Random(3))
         counts = [0] * len(els)
         draws = 20000
         for _ in range(draws):
