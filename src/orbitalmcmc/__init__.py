@@ -29,7 +29,6 @@ from .clauses import (
 from .errors import GuardExceededError, InfeasibleModelError
 from .graphs import Graph
 from .perm import (
-    Orbit,
     OrbitSampler,
     Permutation,
     PermutationGroup,

@@ -19,7 +19,7 @@ import numpy as np
 from .chains import ChainKind, ChainTrace, IndependentSetModel
 from .errors import GuardExceededError, enumeration_cap
 from .graphs import Graph
-from .perm import Config, PermutationGroup, _orbit_walk, _state_orbit_ids, state_action
+from .perm import Config, PermutationGroup, _orbit_walk, orbit_ids, state_action
 
 
 class ExactDistribution:
@@ -94,9 +94,6 @@ class TransitionMatrix:
         if bad.any():
             raise ValueError(f"row {int(np.argmax(bad))} does not sum to 1")
 
-    def index_of(self, state: Config) -> int:
-        return self.states.index(tuple(state))
-
 
 def transition_matrix(model, kind: ChainKind,
                       group: Optional[PermutationGroup] = None) -> TransitionMatrix:
@@ -131,7 +128,7 @@ def transition_matrix(model, kind: ChainKind,
         for t, p in model.moves(s):
             rows[i, index[t]] += p
     if kind.is_orbital and action is not None:
-        orbits = _state_orbit_ids(action)
+        orbits = orbit_ids(action)
         same = orbits[:, None] == orbits[None, :]
         rows = rows @ (same / same.sum(axis=1, keepdims=True))
     return TransitionMatrix(states, rows, action)
@@ -154,7 +151,7 @@ def representative_rows(matrix: TransitionMatrix, dist: ExactDistribution
     P[s, s] = P for the index array s of every generator.  Either way
     ValueError unless pi[s] = pi to 1e-12 for every generator."""
     rows, pi, n = matrix.rows, dist.probs, len(matrix.states)
-    ids = _state_orbit_ids(matrix.action)
+    ids = orbit_ids(matrix.action)
     reps = np.unique(ids, return_index=True)[1]
     columns = reps[ids]  # the first state of each state's orbit
     first, gather = rows[reps], None
@@ -379,7 +376,7 @@ class CouplingSimulator:
         self.group = group
         self.elements = group.elements()
         self.states = model.states()
-        ids = _state_orbit_ids(state_action(group, self.states))
+        ids = orbit_ids(state_action(group, self.states))
         self.orbit_of = dict(zip(self.states, ids.tolist()))
 
     def case(self, upper: Config, lower: Config, w: int) -> int:

@@ -24,7 +24,7 @@ from collections import Counter, defaultdict
 from typing import Optional, Sequence
 
 from .graphs import Graph
-from .perm import Permutation, PermutationGroup
+from .perm import Permutation, PermutationGroup, orbit_ids
 
 Cells = tuple[tuple[int, ...], ...]
 
@@ -217,16 +217,18 @@ def automorphism_generators(graph: Graph) -> PermutationGroup:
         return None
 
     gens: list[Permutation] = []
+    ids = list(range(graph.n))  # point orbit ids under gens
     for depth in range(len(path) - 1, -1, -1):
         cells, idx = path[depth]
         cell = cells[idx]
         v = cell[0]
         for u in cell[1:]:
-            if u in PermutationGroup(gens, n=graph.n).orbit_of_point(v):
+            if ids[u] == ids[v]:
                 continue
             found = search(_individualize(graph, cells, idx, u), depth + 1)
             if found is not None and found not in gens:
                 gens.append(found)
+                ids = orbit_ids(PermutationGroup(gens).point_action()).tolist()
     return PermutationGroup(gens, n=graph.n)
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .autgroup import automorphism_generators
 from .graphs import Graph
-from .perm import Orbit, Permutation, PermutationGroup
+from .perm import Permutation, PermutationGroup
 
 HARD = "inf"
 
@@ -248,13 +248,12 @@ class SymmetryReport:
     vertex_map: VertexMap
     graph_group: PermutationGroup       # acts on graph vertices
     model_group: PermutationGroup       # projected action on variables
-    variable_orbits: tuple[Orbit, ...]
-    feature_orbits: tuple[Orbit, ...]
+    variable_orbits: tuple[tuple[int, ...], ...]
+    feature_orbits: tuple[tuple[int, ...], ...]
 
     def variable_orbit_names(self) -> list[tuple[str, ...]]:
         names = self.clause_set.variables
-        return [tuple(names[i] for i in sorted(o.elements))
-                for o in self.variable_orbits]
+        return [tuple(names[i] for i in o) for o in self.variable_orbits]
 
 
 def _project_to_variables(model: WeightedClauseSet, vmap: VertexMap,
@@ -294,8 +293,7 @@ def model_symmetry_group(model: WeightedClauseSet,
     for g in graph_group.generators:
         mapping = [clause_index[g.apply(vertex)] for vertex in vmap.clause]
         clause_perms.append(Permutation(mapping))
-    clause_group = PermutationGroup(clause_perms, n=len(model.clauses)) \
-        if model.clauses else PermutationGroup([], n=0)
+    clause_group = PermutationGroup(clause_perms, n=len(model.clauses))
     feature_orbits = tuple(clause_group.orbit_partition())
 
     return SymmetryReport(

@@ -223,7 +223,7 @@ def cmd_detect(args) -> int:
             print("  {" + " ".join(cell) + "}")
         print(f"feature orbits: {len(report.feature_orbits)}")
         for orb in report.feature_orbits:
-            print("  {" + " ".join(f"c{j}" for j in sorted(orb.elements)) + "}")
+            print("  {" + " ".join(f"c{j}" for j in orb) + "}")
     if args.out:
         target = out_dir(args)
         perm.save_generating_set(target / "generators.txt", group, bundle.names)

@@ -2,7 +2,7 @@
 
 Permutations act on points 0..n-1 and, extended pointwise, on binary
 configurations of length n.  Composition is fixed left-to-right across the
-whole package: (p * q) applied to x is q applied to (p applied to x).
+whole package: p.compose(q) applied to x is q applied to (p applied to x).
 
 A permutation is stored as one raw image, the sequence of images of
 0..n-1: `bytes` when n <= 255 and a tuple of ints above that (the colored
@@ -13,18 +13,19 @@ gives composition, inversion and the action on configurations.  Only
 closure, which hoists `_compose`'s table building out of its loop; all
 other code indexes an image, which reads the same ints from both forms.
 
-Groups are represented by generating sets only.  Point orbits and full
-element lists are computed by breadth-first closure, exact and entirely
-sufficient at the scales this toolkit targets; there is deliberately no
-stabilizer-chain machinery.  Configuration orbits all come from one
-vectorised action of the generators on a configuration list, `state_action`.
+Groups are represented by generating sets only.  Full element lists are
+computed by breadth-first closure, exact and entirely sufficient at the
+scales this toolkit targets; there is deliberately no stabilizer-chain
+machinery.  Every orbit, of points, configurations or states, is read off
+one routine, `orbit_ids`, from an action given as one row of images per
+generator: `PermutationGroup.point_action` on points, `state_action` on a
+configuration list.  Lists of orbits are sorted tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import Iterable, Optional, Sequence, Union
@@ -154,9 +155,6 @@ class Permutation:
             out.append(tuple(cyc))
         return out
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return self.compose(other)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.image == other.image
 
@@ -223,23 +221,6 @@ def parse_cycles(text: str, n: Optional[int] = None,
     return result
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """An orbit of points or configurations with its least element."""
-
-    elements: frozenset
-    representative: object
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, x) -> bool:
-        return x in self.elements
-
-    def __iter__(self):
-        return iter(sorted(self.elements))
-
-
 class PermutationGroup:
     """A permutation group given by a generating set.
 
@@ -270,34 +251,14 @@ class PermutationGroup:
     def is_trivial(self) -> bool:
         return not self.generators
 
-    def orbit_of_point(self, x: int) -> Orbit:
-        if not 0 <= x < self.n:
-            raise ValueError(f"point {x} outside domain 0..{self.n - 1}")
-        images = [g.image for g in self.generators]
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in images:
-                    z = g[y]
-                    if z not in seen:
-                        seen.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return Orbit(frozenset(seen), min(seen))
+    def point_action(self) -> np.ndarray:
+        """The generators' images as a G x n int array: the action on points."""
+        return np.array([g.mapping for g in self.generators],
+                        dtype=np.intp).reshape(len(self.generators), self.n)
 
-    def orbit_partition(self) -> list[Orbit]:
-        """Disjoint orbits covering the domain, ordered by least representative."""
-        done: set[int] = set()
-        orbits = []
-        for x in range(self.n):
-            if x in done:
-                continue
-            orb = self.orbit_of_point(x)
-            done |= orb.elements
-            orbits.append(orb)
-        return orbits
+    def orbit_partition(self) -> list[tuple[int, ...]]:
+        """Point orbits as sorted tuples, ordered by least point."""
+        return _orbit_tuples(orbit_ids(self.point_action()), range(self.n))
 
     def elements(self) -> tuple[Permutation, ...]:
         """All group elements by breadth-first closure, sorted, cached."""
@@ -387,29 +348,36 @@ def _orbit_walk(action: np.ndarray):
             frontier = nxt
 
 
-def _state_orbit_ids(action: np.ndarray) -> np.ndarray:
-    """Orbit id per state, numbered in order of each orbit's first state.
-    Each state's label, at first its index, becomes the label of the least
-    of its own and its generator images' labels until no label moves; each
-    label is then the first state of its orbit."""
+def orbit_ids(action: np.ndarray) -> np.ndarray:
+    """Orbit id per point of an action given as one row of images per
+    generator, numbered in order of each orbit's first point.  Each point's
+    label, at first its index, becomes the label of the least of its own and
+    its generator images' labels until no label moves; each label is then
+    the first point of its orbit."""
     first, nearer = None, np.arange(action.shape[1])
     while not np.array_equal(first, nearer):
         first, nearer = nearer, nearer[np.vstack((nearer, nearer[action])).min(axis=0)]
     return np.unique(first, return_inverse=True)[1]
 
 
-def config_orbit_partition(group: PermutationGroup) -> list[Orbit]:
-    """Partition all 2^n configurations into orbits, ordered by representative:
-    listed in lexicographic order, each orbit's first configuration is its least."""
+def _orbit_tuples(ids: np.ndarray, members: Sequence) -> list[tuple]:
+    """The members grouped by orbit id: orbits in id order, each a tuple in
+    the members' order."""
+    orbits: list[list] = [[] for _ in range(int(ids.max(initial=-1)) + 1)]
+    for i, member in zip(ids.tolist(), members):
+        orbits[i].append(member)
+    return [tuple(orbit) for orbit in orbits]
+
+
+def config_orbit_partition(group: PermutationGroup) -> list[tuple[Config, ...]]:
+    """Partition all 2^n configurations into orbits, each a tuple in
+    lexicographic order, the orbits ordered by their least configuration."""
     cap = enumeration_cap()
     if 2 ** group.n > cap:
         raise GuardExceededError(
             f"2^{group.n} configurations exceed enumeration cap {cap}")
     configs = list(itertools.product((0, 1), repeat=group.n))
-    ids = _state_orbit_ids(state_action(group, configs))
-    members = np.split(np.argsort(ids, kind="stable"), np.bincount(ids).cumsum()[:-1])
-    return [Orbit(frozenset(configs[i] for i in orbit), configs[orbit[0]])
-            for orbit in members]
+    return _orbit_tuples(orbit_ids(state_action(group, configs)), configs)
 
 
 def burnside_config_orbit_count(group: PermutationGroup) -> int:

@@ -8,8 +8,8 @@ import numpy as np
 from orbitalmcmc.autgroup import Cells, color_cells, is_valid_partition
 from orbitalmcmc.clauses import WeightedClauseSet, parse_clause_file
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
-from orbitalmcmc.perm import (Permutation, PermutationGroup, _state_orbit_ids,
-                              config_orbit_partition, parse_cycles)
+from orbitalmcmc.perm import (Permutation, PermutationGroup, config_orbit_partition,
+                              orbit_ids, parse_cycles)
 
 # Two equal-weight clauses over three variables; the classic two-fold
 # symmetric example: (a or !c) and (b or !c), both weighted 0.5.
@@ -93,7 +93,7 @@ def exact_rho(graph: Graph, group: PermutationGroup) -> float:
     scan over all edges, and reports how often the two extended sets are
     not in one orbit."""
     states = enumerate_independent_sets(graph)
-    ids = _state_orbit_ids(apply_config_action(group, states))
+    ids = orbit_ids(apply_config_action(group, states))
     orbit_of = dict(zip(states, ids.tolist()))
     total = 0
     apart = 0
@@ -136,7 +136,7 @@ def exact_varrho(graph: Graph) -> float:
 
 def config_orbits(group: PermutationGroup) -> dict:
     """The orbit of every configuration, from `config_orbit_partition`."""
-    return {c: orbit for orbit in config_orbit_partition(group) for c in orbit.elements}
+    return {c: orbit for orbit in config_orbit_partition(group) for c in orbit}
 
 
 def clause_multiset(model: WeightedClauseSet) -> dict:

@@ -193,6 +193,8 @@ def test_c07_coupling_faithful_and_drift(benchmark_models):
     # marginal faithfulness from a fixed distance-one pair
     matrix = transition_matrix(model3, ChainKind.ORBITAL_INSERT_DELETE,
                                group=group3)
+    dist = exact_pi_lambda(graph3, 1.0)
+    assert dist.states == matrix.states
     sim = CouplingSimulator(model3, group3)
     rng = Random(77)
     upper = tuple(1 if i in (0, 4) else 0 for i in range(9))  # corner + center
@@ -201,11 +203,11 @@ def test_c07_coupling_faithful_and_drift(benchmark_models):
     counts_l = np.zeros(len(matrix.states))
     for _ in range(trials):
         nu, nl, _ = sim.step(upper, lower, rng)
-        counts_u[matrix.index_of(nu)] += 1
-        counts_l[matrix.index_of(nl)] += 1
+        counts_u[dist.index_of(nu)] += 1
+        counts_l[dist.index_of(nl)] += 1
     faithful = True
     for counts, start in ((counts_u, upper), (counts_l, lower)):
-        row = matrix.rows[matrix.index_of(start)]
+        row = matrix.rows[dist.index_of(start)]
         for freq, p in zip(counts / trials, row):
             se = math.sqrt(p * (1 - p) / trials)
             if abs(freq - p) > 3 * se + 1e-12:
@@ -323,7 +325,7 @@ def test_c10_oracle_equivalence():
             symmetric_models += 1
         pi = exact_distribution(ClauseModel(model))
         for orbit in rep.variable_orbits:
-            members = sorted(orbit.elements)
+            members = sorted(orbit)
             base = pi.marginal(members[0])
             for v in members[1:]:
                 worst = max(worst, abs(pi.marginal(v) - base))

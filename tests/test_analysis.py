@@ -33,7 +33,7 @@ from orbitalmcmc.errors import GuardExceededError
 from orbitalmcmc.families import (gen_complete, gen_connected_cliques,
                                   gen_friends_smokers, gen_grid)
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
-from orbitalmcmc.perm import (Permutation, PermutationGroup, SamplerMode, _state_orbit_ids,
+from orbitalmcmc.perm import (Permutation, PermutationGroup, SamplerMode, orbit_ids,
                               parse_cycles)
 
 from helpers import distance_one_pairs, exact_rho, exact_varrho, two_spin_model
@@ -392,7 +392,7 @@ class TestOrbitQuotient:
             pi = exact_distribution(model)
             rows, lumped_pi, gather = representative_rows(matrix, pi)
             assert gather is None
-            ids = _state_orbit_ids(matrix.action)
+            ids = orbit_ids(matrix.action)
             reps = [list(ids).index(o) for o in dict.fromkeys(ids.tolist())]
             # per-orbit sums, in the order of the representatives
             assert np.abs(lumped_pi
@@ -492,7 +492,7 @@ class TestRepresentativeRows:
                 fs3):
             matrix = transition_matrix(model, kind, group)
             reps, _, gather = representative_rows(matrix, exact_distribution(model))
-            ids = _state_orbit_ids(transition_matrix(model, orbital, group).action)
+            ids = orbit_ids(transition_matrix(model, orbital, group).action)
             assert len(reps) == len(set(ids.tolist())) < len(matrix.states)
             assert np.abs(reps.take(gather) - matrix.rows).max() <= 1e-12
             square = reps @ reps.take(gather)
@@ -707,6 +707,8 @@ class TestCoupling:
         group = grid3_group()
         matrix = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE,
                                    group=group)
+        dist = exact_distribution(model)
+        assert dist.states == matrix.states
         sim = CouplingSimulator(model, group)
         rng = Random(56)
         corner = NAMES9.index("a")
@@ -718,10 +720,10 @@ class TestCoupling:
         counts_l = np.zeros(len(matrix.states))
         for _ in range(trials):
             nu, nl, _ = sim.step(upper, lower, rng)
-            counts_u[matrix.index_of(nu)] += 1
-            counts_l[matrix.index_of(nl)] += 1
+            counts_u[dist.index_of(nu)] += 1
+            counts_l[dist.index_of(nl)] += 1
         for counts, start in ((counts_u, upper), (counts_l, lower)):
-            row = matrix.rows[matrix.index_of(start)]
+            row = matrix.rows[dist.index_of(start)]
             for freq, p in zip(counts / trials, row):
                 se = math.sqrt(p * (1 - p) / trials)
                 assert abs(freq - p) <= 3 * se + 1e-9

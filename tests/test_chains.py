@@ -143,8 +143,10 @@ class TestGibbsStep:
     def test_one_step_frequencies_match_exact_row(self):
         model = two_spin_chain_model()
         matrix = transition_matrix(model, ChainKind.GIBBS)
+        dist = exact_distribution(model)
+        assert dist.states == matrix.states
         start = (1, 0)
-        row = matrix.rows[matrix.index_of(start)]
+        row = matrix.rows[dist.index_of(start)]
         rng = Random(31)
         counts = {s: 0 for s in matrix.states}
         trials = 100_000
@@ -156,11 +158,14 @@ class TestGibbsStep:
 
     def test_stuck_example_probability(self):
         # from 10 the chance of reaching 00 or 11 in one move is 0.02
-        matrix = transition_matrix(two_spin_chain_model(), ChainKind.GIBBS)
-        row = matrix.rows[matrix.index_of((1, 0))]
-        mass = row[matrix.index_of((0, 0))] + row[matrix.index_of((1, 1))]
+        model = two_spin_chain_model()
+        matrix = transition_matrix(model, ChainKind.GIBBS)
+        dist = exact_distribution(model)
+        assert dist.states == matrix.states
+        row = matrix.rows[dist.index_of((1, 0))]
+        mass = row[dist.index_of((0, 0))] + row[dist.index_of((1, 1))]
         assert mass == pytest.approx(0.02, abs=1e-12)
-        assert row[matrix.index_of((0, 1))] == 0.0
+        assert row[dist.index_of((0, 1))] == 0.0
 
     def test_changes_at_most_one_variable(self):
         model = two_spin_chain_model()

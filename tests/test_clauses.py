@@ -111,15 +111,20 @@ class TestModelSymmetry:
         expected = parse_cycles("(a b)", names=["a", "b", "c"])
         assert report.model_group.generators == (expected,)
         assert report.variable_orbit_names() == [("a", "b"), ("c",)]
-        assert [sorted(o.elements) for o in report.feature_orbits] == [[0, 1]]
+        assert [tuple(o) for o in report.feature_orbits] == [(0, 1)]
 
     def test_two_spin_orbits(self):
         report = model_symmetry_group(two_spin_model())
         assert report.model_group.order() == 2
         orbits = config_orbits(report.model_group)[(0, 1)]
-        assert orbits.elements == {(0, 1), (1, 0)}
+        assert set(orbits) == {(0, 1), (1, 0)}
         partition = config_orbit_partition(report.model_group)
-        assert sorted(len(p.elements) for p in partition) == [1, 1, 2]
+        assert sorted(len(p) for p in partition) == [1, 1, 2]
+
+    def test_no_clauses(self):
+        report = model_symmetry_group(WeightedClauseSet(["a", "b", "c"], []))
+        assert report.feature_orbits == ()
+        assert tuple(tuple(o) for o in report.variable_orbits) == ((0, 1, 2),)
 
     def test_asymmetric_model_is_rigid(self):
         model = parse_clause_file(

@@ -16,6 +16,50 @@ from orbitalmcmc.families import gen_grid
 from helpers import EXAMPLE_CLAUSES
 
 
+# `detect` on the files of `gen --model fs --people 4 --evidence-fraction 0.5
+# --seed 1`: generators, order and every variable and feature orbit cell
+FS4_EVIDENCE_DETECT = """\
+model: clauses
+domain size: 20
+generators (2):
+  (smokes_p0 smokes_p3)(cancer_p0 cancer_p3)(friends_p0_p1 friends_p3_p1)(friends_p0_p2 friends_p3_p2)(friends_p0_p3 friends_p3_p0)(friends_p1_p0 friends_p1_p3)(friends_p2_p0 friends_p2_p3)
+  (smokes_p1 smokes_p2)(cancer_p1 cancer_p2)(friends_p0_p1 friends_p0_p2)(friends_p1_p0 friends_p2_p0)(friends_p1_p2 friends_p2_p1)(friends_p1_p3 friends_p2_p3)(friends_p3_p1 friends_p3_p2)
+group order: 4
+variable orbits: 8
+  {smokes_p0 smokes_p3}
+  {smokes_p1 smokes_p2}
+  {cancer_p0 cancer_p3}
+  {cancer_p1 cancer_p2}
+  {friends_p0_p1 friends_p0_p2 friends_p3_p1 friends_p3_p2}
+  {friends_p0_p3 friends_p3_p0}
+  {friends_p1_p0 friends_p1_p3 friends_p2_p0 friends_p2_p3}
+  {friends_p1_p2 friends_p2_p1}
+feature orbits: 22
+  {c0 c9}
+  {c1 c10}
+  {c2 c11}
+  {c3 c6}
+  {c4 c7}
+  {c5 c8}
+  {c12 c16 c52 c56}
+  {c13 c17 c53 c57}
+  {c14 c18 c54 c58}
+  {c15 c19 c55 c59}
+  {c20 c48}
+  {c21 c49}
+  {c22 c50}
+  {c23 c51}
+  {c24 c32 c36 c44}
+  {c25 c33 c37 c45}
+  {c26 c34 c38 c46}
+  {c27 c35 c39 c47}
+  {c28 c40}
+  {c29 c41}
+  {c30 c42}
+  {c31 c43}
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -48,6 +92,17 @@ class TestDetect:
         assert code == 0
         assert "group order: 24" in out
         assert "configuration orbits: 70 (cardinalities: 1,4,6,12,24)" in out
+
+    def test_fs4_evidence_stdout(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "gen", "--model", "fs", "--people", "4",
+                             "--evidence-fraction", "0.5", "--seed", "1",
+                             "--out", str(tmp_path))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "detect", "--model", "clauses",
+                               "--clauses", str(tmp_path / "model.clauses.txt"),
+                               "--evidence", str(tmp_path / "model.evidence.txt"))
+        assert code == 0
+        assert out == FS4_EVIDENCE_DETECT
 
     def test_clause_model(self, capsys, tmp_path):
         clause_file = tmp_path / "m.txt"

@@ -14,15 +14,14 @@ from orbitalmcmc.families import (gen_complete, gen_connected_cliques,
                                   gen_friends_smokers, gen_grid)
 from orbitalmcmc.graphs import Graph
 from orbitalmcmc.perm import (
-    Orbit,
     OrbitSampler,
     Permutation,
     PermutationGroup,
     ProductReplacement,
     SamplerMode,
-    _state_orbit_ids,
     config_orbit_partition,
     format_cycles,
+    orbit_ids,
     parse_cycles,
     save_generating_set,
     state_action,
@@ -242,48 +241,67 @@ class TestApply:
 class TestOrbits:
     def test_trivial_group_point(self):
         triv = PermutationGroup([], n=5)
-        assert triv.orbit_of_point(3).elements == {3}
+        assert tuple(triv.orbit_partition()[3]) == (3,)
 
     def test_pair_swap_orbit(self):
         group = PermutationGroup([parse_cycles("(a b)", names=list("abc"))])
-        assert group.orbit_of_point(0).elements == {0, 1}
+        assert tuple(group.orbit_partition()[0]) == (0, 1)
 
     def test_symmetric_group_orbit(self):
-        orb = complete3_group().orbit_of_point(4)
-        assert orb.elements == set(range(9))
+        orbits = [tuple(o) for o in complete3_group().orbit_partition()]
+        assert orbits == [tuple(range(9))]
 
     def test_partition_trivial(self):
         triv = PermutationGroup([], n=4)
         cells = triv.orbit_partition()
-        assert [sorted(o.elements) for o in cells] == [[0], [1], [2], [3]]
+        assert [tuple(o) for o in cells] == [(0,), (1,), (2,), (3,)]
 
     def test_partition_covers_and_disjoint(self):
         for group in (grid3_group(), cliques3_group()):
-            cells = group.orbit_partition()
+            cells = [tuple(o) for o in group.orbit_partition()]
             union = set()
             for orb in cells:
-                assert orb.elements
-                assert orb.representative == min(orb.elements)
-                assert not (union & orb.elements)
-                union |= orb.elements
+                assert orb
+                assert list(orb) == sorted(set(orb))
+                assert not (union & set(orb))
+                union |= set(orb)
                 for g in group.generators:
-                    assert {g.apply(x) for x in orb.elements} == orb.elements
+                    assert {g.apply(x) for x in orb} == set(orb)
             assert union == set(range(9))
+            assert [o[0] for o in cells] == sorted(o[0] for o in cells)
+
+    def test_partition_equals_orbits_of_elements(self):
+        rng = Random(13)
+        groups = [PermutationGroup([], n=0), PermutationGroup([], n=5)]
+        for _ in range(50):
+            n = rng.randint(1, 8)
+            gens = []
+            for _ in range(rng.randint(0, 3)):
+                mapping = list(range(n))
+                rng.shuffle(mapping)
+                gens.append(Permutation(mapping))
+            groups.append(PermutationGroup(gens, n=n))
+        for group in groups:
+            els = group.elements()
+            expected = sorted({tuple(sorted({g.apply(x) for g in els}))
+                               for x in range(group.n)})
+            assert [tuple(o) for o in group.orbit_partition()] == expected
+        assert PermutationGroup([], n=0).orbit_partition() == []
 
     def test_hamming_weight_orbits_under_sym3(self):
         gens = [parse_cycles("(0 1)", n=3), parse_cycles("(0 1 2)", n=3)]
         orbits = config_orbit_partition(PermutationGroup(gens))
         assert len(orbits) == 4
         for orb in orbits:
-            weights = {sum(c) for c in orb.elements}
+            weights = {sum(c) for c in orb}
             assert len(weights) == 1
             assert len(orb) == math.comb(3, weights.pop())
 
     def test_config_orbit_examples(self):
         swap = PermutationGroup([parse_cycles("(0 1)", n=2)])
-        assert config_orbits(swap)[(0, 1)].elements == {(0, 1), (1, 0)}
+        assert set(config_orbits(swap)[(0, 1)]) == {(0, 1), (1, 0)}
         triv = PermutationGroup([], n=3)
-        assert config_orbits(triv)[(1, 0, 1)].elements == {(1, 0, 1)}
+        assert set(config_orbits(triv)[(1, 0, 1)]) == {(1, 0, 1)}
 
     def test_grid_corner_orbit(self):
         group = grid3_group()
@@ -291,7 +309,7 @@ class TestOrbits:
         expected = set()
         for name in "acgi":
             expected.add(tuple(1 if x == name else 0 for x in NAMES9))
-        assert config_orbits(group)[corner].elements == expected
+        assert set(config_orbits(group)[corner]) == expected
 
     def test_config_orbit_cap(self, monkeypatch):
         monkeypatch.setenv("ORBITAL_GUARD", "10")
@@ -301,7 +319,7 @@ class TestOrbits:
 
     def test_empty_domain(self):
         group = PermutationGroup([], n=0)
-        assert config_orbit_partition(group) == [Orbit(frozenset({()}), ())]
+        assert [tuple(o) for o in config_orbit_partition(group)] == [((),)]
 
 
 class TestStateAction:
@@ -332,7 +350,7 @@ class TestStateAction:
         group = PermutationGroup(group.generators[:1])
         action = state_action(group, states)
         assert np.array_equal(action, apply_config_action(group, states))
-        assert list(_state_orbit_ids(action)) == [0] * n + [1] * n + [2]
+        assert list(orbit_ids(action)) == [0] * n + [1] * n + [2]
 
     def test_group_must_preserve_the_states(self):
         # on the path 0-1-2, swapping 0 and 1 maps {0, 2} to {1, 2}

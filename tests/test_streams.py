@@ -148,7 +148,7 @@ def test_detection_beyond_255_points():
     report = clauses.model_symmetry_group(model, evidence)
     assert report.graph.n > 255
     assert digest(images(report.graph_group)) == GOLDEN["gens/fs7/graph"]
-    orbits = [sorted(o.elements) for o in report.graph_group.orbit_partition()]
+    orbits = [list(o) for o in report.graph_group.orbit_partition()]
     assert digest(orbits) == GOLDEN["orbits/fs7/graph"]
     assert digest(images(report.model_group)) == GOLDEN["gens/fs7/model"]
 
@@ -157,7 +157,7 @@ def test_detection_with_evidence_classes():
     model, _ = families.gen_friends_smokers(7)
     report = clauses.model_symmetry_group(model, FS_EVIDENCE)
     assert digest(images(report.graph_group)) == GOLDEN["gens/fs7e/graph"]
-    orbits = [sorted(o.elements) for o in report.graph_group.orbit_partition()]
+    orbits = [list(o) for o in report.graph_group.orbit_partition()]
     assert digest(orbits) == GOLDEN["orbits/fs7e/graph"]
     assert digest(images(report.model_group)) == GOLDEN["gens/fs7e/model"]
     order, orbits = fs_expected(7, FS_EVIDENCE)
