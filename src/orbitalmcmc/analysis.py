@@ -19,7 +19,7 @@ import numpy as np
 from .chains import ChainKind, ChainTrace, IndependentSetModel
 from .errors import GuardExceededError, enumeration_cap
 from .graphs import Graph
-from .perm import Config, PermutationGroup, _orbit_walk, orbit_ids, state_action
+from .perm import Config, Permutation, PermutationGroup, _orbit_walk, orbit_ids, state_action
 
 
 class ExactDistribution:
@@ -373,8 +373,7 @@ class CouplingSimulator:
 
     def __init__(self, model: IndependentSetModel, group: PermutationGroup):
         self.model = model
-        self.group = group
-        self.elements = group.elements()
+        self.images = group.images
         self.states = model.states()
         ids = orbit_ids(state_action(group, self.states))
         self.orbit_of = dict(zip(self.states, ids.tolist()))
@@ -446,8 +445,7 @@ class CouplingSimulator:
             b = _with(lower, w, 1)
             if orbit_of[b] == orbit_of[upper]:
                 b = upper
-        els = self.elements
-        g = els[rng.randrange(len(els))]
+        g = Permutation._wrap(self.images[rng.randrange(len(self.images))])
         u = g.apply_config(a)
         return u, (u if a == b else g.apply_config(b)), case
 

@@ -197,25 +197,24 @@ def cmd_detect(args) -> int:
     names = bundle.names if group.n == len(bundle.names) else None
     for g in group.generators:
         print(f"  {perm.format_cycles(g, names)}")
-    try:
-        order = group.order()
-        print(f"group order: {order}")
-    except GuardExceededError:
-        print("group order: not enumerated (guard exceeded)")
-        order = None
+    print(f"group order: {group.order()}")
 
     if bundle.kind in GRAPH_MODELS:
         try:
             orbits = perm.config_orbit_partition(group)
+        except GuardExceededError:
+            print("configuration orbits: skipped (guard exceeded)")
+        else:
             hist = collections.Counter(len(o) for o in orbits)
             card = ",".join(str(c) for c in sorted(hist))
             print(f"configuration orbits: {len(orbits)} (cardinalities: {card})")
-            if order is not None:
+            try:
                 check = perm.burnside_config_orbit_count(group)
+            except GuardExceededError:
+                print("burnside cross-check: skipped (guard exceeded)")
+            else:
                 tag = "agrees" if check == len(orbits) else "DISAGREES"
                 print(f"burnside cross-check: {check} ({tag})")
-        except GuardExceededError:
-            print("configuration orbits: skipped (guard exceeded)")
     else:
         report = bundle.report
         print(f"variable orbits: {len(report.variable_orbits)}")

@@ -9,24 +9,28 @@ A permutation is stored as one raw image, the sequence of images of
 graphs of larger clause models have more than 255 vertices).  For `bytes`,
 `bytes.translate` gathers and `bytes.maketrans` scatters at C speed, which
 gives composition, inversion and the action on configurations.  Only
-`_compose` (gather) and `_scatter` look at the storage form, and the group
-closure, which hoists `_compose`'s table building out of its loop; all
-other code indexes an image, which reads the same ints from both forms.
+`_compose` (gather), `_scatter` and `PermutationGroup.images` look at the
+storage form; all other code indexes an image, which reads the same ints
+from both forms.
 
-Groups are represented by generating sets only.  Full element lists are
-computed by breadth-first closure, exact and entirely sufficient at the
-scales this toolkit targets; there is deliberately no stabilizer-chain
-machinery.  Every orbit, of points, configurations or states, is read off
-one routine, `orbit_ids`, from an action given as one row of images per
-generator: `PermutationGroup.point_action` on points, `state_action` on a
-configuration list.  Lists of orbits are sorted tuples.
+Groups are represented by generating sets and a stabilizer chain, built
+lazily by deterministic Schreier-Sims on the raw images: the order is the
+product of its transversal sizes, and all elements, when needed, are one
+sorted |G| x n array read off it.  Every orbit, of points, configurations
+or states, is read off one routine, `orbit_ids`, from an action given as
+one row of images per generator: `PermutationGroup.point_action` on
+points, `state_action` on a configuration list.  Lists of orbits are
+sorted tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import re
 from enum import Enum
+from operator import itemgetter
 from random import Random
 from typing import Iterable, Optional, Sequence, Union
 
@@ -50,7 +54,7 @@ def _compose(a: Image, b: Image) -> Image:
     """Raw image of a followed by b: x -> b[a[x]]."""
     if type(a) is bytes:
         return a.translate(b + _PAD[len(a):])
-    return tuple(map(b.__getitem__, a))
+    return itemgetter(*a)(b)  # a tuple: more than 255 points
 
 
 def _scatter(a: Image, values: Image) -> Image:
@@ -225,8 +229,8 @@ class PermutationGroup:
     """A permutation group given by a generating set.
 
     The group always contains the identity, also for an empty generating
-    set.  Instances are immutable; the full element list is computed lazily
-    and cached.
+    set.  Instances are immutable; the stabilizer chain and the element
+    list are computed lazily and cached.
     """
 
     def __init__(self, generators: Iterable[Permutation], n: Optional[int] = None):
@@ -243,7 +247,6 @@ class PermutationGroup:
             raise ValueError("empty generating set requires an explicit domain size")
         self.generators = tuple(g for g in gens if not g.is_identity())
         self.n = n
-        self._elements: Optional[tuple[Permutation, ...]] = None
 
     def __repr__(self) -> str:
         return f"PermutationGroup({len(self.generators)} generators, n={self.n})"
@@ -260,39 +263,95 @@ class PermutationGroup:
         """Point orbits as sorted tuples, ordered by least point."""
         return _orbit_tuples(orbit_ids(self.point_action()), range(self.n))
 
-    def elements(self) -> tuple[Permutation, ...]:
-        """All group elements by breadth-first closure, sorted, cached."""
-        if self._elements is None:
-            self._elements = tuple(map(Permutation._wrap, sorted(self._closure())))
-        return self._elements
-
-    def _closure(self) -> set:
-        cap = enumeration_cap()
-        ident = Permutation.identity(self.n).image
-        gens = [g.image for g in self.generators]
-        compose = _compose
-        if type(ident) is bytes:
-            # _compose's bytes branch with the translation tables built once
-            compose = bytes.translate
-            gens = [g + _PAD[self.n:] for g in gens]
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in gens:
-                    q = compose(p, g)
-                    if q not in seen:
-                        if len(seen) >= cap:
-                            raise GuardExceededError(
-                                f"group enumeration exceeds cap {cap}")
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return seen
+    @functools.cached_property
+    def _chain(self) -> list[dict]:
+        return _schreier_sims(self.n, [g.image for g in self.generators])
 
     def order(self) -> int:
-        return len(self.elements())
+        """|G|, the product of the transversal sizes of a stabilizer chain."""
+        return math.prod(map(len, self._chain))
+
+    def image_array(self) -> np.ndarray:
+        """All |G| elements as one array of images (uint8 up to 255 points,
+        uint16 above) in lexicographic order, one gather per chain level.
+        Raises GuardExceededError, before allocating, past the cap."""
+        order, cap = self.order(), enumeration_cap()
+        if order > cap:
+            raise GuardExceededError(f"group of order {order} exceeds enumeration cap {cap}")
+        dtype = np.min_scalar_type(self.n)
+        els = np.arange(self.n, dtype=dtype).reshape(1, self.n)
+        for level in reversed(self._chain):
+            u = np.array([tuple(v) for v, _ in level.values()], dtype=dtype)
+            els = u[:, els].reshape(-1, self.n)  # h from the level below, then u
+        # distinct elements differ at a base point: sort on columns up to the last
+        cols = 1 + max((next(iter(level)) for level in self._chain), default=0)
+        return els[np.lexsort(els[:, :cols].T[::-1])] if order > 1 else els
+
+    @functools.cached_property
+    def images(self) -> list[Image]:
+        """All elements as raw images in lexicographic order, computed once."""
+        els, n = self.image_array(), self.n
+        flat = els.tobytes() if n <= MAX_BYTES_N else tuple(els.ravel().tolist())
+        return [flat[i * n:(i + 1) * n] for i in range(len(els))]
+
+    def elements(self) -> tuple[Permutation, ...]:
+        """All group elements in lexicographic order of their images."""
+        return tuple(map(Permutation._wrap, self.images))
+
+
+def _schreier_sims(n: int, gens: Sequence[Image]) -> list[dict]:
+    """A stabilizer chain by deterministic Schreier-Sims (Sims 1970; Seress,
+    Permutation Group Algorithms, 2003): per base point b_i, a dict from
+    each point of b_i's orbit under the stabilizer of b_0..b_{i-1} to an
+    element u taking b_i there and u's inverse, b_i first with the identity.
+    Each new base point is the first point moved by the residue needing it;
+    a level is done when all its Schreier generators sift to the identity."""
+    ident = _as_image(range(n))
+    base, strong, chain = [], [], []
+
+    def sift(g, i):
+        for i in range(i, len(base)):
+            beta = g[base[i]]
+            if beta != base[i]:  # else the transversal element is the identity
+                if beta not in chain[i]:
+                    return g, i
+                g = _compose(g, chain[i][beta][1])
+        return g, len(base)
+
+    def add(h, j, first):  # h fixes b_0..b_{j-1}
+        if j == len(base):
+            base.append(next(x for x, y in enumerate(h) if x != y))
+            strong.append([])
+            chain.append({base[j]: (ident, ident)})
+        for level in range(first, j + 1):
+            strong[level].append(h)
+            t = chain[level]
+            todo = list(t)
+            for beta in todo:  # extend the orbit and its transversal
+                for s in strong[level]:
+                    if s[beta] not in t:
+                        u = _compose(t[beta][0], s)
+                        t[s[beta]] = (u, _scatter(u, ident))
+                        todo.append(s[beta])
+
+    def residues(i):
+        for beta, (u, _) in chain[i].items():
+            for s in strong[i]:
+                us, (v, v_inv) = _compose(u, s), chain[i][s[beta]]
+                if us != v:
+                    yield sift(_compose(us, v_inv), i + 1)
+
+    for g in gens:
+        h, j = sift(g, 0)
+        if h != ident:
+            add(h, j, 0)
+    i = len(base) - 1
+    while i >= 0:  # the first residue that is not the identity, if any
+        h, j = next((r for r in residues(i) if r[0] != ident), (None, i - 1))
+        if h is not None:
+            add(h, j, i + 1)
+        i = j
+    return chain
 
 
 def state_action(group: PermutationGroup, states) -> np.ndarray:
@@ -385,14 +444,23 @@ def burnside_config_orbit_count(group: PermutationGroup) -> int:
 
     A permutation fixes 2^(number of point cycles, fixed points included)
     configurations; averaging over the enumerated group counts the orbits,
-    giving an independent check on the exhaustive partition.
+    giving an independent check on the exhaustive partition.  Cycles are
+    counted in bulk by pointer doubling: after ceil(log2 n) rounds of
+    `label = min(label, label[p]); p = p[p]` only the least point of each
+    cycle keeps its own label.
     """
-    els = group.elements()
-    total = 0
-    for g in els:
-        cycles = g.cycles()
-        n_cycles = len(cycles) + (group.n - sum(len(c) for c in cycles))
-        total += 2 ** n_cycles
+    els, n = group.image_array(), group.n
+    points, total = np.arange(n), 0
+    rows = (1 << 18) // (n + 1)  # a chunk's temporaries: at most 2 MiB each
+    for start in range(0, len(els), rows):
+        chunk = els[start:start + rows]
+        p = (chunk + n * np.arange(len(chunk))[:, None]).ravel()  # flat indices
+        label = np.tile(points, len(chunk))
+        for _ in range((n - 1).bit_length()):
+            np.minimum(label, label[p], out=label)
+            p = p[p]
+        cycles = (label.reshape(chunk.shape) == points).sum(axis=1)
+        total += sum(count << c for c, count in enumerate(np.bincount(cycles).tolist()))
     count, rem = divmod(total, len(els))
     if rem:
         raise ArithmeticError("fixed-configuration total not divisible by order")
@@ -467,29 +535,24 @@ class ProductReplacement:
 class OrbitSampler:
     """Uniform (or near-uniform) resampling of a configuration within its orbit.
 
-    EXACT mode draws a uniformly random element of the fully enumerated
-    group, which by the orbit-stabilizer correspondence yields the uniform
-    distribution on the orbit.  PRODUCT_REPLACEMENT trades exactness for
-    scalability.  A trivial group consumes no randomness.
+    EXACT mode draws a uniformly random element of the group, one index
+    into its sorted element list, which by the orbit-stabilizer
+    correspondence yields the uniform distribution on the orbit.
+    PRODUCT_REPLACEMENT trades exactness for scalability.  A trivial group
+    consumes no randomness.
     """
 
     def __init__(self, group: PermutationGroup, mode: SamplerMode, rng: Random):
         self.group = group
         self.mode = SamplerMode(mode)
         self.rng = rng
-        if group.is_trivial():
-            self._els = None
-            self._pr = None
-        elif self.mode is SamplerMode.EXACT:
-            self._els = group.elements()
-            self._pr = None
-        else:
-            self._els = None
-            self._pr = ProductReplacement(group, rng=rng)
+        exact, trivial = self.mode is SamplerMode.EXACT, group.is_trivial()
+        self._els = group.images if exact and not trivial else None
+        self._pr = None if exact or trivial else ProductReplacement(group, rng=rng)
 
     def sample(self, bits: Sequence[int]) -> Config:
         if self._els is not None:
-            image = self._els[self.rng.randrange(len(self._els))].image
+            image = self._els[self.rng.randrange(len(self._els))]
         elif self._pr is not None:
             image = self._pr._draw()
         else:

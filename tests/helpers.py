@@ -46,6 +46,35 @@ def apply_config_action(group: PermutationGroup, states) -> np.ndarray:
     return np.array(action, dtype=np.intp).reshape(len(group.generators), len(states))
 
 
+def closure_elements(group: PermutationGroup) -> list[Permutation]:
+    """Reference for `PermutationGroup.elements`: breadth-first closure of
+    the identity under right multiplication by the generators, sorted."""
+    seen = {Permutation.identity(group.n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in group.generators:
+                q = p.compose(g)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return sorted(seen, key=lambda p: p.mapping)
+
+
+def cycle_count_burnside(group: PermutationGroup, elements) -> int:
+    """Reference for `perm.burnside_config_orbit_count`: 2^(cycles,
+    fixed points included) summed per element and averaged."""
+    total = 0
+    for g in elements:
+        cycles = g.cycles()
+        total += 2 ** (len(cycles) + group.n - sum(map(len, cycles)))
+    count, rem = divmod(total, len(elements))
+    assert rem == 0
+    return count
+
+
 def read_graph(path) -> Graph:
     """Reader for `graphs.write_graph`'s text format, for round trips."""
     with open(path) as fh:

@@ -498,11 +498,24 @@ class TestExitCodes:
         assert "19721 x 19721 kernel" in err
 
     def test_detect_degrades_when_guarded(self, capsys, monkeypatch):
+        # the order needs no enumeration; the 2^9 configurations exceed the cap
         monkeypatch.setenv("ORBITAL_GUARD", "5")
         code, out, _ = run_cli(capsys, "detect", "--model", "complete", "--k", "3")
         assert code == 0
-        assert "not enumerated" in out
-        assert "skipped" in out
+        assert "group order: 362880" in out.splitlines()
+        assert "configuration orbits: skipped (guard exceeded)" in out.splitlines()
+        assert "burnside" not in out
+
+    def test_detect_skips_burnside_past_the_cap(self, capsys, monkeypatch):
+        # the 512 configurations fit under the cap, the 362,880 elements do not
+        monkeypatch.setenv("ORBITAL_GUARD", "1000")
+        code, out, _ = run_cli(capsys, "detect", "--model", "complete", "--k", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert "group order: 362880" in lines
+        assert [ln for ln in lines if ln.startswith("configuration orbits")] == [
+            "configuration orbits: 10 (cardinalities: 1,9,36,84,126)"]
+        assert "burnside cross-check: skipped (guard exceeded)" in lines
 
     def test_infeasible_model(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

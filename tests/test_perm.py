@@ -1,6 +1,7 @@
 """Permutation, group, orbit and random-element tests."""
 
 import math
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -19,6 +20,7 @@ from orbitalmcmc.perm import (
     PermutationGroup,
     ProductReplacement,
     SamplerMode,
+    burnside_config_orbit_count,
     config_orbit_partition,
     format_cycles,
     orbit_ids,
@@ -27,7 +29,8 @@ from orbitalmcmc.perm import (
     state_action,
 )
 
-from helpers import apply_config_action, config_orbits, load_generating_set
+from helpers import (apply_config_action, closure_elements, config_orbits,
+                     cycle_count_burnside, load_generating_set)
 
 NAMES9 = list("abcdefghi")
 
@@ -382,6 +385,53 @@ class TestEnumeration:
         monkeypatch.setenv("ORBITAL_GUARD", "10")
         with pytest.raises(GuardExceededError, match="cap 10"):
             cliques3_group().elements()
+
+    def test_chain_equals_the_closure(self):
+        rng = Random(14)
+        groups = [PermutationGroup([], n=0), PermutationGroup([], n=5)]
+        for _ in range(50):
+            n = rng.randint(1, 8)
+            gens = []
+            for _ in range(rng.randint(0, 3)):
+                mapping = list(range(n))
+                rng.shuffle(mapping)
+                gens.append(Permutation(mapping))
+            groups.append(PermutationGroup(gens, n=n))
+        # dihedral group of order 600 on 300 points: tuple images, uint16 rows
+        rotate = Permutation([(x + 1) % 300 for x in range(300)])
+        reflect = Permutation([-x % 300 for x in range(300)])
+        groups.append(PermutationGroup([rotate, reflect]))
+        for group in groups:
+            expected = closure_elements(group)
+            assert group.order() == len(expected)
+            assert list(group.elements()) == expected
+            assert burnside_config_orbit_count(group) == cycle_count_burnside(group, expected)
+        assert PermutationGroup([], n=0).elements() == (Permutation.identity(0),)
+        assert groups[-1].order() == 600
+        assert groups[-1].image_array().dtype == np.uint16
+
+    @pytest.mark.parametrize("people", [12, 16])
+    def test_fs_order_without_enumeration(self, monkeypatch, people):
+        group = model_symmetry_group(gen_friends_smokers(people)[0]).model_group
+
+        def refuse(self):
+            raise AssertionError("order() enumerated the group")
+
+        monkeypatch.setattr(PermutationGroup, "image_array", refuse)
+        assert group.order() == math.factorial(people)
+
+    def test_guard_before_allocating(self, monkeypatch):
+        monkeypatch.setenv("ORBITAL_GUARD", "10")
+        group = complete3_group()
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceededError, match="exceeds enumeration cap 10"):
+                group.elements()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert group.order() == 362880
 
     def test_orbit_stabilizer(self):
         rng = Random(6)
