@@ -19,7 +19,8 @@ import numpy as np
 from .chains import ChainKind, ChainTrace, IndependentSetModel
 from .errors import GuardExceededError, enumeration_cap
 from .graphs import Graph
-from .perm import Config, Permutation, PermutationGroup, _orbit_walk, orbit_ids, state_action
+from .perm import (Config, Permutation, PermutationGroup, _orbit_walk, _row_lookup, orbit_ids,
+                   state_action)
 
 
 class ExactDistribution:
@@ -350,17 +351,19 @@ class CouplingReport:
     bound: float
 
 
-def _with(bits: Config, v: int, value: int) -> Config:
-    return bits[:v] + (value,) + bits[v + 1:]
-
-
 class CouplingSimulator:
     """Coupled one-step evolution of two independent sets at distance one,
     and the exact constants of its drift bound.
 
     The model's states are enumerated once, in lexicographic order, and
-    each is mapped once to its orbit id from the group action; the
-    distance-one pairs, rho and varrho are all read from that list and map.
+    everything else is read from index tables over them, built once with
+    numpy: the states' 0/1 matrix; `blocked[s, w]`, whether state s holds a
+    neighbour of vertex w, one product with the adjacency matrix;
+    `flip[s, w]`, the index of s with vertex w removed or added, -1 when
+    that is not a state; each state's orbit id under the group action; the
+    distance-one pairs as (upper, lower, vertex) index arrays in the order
+    of `pairs`; and the case of every pair and vertex, one case rule read by
+    `case`, `varrho` and the coupled draw.
 
     The two chains share the vertex choice and acceptance coin and apply a
     common uniformly drawn group element, so each side marginally follows
@@ -368,115 +371,151 @@ class CouplingSimulator:
     can accept the chosen insertion and the upper state already lies in
     the inserted state's orbit, both sides move to one uniform sample of
     that shared orbit and the pair coalesces: some group element maps the
-    upper state to the inserted one iff their orbit ids agree.
+    upper state to the inserted one iff their orbit ids agree.  Only `step`
+    applies the element, so only `step` enumerates the group.
     """
 
     def __init__(self, model: IndependentSetModel, group: PermutationGroup):
         self.model = model
-        self.images = group.images
         self.states = model.states()
-        ids = orbit_ids(state_action(group, self.states))
-        self.orbit_of = dict(zip(self.states, ids.tolist()))
+        self._group, self._order = group, group.order()
+        self._index = {s: i for i, s in enumerate(self.states)}
+        n = model.n
+        bits = np.array(self.states, dtype=bool).reshape(len(self.states), n)
+        adjacency = np.zeros((n, n), dtype=bool)
+        for v, w in model.graph.edges:
+            adjacency[v, w] = adjacency[w, v] = True
+        blocked = bits @ adjacency
+        find = _row_lookup(bits)
+        flip = np.empty(bits.shape, dtype=np.intp)
+        for w in range(n):
+            toggled = bits.copy()
+            toggled[:, w] ^= True
+            flip[:, w] = find(toggled)
+        upper, vertex = np.nonzero(bits)
+        lower = flip[upper, vertex]
+        # the case rule: 1 if the pair differs at w, 2 if w is in both, 3 if
+        # both can take w, 4 if only the lower can, 5 if neither
+        cases = np.select([np.arange(n) == vertex[:, None], bits[upper], ~blocked[upper],
+                           blocked[lower]], [1, 2, 3, 5], 4).astype(np.uint8)
+        self._bits, self._adjacency, self._flip = bits, adjacency, flip
+        self._orbit = orbit_ids(state_action(group, bits))
+        self._upper, self._lower, self._cases = upper, lower, cases
+        lam = model.lam
+        self._p_insert, self._p_delete = lam / (1.0 + lam), 1.0 / (1.0 + lam)
+        # the draw reads scalars through memoryviews, as Python ints
+        self._views = tuple(map(memoryview, (upper, lower, cases, flip, self._orbit)))
 
-    def case(self, upper: Config, lower: Config, w: int) -> int:
-        """The case of vertex w for a pair at distance one: 1 if the pair
-        differs at w, 2 if w is in both, 3 if both can take w, 4 if only
-        the lower can, 5 if neither."""
-        if upper[w] != lower[w]:
-            return 1
-        if upper[w]:
-            return 2
-        adj = self.model.graph.adj[w]
-        if not any(upper[x] for x in adj):
-            return 3
-        return 5 if any(lower[x] for x in adj) else 4
-
-    def pairs(self) -> list[tuple[Config, Config]]:
-        """All ordered pairs (X, X minus one vertex), X in lexicographic
-        order and the vertex ascending."""
-        return [(s, _with(s, v, 0)) for s in self.states for v in range(len(s)) if s[v]]
-
-    def rho(self) -> float:
-        """Fraction of adjacent-extension triples landing in different orbits:
-        over every state X and ordered edge (v, w) with both X + v and X + w
-        independent, how often the two are not in one orbit."""
-        adj, total, apart = self.model.graph.adj, 0, 0
-        for s in self.states:
-            # the orbit of X + v for every vertex v that X can take
-            free = {v: self.orbit_of[_with(s, v, 1)] for v in range(len(s))
-                    if not s[v] and not any(s[x] for x in adj[v])}
-            for v, orbit in free.items():
-                for w in adj[v]:
-                    if w in free:
-                        total += 1
-                        apart += orbit != free[w]
-        if total == 0:
-            raise ValueError("no valid adjacent extensions; graph has no edges?")
-        return apart / total
-
-    def varrho(self) -> float:
-        """Probability that a uniform vertex choice from a uniform distance-one
-        pair can only be inserted into the smaller set: case 4."""
-        pairs, n = self.pairs(), self.model.n
-        hits = sum(self.case(upper, lower, w) == 4 for upper, lower in pairs for w in range(n))
-        return hits / (len(pairs) * n)
-
-    def step(self, upper: Config, lower: Config,
-             rng: Random) -> tuple[Config, Config, int]:
-        orbit_of = self.orbit_of
-        if upper not in orbit_of or lower not in orbit_of:
+    def _pair_of(self, upper: Config, lower: Config) -> int:
+        """The index in `pairs` of a distance-one pair of states."""
+        index = self._index
+        if upper not in index or lower not in index:
             raise ValueError("coupled states must be independent sets")
         diff = [v for v, (a, b) in enumerate(zip(upper, lower)) if a != b]
         if len(diff) != 1 or not upper[diff[0]]:
             raise ValueError(
                 "states must differ at exactly one vertex present in the first")
-        lam = self.model.lam
-        p_ins = lam / (1.0 + lam)
-        w = rng.randrange(len(upper))
-        case = self.case(upper, lower, w)
-        a, b = upper, lower  # the pre-images of the common element
+        # the pairs of a state are its vertices in ascending order
+        return int(np.searchsorted(self._upper, index[upper])) + sum(upper[:diff[0]])
+
+    def case(self, upper: Config, lower: Config, w: int) -> int:
+        """The case of vertex w for a pair at distance one: 1 if the pair
+        differs at w, 2 if w is in both, 3 if both can take w, 4 if only
+        the lower can, 5 if neither."""
+        return int(self._cases[self._pair_of(upper, lower), w])
+
+    def pairs(self) -> list[tuple[Config, Config]]:
+        """All ordered pairs (X, X minus one vertex), X in lexicographic
+        order and the vertex ascending."""
+        states = self.states
+        return [(states[u], states[v]) for u, v in zip(self._upper.tolist(),
+                                                       self._lower.tolist())]
+
+    def rho(self) -> float:
+        """Fraction of adjacent-extension triples landing in different orbits:
+        over every state X and ordered edge (v, w) with both X + v and X + w
+        independent, how often the two are not in one orbit."""
+        takes = ~self._bits & (self._flip >= 0)  # X + v is a state
+        extended = self._orbit[self._flip]  # the orbit of X + v where it is one
+        v, w = np.nonzero(self._adjacency)
+        both = takes[:, v] & takes[:, w]
+        total = int(both.sum())
+        if total == 0:
+            raise ValueError("no valid adjacent extensions; graph has no edges?")
+        return int((both & (extended[:, v] != extended[:, w])).sum()) / total
+
+    def varrho(self) -> float:
+        """Probability that a uniform vertex choice from a uniform distance-one
+        pair can only be inserted into the smaller set: case 4."""
+        hits = int(np.count_nonzero(self._cases == 4))
+        return hits / (len(self._upper) * self.model.n)
+
+    def _draw(self, pair: int, rng: Random) -> tuple[int, int, int, int]:
+        """One coupled step of the pair with index `pair` in `pairs`, on
+        state indices: (a, b, element, case), where the group element with
+        index `element` in its sorted elements maps states a and b to the
+        new upper and lower states.  Draws, from rng, the vertex, then the
+        acceptance coin if the case has one, then the element."""
+        upper, lower, cases, flip, orbit = self._views
+        hi, lo = upper[pair], lower[pair]
+        w = rng.randrange(self.model.n)
+        case = cases[pair, w]
+        a, b = hi, lo  # the pre-images of the common element
         if case == 1:
-            a = b = upper if rng.random() < p_ins else lower
-        elif case == 2 and rng.random() < 1.0 / (1.0 + lam):
-            a, b = _with(upper, w, 0), _with(lower, w, 0)
-        elif case == 3 and rng.random() < p_ins:
-            a, b = _with(upper, w, 1), _with(lower, w, 1)
-        elif case == 4 and rng.random() < p_ins:
-            b = _with(lower, w, 1)
-            if orbit_of[b] == orbit_of[upper]:
-                b = upper
-        g = Permutation._wrap(self.images[rng.randrange(len(self.images))])
-        u = g.apply_config(a)
-        return u, (u if a == b else g.apply_config(b)), case
+            a = b = hi if rng.random() < self._p_insert else lo
+        elif case == 2 and rng.random() < self._p_delete:
+            a, b = flip[hi, w], flip[lo, w]
+        elif case == 3 and rng.random() < self._p_insert:
+            a, b = flip[hi, w], flip[lo, w]
+        elif case == 4 and rng.random() < self._p_insert:
+            b = flip[lo, w]
+            if orbit[b] == orbit[hi]:
+                b = hi
+        return a, b, rng.randrange(self._order), case
+
+    def step(self, upper: Config, lower: Config,
+             rng: Random) -> tuple[Config, Config, int]:
+        """One coupled step of a distance-one pair of state tuples: the new
+        upper and lower states and the case of the chosen vertex."""
+        a, b, element, case = self._draw(self._pair_of(upper, lower), rng)
+        g = Permutation._wrap(self._group.images[element])
+        new = g.apply_config(self.states[a])
+        return new, (new if a == b else g.apply_config(self.states[b])), case
 
 
 def coupling_drift(model: IndependentSetModel, group: PermutationGroup,
                    trials: int, seed: int = 0) -> CouplingReport:
     """Monte Carlo drift of the coupled chains against the exact bound
-    -1/n + varrho (2 rho - 1) lam / (1 + lam), all read from one simulator."""
+    -1/n + varrho (2 rho - 1) lam / (1 + lam), all read from one simulator.
+
+    Each trial draws a pair index, then one coupled step through the
+    simulator's draw, so the random stream is that of `step` on the pair.
+    The drawn element is not applied: a permutation of the vertices keeps
+    Hamming distances, so the new pair is as far apart as its pre-images,
+    one XOR of their bit masks.  Nothing is kept per trial."""
     if trials < 1:
         raise ValueError("need at least one trial")
     sim = CouplingSimulator(model, group)
-    pairs = sim.pairs()
+    pairs = len(sim._upper)
     if not pairs:
         raise ValueError("graph admits no distance-one pairs")
     rng = Random(seed)
     rho, varrho = sim.rho(), sim.varrho()
+    masks = [int.from_bytes(row.tobytes(), "big") for row in np.packbits(sim._bits, axis=1)]
 
-    counts = {k: 0 for k in range(1, 6)}
-    drift_sum = 0.0
-    drift_sq = 0.0
+    counts = [0] * 6
+    by_distance = [0] * (model.n + 1)  # trials per new Hamming distance
+    draw = sim._draw
     for _ in range(trials):
-        upper, lower = pairs[rng.randrange(len(pairs))]
-        new_upper, new_lower, case = sim.step(upper, lower, rng)
+        a, b, _, case = draw(rng.randrange(pairs), rng)
         counts[case] += 1
-        d = sum(a != b for a, b in zip(new_upper, new_lower)) - 1
-        drift_sum += d
-        drift_sq += d * d
+        by_distance[(masks[a] ^ masks[b]).bit_count()] += 1
+    drift_sum = float(sum((h - 1) * k for h, k in enumerate(by_distance)))
+    drift_sq = float(sum((h - 1) ** 2 * k for h, k in enumerate(by_distance)))
     mean = drift_sum / trials
     var = max(drift_sq / trials - mean * mean, 0.0)
     se = math.sqrt(var / trials)
     lam = model.lam
     bound = -1.0 / model.n + varrho * (2 * rho - 1) * lam / (1 + lam)
-    return CouplingReport(case_counts=counts, rho=rho, varrho=varrho,
-                          expected_drift=mean, drift_se=se, bound=bound)
+    return CouplingReport(case_counts={k: counts[k] for k in range(1, 6)}, rho=rho,
+                          varrho=varrho, expected_drift=mean, drift_se=se, bound=bound)

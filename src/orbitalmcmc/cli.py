@@ -299,6 +299,8 @@ def cmd_coupling(args) -> int:
     if len(args.seeds) != 1:
         raise UsageError("coupling takes one seed: give it as a list, such as "
                          "--seeds 42, (a bare count N means seeds 0..N-1)")
+    if args.trials < 1:
+        raise UsageError(f"coupling needs --trials of at least 1, got {args.trials}")
     bundle = ModelBundle(args)
     if bundle.kind not in GRAPH_MODELS:
         raise UsageError("coupling runs on independent-set models only")

@@ -354,32 +354,42 @@ def _schreier_sims(n: int, gens: Sequence[Image]) -> list[dict]:
     return chain
 
 
-def state_action(group: PermutationGroup, states) -> np.ndarray:
-    """action[g][i], the index in a list of distinct configurations of
-    generator g applied to states[i]: each generator permutes the columns
-    of the states' 0/1 matrix once, and one sorted lookup on the rows packed
-    to bytes finds every image.  ValueError unless all images are listed."""
-    bits = np.asarray(states, dtype=np.uint8).reshape(len(states), group.n)
-    action = np.empty((len(group.generators), len(bits)), dtype=np.intp)
-    if not group.generators:
-        return action
-
+def _row_lookup(bits: np.ndarray):
+    """A function giving, for each row of a 0/1 matrix, its index among the
+    distinct rows of `bits`, or -1 where it is not one of them: one sorted
+    lookup on the rows packed to bytes."""
     def packed(rows):  # one key per row: the row packed to bytes, compared bytewise
         rows = np.ascontiguousarray(np.packbits(rows, axis=1))
         return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
-    keys = packed(bits)
-    order = np.argsort(keys)
-    keys, ordered = keys[order], bits[order]
+    order = np.argsort(packed(bits))
+    keys, ordered = packed(bits)[order], bits[order]
+
+    def find(rows: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(keys, packed(rows)).clip(max=len(bits) - 1)
+        return np.where((ordered[pos] == rows).all(axis=1), order[pos], -1)
+
+    return find
+
+
+def state_action(group: PermutationGroup, states) -> np.ndarray:
+    """action[g][i], the index in a list of distinct configurations of
+    generator g applied to states[i]: each generator permutes the columns
+    of the states' 0/1 matrix once, and `_row_lookup` finds every image.
+    ValueError unless all images are listed."""
+    bits = np.asarray(states, dtype=np.uint8).reshape(len(states), group.n)
+    action = np.empty((len(group.generators), len(bits)), dtype=np.intp)
+    if not group.generators:
+        return action
+    find = _row_lookup(bits)
     for g, perm in enumerate(group.generators):
         image = bits[:, np.argsort(perm.mapping)]  # bit i moves to position perm[i]
-        pos = np.searchsorted(keys, packed(image)).clip(max=len(bits) - 1)
-        miss = np.flatnonzero((ordered[pos] != image).any(axis=1))
+        action[g] = find(image)
+        miss = np.flatnonzero(action[g] < 0)
         if miss.size:
             i = miss[0]
             raise ValueError("group does not preserve the state space: a generator "
                              f"maps {tuple(bits[i].tolist())} to {tuple(image[i].tolist())}")
-        action[g] = order[pos]
     return action
 
 

@@ -1,10 +1,12 @@
 """Shared model fixtures and reference oracles for the test suite."""
 
 import math
+from random import Random
 from typing import Optional
 
 import numpy as np
 
+from orbitalmcmc.analysis import CouplingReport, CouplingSimulator
 from orbitalmcmc.autgroup import Cells, color_cells, is_valid_partition
 from orbitalmcmc.clauses import WeightedClauseSet, parse_clause_file
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
@@ -161,6 +163,32 @@ def exact_varrho(graph: Graph) -> float:
             if in_upper and not in_lower:
                 hits += 1
     return hits / (len(pairs) * graph.n)
+
+
+def coupling_drift_by_steps(model, group: PermutationGroup, trials: int,
+                            seed: int = 0) -> CouplingReport:
+    """Reference for `analysis.coupling_drift`: one `CouplingSimulator.step`
+    per trial on state tuples, the distance counted on the stepped states,
+    with the constants from `exact_rho` and `exact_varrho`."""
+    sim = CouplingSimulator(model, group)
+    pairs = distance_one_pairs(model.graph)
+    rng = Random(seed)
+    counts = {k: 0 for k in range(1, 6)}
+    drift_sum = 0.0
+    drift_sq = 0.0
+    for _ in range(trials):
+        upper, lower = pairs[rng.randrange(len(pairs))]
+        new_upper, new_lower, case = sim.step(upper, lower, rng)
+        counts[case] += 1
+        d = sum(a != b for a, b in zip(new_upper, new_lower)) - 1
+        drift_sum += d
+        drift_sq += d * d
+    mean = drift_sum / trials
+    var = max(drift_sq / trials - mean * mean, 0.0)
+    rho, varrho, lam = exact_rho(model.graph, group), exact_varrho(model.graph), model.lam
+    bound = -1.0 / model.n + varrho * (2 * rho - 1) * lam / (1 + lam)
+    return CouplingReport(case_counts=counts, rho=rho, varrho=varrho, expected_drift=mean,
+                          drift_se=math.sqrt(var / trials), bound=bound)
 
 
 def config_orbits(group: PermutationGroup) -> dict:

@@ -36,7 +36,8 @@ from orbitalmcmc.graphs import Graph, enumerate_independent_sets
 from orbitalmcmc.perm import (Permutation, PermutationGroup, SamplerMode, orbit_ids,
                               parse_cycles)
 
-from helpers import distance_one_pairs, exact_rho, exact_varrho, two_spin_model
+from helpers import (coupling_drift_by_steps, distance_one_pairs, exact_rho, exact_varrho,
+                     two_spin_model)
 
 NAMES9 = list("abcdefghi")
 
@@ -693,6 +694,40 @@ class TestCoupling:
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         coupling_drift(IndependentSetModel(gen_grid(3), 1.0), grid3_group(), trials=100)
         assert calls == {"enumerate_independent_sets": 1, "state_action": 1}
+
+    @pytest.mark.parametrize("graph,trivial", [
+        (gen_grid(3), False), (gen_connected_cliques(3), False), (gen_complete(2), False),
+        (Graph(3, [(0, 1), (1, 2)]), True)],
+        ids=["grid3", "cliques3", "complete2", "path3-trivial"])
+    def test_drift_equals_the_step_loop(self, graph, trivial):
+        group = (PermutationGroup([], n=graph.n) if trivial
+                 else automorphism_generators(graph))
+        model = IndependentSetModel(graph, 1.0)
+        for seed, trials in itertools.product((0, 1, 78), (1, 2, 1023, 4099)):
+            assert (coupling_drift(model, group, trials, seed)
+                    == coupling_drift_by_steps(model, group, trials, seed)), (seed, trials)
+
+    def test_drift_memory_does_not_grow_with_trials(self):
+        model = IndependentSetModel(gen_grid(3), 1.0)
+        group = grid3_group()
+        tracemalloc.start()
+        try:
+            coupling_drift(model, group, trials=300_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    def test_drift_never_lists_the_group(self, monkeypatch):
+        # K_9 has 9! elements, past a cap of 100: the drift draws only an index
+        graph = gen_complete(3)
+        model, group = IndependentSetModel(graph, 1.0), automorphism_generators(graph)
+        monkeypatch.setenv("ORBITAL_GUARD", "100")
+        with pytest.raises(GuardExceededError):
+            group.image_array()
+        capped = coupling_drift(model, group, trials=2000, seed=78)
+        monkeypatch.delenv("ORBITAL_GUARD")
+        assert capped == coupling_drift_by_steps(model, group, trials=2000, seed=78)
 
     def test_drift_satisfies_bound_grid3(self):
         model = IndependentSetModel(gen_grid(3), 1.0)

@@ -211,6 +211,14 @@ class TestAnalysisCommands:
         assert "--seeds 42," in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_coupling_rejects_no_trials_before_writing(self, capsys, tmp_path, trials):
+        code, _, err = run_cli(capsys, "coupling", "--model", "grid", "--k", "3",
+                               "--trials", trials, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "--trials" in err
+        assert not (tmp_path / "o").exists()
+
     def test_coupling_runs_the_listed_seed(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "coupling", "--model", "grid", "--k", "3",
                                "--trials", "3000", "--seeds", "42,",

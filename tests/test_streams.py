@@ -21,8 +21,8 @@ import pytest
 
 from helpers import FS_EVIDENCE, two_spin_model
 from orbitalmcmc import autgroup, clauses, families
-from orbitalmcmc.analysis import (CouplingSimulator, exact_pi_lambda, mixing_time,
-                                  transition_matrix)
+from orbitalmcmc.analysis import (CouplingSimulator, coupling_drift, exact_pi_lambda,
+                                  mixing_time, transition_matrix)
 from orbitalmcmc.chains import ChainKind, ClauseModel, IndependentSetModel, run_chain
 from orbitalmcmc.graphs import Graph
 from orbitalmcmc.perm import PermutationGroup, ProductReplacement, SamplerMode, parse_cycles
@@ -70,6 +70,10 @@ GOLDEN = {
     "coupling/grid3": "fc07633365e145c4",
     "coupling/complete2": "5f8fbcf957cbd8d4",
     "coupling/complete3": "5be2d6008e40d3c3",
+    # whole coupling_drift reports at seed 78, recorded with the per-step loop
+    "drift/grid3": "d6c57c2efcccdd7f",
+    "drift/grid4": "b39616099435f295",
+    "drift/complete3": "65bb8ae4cf0ec2f0",
     # 324 mixing times: both insert/delete kinds, 3 fugacities, 6 epsilons
     "tau": "8081e8de9f052cb8",
 }
@@ -210,6 +214,15 @@ def test_coupled_steps(graph_groups, name, steps):
         upper, lower = pairs[rng.randrange(len(pairs))]
         moves.append(sim.step(upper, lower, rng))
     assert digest(moves) == GOLDEN[f"coupling/{name}"]
+
+
+@pytest.mark.parametrize("name,trials", [("grid3", 100_000), ("grid4", 100_000),
+                                         ("complete3", 2_000)])
+def test_coupling_drift_reports(graph_groups, name, trials):
+    # grid 3 and 4 at 100,000 trials are the acceptance suite's and perfbench's call
+    graph, group = graph_groups.get(name) or with_group(families.gen_grid(4))
+    report = coupling_drift(IndependentSetModel(graph, 1.0), group, trials, seed=78)
+    assert digest(report) == GOLDEN[f"drift/{name}"]
 
 
 def test_mixing_times(graph_groups):
