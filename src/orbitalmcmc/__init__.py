@@ -3,7 +3,6 @@ Markov chains, verified against exact desk-scale analysis."""
 
 from .autgroup import (
     automorphism_generators,
-    brute_force_automorphisms,
     color_refine,
     is_automorphism,
 )

@@ -19,15 +19,15 @@ import numpy as np
 from .chains import ChainKind, ChainTrace, IndependentSetModel
 from .errors import GuardExceededError, enumeration_cap
 from .graphs import Graph
-from .perm import (Config, Permutation, PermutationGroup, _orbit_walk, _row_lookup, orbit_ids,
-                   state_action)
+from .perm import (Config, Permutation, PermutationGroup, _orbit_walk, _row_lookup, as_config,
+                   config_matrix, orbit_ids, state_action)
 
 
 class ExactDistribution:
-    """A fully enumerated distribution over configurations."""
+    """A fully enumerated distribution over configurations, given as any 0/1 sequences."""
 
     def __init__(self, states: Sequence[Config], probs, partition_value: float):
-        self.states = tuple(states)
+        self.states = tuple(map(as_config, states))
         self.probs = np.asarray(probs, dtype=float)
         self.partition_value = float(partition_value)
         if len(self.states) != len(self.probs):
@@ -38,13 +38,13 @@ class ExactDistribution:
             raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
         self._index = {s: i for i, s in enumerate(self.states)}
 
-    def index_of(self, state: Config) -> int:
+    def index_of(self, state: Sequence[int]) -> int:
         try:
-            return self._index[tuple(state)]
+            return self._index[as_config(state)]
         except KeyError:
             raise KeyError(f"state {state} not in the enumerated universe") from None
 
-    def prob_of(self, state: Config) -> float:
+    def prob_of(self, state: Sequence[int]) -> float:
         return float(self.probs[self.index_of(state)])
 
     def marginal(self, var: int) -> float:
@@ -81,6 +81,7 @@ class TransitionMatrix:
     action: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "states", tuple(map(as_config, self.states)))
         rows, n = self.rows, len(self.states)
         if rows.shape != (n, n):
             raise ValueError("matrix shape does not match state count")
@@ -234,8 +235,7 @@ class TVSeries:
     points: list  # (samples used, d_tv)
 
     def auc(self) -> float:
-        xs = [s for s, _ in self.points]
-        ys = [d for _, d in self.points]
+        xs, ys = zip(*self.points)
         return float(np.trapezoid(ys, xs))
 
 
@@ -244,7 +244,8 @@ def tv_curve(trace: ChainTrace, exact: ExactDistribution,
     """TV distance to the target at growing prefixes of the recorded samples.
 
     The empirical distribution at checkpoint c uses the first c recorded
-    states, initial state included and no burn-in discarded.
+    states, initial state included and no burn-in discarded; one
+    `_row_lookup` finds them all, and counts are added per segment.
     """
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if not checkpoints or checkpoints[0] < 1:
@@ -252,18 +253,19 @@ def tv_curve(trace: ChainTrace, exact: ExactDistribution,
     if checkpoints[-1] > len(trace.states):
         raise ValueError(
             f"checkpoint {checkpoints[-1]} exceeds {len(trace.states)} samples")
-    counts = np.zeros(len(exact.states))
-    points = []
-    upcoming = iter(checkpoints)
-    target = next(upcoming)
-    for used, state in enumerate(trace.states, start=1):
-        counts[exact.index_of(state)] += 1
-        if used == target:
-            dtv = float(0.5 * np.abs(counts / used - exact.probs).sum())
-            points.append((used, dtv))
-            target = next(upcoming, None)
-            if target is None:
-                break
+    states = [as_config(s) for s in trace.states[:checkpoints[-1]]]
+    flat, width = b"".join(states), len(exact.states[0])
+    found = np.full(len(states), -1)
+    if width and len(flat) == len(states) * width:
+        found = _row_lookup(config_matrix(exact.states, width))(
+            np.frombuffer(flat, np.uint8).reshape(len(states), width))
+    for i in np.flatnonzero(found < 0):  # KeyError unless a listed state
+        found[i] = exact.index_of(states[i])
+    counts, points, used = np.zeros(len(exact.states)), [], 0
+    for target in checkpoints:
+        counts += np.bincount(found[used:target], minlength=len(counts))
+        used = target
+        points.append((used, float(0.5 * np.abs(counts / used - exact.probs).sum())))
     return TVSeries(points)
 
 
@@ -381,7 +383,7 @@ class CouplingSimulator:
         self._group, self._order = group, group.order()
         self._index = {s: i for i, s in enumerate(self.states)}
         n = model.n
-        bits = np.array(self.states, dtype=bool).reshape(len(self.states), n)
+        bits = config_matrix(self.states, n).astype(bool)
         adjacency = np.zeros((n, n), dtype=bool)
         for v, w in model.graph.edges:
             adjacency[v, w] = adjacency[w, v] = True
@@ -399,7 +401,7 @@ class CouplingSimulator:
         cases = np.select([np.arange(n) == vertex[:, None], bits[upper], ~blocked[upper],
                            blocked[lower]], [1, 2, 3, 5], 4).astype(np.uint8)
         self._bits, self._adjacency, self._flip = bits, adjacency, flip
-        self._orbit = orbit_ids(state_action(group, bits))
+        self._orbit = orbit_ids(state_action(group, self.states))
         self._upper, self._lower, self._cases = upper, lower, cases
         lam = model.lam
         self._p_insert, self._p_delete = lam / (1.0 + lam), 1.0 / (1.0 + lam)
@@ -407,8 +409,8 @@ class CouplingSimulator:
         self._views = tuple(map(memoryview, (upper, lower, cases, flip, self._orbit)))
 
     def _pair_of(self, upper: Config, lower: Config) -> int:
-        """The index in `pairs` of a distance-one pair of states."""
-        index = self._index
+        """The index in `pairs` of a distance-one pair of 0/1 sequences."""
+        index, upper, lower = self._index, as_config(upper), as_config(lower)
         if upper not in index or lower not in index:
             raise ValueError("coupled states must be independent sets")
         diff = [v for v, (a, b) in enumerate(zip(upper, lower)) if a != b]
@@ -475,7 +477,7 @@ class CouplingSimulator:
 
     def step(self, upper: Config, lower: Config,
              rng: Random) -> tuple[Config, Config, int]:
-        """One coupled step of a distance-one pair of state tuples: the new
+        """One coupled step of a distance-one pair of 0/1 sequences: the new
         upper and lower states and the case of the chosen vertex."""
         a, b, element, case = self._draw(self._pair_of(upper, lower), rng)
         g = Permutation._wrap(self._group.images[element])
@@ -501,7 +503,7 @@ def coupling_drift(model: IndependentSetModel, group: PermutationGroup,
         raise ValueError("graph admits no distance-one pairs")
     rng = Random(seed)
     rho, varrho = sim.rho(), sim.varrho()
-    masks = [int.from_bytes(row.tobytes(), "big") for row in np.packbits(sim._bits, axis=1)]
+    masks = [int.from_bytes(s, "big") for s in sim.states]  # one bit per byte
 
     counts = [0] * 6
     by_distance = [0] * (model.n + 1)  # trials per new Hamming distance

@@ -5,8 +5,8 @@ partition until equitable, branch on a vertex of the first smallest
 non-singleton cell, and read candidate automorphisms off pairs of discrete
 partitions.  Discovered automorphisms prune sibling branches in the same
 orbit.  Every emitted permutation is re-checked explicitly, so the search
-is sound by construction; completeness is exercised against the
-brute-force oracle in the test suite.
+is sound by construction; completeness is exercised against a brute-force
+oracle in the test suite (`tests/helpers.py`).
 
 Refinement works in synchronous passes with a sparse key: a vertex is keyed
 by the (-cell index, neighbor count) pairs of the cells it has neighbors
@@ -231,22 +231,3 @@ def automorphism_generators(graph: Graph) -> PermutationGroup:
                 ids = orbit_ids(PermutationGroup(gens).point_action()).tolist()
     return PermutationGroup(gens, n=graph.n)
 
-
-def brute_force_automorphisms(graph: Graph) -> list[Permutation]:
-    """All automorphisms by exhaustion over color-respecting bijections (n <= 10)."""
-    if graph.n > 10:
-        raise ValueError(f"brute force limited to 10 vertices, got {graph.n}")
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(graph.colors):
-        classes.setdefault(c, []).append(v)
-    keys = sorted(classes)
-    out = []
-    for images in itertools.product(*(itertools.permutations(classes[k]) for k in keys)):
-        mapping = [0] * graph.n
-        for k, img in zip(keys, images):
-            for src, dst in zip(classes[k], img):
-                mapping[src] = dst
-        p = Permutation._trusted(mapping)
-        if is_automorphism(graph, p):
-            out.append(p)
-    return out

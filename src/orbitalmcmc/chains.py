@@ -1,11 +1,11 @@
 """Base Markov chains and their orbit-resampling variants.
 
-Each model class owns its chain's rules, and `run_chain` and the exact
-analysis read them instead of branching on the model family:
+Each model class owns its chain's rules, which `run_chain` and the exact
+analysis read; every state is a `Config`, one 0/1 byte per variable:
 
 - `base`, the base chain kind the model runs;
 - `start`, the start state, valid by construction;
-- `step(bits, rng)`, one base move;
+- `step(bits, rng)`, one base move, a new state by two slices and a byte;
 - `moves(bits)`, the exact one-step distribution of `step` as
   (state, probability) pairs;
 - `states()` and `weights(states)`, the enumerated state space and its
@@ -35,6 +35,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from random import Random
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -43,7 +44,10 @@ import numpy as np
 from .clauses import WeightedClauseSet, weight_value
 from .errors import GuardExceededError, InfeasibleModelError, enumeration_cap
 from .graphs import Graph, enumerate_independent_sets
-from .perm import Config, OrbitSampler, PermutationGroup, SamplerMode
+from .perm import Config, OrbitSampler, PermutationGroup, SamplerMode, config_matrix
+
+_BIT = (b"\x00", b"\x01")  # a variable's value as a one-byte configuration
+SCAN_CHUNK = 64  # assignments per step of the scan for a start state
 
 
 class ChainKind(str, Enum):
@@ -54,15 +58,11 @@ class ChainKind(str, Enum):
 
     @property
     def is_orbital(self) -> bool:
-        return self in (ChainKind.ORBITAL_GIBBS, ChainKind.ORBITAL_INSERT_DELETE)
+        return self.value.startswith("orbital-")
 
     @property
     def base(self) -> "ChainKind":
-        if self is ChainKind.ORBITAL_GIBBS:
-            return ChainKind.GIBBS
-        if self is ChainKind.ORBITAL_INSERT_DELETE:
-            return ChainKind.INSERT_DELETE
-        return self
+        return ChainKind(self.value.removeprefix("orbital-"))
 
 
 class IndependentSetModel:
@@ -71,7 +71,7 @@ class IndependentSetModel:
     Chains start from the empty set.
     """
 
-    __slots__ = ("graph", "lam", "start")
+    __slots__ = ("graph", "lam", "start", "_p_delete", "_p_insert", "_neighbours")
     base = ChainKind.INSERT_DELETE
 
     def __init__(self, graph: Graph, lam: float):
@@ -79,7 +79,13 @@ class IndependentSetModel:
             raise ValueError(f"fugacity must be positive, got {lam}")
         self.graph = graph
         self.lam = lam
-        self.start = (0,) * graph.n
+        self.start = bytes(graph.n)
+        self._p_delete, self._p_insert = 1.0 / (1.0 + lam), lam / (1.0 + lam)
+        # per vertex, a gather of its neighbours' bits and its value when none is set
+        self._neighbours = tuple(
+            (itemgetter(*adj), (0,) * len(adj)) if len(adj) > 1
+            else (itemgetter(adj[0]), 0) if adj else (itemgetter(slice(0)), b"")
+            for adj in graph.adj)
 
     @property
     def n(self) -> int:
@@ -92,32 +98,28 @@ class IndependentSetModel:
         present, insert it with probability lam/(1+lam) if absent and
         unblocked, otherwise leave the state unchanged.
         """
-        graph = self.graph
-        v = rng.randrange(graph.n)
-        lam = self.lam
+        v = rng.randrange(self.graph.n)
         if bits[v]:
-            if rng.random() < 1.0 / (1.0 + lam):
-                return bits[:v] + (0,) + bits[v + 1:]
-            return tuple(bits)
-        if not any(bits[w] for w in graph.adj[v]):
-            if rng.random() < lam / (1.0 + lam):
-                return bits[:v] + (1,) + bits[v + 1:]
-            return tuple(bits)
-        return tuple(bits)
+            if rng.random() < self._p_delete:
+                return bits[:v] + b"\x00" + bits[v + 1:]
+            return bits
+        gather, empty = self._neighbours[v]
+        if gather(bits) == empty and rng.random() < self._p_insert:
+            return bits[:v] + b"\x01" + bits[v + 1:]
+        return bits
 
     def moves(self, bits: Config) -> Iterator[tuple[Config, float]]:
         """`step` from `bits` as (state, probability) pairs; a state can
         appear more than once."""
-        n = self.graph.n
-        lam = self.lam
+        n, lam = self.graph.n, self.lam
         p_del = 1.0 / (n * (1.0 + lam))
         p_ins = lam / (n * (1.0 + lam))
-        for v in range(n):
+        for v, (gather, empty) in enumerate(self._neighbours):
             if bits[v]:
-                yield bits[:v] + (0,) + bits[v + 1:], p_del
+                yield bits[:v] + b"\x00" + bits[v + 1:], p_del
                 yield bits, 1.0 / n - p_del
-            elif not any(bits[w] for w in self.graph.adj[v]):
-                yield bits[:v] + (1,) + bits[v + 1:], p_ins
+            elif gather(bits) == empty:
+                yield bits[:v] + b"\x01" + bits[v + 1:], p_ins
                 yield bits, 1.0 / n - p_ins
             else:
                 yield bits, 1.0 / n
@@ -142,7 +144,8 @@ class ClauseModel:
     exact single-site conditional costs only the touched clauses.
     Construction finds `start`, the first assignment in counting order
     (bit i of the counter is the i-th free variable, so free variables all
-    zero comes first) that satisfies every hard clause.
+    zero comes first) that satisfies every hard clause, by a scan in
+    chunks that raises GuardExceededError at counter `enumeration_cap()`.
     """
 
     base = ChainKind.GIBBS
@@ -154,7 +157,7 @@ class ClauseModel:
         clamped = {clause_set.var_index(name): int(value)
                    for name, value in (evidence or {}).items()}
         self.free = tuple(v for v in range(self.n) if v not in clamped)
-        self._clamped = tuple(clamped.get(v, 0) for v in range(self.n))
+        self._clamped = bytes(clamped.get(v, 0) for v in range(self.n))
         self._hard = tuple(c for c in clause_set.clauses if c.is_hard)
         # per variable, one term per clause it occurs in, in clause order:
         # (hard, weight, the value of the variable that satisfies the
@@ -166,36 +169,29 @@ class ClauseModel:
                 others = tuple((u, int(not m)) for u, m in c.literals if u != v)
                 terms[v].append((c.is_hard, weight, int(not neg), others))
         self._terms = [tuple(t) for t in terms]
-        start = next(self._satisfying(low_first=True), None)
-        if start is None:
-            raise InfeasibleModelError(
-                "no assignment satisfies every hard clause and the evidence")
-        self.start = start
-
-    def _satisfying(self, low_first: bool) -> Iterator[Config]:
-        """Assignments satisfying every hard clause, the free variables
-        taken from a counter 0, 1, ..., 2^|free| - 1.
-
-        The i-th free variable is bit i of the counter if `low_first`, else
-        bit |free| - 1 - i (lexicographic order).  The scan is exponential
-        in |free|; it raises GuardExceededError at counter
-        `enumeration_cap()`.
-        """
-        m = len(self.free)
-        shifts = range(m) if low_first else range(m - 1, -1, -1)
-        places = tuple(zip(self.free, shifts))
-        bits = list(self._clamped)
-        cap = enumeration_cap()
-        for k in range(2 ** m):
-            if k >= cap:
+        m, cap = len(self.free), enumeration_cap()
+        for low in range(0, min(2 ** m, cap), SCAN_CHUNK):
+            rows = self._satisfying(np.arange(low, min(low + SCAN_CHUNK, 2 ** m, cap)), range(m))
+            if len(rows):
+                self.start = rows[0].tobytes()
+                break
+        else:
+            if 2 ** m > cap:
                 raise GuardExceededError(
                     f"no assignment satisfying the hard clauses among the first "
                     f"{cap} of 2^{m} (enumeration cap)")
-            for v, shift in places:
-                bits[v] = (k >> shift) & 1
-            state = tuple(bits)
-            if all(c.satisfied_by(state) for c in self._hard):
-                yield state
+            raise InfeasibleModelError(
+                "no assignment satisfies every hard clause and the evidence")
+
+    def _satisfying(self, counter: np.ndarray, shifts: Sequence[int]) -> np.ndarray:
+        """The assignments numbered by `counter`, free variable i read from bit
+        shifts[i], that satisfy every hard clause, as uint8 rows in counter order."""
+        bits = np.tile(np.frombuffer(self._clamped, np.uint8), (len(counter), 1))
+        for v, shift in zip(self.free, shifts):
+            bits[:, v] = counter >> shift & 1
+        for c in self._hard:
+            bits = bits[_holds(c, bits)]
+        return bits
 
     def conditional_p1(self, bits: Sequence[int], v: int) -> float:
         """Exact probability that variable v is 1 given all other variables.
@@ -246,8 +242,8 @@ class ClauseModel:
         p1 = self.conditional_p1(bits, v)
         value = 1 if rng.random() < p1 else 0
         if bits[v] == value:
-            return tuple(bits)
-        return bits[:v] + (value,) + bits[v + 1:]
+            return bits
+        return bits[:v] + _BIT[value] + bits[v + 1:]
 
     def moves(self, bits: Config) -> Iterator[tuple[Config, float]]:
         """`step` from `bits` as (state, probability) pairs; a state can
@@ -260,33 +256,34 @@ class ClauseModel:
             for value, p in ((1, p1), (0, 1.0 - p1)):
                 if p == 0.0:
                     continue
-                yield bits[:v] + (value,) + bits[v + 1:], p / len(free)
+                yield bits[:v] + _BIT[value] + bits[v + 1:], p / len(free)
 
     def states(self) -> list[Config]:
-        """Every assignment satisfying the hard clauses and the evidence,
-        in lexicographic order."""
-        cap = enumeration_cap()
-        if 2 ** len(self.free) > cap:
-            raise GuardExceededError(
-                f"2^{len(self.free)} assignments exceed enumeration cap {cap}")
-        return list(self._satisfying(low_first=False))
+        """Every assignment satisfying the hard clauses and the evidence, lexicographically."""
+        m, n, cap = len(self.free), self.n, enumeration_cap()
+        if 2 ** m > cap:
+            raise GuardExceededError(f"2^{m} assignments exceed enumeration cap {cap}")
+        rows = self._satisfying(np.arange(2 ** m), range(m - 1, -1, -1))  # lexicographic
+        flat = rows.tobytes()
+        return [flat[i * n:(i + 1) * n] for i in range(len(rows))]
 
     def weights(self, states: Sequence[Config]) -> np.ndarray:
         """exp(total weight of the satisfied soft clauses) per state, each
         total added in clause order as a per-state loop would add it."""
-        bits = np.array(states, dtype=np.int8).reshape(len(states), self.n)
-        total = np.zeros(len(states))
+        bits, total = config_matrix(states, self.n), np.zeros(len(states))
         for c in self.clause_set.clauses:
             if not c.is_hard:
-                sat = np.zeros(len(states), dtype=bool)
-                for v, neg in c.literals:
-                    sat |= bits[:, v] == (0 if neg else 1)
-                total[sat] += weight_value(c.weight)
+                total[_holds(c, bits)] += weight_value(c.weight)
         return np.exp(total)
 
     def __repr__(self) -> str:
         clamped = self.n - len(self.free)
         return f"ClauseModel({self.clause_set!r}, {clamped} clamped)"
+
+
+def _holds(clause, bits: np.ndarray) -> np.ndarray:
+    """Per row of a 0/1 matrix, whether it satisfies the clause."""
+    return np.logical_or.reduce([bits[:, v] != neg for v, neg in clause.literals])
 
 
 gibbs_step = ClauseModel.step

@@ -21,6 +21,7 @@ from .errors import GuardExceededError, InfeasibleModelError
 
 GRAPH_MODELS = ("grid", "cliques", "complete")
 CHECKPOINT_COUNT = 50
+_LABEL = bytes.maketrans(b"\x00\x01", b"01")  # state bytes to the digits of its label
 
 
 class UsageError(Exception):
@@ -41,6 +42,15 @@ def parse_seeds(text: str) -> list[int]:
     if not seeds:
         raise UsageError("need at least one seed")
     return seeds
+
+
+def at_least(low: int):
+    """An argparse type: an integer of at least `low`, checked before any file is written."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return parse
 
 
 def load_config(path: str, known: set) -> dict:
@@ -86,8 +96,8 @@ def write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def state_label(state) -> str:
-    return "".join(map(str, state))
+def state_label(state: perm.Config) -> str:
+    return state.translate(_LABEL).decode()
 
 
 def out_dir(args) -> Path:
@@ -299,8 +309,6 @@ def cmd_coupling(args) -> int:
     if len(args.seeds) != 1:
         raise UsageError("coupling takes one seed: give it as a list, such as "
                          "--seeds 42, (a bare count N means seeds 0..N-1)")
-    if args.trials < 1:
-        raise UsageError(f"coupling needs --trials of at least 1, got {args.trials}")
     bundle = ModelBundle(args)
     if bundle.kind not in GRAPH_MODELS:
         raise UsageError("coupling runs on independent-set models only")
@@ -368,10 +376,10 @@ def build_parser() -> Parser:
     p = sub.add_parser("sample", help="run chains and write traces")
     add_model_flags(p)
     p.add_argument("--chain", default="id")
-    p.add_argument("--steps", type=int, default=10000)
+    p.add_argument("--steps", type=at_least(0), default=10000)
     p.add_argument("--seeds", type=parse_seeds, default=[0])
     p.add_argument("--mode", choices=["exact", "pr"], default="pr")
-    p.add_argument("--record-every", type=int, default=1)
+    p.add_argument("--record-every", type=at_least(1), default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 
@@ -384,7 +392,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("tvcurve", help="TV distance of cumulative samples")
     add_model_flags(p)
     p.add_argument("--chain", default="id,orbital-id")
-    p.add_argument("--steps", type=int, default=100000)
+    p.add_argument("--steps", type=at_least(0), default=100000)
     p.add_argument("--seeds", type=parse_seeds, default=[0])
     p.add_argument("--mode", choices=["exact", "pr"], default="pr")
     p.add_argument("--out")
@@ -392,7 +400,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("coupling", help="coupled-chain drift report")
     add_model_flags(p)
-    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--trials", type=at_least(1), default=100000)
     p.add_argument("--seeds", type=parse_seeds, default=[0])
     p.add_argument("--out")
     p.set_defaults(func=cmd_coupling)

@@ -61,8 +61,8 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)}, c={self.num_colors})"
 
 
-def enumerate_independent_sets(graph: Graph) -> list[tuple[int, ...]]:
-    """All independent sets as bit tuples, in lexicographic order.
+def enumerate_independent_sets(graph: Graph) -> list[bytes]:
+    """All independent sets as `bytes` configurations, in lexicographic order.
 
     Raises GuardExceededError once more than `enumeration_cap()` sets are
     certain: at the cap, or on reaching a set of s vertices with 2^s over
@@ -86,7 +86,7 @@ def enumerate_independent_sets(graph: Graph) -> list[tuple[int, ...]]:
 
     grow(0, 0, list(range(n)))
     masks.sort()
-    return [tuple(bin(m | 1 << n)[3:].encode().translate(_BITS)) for m in masks]
+    return [bin(m | 1 << n)[3:].encode().translate(_BITS) for m in masks]
 
 
 def default_names(n: int) -> list[str]:

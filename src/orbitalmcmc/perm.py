@@ -4,14 +4,15 @@ Permutations act on points 0..n-1 and, extended pointwise, on binary
 configurations of length n.  Composition is fixed left-to-right across the
 whole package: p.compose(q) applied to x is q applied to (p applied to x).
 
-A permutation is stored as one raw image, the sequence of images of
+A configuration (`Config`) is `bytes`, one 0/1 byte per variable, at every
+n.  A permutation is stored as one raw image, the sequence of images of
 0..n-1: `bytes` when n <= 255 and a tuple of ints above that (the colored
 graphs of larger clause models have more than 255 vertices).  For `bytes`,
 `bytes.translate` gathers and `bytes.maketrans` scatters at C speed, which
-gives composition, inversion and the action on configurations.  Only
-`_compose` (gather), `_scatter` and `PermutationGroup.images` look at the
-storage form; all other code indexes an image, which reads the same ints
-from both forms.
+gives composition, inversion and, in one call, the action on a
+configuration.  Only `_compose` (gather), `_scatter` and
+`PermutationGroup.images` look at the storage form; all other code indexes
+an image, which reads the same ints from both forms.
 
 Groups are represented by generating sets and a stabilizer chain, built
 lazily by deterministic Schreier-Sims on the raw images: the order is the
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import GuardExceededError, enumeration_cap
 
-Config = tuple  # binary configuration: tuple of 0/1 ints
+Config = bytes  # binary configuration: one 0/1 byte per variable, at every n
 Image = Union[bytes, tuple]  # raw image of a permutation, see the module docstring
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -48,6 +49,16 @@ MAX_BYTES_N = 255  # largest domain stored as bytes
 
 def _as_image(mapping: Sequence[int]) -> Image:
     return bytes(mapping) if len(mapping) <= MAX_BYTES_N else tuple(mapping)
+
+
+def as_config(bits: Sequence[int]) -> Config:
+    """Any 0/1 sequence as a configuration; `bytes` pass through as they are."""
+    return bits if type(bits) is bytes else bytes(map(int, bits))
+
+
+def config_matrix(states: Sequence[Config], n: int) -> np.ndarray:
+    """The configurations as one read-only len(states) x n uint8 matrix."""
+    return np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), n)
 
 
 def _compose(a: Image, b: Image) -> Image:
@@ -60,16 +71,16 @@ def _compose(a: Image, b: Image) -> Image:
 def _scatter(a: Image, values: Image) -> Image:
     """Raw image holding values[i] at position a[i].
 
-    `values` has a's length and storage form.  With the identity as
-    `values` this is the inverse of a; with a configuration it moves bit i
-    to position a[i].
+    `values` has a's length.  With the identity image as `values` this is
+    the inverse of a; with a configuration it moves bit i to position a[i]
+    and gives a configuration, whatever a's storage form.
     """
     if type(a) is bytes:
         return bytes.maketrans(a, values)[:len(a)]
     out = [0] * len(a)
     for i, v in zip(a, values):
         out[i] = v
-    return tuple(out)
+    return type(values)(out)
 
 
 class Permutation:
@@ -128,11 +139,11 @@ class Permutation:
         return self.image[x]
 
     def apply_config(self, bits: Sequence[int]) -> Config:
-        """Move bit i of the configuration to position image[i]."""
+        """Move bit i of any 0/1 sequence to position image[i]."""
         if len(bits) != len(self.image):
             raise ValueError(
                 f"configuration length {len(bits)} != domain size {len(self.image)}")
-        return tuple(_scatter(self.image, _as_image(bits)))
+        return _scatter(self.image, as_config(bits))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self followed by other: x -> other(self(x))."""
@@ -377,7 +388,7 @@ def state_action(group: PermutationGroup, states) -> np.ndarray:
     generator g applied to states[i]: each generator permutes the columns
     of the states' 0/1 matrix once, and `_row_lookup` finds every image.
     ValueError unless all images are listed."""
-    bits = np.asarray(states, dtype=np.uint8).reshape(len(states), group.n)
+    bits = config_matrix(states, group.n)
     action = np.empty((len(group.generators), len(bits)), dtype=np.intp)
     if not group.generators:
         return action
@@ -445,7 +456,7 @@ def config_orbit_partition(group: PermutationGroup) -> list[tuple[Config, ...]]:
     if 2 ** group.n > cap:
         raise GuardExceededError(
             f"2^{group.n} configurations exceed enumeration cap {cap}")
-    configs = list(itertools.product((0, 1), repeat=group.n))
+    configs = [bytes(c) for c in itertools.product((0, 1), repeat=group.n)]
     return _orbit_tuples(orbit_ids(state_action(group, configs)), configs)
 
 
@@ -560,17 +571,19 @@ class OrbitSampler:
         self._els = group.images if exact and not trivial else None
         self._pr = None if exact or trivial else ProductReplacement(group, rng=rng)
 
-    def sample(self, bits: Sequence[int]) -> Config:
+    def sample(self, bits: Config) -> Config:
         if self._els is not None:
             image = self._els[self.rng.randrange(len(self._els))]
         elif self._pr is not None:
             image = self._pr._draw()
         else:
-            return tuple(bits)
+            return bits
         if len(bits) != len(image):
             raise ValueError(
                 f"configuration length {len(bits)} != domain size {len(image)}")
-        return tuple(_scatter(image, _as_image(bits)))
+        if type(image) is bytes:
+            return bytes.maketrans(image, bits)[:len(image)]
+        return _scatter(image, bits)
 
 
 def save_generating_set(path, group: PermutationGroup,

@@ -1,5 +1,6 @@
 """Shared model fixtures and reference oracles for the test suite."""
 
+import itertools
 import math
 from random import Random
 from typing import Optional
@@ -7,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from orbitalmcmc.analysis import CouplingReport, CouplingSimulator
-from orbitalmcmc.autgroup import Cells, color_cells, is_valid_partition
+from orbitalmcmc.autgroup import Cells, color_cells, is_automorphism, is_valid_partition
 from orbitalmcmc.clauses import WeightedClauseSet, parse_clause_file
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
 from orbitalmcmc.perm import (Permutation, PermutationGroup, config_orbit_partition,
@@ -43,9 +44,30 @@ def two_spin_model() -> WeightedClauseSet:
 def apply_config_action(group: PermutationGroup, states) -> np.ndarray:
     """Reference for `perm.state_action`: action[g][i] is the index of
     generator g applied to states[i], one `apply_config` call per state."""
-    index = {s: i for i, s in enumerate(states)}
+    index = {bytes(s): i for i, s in enumerate(states)}
     action = [[index[g.apply_config(s)] for s in states] for g in group.generators]
     return np.array(action, dtype=np.intp).reshape(len(group.generators), len(states))
+
+
+def brute_force_automorphisms(graph: Graph) -> list[Permutation]:
+    """Reference for `autgroup.automorphism_generators`: all automorphisms
+    by exhaustion over color-respecting bijections (n <= 10)."""
+    if graph.n > 10:
+        raise ValueError(f"brute force limited to 10 vertices, got {graph.n}")
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(graph.colors):
+        classes.setdefault(c, []).append(v)
+    keys = sorted(classes)
+    out = []
+    for images in itertools.product(*(itertools.permutations(classes[k]) for k in keys)):
+        mapping = [0] * graph.n
+        for k, img in zip(keys, images):
+            for src, dst in zip(classes[k], img):
+                mapping[src] = dst
+        p = Permutation._trusted(mapping)
+        if is_automorphism(graph, p):
+            out.append(p)
+    return out
 
 
 def closure_elements(group: PermutationGroup) -> list[Permutation]:
@@ -114,7 +136,7 @@ def distance_one_pairs(graph: Graph) -> list:
     for s in enumerate_independent_sets(graph):
         for v in range(graph.n):
             if s[v]:
-                pairs.append((s, s[:v] + (0,) + s[v + 1:]))
+                pairs.append((s, s[:v] + b"\x00" + s[v + 1:]))
     return pairs
 
 
@@ -133,10 +155,10 @@ def exact_rho(graph: Graph, group: PermutationGroup) -> float:
             for v, other in ((u, w), (w, u)):
                 if s[v] or s[other]:
                     continue
-                with_v = s[:v] + (1,) + s[v + 1:]
+                with_v = s[:v] + b"\x01" + s[v + 1:]
                 if not graph.is_independent(with_v):
                     continue
-                with_other = s[:other] + (1,) + s[other + 1:]
+                with_other = s[:other] + b"\x01" + s[other + 1:]
                 if not graph.is_independent(with_other):
                     continue
                 total += 1
@@ -168,7 +190,7 @@ def exact_varrho(graph: Graph) -> float:
 def coupling_drift_by_steps(model, group: PermutationGroup, trials: int,
                             seed: int = 0) -> CouplingReport:
     """Reference for `analysis.coupling_drift`: one `CouplingSimulator.step`
-    per trial on state tuples, the distance counted on the stepped states,
+    per trial on the listed states, the distance counted on the stepped states,
     with the constants from `exact_rho` and `exact_varrho`."""
     sim = CouplingSimulator(model, group)
     pairs = distance_one_pairs(model.graph)

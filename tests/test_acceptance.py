@@ -23,7 +23,7 @@ from orbitalmcmc.analysis import (
     transition_matrix,
     tv_curve,
 )
-from orbitalmcmc.autgroup import automorphism_generators, brute_force_automorphisms
+from orbitalmcmc.autgroup import automorphism_generators
 from orbitalmcmc.chains import ChainKind, ClauseModel, IndependentSetModel, run_chain
 from orbitalmcmc.clauses import (
     WeightedClauseSet,
@@ -45,7 +45,7 @@ from orbitalmcmc.perm import (
     parse_cycles,
 )
 
-from helpers import EXAMPLE_CLAUSES, two_spin_model
+from helpers import EXAMPLE_CLAUSES, brute_force_automorphisms, two_spin_model
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -70,7 +70,7 @@ class TestEnumeration:
 
     def test_grid_against_subset_filter(self):
         graph = gen_grid(3)
-        oracle = [bits for bits in itertools.product((0, 1), repeat=9)
+        oracle = [bytes(bits) for bits in itertools.product((0, 1), repeat=9)
                   if graph.is_independent(bits)]
         assert enumerate_independent_sets(graph) == sorted(oracle)
 
@@ -243,7 +243,7 @@ class TestEvidence:
     def test_fully_clamped_kernel_stays(self):
         model = ClauseModel(two_spin_model(), {"x1": True, "x2": False})
         matrix = transition_matrix(model, ChainKind.GIBBS)
-        assert matrix.states == ((1, 0),)
+        assert matrix.states == (bytes((1, 0)),)
         assert matrix.rows.tolist() == [[1.0]]
         assert exact_distribution(model).probs.tolist() == [1.0]
 

@@ -5,11 +5,10 @@ from random import Random
 
 import pytest
 
-from helpers import FS_EVIDENCE, dense_color_refine, read_graph
+from helpers import FS_EVIDENCE, brute_force_automorphisms, dense_color_refine, read_graph
 from orbitalmcmc import autgroup, clauses, families
 from orbitalmcmc.autgroup import (
     automorphism_generators,
-    brute_force_automorphisms,
     color_cells,
     color_refine,
     is_automorphism,

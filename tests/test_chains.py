@@ -15,7 +15,8 @@ from orbitalmcmc.chains import (
     insert_delete_step,
     run_chain,
 )
-from orbitalmcmc.clauses import parse_clause_file, weight_value
+from orbitalmcmc.clauses import (HARD, WeightedClauseSet, model_symmetry_group,
+                                 parse_clause_file, weight_value)
 from orbitalmcmc.errors import GuardExceededError, InfeasibleModelError
 from orbitalmcmc.families import gen_complete, gen_friends_smokers, gen_grid
 from orbitalmcmc.graphs import Graph
@@ -32,14 +33,20 @@ def swap_group() -> PermutationGroup:
     return PermutationGroup([parse_cycles("(0 1)", n=2)])
 
 
+def with_hard(clause_set: WeightedClauseSet, hard: list) -> WeightedClauseSet:
+    """The clause set with the (literals, HARD) pairs of `hard` appended."""
+    return WeightedClauseSet(clause_set.variables,
+                             [(c.literals, c.weight) for c in clause_set.clauses] + hard)
+
+
 class TestClauseModel:
     def test_conditional_matches_enumeration(self):
         model = two_spin_chain_model()
         pi = exact_distribution(model)
         for bits in pi.states:
             for v in range(model.n):
-                on = bits[:v] + (1,) + bits[v + 1:]
-                off = bits[:v] + (0,) + bits[v + 1:]
+                on = bits[:v] + b"\x01" + bits[v + 1:]
+                off = bits[:v] + b"\x00" + bits[v + 1:]
                 expected = pi.prob_of(on) / (pi.prob_of(on) + pi.prob_of(off))
                 assert abs(model.conditional_p1(bits, v) - expected) < 1e-12
 
@@ -55,10 +62,46 @@ class TestClauseModel:
     def test_hard_clause_scan_guarded(self, monkeypatch):
         # all four unit clauses hold first at assignment 15 in counting order
         text = "vars: a b c d\ninf :: a\ninf :: b\ninf :: c\ninf :: d\n"
-        assert ClauseModel(parse_clause_file(text)).start == (1, 1, 1, 1)
+        assert ClauseModel(parse_clause_file(text)).start == bytes((1, 1, 1, 1))
         monkeypatch.setenv("ORBITAL_GUARD", "8")
         with pytest.raises(GuardExceededError):
             ClauseModel(parse_clause_file(text))
+
+    @pytest.mark.parametrize("evidence", [{}, {"smokes_p0": True, "friends_p1_p2": False}])
+    def test_scans_match_the_per_assignment_loop(self, monkeypatch, evidence):
+        # fs3 with hard clauses: someone of p1, p2 smokes, and the last
+        # variable holds, so the start lies past half the counter
+        clause_set, _ = gen_friends_smokers(3)
+        clause_set = with_hard(clause_set, [
+            ([(clause_set.var_index("smokes_p1"), False),
+              (clause_set.var_index("smokes_p2"), False)], HARD),
+            ([(clause_set.n - 1, False)], HARD)])
+        model = ClauseModel(clause_set, evidence)
+        pinned = {clause_set.var_index(name): int(value) for name, value in evidence.items()}
+        free, m = model.free, len(model.free)
+
+        def assignment(k, shifts):
+            bits = [pinned.get(v, 0) for v in range(clause_set.n)]
+            for v, shift in zip(free, shifts):
+                bits[v] = k >> shift & 1
+            return bytes(bits)
+
+        def holds(state):
+            return all(c.satisfied_by(state) for c in clause_set.clauses if c.is_hard)
+
+        first = next(k for k in range(2 ** m) if holds(assignment(k, range(m))))
+        assert first >= 2 ** (m - 1)
+        assert model.start == assignment(first, range(m))
+        lexicographic = [assignment(k, range(m - 1, -1, -1)) for k in range(2 ** m)]
+        assert model.states() == [s for s in lexicographic if holds(s)]
+        monkeypatch.setenv("ORBITAL_GUARD", str(first))
+        with pytest.raises(GuardExceededError, match=f"among the first {first} of"):
+            ClauseModel(clause_set, evidence)
+
+    def test_start_scan_crosses_chunks(self):
+        # eight unit hard clauses hold first at counter 255, in the fourth chunk
+        text = "vars: a b c d e f g h\n" + "".join(f"inf :: {x}\n" for x in "abcdefgh")
+        assert ClauseModel(parse_clause_file(text)).start == bytes([1] * 8)
 
     def test_single_free_variable_uniform(self):
         model = ClauseModel(parse_clause_file("vars: a\n0 :: a\n"))
@@ -81,8 +124,8 @@ class TestEvidence:
         model = ClauseModel(parse_clause_file(text), {"a": False})
         assert model.free == (1, 2)
         # all-zeros on the free variables violates the hard clause
-        assert model.start == (0, 1, 0)
-        assert model.states() == [(0, 1, 0), (0, 1, 1)]
+        assert model.start == bytes((0, 1, 0))
+        assert model.states() == [bytes((0, 1, 0)), bytes((0, 1, 1))]
         trace = run_chain(model, ChainKind.GIBBS, 300, seed=44)
         assert all(s[0] == 0 and s[1] == 1 for s in trace.states)
         assert {s[2] for s in trace.states} == {0, 1}
@@ -90,7 +133,7 @@ class TestEvidence:
     def test_moves_match_step_frequencies(self):
         text = "vars: a b c\n0.8 :: a | b\n-0.3 :: !b | c\n1.2 :: a | !c\n"
         model = ClauseModel(parse_clause_file(text), {"b": True})
-        start = (0, 1, 1)
+        start = bytes((0, 1, 1))
         expected = {}
         for state, p in model.moves(start):
             expected[state] = expected.get(state, 0.0) + p
@@ -125,10 +168,10 @@ class TestEvidence:
         monkeypatch.setenv("ORBITAL_GUARD", "8")
         with pytest.raises(GuardExceededError):
             ClauseModel(parse_clause_file(text))
-        assert ClauseModel(parse_clause_file(text), {"a": True}).start == (1, 1, 1, 1)
+        assert ClauseModel(parse_clause_file(text), {"a": True}).start == bytes((1, 1, 1, 1))
         model = ClauseModel(parse_clause_file(text), dict.fromkeys("abcd", True))
-        assert model.start == (1, 1, 1, 1)
-        assert model.states() == [(1, 1, 1, 1)]
+        assert model.start == bytes((1, 1, 1, 1))
+        assert model.states() == [bytes((1, 1, 1, 1))]
 
     def test_unknown_evidence_variable(self):
         with pytest.raises(ValueError, match="unknown variable"):
@@ -145,7 +188,7 @@ class TestGibbsStep:
         matrix = transition_matrix(model, ChainKind.GIBBS)
         dist = exact_distribution(model)
         assert dist.states == matrix.states
-        start = (1, 0)
+        start = bytes((1, 0))
         row = matrix.rows[dist.index_of(start)]
         rng = Random(31)
         counts = {s: 0 for s in matrix.states}
@@ -170,7 +213,7 @@ class TestGibbsStep:
     def test_changes_at_most_one_variable(self):
         model = two_spin_chain_model()
         rng = Random(32)
-        state = (0, 0)
+        state = bytes((0, 0))
         for _ in range(200):
             nxt = gibbs_step(model, state, rng)
             assert sum(a != b for a, b in zip(state, nxt)) <= 1
@@ -184,14 +227,14 @@ class TestInsertDeleteStep:
         rng = Random(33)
         counts = {}
         trials = 80_000
-        start = (0,) * 4
+        start = bytes(4)
         for _ in range(trials):
             nxt = insert_delete_step(model, start, rng)
             counts[nxt] = counts.get(nxt, 0) + 1
         # each singleton with probability 1/(2n), stay empty with 1/2
         n = 4
         for v in range(n):
-            singleton = tuple(1 if i == v else 0 for i in range(n))
+            singleton = bytes(1 if i == v else 0 for i in range(n))
             p = 1.0 / (2 * n)
             se = (p * (1 - p) / trials) ** 0.5
             assert abs(counts.get(singleton, 0) / trials - p) <= 3 * se
@@ -203,13 +246,13 @@ class TestInsertDeleteStep:
         graph = Graph(2, [(0, 1)])
         model = IndependentSetModel(graph, 5.0)
         rng = Random(34)
-        state = (1, 0)
+        state = bytes((1, 0))
         seen = set()
         for _ in range(500):
             nxt = insert_delete_step(model, state, rng)
             assert graph.is_independent(nxt)
             seen.add(nxt)
-        assert (1, 1) not in seen
+        assert bytes((1, 1)) not in seen
 
     def test_traces_stay_independent(self):
         graph = gen_grid(3)
@@ -235,12 +278,12 @@ class TestOrbitalStep:
         # once the base move lands on 10 the resample returns 01 or 10 evenly
         rng = Random(37)
         sampler = OrbitSampler(swap_group(), SamplerMode.EXACT, rng)
-        counts = {(1, 0): 0, (0, 1): 0}
+        counts = {bytes((1, 0)): 0, bytes((0, 1)): 0}
         trials = 20_000
         for _ in range(trials):
-            result = sampler.sample((1, 0))
+            result = sampler.sample(bytes((1, 0)))
             counts[result] += 1
-        assert abs(counts[(0, 1)] - trials / 2) <= 3 * (trials * 0.25) ** 0.5
+        assert abs(counts[bytes((0, 1))] - trials / 2) <= 3 * (trials * 0.25) ** 0.5
 
     def test_result_in_base_orbit(self):
         graph = gen_grid(3)
@@ -251,7 +294,7 @@ class TestOrbitalStep:
              parse_cycles("(a i)(b f)(d h)", names=names)])
         rng = Random(38)
         sampler = OrbitSampler(group, SamplerMode.EXACT, rng)
-        state = (0,) * 9
+        state = bytes(9)
         for _ in range(300):
             nxt = sampler.sample(insert_delete_step(model, state, rng))
             assert graph.is_independent(nxt)
@@ -262,7 +305,7 @@ class TestRunChain:
     def test_zero_steps(self):
         model = two_spin_chain_model()
         trace = run_chain(model, ChainKind.GIBBS, 0, seed=39)
-        assert trace.states == [(0, 0)]
+        assert trace.states == [bytes((0, 0))]
 
     def test_determinism(self):
         graph = gen_grid(3)
@@ -280,6 +323,22 @@ class TestRunChain:
         # all-zeros violates the hard clause: start from the first assignment
         # in counting order that satisfies it
         model = ClauseModel(parse_clause_file("vars: a b\ninf :: a | b\n"))
-        assert initial_state(model, ChainKind.GIBBS) == (1, 0)
+        assert initial_state(model, ChainKind.GIBBS) == bytes((1, 0))
         trace = run_chain(model, ChainKind.GIBBS, 50, seed=42)
-        assert all(s != (0, 0) for s in trace.states)
+        assert all(s != bytes((0, 0)) for s in trace.states)
+
+    def test_orbital_pr_past_255_variables(self):
+        # fs16 has 272 variables; a hard clause per person, cancer only with
+        # smoking, is kept by every permutation of the people
+        clause_set, _ = gen_friends_smokers(16)
+        clause_set = with_hard(clause_set, [
+            ([(clause_set.var_index(f"cancer_p{i}"), True),
+              (clause_set.var_index(f"smokes_p{i}"), False)], HARD) for i in range(16)])
+        group = model_symmetry_group(clause_set).model_group
+        assert group.n == 272 and type(group.generators[0].image) is tuple
+        trace = run_chain(ClauseModel(clause_set), ChainKind.ORBITAL_GIBBS, 500, seed=43,
+                          group=group, mode=SamplerMode.PRODUCT_REPLACEMENT)
+        assert all(type(s) is bytes and len(s) == 272 for s in trace.states)
+        assert all(c.satisfied_by(s) for s in trace.states
+                   for c in clause_set.clauses if c.is_hard)
+        assert len(set(trace.states)) > 250  # the resample moves the states

@@ -116,8 +116,8 @@ class TestModelSymmetry:
     def test_two_spin_orbits(self):
         report = model_symmetry_group(two_spin_model())
         assert report.model_group.order() == 2
-        orbits = config_orbits(report.model_group)[(0, 1)]
-        assert set(orbits) == {(0, 1), (1, 0)}
+        orbits = config_orbits(report.model_group)[bytes((0, 1))]
+        assert set(orbits) == {bytes((0, 1)), bytes((1, 0))}
         partition = config_orbit_partition(report.model_group)
         assert sorted(len(p) for p in partition) == [1, 1, 2]
 

@@ -219,6 +219,16 @@ class TestAnalysisCommands:
         assert "--trials" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command,flags", [
+        ("sample", ["--steps", "-1"]), ("sample", ["--record-every", "0"]),
+        ("sample", ["--record-every", "-2"]), ("tvcurve", ["--steps", "-1"])])
+    def test_run_length_rejected_before_writing(self, capsys, tmp_path, command, flags):
+        code, _, err = run_cli(capsys, command, "--model", "grid", "--k", "3", *flags,
+                               "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert flags[0] in err
+        assert not (tmp_path / "o").exists()
+
     def test_coupling_runs_the_listed_seed(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "coupling", "--model", "grid", "--k", "3",
                                "--trials", "3000", "--seeds", "42,",

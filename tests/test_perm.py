@@ -139,8 +139,9 @@ class TestRepresentation:
         moved = [0] * n
         for i, b in enumerate(bits):
             moved[pm[i]] = b
-        assert p.apply_config(bits) == tuple(moved)
-        assert p.apply_config(list(bits)) == tuple(moved)
+        assert p.apply_config(bits) == bytes(moved)
+        assert p.apply_config(list(bits)) == bytes(moved)
+        assert p.apply_config(bytes(bits)) == bytes(moved)
         assert p.cycles() == oracle_cycles(pm)
         assert p.is_identity() == (pm == tuple(range(n)))
         same = Permutation(list(pm))
@@ -163,9 +164,9 @@ class TestRepresentation:
         assert els[0] == Permutation.identity(n)
 
     def test_apply_config_single_point(self):
-        assert Permutation.identity(1).apply_config((1,)) == (1,)
-        assert Permutation.identity(1).apply_config([0]) == (0,)
-        assert Permutation.identity(0).apply_config(()) == ()
+        assert Permutation.identity(1).apply_config((1,)) == b"\x01"
+        assert Permutation.identity(1).apply_config([0]) == b"\x00"
+        assert Permutation.identity(0).apply_config(()) == b""
 
 
 class TestCycleText:
@@ -219,13 +220,13 @@ class TestApply:
 
     def test_config_examples(self):
         c = (1, 0, 1, 1, 0)
-        assert Permutation.identity(5).apply_config(c) == c
+        assert Permutation.identity(5).apply_config(c) == bytes(c)
         swap01 = parse_cycles("(0 1)", n=2)
-        assert swap01.apply_config((1, 0)) == (0, 1)
+        assert swap01.apply_config((1, 0)) == bytes((0, 1))
         # indicator of {a, f} through (a c)(d f)(g i) lands on {c, d}
         grid_gen = parse_cycles("(a c)(d f)(g i)", names=NAMES9)
         src = tuple(1 if x in "af" else 0 for x in NAMES9)
-        dst = tuple(1 if x in "cd" else 0 for x in NAMES9)
+        dst = bytes(1 if x in "cd" else 0 for x in NAMES9)
         assert grid_gen.apply_config(src) == dst
 
     def test_config_length_mismatch(self):
@@ -302,16 +303,16 @@ class TestOrbits:
 
     def test_config_orbit_examples(self):
         swap = PermutationGroup([parse_cycles("(0 1)", n=2)])
-        assert set(config_orbits(swap)[(0, 1)]) == {(0, 1), (1, 0)}
+        assert set(config_orbits(swap)[bytes((0, 1))]) == {bytes((0, 1)), bytes((1, 0))}
         triv = PermutationGroup([], n=3)
-        assert set(config_orbits(triv)[(1, 0, 1)]) == {(1, 0, 1)}
+        assert set(config_orbits(triv)[bytes((1, 0, 1))]) == {bytes((1, 0, 1))}
 
     def test_grid_corner_orbit(self):
         group = grid3_group()
-        corner = tuple(1 if x == "a" else 0 for x in NAMES9)
+        corner = bytes(1 if x == "a" else 0 for x in NAMES9)
         expected = set()
         for name in "acgi":
-            expected.add(tuple(1 if x == name else 0 for x in NAMES9))
+            expected.add(bytes(1 if x == name else 0 for x in NAMES9))
         assert set(config_orbits(group)[corner]) == expected
 
     def test_config_orbit_cap(self, monkeypatch):
@@ -322,7 +323,7 @@ class TestOrbits:
 
     def test_empty_domain(self):
         group = PermutationGroup([], n=0)
-        assert [tuple(o) for o in config_orbit_partition(group)] == [((),)]
+        assert [tuple(o) for o in config_orbit_partition(group)] == [(b"",)]
 
 
 class TestStateAction:
@@ -344,10 +345,10 @@ class TestStateAction:
         group = PermutationGroup([Permutation([*range(1, n), 0]),
                                   parse_cycles("(0 299)", n=n)])
         assert all(type(g.image) is tuple for g in group.generators)
-        states = [tuple(int(i == v or i == (v + 7) % n) for i in range(n))
+        states = [bytes(int(i == v or i == (v + 7) % n) for i in range(n))
                   for v in range(n)]
-        states += [tuple(int(i == v) for i in range(n)) for v in range(n)]
-        states.append((0,) * n)
+        states += [bytes(int(i == v) for i in range(n)) for v in range(n)]
+        states.append(bytes(n))
         with pytest.raises(ValueError, match="does not preserve the state space"):
             state_action(group, states)
         group = PermutationGroup(group.generators[:1])
@@ -439,7 +440,7 @@ class TestEnumeration:
             els = group.elements()
             orbits = config_orbits(group)
             for _ in range(10):
-                c = tuple(rng.randrange(2) for _ in range(9))
+                c = bytes(rng.randrange(2) for _ in range(9))
                 orbit = orbits[c]
                 stab = sum(1 for g in els if g.apply_config(c) == c)
                 assert len(orbit) * stab == len(els)
@@ -491,9 +492,31 @@ class TestOrbitSampling:
         group = PermutationGroup([parse_cycles("(0 1)", n=2)])
         rng = Random(7)
         sampler = OrbitSampler(group, SamplerMode.EXACT, rng)
-        hits = sum(sampler.sample((0, 1)) == (1, 0) for _ in range(10000))
+        hits = sum(sampler.sample(bytes((0, 1))) == bytes((1, 0)) for _ in range(10000))
         # binomial 3-sigma band around 1/2
         assert abs(hits - 5000) < 3 * (10000 * 0.25) ** 0.5
+
+    @pytest.mark.parametrize("mode", [SamplerMode.EXACT, SamplerMode.PRODUCT_REPLACEMENT])
+    def test_bytes_states_past_255_points(self, mode):
+        # dihedral group of order 600 on 300 points: tuple images, bytes states
+        n, rng = 300, Random(11)
+        group = PermutationGroup([Permutation([(x + 1) % n for x in range(n)]),
+                                  Permutation([-x % n for x in range(n)])])
+        sampler, clone = OrbitSampler(group, mode, Random(12)), Random(12)
+        if mode is SamplerMode.EXACT:
+            els = group.elements()
+
+            def draw():
+                return els[clone.randrange(len(els))]
+        else:
+            draw = ProductReplacement(group, rng=clone).next
+        moved = 0
+        for _ in range(200):
+            c = bytes(rng.randrange(2) for _ in range(n))
+            out = sampler.sample(c)
+            assert type(out) is bytes and out == draw().apply_config(c)
+            moved += out != c
+        assert moved > 190
 
     def test_result_in_orbit(self):
         group = grid3_group()
@@ -502,7 +525,7 @@ class TestOrbitSampling:
         for mode in (SamplerMode.EXACT, SamplerMode.PRODUCT_REPLACEMENT):
             sampler = OrbitSampler(group, mode, rng)
             for _ in range(50):
-                c = tuple(rng.randrange(2) for _ in range(9))
+                c = bytes(rng.randrange(2) for _ in range(9))
                 assert sampler.sample(c) in orbits[c]
 
 
