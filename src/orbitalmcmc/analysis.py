@@ -480,7 +480,7 @@ class CouplingSimulator:
         """One coupled step of a distance-one pair of 0/1 sequences: the new
         upper and lower states and the case of the chosen vertex."""
         a, b, element, case = self._draw(self._pair_of(upper, lower), rng)
-        g = Permutation._wrap(self._group.images[element])
+        g = Permutation._trusted(self._group.image_array()[element].tolist())
         new = g.apply_config(self.states[a])
         return new, (new if a == b else g.apply_config(self.states[b])), case
 

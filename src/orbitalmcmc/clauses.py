@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .autgroup import automorphism_generators
 from .graphs import Graph
-from .perm import Permutation, PermutationGroup
+from .perm import Permutation, PermutationGroup, _orbit_tuples, orbit_ids
 
 HARD = "inf"
 
@@ -256,52 +258,36 @@ class SymmetryReport:
         return [tuple(names[i] for i in o) for o in self.variable_orbits]
 
 
-def _project_to_variables(model: WeightedClauseSet, vmap: VertexMap,
-                          g: Permutation) -> Permutation:
-    pos_index = {vertex: i for i, vertex in enumerate(vmap.pos)}
-    mapping = [0] * model.n
-    for i in range(model.n):
-        img = g.apply(vmap.pos[i])
-        if img not in pos_index:
-            raise RuntimeError(
-                "graph automorphism maps an unnegated node off the unnegated set")
-        j = pos_index[img]
-        if g.apply(vmap.neg[i]) != vmap.neg[j]:
-            raise RuntimeError(
-                "inconsistent projection: negated partner disagrees "
-                f"for variable {model.variables[i]}")
-        mapping[i] = j
-    return Permutation(mapping)
-
-
 def model_symmetry_group(model: WeightedClauseSet,
                          evidence: Optional[Mapping[str, bool]] = None
                          ) -> SymmetryReport:
     """Compute graph automorphisms and project them onto the variables."""
     graph, vmap = build_colored_graph(model, evidence)
     graph_group = automorphism_generators(graph)
-    projected = []
-    for g in graph_group.generators:
-        p = _project_to_variables(model, vmap, g)
-        if not p.is_identity() and p not in projected:
-            projected.append(p)
-    model_group = PermutationGroup(projected, n=model.n)
-    variable_orbits = tuple(model_group.orbit_partition())
+    action = graph_group.point_action()
+    variable_of = np.full(graph.n, -1)
+    variable_of[list(vmap.pos)] = range(model.n)
+    projected = variable_of[action[:, vmap.pos]]
+    off = projected < 0
+    bad = off | (action[:, vmap.neg] != np.array(vmap.neg)[projected])
+    if bad.any():  # the first offending generator, then variable
+        g, i = divmod(int(np.flatnonzero(bad)[0]), model.n)
+        if off[g, i]:
+            raise RuntimeError(
+                "graph automorphism maps an unnegated node off the unnegated set")
+        raise RuntimeError("inconsistent projection: negated partner disagrees "
+                           f"for variable {model.variables[i]}")
+    distinct = dict.fromkeys(map(Permutation._trusted, projected.tolist()))
+    model_group = PermutationGroup(distinct, n=model.n)
 
-    clause_index = {vertex: j for j, vertex in enumerate(vmap.clause)}
-    clause_perms = []
-    for g in graph_group.generators:
-        mapping = [clause_index[g.apply(vertex)] for vertex in vmap.clause]
-        clause_perms.append(Permutation(mapping))
-    clause_group = PermutationGroup(clause_perms, n=len(model.clauses))
-    feature_orbits = tuple(clause_group.orbit_partition())
-
+    clause_ids = orbit_ids(action)[list(vmap.clause)]
     return SymmetryReport(
         clause_set=model,
         graph=graph,
         vertex_map=vmap,
         graph_group=graph_group,
         model_group=model_group,
-        variable_orbits=variable_orbits,
-        feature_orbits=feature_orbits,
+        variable_orbits=tuple(model_group.orbit_partition()),
+        feature_orbits=tuple(_orbit_tuples(np.unique(clause_ids, return_inverse=True)[1],
+                                           range(len(model.clauses)))),
     )

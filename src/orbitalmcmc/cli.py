@@ -44,13 +44,19 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def at_least(low: int):
-    """An argparse type: an integer of at least `low`, checked before any file is written."""
-    def parse(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        return int(text)
+def checked(cast, accept, need: str):
+    """An argparse type: `cast` of the text if `accept` passes it, before any file is written."""
+    def parse(text: str):
+        value = cast(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
     return parse
+
+
+def at_least(low: int):
+    """An argparse type: an integer of at least `low`."""
+    return checked(int, lambda value: value >= low, f"at least {low}")
 
 
 def load_config(path: str, known: set) -> dict:
@@ -168,11 +174,12 @@ class ModelBundle:
 
 def add_model_flags(sub, with_lambda=True):
     sub.add_argument("--model", choices=GRAPH_MODELS + ("clauses",))
-    sub.add_argument("--k", type=int, default=3, help="size parameter")
+    sub.add_argument("--k", type=at_least(2), default=3, help="size parameter")
     sub.add_argument("--clauses", help="clause file for --model clauses")
     sub.add_argument("--evidence", help="evidence file for --model clauses")
     if with_lambda:
-        sub.add_argument("--lambda", dest="lam", type=float, default=1.0,
+        sub.add_argument("--lambda", dest="lam", default=1.0,
+                         type=checked(float, lambda lam: lam > 0, "positive"),
                          help="fugacity for independent-set models")
 
 
@@ -361,8 +368,8 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("gen", help="write a model to disk")
     p.add_argument("--model", choices=GRAPH_MODELS + ("fs",))
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--people", type=int, default=4)
+    p.add_argument("--k", type=at_least(2), default=3)
+    p.add_argument("--people", type=at_least(2), default=4)
     p.add_argument("--evidence-fraction", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -408,7 +415,9 @@ def build_parser() -> Parser:
     p = sub.add_parser("mix", help="mixing time of the exact kernel")
     add_model_flags(p)
     p.add_argument("--chain", default="orbital-id")
-    p.add_argument("--epsilon", type=lambda s: [float(x) for x in s.split(",")],
+    p.add_argument("--epsilon", type=checked(lambda text: [float(x) for x in text.split(",")],
+                                             lambda eps: all(0 < e < 1 for e in eps),
+                                             "values in (0, 1)"),
                    default=[0.1, 0.01])
     p.add_argument("--out")
     p.set_defaults(func=cmd_mix)

@@ -10,18 +10,18 @@ n.  A permutation is stored as one raw image, the sequence of images of
 graphs of larger clause models have more than 255 vertices).  For `bytes`,
 `bytes.translate` gathers and `bytes.maketrans` scatters at C speed, which
 gives composition, inversion and, in one call, the action on a
-configuration.  Only `_compose` (gather), `_scatter` and
-`PermutationGroup.images` look at the storage form; all other code indexes
-an image, which reads the same ints from both forms.
+configuration.  Only `_compose` (gather), `_scatter` and `OrbitSampler`
+look at the storage form; all other code indexes an image, which reads the
+same ints from both forms.
 
 Groups are represented by generating sets and a stabilizer chain, built
 lazily by deterministic Schreier-Sims on the raw images: the order is the
 product of its transversal sizes, and all elements, when needed, are one
-sorted |G| x n array read off it.  Every orbit, of points, configurations
-or states, is read off one routine, `orbit_ids`, from an action given as
-one row of images per generator: `PermutationGroup.point_action` on
-points, `state_action` on a configuration list.  Lists of orbits are
-sorted tuples.
+sorted |G| x n array read off it once, the only copy kept.  Every orbit,
+of points, configurations or states, is read off one routine, `orbit_ids`,
+from an action given as one row of images per generator:
+`PermutationGroup.point_action` on points, `state_action` on a
+configuration list.  Lists of orbits are sorted tuples.
 """
 
 from __future__ import annotations
@@ -283,12 +283,15 @@ class PermutationGroup:
         return math.prod(map(len, self._chain))
 
     def image_array(self) -> np.ndarray:
-        """All |G| elements as one array of images (uint8 up to 255 points,
-        uint16 above) in lexicographic order, one gather per chain level.
-        Raises GuardExceededError, before allocating, past the cap."""
+        """All |G| images in lexicographic order, one read-only uint8 (up to 255
+        points) or uint16 array built once; GuardExceededError past the cap."""
         order, cap = self.order(), enumeration_cap()
         if order > cap:
             raise GuardExceededError(f"group of order {order} exceeds enumeration cap {cap}")
+        return self._elements
+
+    @functools.cached_property
+    def _elements(self) -> np.ndarray:  # one gather per chain level
         dtype = np.min_scalar_type(self.n)
         els = np.arange(self.n, dtype=dtype).reshape(1, self.n)
         for level in reversed(self._chain):
@@ -296,18 +299,15 @@ class PermutationGroup:
             els = u[:, els].reshape(-1, self.n)  # h from the level below, then u
         # distinct elements differ at a base point: sort on columns up to the last
         cols = 1 + max((next(iter(level)) for level in self._chain), default=0)
-        return els[np.lexsort(els[:, :cols].T[::-1])] if order > 1 else els
-
-    @functools.cached_property
-    def images(self) -> list[Image]:
-        """All elements as raw images in lexicographic order, computed once."""
-        els, n = self.image_array(), self.n
-        flat = els.tobytes() if n <= MAX_BYTES_N else tuple(els.ravel().tolist())
-        return [flat[i * n:(i + 1) * n] for i in range(len(els))]
+        els = els[np.lexsort(els[:, :cols].T[::-1])] if len(els) > 1 else els
+        els.flags.writeable = False
+        return els
 
     def elements(self) -> tuple[Permutation, ...]:
         """All group elements in lexicographic order of their images."""
-        return tuple(map(Permutation._wrap, self.images))
+        els = self.image_array()
+        rows = map(bytes, els) if self.n <= MAX_BYTES_N else map(tuple, els.tolist())
+        return tuple(map(Permutation._wrap, rows))
 
 
 def _schreier_sims(n: int, gens: Sequence[Image]) -> list[dict]:
@@ -556,11 +556,11 @@ class ProductReplacement:
 class OrbitSampler:
     """Uniform (or near-uniform) resampling of a configuration within its orbit.
 
-    EXACT mode draws a uniformly random element of the group, one index
-    into its sorted element list, which by the orbit-stabilizer
-    correspondence yields the uniform distribution on the orbit.
-    PRODUCT_REPLACEMENT trades exactness for scalability.  A trivial group
-    consumes no randomness.
+    EXACT mode draws a uniformly random element of the group, one row of its
+    sorted element array read off a zero-copy view of the array's buffer,
+    which by the orbit-stabilizer correspondence yields the uniform
+    distribution on the orbit.  PRODUCT_REPLACEMENT trades exactness for
+    scalability.  A trivial group consumes no randomness.
     """
 
     def __init__(self, group: PermutationGroup, mode: SamplerMode, rng: Random):
@@ -568,21 +568,25 @@ class OrbitSampler:
         self.mode = SamplerMode(mode)
         self.rng = rng
         exact, trivial = self.mode is SamplerMode.EXACT, group.is_trivial()
-        self._els = group.images if exact and not trivial else None
         self._pr = None if exact or trivial else ProductReplacement(group, rng=rng)
+        self._n, self._els = group.n, None
+        if exact and not trivial:
+            els = group.image_array()
+            self._order, self._els = len(els), memoryview(els).cast("B").cast(els.dtype.char)
 
     def sample(self, bits: Config) -> Config:
+        n = self._n
         if self._els is not None:
-            image = self._els[self.rng.randrange(len(self._els))]
+            start = self.rng.randrange(self._order) * n
+            image = self._els[start:start + n]
         elif self._pr is not None:
             image = self._pr._draw()
         else:
             return bits
-        if len(bits) != len(image):
-            raise ValueError(
-                f"configuration length {len(bits)} != domain size {len(image)}")
-        if type(image) is bytes:
-            return bytes.maketrans(image, bits)[:len(image)]
+        if len(bits) != n:
+            raise ValueError(f"configuration length {len(bits)} != domain size {n}")
+        if n <= MAX_BYTES_N:
+            return bytes.maketrans(image, bits)[:n]
         return _scatter(image, bits)
 
 

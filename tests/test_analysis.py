@@ -3,7 +3,9 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -768,3 +770,14 @@ class TestCoupling:
             v = CouplingSimulator(IndependentSetModel(graph, 1.0),
                                   automorphism_generators(graph)).varrho()
             assert 0.0 <= v <= 1.0
+
+
+def test_readme_example_runs(capsys):
+    # the python block in README.md, run as written, so the example cannot rot
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    samples, dtv = namespace["curve"].points[-1]
+    assert samples == 100_000 and dtv < 0.05
+    assert str(namespace["curve"].points[-1]) in capsys.readouterr().out

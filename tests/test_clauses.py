@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from orbitalmcmc import clauses
 from orbitalmcmc.autgroup import automorphism_generators
 from orbitalmcmc.clauses import (
     HARD,
@@ -17,7 +18,7 @@ from orbitalmcmc.clauses import (
     parse_evidence_file,
 )
 from orbitalmcmc.families import gen_friends_smokers
-from orbitalmcmc.perm import config_orbit_partition, parse_cycles
+from orbitalmcmc.perm import PermutationGroup, config_orbit_partition, parse_cycles
 
 from helpers import (
     EXAMPLE_CLAUSES,
@@ -125,6 +126,19 @@ class TestModelSymmetry:
         report = model_symmetry_group(WeightedClauseSet(["a", "b", "c"], []))
         assert report.feature_orbits == ()
         assert tuple(tuple(o) for o in report.variable_orbits) == ((0, 1, 2),)
+
+    @pytest.mark.parametrize("cycles,message", [
+        (["(a !a)"], "off the unnegated set"),
+        (["(a b)(!a !b)", "(a b)(!a !c)"], "inconsistent projection: .* for variable a$"),
+        (["(b c)(!b !a !c)"], "inconsistent projection: .* for variable a$")])
+    def test_projection_checks(self, monkeypatch, cycles, message):
+        # a graph "automorphism" that no projection onto the variables can follow
+        def bad_group(graph):
+            return PermutationGroup([parse_cycles(c, names=graph.names) for c in cycles])
+
+        monkeypatch.setattr(clauses, "automorphism_generators", bad_group)
+        with pytest.raises(RuntimeError, match=message):
+            model_symmetry_group(EXAMPLE_CLAUSES)
 
     def test_asymmetric_model_is_rigid(self):
         model = parse_clause_file(

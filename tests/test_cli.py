@@ -229,6 +229,19 @@ class TestAnalysisCommands:
         assert flags[0] in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["gen", "--model", "grid", "--k", "1"],
+        ["gen", "--model", "fs", "--people", "1"],
+        ["mix", "--model", "grid", "--k", "3", "--epsilon", "0,0.1"],
+        ["mix", "--model", "grid", "--k", "3", "--epsilon", "0.1,1"],
+        ["sample", "--model", "grid", "--k", "3", "--lambda", "0"],
+        ["sample", "--model", "grid", "--k", "3", "--lambda", "-1.5"]])
+    def test_model_parameters_rejected_before_writing(self, capsys, tmp_path, args):
+        code, _, err = run_cli(capsys, *args, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert args[-2] in err
+        assert not (tmp_path / "o").exists()
+
     def test_coupling_runs_the_listed_seed(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "coupling", "--model", "grid", "--k", "3",
                                "--trials", "3000", "--seeds", "42,",

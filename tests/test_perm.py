@@ -434,6 +434,23 @@ class TestEnumeration:
         assert peak < 1 << 20
         assert group.order() == 362880
 
+    def test_element_array_built_once_and_read_only(self):
+        group = cliques3_group()
+        els = group.image_array()
+        assert group.image_array() is els
+        OrbitSampler(group, SamplerMode.EXACT, Random(0))
+        assert len(group.elements()) == 24
+        assert group.image_array() is els
+        with pytest.raises(ValueError):
+            els[0, 0] = 1
+
+    def test_cap_checked_on_every_call(self, monkeypatch):
+        group = cliques3_group()
+        group.image_array()
+        monkeypatch.setenv("ORBITAL_GUARD", "23")
+        with pytest.raises(GuardExceededError, match="cap 23"):
+            group.image_array()
+
     def test_orbit_stabilizer(self):
         rng = Random(6)
         for group in (grid3_group(), cliques3_group()):
@@ -517,6 +534,16 @@ class TestOrbitSampling:
             assert type(out) is bytes and out == draw().apply_config(c)
             moved += out != c
         assert moved > 190
+
+    def test_exact_draws_read_the_element_array(self):
+        # K_9: bytes images, one slice of the array's buffer per draw
+        group, rng = complete3_group(), Random(13)
+        els = group.elements()
+        sampler, clone = OrbitSampler(group, SamplerMode.EXACT, Random(14)), Random(14)
+        for _ in range(1000):
+            c = bytes(rng.randrange(2) for _ in range(9))
+            out = sampler.sample(c)
+            assert type(out) is bytes and out == els[clone.randrange(len(els))].apply_config(c)
 
     def test_result_in_orbit(self):
         group = grid3_group()
