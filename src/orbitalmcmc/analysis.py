@@ -1,6 +1,7 @@
 """Exact desk-scale verification: enumerated distributions, transition
 matrices with orbit averaging, total-variation curves, mixing times,
 detailed balance, and a coupling simulator for adjacent state pairs.
+`transition_matrix` and `CouplingSimulator` ask `ChainKind.check` first.
 
 Everything here is exact or exhaustive by design and guarded by size caps;
 it exists to let tests and experiments compare sampled behavior against
@@ -109,12 +110,10 @@ def transition_matrix(model, kind: ChainKind,
     kernel by it.  A group without generators averages over one-state
     orbits, so its kernels are the dense base ones, action None.  An N x N
     kernel over 64 x `enumeration_cap()` cells raises GuardExceededError
-    unbuilt.
+    unbuilt; a kind that fails `ChainKind.check` raises TypeError.
     """
     kind = ChainKind(kind)
-    if kind.base is not model.base:
-        raise TypeError(
-            f"{kind.value} kernels do not run on {type(model).__name__}")
+    kind.check(model)
     if kind.is_orbital and group is None:
         raise ValueError(f"kernel {kind.value} requires a symmetry group")
     states = tuple(model.states())
@@ -365,7 +364,7 @@ class CouplingSimulator:
     that is not a state; each state's orbit id under the group action; the
     distance-one pairs as (upper, lower, vertex) index arrays in the order
     of `pairs`; and the case of every pair and vertex, one case rule read by
-    `case`, `varrho` and the coupled draw.
+    `varrho` and the coupled draw.  The model must run `orbital-id` chains.
 
     The two chains share the vertex choice and acceptance coin and apply a
     common uniformly drawn group element, so each side marginally follows
@@ -378,6 +377,7 @@ class CouplingSimulator:
     """
 
     def __init__(self, model: IndependentSetModel, group: PermutationGroup):
+        ChainKind.ORBITAL_INSERT_DELETE.check(model)
         self.model = model
         self.states = model.states()
         self._group, self._order = group, group.order()
@@ -419,12 +419,6 @@ class CouplingSimulator:
                 "states must differ at exactly one vertex present in the first")
         # the pairs of a state are its vertices in ascending order
         return int(np.searchsorted(self._upper, index[upper])) + sum(upper[:diff[0]])
-
-    def case(self, upper: Config, lower: Config, w: int) -> int:
-        """The case of vertex w for a pair at distance one: 1 if the pair
-        differs at w, 2 if w is in both, 3 if both can take w, 4 if only
-        the lower can, 5 if neither."""
-        return int(self._cases[self._pair_of(upper, lower), w])
 
     def pairs(self) -> list[tuple[Config, Config]]:
         """All ordered pairs (X, X minus one vertex), X in lexicographic

@@ -3,7 +3,8 @@
 Each model class owns its chain's rules, which `run_chain` and the exact
 analysis read; every state is a `Config`, one 0/1 byte per variable:
 
-- `base`, the base chain kind the model runs;
+- `base`, the base chain kind the model runs: `ChainKind.check`, the one
+  test that a kind runs on a model, compares it with the kind's base;
 - `start`, the start state, valid by construction;
 - `step(bits, rng)`, one base move, a new state by two slices and a byte;
 - `moves(bits)`, the exact one-step distribution of `step` as
@@ -63,6 +64,12 @@ class ChainKind(str, Enum):
     @property
     def base(self) -> "ChainKind":
         return ChainKind(self.value.removeprefix("orbital-"))
+
+    def check(self, model) -> None:
+        """Raise TypeError unless `model`, an instance or a class, has this kind's `base`."""
+        if self.base is not model.base:
+            cls = model if isinstance(model, type) else type(model)
+            raise TypeError(f"{self.value} chains do not run on {cls.__name__}")
 
 
 class IndependentSetModel:
@@ -299,14 +306,8 @@ class ChainTrace:
 
 
 def initial_state(model, kind: ChainKind) -> Config:
-    """The start state of a `kind` chain on `model`: the model's `start`.
-
-    Raises TypeError when the kind's base chain is not the model's.
-    """
-    kind = ChainKind(kind)
-    if kind.base is not model.base:
-        raise TypeError(
-            f"{kind.value} chains do not run on {type(model).__name__}")
+    """The model's `start`, once `ChainKind.check` passes `kind` on it."""
+    ChainKind(kind).check(model)
     return model.start
 
 

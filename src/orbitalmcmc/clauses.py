@@ -247,7 +247,6 @@ class SymmetryReport:
 
     clause_set: WeightedClauseSet
     graph: Graph
-    vertex_map: VertexMap
     graph_group: PermutationGroup       # acts on graph vertices
     model_group: PermutationGroup       # projected action on variables
     variable_orbits: tuple[tuple[int, ...], ...]
@@ -284,7 +283,6 @@ def model_symmetry_group(model: WeightedClauseSet,
     return SymmetryReport(
         clause_set=model,
         graph=graph,
-        vertex_map=vmap,
         graph_group=graph_group,
         model_group=model_group,
         variable_orbits=tuple(model_group.orbit_partition()),

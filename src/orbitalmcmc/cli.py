@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, autgroup, chains, clauses, families, graphs, perm
-from .errors import GuardExceededError, InfeasibleModelError
+from .errors import GuardExceededError, InfeasibleModelError, enumeration_cap
 
 GRAPH_MODELS = ("grid", "cliques", "complete")
 CHECKPOINT_COUNT = 50
@@ -45,13 +45,16 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def checked(cast, accept, need: str):
-    """An argparse type: `cast` of the text if `accept` passes it, before any file is written."""
-    def parse(text: str):
-        value = cast(text)
-        if not accept(value):
-            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
-        return value
-    return parse
+    """An argparse type: `cast` of the text if `accept` passes it, before any
+    file is written; a text that fails either is reported as not `need`."""
+    def value(text: str):
+        try:
+            if accept(result := cast(text)):
+                return result
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+    return value
 
 
 def at_least(low: int):
@@ -116,9 +119,10 @@ def out_dir(args) -> Path:
 
 
 class ModelBundle:
-    """A resolved model plus everything the commands need from it."""
+    """A resolved model, the chain kinds listed in `chain` checked against
+    its class, and everything else the commands need from it."""
 
-    def __init__(self, args):
+    def __init__(self, args, chain: str = ""):
         self.kind = args.model
         if self.kind is None:
             raise UsageError("--model is required")
@@ -131,6 +135,7 @@ class ModelBundle:
             self.graph = maker(args.k)
             self.names = list(self.graph.names)
             self._group = None
+            model_class = chains.IndependentSetModel
         elif self.kind == "clauses":
             if not getattr(args, "clauses", None):
                 raise UsageError("--model clauses requires --clauses FILE")
@@ -144,8 +149,21 @@ class ModelBundle:
                                                        self.evidence)
             self.names = list(self.clause_set.variables)
             self._group = self.report.model_group
+            model_class = chains.ClauseModel
         else:
             raise UsageError(f"unknown model {self.kind!r}")
+        self.kinds = []
+        for token in chain.split(",") if chain else ():
+            try:
+                kind = chains.ChainKind(token.strip())
+                kind.check(model_class)
+            except ValueError:
+                raise UsageError(f"unknown chain {token.strip()!r}; choose from "
+                                 f"{', '.join(chains.ChainKind)}") from None
+            except TypeError as exc:
+                raise UsageError(f"chain {kind.value} does not match model "
+                                 f"{self.kind}: {exc}") from None
+            self.kinds.append(kind)
 
     @functools.cached_property
     def chain_model(self):
@@ -161,15 +179,6 @@ class ModelBundle:
         if self._group is None:
             self._group = autgroup.automorphism_generators(self.graph)
         return self._group
-
-    def chain_kinds(self, spec: str) -> list[chains.ChainKind]:
-        kinds = [chains.ChainKind(tok.strip()) for tok in spec.split(",")]
-        for kind in kinds:
-            wants_gibbs = kind.base is chains.ChainKind.GIBBS
-            if wants_gibbs != (self.kind == "clauses"):
-                raise UsageError(
-                    f"chain {kind.value} does not match model {self.kind}")
-        return kinds
 
 
 def add_model_flags(sub, with_lambda=True):
@@ -211,9 +220,8 @@ def cmd_detect(args) -> int:
     print(f"model: {args.model}")
     print(f"domain size: {group.n}")
     print(f"generators ({len(group.generators)}):")
-    names = bundle.names if group.n == len(bundle.names) else None
     for g in group.generators:
-        print(f"  {perm.format_cycles(g, names)}")
+        print(f"  {perm.format_cycles(g, bundle.names)}")
     print(f"group order: {group.order()}")
 
     if bundle.kind in GRAPH_MODELS:
@@ -248,10 +256,10 @@ def cmd_detect(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    bundle = ModelBundle(args)
+    bundle = ModelBundle(args, args.chain)
     target = out_dir(args)
     mode = perm.SamplerMode(args.mode)
-    for kind in bundle.chain_kinds(args.chain):
+    for kind in bundle.kinds:
         group = bundle.group if kind.is_orbital else None
         for seed in args.seeds:
             trace = chains.run_chain(bundle.chain_model, kind, args.steps,
@@ -268,14 +276,14 @@ def cmd_sample(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    bundle = ModelBundle(args)
+    bundle = ModelBundle(args, args.chain)
     target = out_dir(args)
     dist = analysis.exact_distribution(bundle.chain_model)
     labels = [state_label(state) for state in dist.states]
     write_csv(target / "pi.csv", ["state", "prob"],
               zip(labels, map(repr, dist.probs.tolist())))
     print(f"wrote {target / 'pi.csv'} ({len(dist)} states, Z={dist.partition_value:g})")
-    for kind in bundle.chain_kinds(args.chain):
+    for kind in bundle.kinds:
         group = bundle.group if kind.is_orbital else None
         matrix = analysis.transition_matrix(bundle.chain_model, kind, group=group)
         path = target / f"matrix_{kind.value}.csv"
@@ -289,14 +297,14 @@ def cmd_exact(args) -> int:
 
 
 def cmd_tvcurve(args) -> int:
-    bundle = ModelBundle(args)
+    bundle = ModelBundle(args, args.chain)
     target = out_dir(args)
     dist = analysis.exact_distribution(bundle.chain_model)
     mode = perm.SamplerMode(args.mode)
     step = max(1, (args.steps + 1) // CHECKPOINT_COUNT)
     checkpoints = list(range(step, args.steps + 2, step))
     rows = []
-    for kind in bundle.chain_kinds(args.chain):
+    for kind in bundle.kinds:
         group = bundle.group if kind.is_orbital else None
         for seed in args.seeds:
             trace = chains.run_chain(bundle.chain_model, kind, args.steps,
@@ -316,9 +324,7 @@ def cmd_coupling(args) -> int:
     if len(args.seeds) != 1:
         raise UsageError("coupling takes one seed: give it as a list, such as "
                          "--seeds 42, (a bare count N means seeds 0..N-1)")
-    bundle = ModelBundle(args)
-    if bundle.kind not in GRAPH_MODELS:
-        raise UsageError("coupling runs on independent-set models only")
+    bundle = ModelBundle(args, chains.ChainKind.ORBITAL_INSERT_DELETE.value)
     target = out_dir(args)
     report = analysis.coupling_drift(bundle.chain_model, bundle.group,
                                      trials=args.trials, seed=args.seeds[0])
@@ -336,11 +342,11 @@ def cmd_coupling(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    bundle = ModelBundle(args)
+    bundle = ModelBundle(args, args.chain)
     target = out_dir(args)
     dist = analysis.exact_distribution(bundle.chain_model)
     rows = []
-    for kind in bundle.chain_kinds(args.chain):
+    for kind in bundle.kinds:
         # with the group, base kernels too mix on one row per state orbit
         matrix = analysis.transition_matrix(bundle.chain_model, kind, group=bundle.group)
         for eps in args.epsilon:
@@ -365,6 +371,7 @@ def build_parser() -> Parser:
                     description="Symmetry-aware sampling toolkit")
     parser.add_argument("--config", help="key=value file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
+    modes = [mode.value for mode in perm.SamplerMode]
 
     p = sub.add_parser("gen", help="write a model to disk")
     p.add_argument("--model", choices=GRAPH_MODELS + ("fs",))
@@ -385,7 +392,7 @@ def build_parser() -> Parser:
     p.add_argument("--chain", default="id")
     p.add_argument("--steps", type=at_least(0), default=10000)
     p.add_argument("--seeds", type=parse_seeds, default=[0])
-    p.add_argument("--mode", choices=["exact", "pr"], default="pr")
+    p.add_argument("--mode", choices=modes, default="pr")
     p.add_argument("--record-every", type=at_least(1), default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
@@ -401,7 +408,7 @@ def build_parser() -> Parser:
     p.add_argument("--chain", default="id,orbital-id")
     p.add_argument("--steps", type=at_least(0), default=100000)
     p.add_argument("--seeds", type=parse_seeds, default=[0])
-    p.add_argument("--mode", choices=["exact", "pr"], default="pr")
+    p.add_argument("--mode", choices=modes, default="pr")
     p.add_argument("--out")
     p.set_defaults(func=cmd_tvcurve)
 
@@ -439,6 +446,7 @@ def main(argv=None) -> int:
             for p in parsers:
                 p.set_defaults(**defaults)
             args = parser.parse_args(argv)
+        enumeration_cap()  # a bad ORBITAL_GUARD fails here, before any output
         return args.func(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)

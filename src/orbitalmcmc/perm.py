@@ -590,11 +590,8 @@ class OrbitSampler:
         return _scatter(image, bits)
 
 
-def save_generating_set(path, group: PermutationGroup,
-                        names: Optional[Sequence[str]] = None) -> None:
+def save_generating_set(path, group: PermutationGroup, names: Sequence[str]) -> None:
     """Write a generating set: point names on line one, one cycle form per line."""
-    if names is None:
-        names = [str(i) for i in range(group.n)]
     if len(names) != group.n:
         raise ValueError("name count does not match domain size")
     lines = [" ".join(names)]

@@ -21,6 +21,12 @@ EXAMPLE_CLAUSES = parse_clause_file(
     "0.5 :: a | !c\n"
     "0.5 :: b | !c\n")
 
+# Two hard pairs, a|b and c|d, so 9 states, where a Gibbs move can find a
+# value barred; soft clauses a|c and b|d and a field on every variable keep
+# the symmetry group generated by (a b)(c d) and (a c)(b d).
+HARD_PAIRS_TEXT = ("vars: a b c d\ninf :: a | b\ninf :: c | d\n0.5 :: a | c\n0.5 :: b | d\n"
+                   + "".join(f"-0.3 :: {v}\n" for v in "abcd"))
+
 # friends-smokers evidence pinning three people, two smoking and one not:
 # the symmetry group is S_{k-3} x S_2 x S_1 on the people
 FS_EVIDENCE = {"smokes_p1": True, "smokes_p4": True, "smokes_p5": False}

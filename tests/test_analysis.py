@@ -31,7 +31,7 @@ from orbitalmcmc.autgroup import automorphism_generators
 from orbitalmcmc.chains import (ChainKind, ChainTrace, ClauseModel, IndependentSetModel,
                                 run_chain)
 from orbitalmcmc.clauses import model_symmetry_group, parse_clause_file
-from orbitalmcmc.errors import GuardExceededError
+from orbitalmcmc.errors import DEFAULT_ENUMERATION_CAP, GuardExceededError, enumeration_cap
 from orbitalmcmc.families import (gen_complete, gen_connected_cliques,
                                   gen_friends_smokers, gen_grid)
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
@@ -85,6 +85,21 @@ class TestEnumeration:
         # Python's limit long before a million sets; 2^21 subsets exceed it
         with pytest.raises(GuardExceededError, match="more than 1000000"):
             enumerate_independent_sets(Graph(2000, []))
+
+    @pytest.mark.parametrize("raw,message", [
+        ("abc", "ORBITAL_GUARD must be an integer, got 'abc'"),
+        ("0", "ORBITAL_GUARD must be positive, got 0"),
+        ("-3", "ORBITAL_GUARD must be positive, got -3")])
+    def test_bad_guard_is_a_value_error(self, monkeypatch, raw, message):
+        monkeypatch.setenv("ORBITAL_GUARD", raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            enumeration_cap()
+
+    def test_guard_default_and_override(self, monkeypatch):
+        monkeypatch.delenv("ORBITAL_GUARD", raising=False)
+        assert enumeration_cap() == DEFAULT_ENUMERATION_CAP
+        monkeypatch.setenv("ORBITAL_GUARD", "12")
+        assert enumeration_cap() == 12
 
     @pytest.mark.parametrize("cap,ok", [("8", True), ("7", False)])
     def test_subset_bound_is_exact(self, monkeypatch, cap, ok):

@@ -5,7 +5,8 @@ from random import Random
 import numpy as np
 import pytest
 
-from orbitalmcmc.analysis import exact_distribution, transition_matrix
+from orbitalmcmc.analysis import (check_detailed_balance, coupling_drift, exact_distribution,
+                                  transition_matrix)
 from orbitalmcmc.chains import (
     ChainKind,
     ClauseModel,
@@ -22,7 +23,7 @@ from orbitalmcmc.families import gen_complete, gen_friends_smokers, gen_grid
 from orbitalmcmc.graphs import Graph
 from orbitalmcmc.perm import OrbitSampler, PermutationGroup, SamplerMode, parse_cycles
 
-from helpers import two_spin_model
+from helpers import HARD_PAIRS_TEXT, two_spin_model
 
 
 def two_spin_chain_model() -> ClauseModel:
@@ -31,6 +32,14 @@ def two_spin_chain_model() -> ClauseModel:
 
 def swap_group() -> PermutationGroup:
     return PermutationGroup([parse_cycles("(0 1)", n=2)])
+
+
+HARD_PAIRS = parse_clause_file(HARD_PAIRS_TEXT)
+
+
+def hard_pairs_group() -> PermutationGroup:
+    return PermutationGroup([parse_cycles("(0 1)(2 3)", n=4),
+                             parse_cycles("(0 2)(1 3)", n=4)])
 
 
 def with_hard(clause_set: WeightedClauseSet, hard: list) -> WeightedClauseSet:
@@ -54,6 +63,12 @@ class TestClauseModel:
         model = ClauseModel(parse_clause_file("vars: a b\ninf :: a | b\n0.5 :: a\n"))
         # from (0, 1), variable a must stay free; variable b is pinned to 1
         assert model.conditional_p1((0, 1), 1) == 1.0
+
+    def test_conditional_with_both_values_barred(self):
+        model = ClauseModel(parse_clause_file("vars: a b\ninf :: a | b\ninf :: !a | b\n"))
+        assert model.conditional_p1((0, 1), 0) == 0.5
+        with pytest.raises(InfeasibleModelError, match="no value of variable a"):
+            model.conditional_p1((0, 0), 0)
 
     def test_unsatisfiable_hard_rejected(self):
         with pytest.raises(InfeasibleModelError):
@@ -180,6 +195,55 @@ class TestEvidence:
     def test_kind_must_match_model(self):
         with pytest.raises(TypeError):
             run_chain(two_spin_chain_model(), ChainKind.INSERT_DELETE, 5, seed=0)
+
+
+class TestHardClauseKernels:
+    def test_model(self):
+        model = ClauseModel(HARD_PAIRS)
+        assert len(model.states()) == 9
+        detected = model_symmetry_group(HARD_PAIRS).model_group
+        assert set(detected.generators) == set(hard_pairs_group().generators)
+        assert detected.order() == 4
+
+    def test_moves_skip_barred_values(self):
+        model = ClauseModel(HARD_PAIRS)
+        states = set(model.states())
+        for s in states:
+            for t, p in model.moves(s):
+                assert t in states and p > 0
+
+    @pytest.mark.parametrize("kind", [ChainKind.GIBBS, ChainKind.ORBITAL_GIBBS])
+    def test_kernel_balances(self, kind):
+        model = ClauseModel(HARD_PAIRS)
+        matrix = transition_matrix(model, kind, group=hard_pairs_group())
+        assert np.abs(matrix.rows.sum(axis=1) - 1.0).max() <= 1e-12
+        balance = check_detailed_balance(matrix, exact_distribution(model), tol=1e-12)
+        assert balance.max_violation <= 1e-12
+
+
+class TestKindCheck:
+    @pytest.mark.parametrize("model", [IndependentSetModel, IndependentSetModel(gen_grid(2), 1.0)])
+    def test_instance_or_class(self, model):
+        ChainKind.ORBITAL_INSERT_DELETE.check(model)
+        with pytest.raises(TypeError, match="^orbital-gibbs chains do not run on "
+                                            "IndependentSetModel$"):
+            ChainKind.ORBITAL_GIBBS.check(model)
+
+    def test_every_caller_asks(self):
+        model = two_spin_chain_model()
+        with pytest.raises(TypeError, match="id chains do not run on ClauseModel"):
+            initial_state(model, ChainKind.ORBITAL_INSERT_DELETE)
+        with pytest.raises(TypeError, match="id chains do not run on ClauseModel"):
+            transition_matrix(model, ChainKind.INSERT_DELETE)
+        with pytest.raises(TypeError, match="orbital-id chains do not run on ClauseModel"):
+            coupling_drift(model, swap_group(), trials=10)
+
+    def test_orbital_kinds_need_a_group(self):
+        model = two_spin_chain_model()
+        with pytest.raises(ValueError, match="requires a symmetry group"):
+            run_chain(model, ChainKind.ORBITAL_GIBBS, 5, seed=0)
+        with pytest.raises(ValueError, match="requires a symmetry group"):
+            transition_matrix(model, ChainKind.ORBITAL_GIBBS)
 
 
 class TestGibbsStep:

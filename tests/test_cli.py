@@ -13,7 +13,7 @@ from orbitalmcmc.cli import main, parse_seeds
 from orbitalmcmc.clauses import format_clause_file
 from orbitalmcmc.families import gen_grid
 
-from helpers import EXAMPLE_CLAUSES
+from helpers import EXAMPLE_CLAUSES, HARD_PAIRS_TEXT
 
 
 # `detect` on the files of `gen --model fs --people 4 --evidence-fraction 0.5
@@ -170,6 +170,18 @@ class TestSampleAndExact:
         assert code == 1
         assert "does not match" in err
 
+    @pytest.mark.parametrize("command", ["sample", "exact", "tvcurve", "mix"])
+    @pytest.mark.parametrize("chain,message", [
+        ("foo", "unknown chain 'foo'"),
+        ("id,gibbs", "chain gibbs does not match model grid: "
+                     "gibbs chains do not run on IndependentSetModel")])
+    def test_chain_rejected_before_writing(self, capsys, tmp_path, command, chain, message):
+        code, _, err = run_cli(capsys, command, "--model", "grid", "--k", "3",
+                               "--chain", chain, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert message in err
+        assert not (tmp_path / "o").exists()
+
     def test_exact_outputs(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "exact", "--model", "complete",
                                "--k", "3", "--chain", "id,orbital-id",
@@ -241,6 +253,41 @@ class TestAnalysisCommands:
         assert code == 1
         assert args[-2] in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["sample", "--lambda", "abc"], "argument --lambda: must be positive, got abc"),
+        (["sample", "--steps", "abc"], "argument --steps: must be at least 0, got abc"),
+        (["mix", "--epsilon", "0.1,abc"],
+         "argument --epsilon: must be values in (0, 1), got 0.1,abc")])
+    def test_cast_failure_reads_like_accept_failure(self, capsys, tmp_path, args, message):
+        code, _, err = run_cli(capsys, args[0], "--model", "grid", "--k", "3", *args[1:],
+                               "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert message in err
+        assert "invalid" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_coupling_rejects_a_clause_model_before_writing(self, capsys, tmp_path):
+        clause_file = tmp_path / "m.txt"
+        clause_file.write_text(format_clause_file(EXAMPLE_CLAUSES))
+        code, _, err = run_cli(capsys, "coupling", "--model", "clauses",
+                               "--clauses", str(clause_file), "--seeds", "0,",
+                               "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "orbital-id chains do not run on ClauseModel" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_mix_with_hard_clauses(self, capsys, tmp_path):
+        # two hard pairs: Gibbs kernels whose moves skip barred values
+        clause_file = tmp_path / "m.txt"
+        clause_file.write_text(HARD_PAIRS_TEXT)
+        code, out, _ = run_cli(capsys, "mix", "--model", "clauses",
+                               "--clauses", str(clause_file),
+                               "--chain", "gibbs,orbital-gibbs", "--out", str(tmp_path / "o"))
+        assert code == 0
+        for kind, taus in (("gibbs", (19, 41)), ("orbital-gibbs", (7, 15))):
+            for eps, tau in zip(("0.1", "0.01"), taus):
+                assert f"{kind} eps={eps}: tau={tau}\n" in out
 
     def test_coupling_runs_the_listed_seed(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "coupling", "--model", "grid", "--k", "3",
@@ -504,6 +551,17 @@ class TestEvidence:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("guard,message", [
+        ("abc", "ORBITAL_GUARD must be an integer, got 'abc'"),
+        ("0", "ORBITAL_GUARD must be positive, got 0")])
+    def test_bad_guard_exits_before_writing(self, capsys, monkeypatch, tmp_path,
+                                            guard, message):
+        monkeypatch.setenv("ORBITAL_GUARD", guard)
+        code, _, err = run_cli(capsys, "mix", "--model", "grid", "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_guard_exceeded(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("ORBITAL_GUARD", "5")
         code, _, err = run_cli(capsys, "exact", "--model", "grid", "--k", "3",
