@@ -49,6 +49,7 @@ from .perm import Config, OrbitSampler, PermutationGroup, SamplerMode, config_ma
 
 _BIT = (b"\x00", b"\x01")  # a variable's value as a one-byte configuration
 SCAN_CHUNK = 64  # assignments per step of the scan for a start state
+TABLE_WIDTH = 8  # most variables a tabled conditional reads: 2^8 floats a table at most
 
 
 class ChainKind(str, Enum):
@@ -148,7 +149,8 @@ class ClauseModel:
     their value: `step` and `moves` resample only `free`, the unclamped
     variables, and the scans below enumerate the free variables alone.
     Per variable, the model precomputes the clauses it occurs in, so the
-    exact single-site conditional costs only the touched clauses.
+    exact single-site conditional costs only the touched clauses, and is
+    tabled per neighbourhood for a variable reading at most `TABLE_WIDTH` others.
     Construction finds `start`, the first assignment in counting order
     (bit i of the counter is the i-th free variable, so free variables all
     zero comes first) that satisfies every hard clause, by a scan in
@@ -176,6 +178,12 @@ class ClauseModel:
                 others = tuple((u, int(not m)) for u, m in c.literals if u != v)
                 terms[v].append((c.is_hard, weight, int(not neg), others))
         self._terms = [tuple(t) for t in terms]
+        # per variable: (a gather of the others it reads, a table) if tabled, else None
+        self._tables = [None] * self.n
+        for v in self.free:
+            read = sorted({u for *_, others in self._terms[v] for u, _ in others})
+            if len(read) <= TABLE_WIDTH:
+                self._tables[v] = (itemgetter(*read) if read else itemgetter(slice(0)), {})
         m, cap = len(self.free), enumeration_cap()
         for low in range(0, min(2 ** m, cap), SCAN_CHUNK):
             rows = self._satisfying(np.arange(low, min(low + SCAN_CHUNK, 2 ** m, cap)), range(m))
@@ -239,6 +247,16 @@ class ClauseModel:
         w0, w1 = math.exp(score0 - m), math.exp(score1 - m)
         return w1 / (w0 + w1)
 
+    def _p1(self, bits: Config, v: int) -> float:
+        """`conditional_p1(bits, v)`, lazily tabled if v has a table; an
+        infeasible neighbourhood is never stored, so it raises every time."""
+        if (table := self._tables[v]) is None:
+            return self.conditional_p1(bits, v)
+        p1 = table[1].get(key := table[0](bits))
+        if p1 is None:
+            p1 = table[1][key] = self.conditional_p1(bits, v)
+        return p1
+
     def step(self, bits: Config, rng: Random) -> Config:
         """Resample one uniformly chosen free variable from its exact
         conditional; with no free variable, draw nothing and stay."""
@@ -246,8 +264,7 @@ class ClauseModel:
         if not free:
             return bits
         v = free[rng.randrange(len(free))]
-        p1 = self.conditional_p1(bits, v)
-        value = 1 if rng.random() < p1 else 0
+        value = 1 if rng.random() < self._p1(bits, v) else 0
         if bits[v] == value:
             return bits
         return bits[:v] + _BIT[value] + bits[v + 1:]
@@ -259,7 +276,7 @@ class ClauseModel:
         if not free:
             yield bits, 1.0
         for v in free:
-            p1 = self.conditional_p1(bits, v)
+            p1 = self._p1(bits, v)
             for value, p in ((1, p1), (0, 1.0 - p1)):
                 if p == 0.0:
                     continue

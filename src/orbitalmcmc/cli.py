@@ -134,7 +134,6 @@ class ModelBundle:
                      "complete": families.gen_complete}[self.kind]
             self.graph = maker(args.k)
             self.names = list(self.graph.names)
-            self._group = None
             model_class = chains.IndependentSetModel
         elif self.kind == "clauses":
             if not getattr(args, "clauses", None):
@@ -145,10 +144,9 @@ class ModelBundle:
             if getattr(args, "evidence", None):
                 self.evidence = clauses.parse_evidence_file(
                     Path(args.evidence).read_text())
-            self.report = clauses.model_symmetry_group(self.clause_set,
-                                                       self.evidence)
+            for name in self.evidence:  # an unknown name fails before any output
+                self.clause_set.var_index(name)
             self.names = list(self.clause_set.variables)
-            self._group = self.report.model_group
             model_class = chains.ClauseModel
         else:
             raise UsageError(f"unknown model {self.kind!r}")
@@ -174,11 +172,17 @@ class ModelBundle:
             return chains.IndependentSetModel(self.graph, self.lam)
         return chains.ClauseModel(self.clause_set, self.evidence)
 
-    @property
+    # detection runs on first use, once: a command that needs no group, or
+    # exits on a usage error first, never pays for it
+    @functools.cached_property
+    def report(self) -> clauses.SymmetryReport:
+        return clauses.model_symmetry_group(self.clause_set, self.evidence)
+
+    @functools.cached_property
     def group(self) -> perm.PermutationGroup:
-        if self._group is None:
-            self._group = autgroup.automorphism_generators(self.graph)
-        return self._group
+        if self.kind in GRAPH_MODELS:
+            return autgroup.automorphism_generators(self.graph)
+        return self.report.model_group
 
 
 def add_model_flags(sub, with_lambda=True):

@@ -8,6 +8,7 @@ import pytest
 from orbitalmcmc.analysis import (check_detailed_balance, coupling_drift, exact_distribution,
                                   transition_matrix)
 from orbitalmcmc.chains import (
+    TABLE_WIDTH,
     ChainKind,
     ClauseModel,
     IndependentSetModel,
@@ -282,6 +283,84 @@ class TestGibbsStep:
             nxt = gibbs_step(model, state, rng)
             assert sum(a != b for a, b in zip(state, nxt)) <= 1
             state = nxt
+
+
+def fs4_with_a_wide_clause() -> tuple[ClauseModel, PermutationGroup]:
+    """fs4 with half its people's smoking clamped, plus a soft clause over
+    the four cancer variables: friends variables read 4 others, smokes and
+    cancer variables more than TABLE_WIDTH."""
+    clause_set, evidence = gen_friends_smokers(4, 0.5, 1)
+    clause_set = WeightedClauseSet(
+        clause_set.variables,
+        [(c.literals, c.weight) for c in clause_set.clauses]
+        + [([(clause_set.var_index(f"cancer_p{i}"), False) for i in range(4)], "0.7")])
+    return (ClauseModel(clause_set, evidence),
+            model_symmetry_group(clause_set, evidence).model_group)
+
+
+def reads(model: ClauseModel, v: int) -> set:
+    """The other variables that the clauses of variable v read."""
+    return {u for c in model.clause_set.clauses if any(w == v for w, _ in c.literals)
+            for u, _ in c.literals if u != v}
+
+
+class TestConditionalTables:
+    @pytest.mark.parametrize("kind,mode", [
+        (ChainKind.GIBBS, SamplerMode.EXACT),
+        (ChainKind.ORBITAL_GIBBS, SamplerMode.EXACT),
+        (ChainKind.ORBITAL_GIBBS, SamplerMode.PRODUCT_REPLACEMENT)])
+    def test_run_equals_the_direct_loop(self, kind, mode):
+        model, group = fs4_with_a_wide_clause()
+        widths = {len(reads(model, v)) for v in model.free}
+        assert min(widths) <= TABLE_WIDTH < max(widths)
+        group = group if kind.is_orbital else None
+        trace = run_chain(model, kind, 3000, seed=47, group=group, mode=mode)
+        # the reference draws in run_chain's order but calls conditional_p1
+        rng = Random(47)
+        sampler = OrbitSampler(group, mode, rng) if group else None
+        state = model.start
+        expected = [state]
+        for _ in range(3000):
+            v = model.free[rng.randrange(len(model.free))]
+            value = 1 if rng.random() < model.conditional_p1(state, v) else 0
+            state = state[:v] + bytes((value,)) + state[v + 1:]
+            if sampler is not None:
+                state = sampler.sample(state)
+            expected.append(state)
+        assert trace.states == expected
+        for state in expected[::10]:  # the tables that the run filled, read back
+            assert all(model._p1(state, v) == model.conditional_p1(state, v)
+                       for v in model.free)
+
+    def test_tables_stay_within_their_bound(self):
+        # x0 reads x1..x8, exactly TABLE_WIDTH others; every other variable
+        # reads more, through the clause on x1..x10
+        names = [f"x{i}" for i in range(11)]
+        text = (f"vars: {' '.join(names)}\n0.4 :: {' | '.join(names[:9])}\n"
+                f"-0.6 :: {' | '.join(names[1:])}\n")
+        edge = ClauseModel(parse_clause_file(text))
+        for model in (edge, fs4_with_a_wide_clause()[0]):
+            trace = run_chain(model, ChainKind.GIBBS, 20_000, seed=48)
+            for state in trace.states[::10]:
+                list(model.moves(state))  # fills every table along the run
+            for v in range(model.n):
+                if v in model.free and len(reads(model, v)) <= TABLE_WIDTH:
+                    assert 0 < len(model._tables[v][1]) <= 2 ** TABLE_WIDTH
+                else:
+                    assert model._tables[v] is None
+        for state in edge.states():  # meets every neighbourhood of x0
+            list(edge.moves(state))
+        assert len(edge._tables[0][1]) == 2 ** TABLE_WIDTH
+
+    def test_infeasible_neighbourhood_raises_every_time(self):
+        model = ClauseModel(parse_clause_file("vars: a b\ninf :: a | b\ninf :: !a | b\n"))
+        for _ in range(2):
+            with pytest.raises(InfeasibleModelError, match="no value of variable a"):
+                list(model.moves(bytes((0, 0))))
+        assert model._tables[0][1] == {}
+        assert list(model.moves(bytes((0, 1)))) == [
+            (bytes((1, 1)), 0.25), (bytes((0, 1)), 0.25), (bytes((0, 1)), 0.5)]
+        assert model._tables[0][1] == {1: 0.5}  # keyed by b alone
 
 
 class TestInsertDeleteStep:

@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from orbitalmcmc import analysis
+from orbitalmcmc import analysis, clauses
 from orbitalmcmc.analysis import representative_rows
 from orbitalmcmc.autgroup import automorphism_generators
 from orbitalmcmc.chains import IndependentSetModel
@@ -548,6 +548,60 @@ class TestEvidence:
                                "--out", str(tmp_path / "tv"))
         assert code == 0
         assert out.count("final d_tv") == 2
+
+
+class TestLazyDetection:
+    """Clause-model detection runs only when a command needs the group."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = clauses.model_symmetry_group
+
+        def counted(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(clauses, "model_symmetry_group", counted)
+        return seen
+
+    @pytest.mark.parametrize("chain,message", [
+        ("foo", "unknown chain 'foo'"),
+        ("id", "chain id does not match model clauses")])
+    def test_kind_rejected_before_detection(self, capsys, tmp_path, calls, chain, message):
+        (tmp_path / "m.txt").write_text(format_clause_file(EXAMPLE_CLAUSES))
+        code, _, err = run_cli(capsys, "sample", "--model", "clauses",
+                               "--clauses", str(tmp_path / "m.txt"), "--chain", chain,
+                               "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert message in err
+        assert calls == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,chain,detections", [
+        ("sample", "gibbs", 0), ("exact", "gibbs", 0), ("tvcurve", "gibbs", 0),
+        ("sample", "orbital-gibbs", 1), ("sample", "gibbs,orbital-gibbs", 1),
+        ("mix", "gibbs", 1)])
+    def test_detection_only_for_a_group(self, capsys, tmp_path, calls, command, chain,
+                                        detections):
+        (tmp_path / "m.txt").write_text(format_clause_file(EXAMPLE_CLAUSES))
+        steps = ["--steps", "20"] if command in ("sample", "tvcurve") else []
+        code, _, _ = run_cli(capsys, command, "--model", "clauses",
+                             "--clauses", str(tmp_path / "m.txt"), "--chain", chain,
+                             *steps, "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert len(calls) == detections
+
+    def test_unknown_evidence_variable_before_writing(self, capsys, tmp_path):
+        (tmp_path / "m.txt").write_text(format_clause_file(EXAMPLE_CLAUSES))
+        (tmp_path / "ev.txt").write_text("d=true\n")
+        code, _, err = run_cli(capsys, "sample", "--model", "clauses",
+                               "--clauses", str(tmp_path / "m.txt"),
+                               "--evidence", str(tmp_path / "ev.txt"),
+                               "--chain", "gibbs", "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "unknown variable 'd'" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestExitCodes:
