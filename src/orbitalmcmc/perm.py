@@ -10,9 +10,9 @@ n.  A permutation is stored as one raw image, the sequence of images of
 graphs of larger clause models have more than 255 vertices).  For `bytes`,
 `bytes.translate` gathers and `bytes.maketrans` scatters at C speed, which
 gives composition, inversion and, in one call, the action on a
-configuration.  Only `_compose` (gather), `_scatter` and `OrbitSampler`
-look at the storage form; all other code indexes an image, which reads the
-same ints from both forms.
+configuration.  Only `_compose` (gather), `_scatter`, `ProductReplacement`
+and `OrbitSampler` look at the storage form; all other code indexes an
+image, which reads the same ints from both forms.
 
 Groups are represented by generating sets and a stabilizer chain, built
 lazily by deterministic Schreier-Sims on the raw images: the order is the
@@ -507,6 +507,13 @@ class ProductReplacement:
     accumulator, and returns the accumulator; the extra moves decorrelate
     consecutive draws enough for frequency tests at the 10^5-draw scale.
     Every value produced is a member of the generated group.
+
+    Burn-in and draws run one loop, `_moves`.  It draws each slot index by
+    the rejection loop `Random.randrange` runs, `getrandbits` retried while
+    out of range, so it consumes the generator exactly as `randrange` would.
+    `bytes` images are composed through full 256-byte tables: a slot padded
+    with the identity above n, or its inverse, which `bytes.maketrans`
+    already gives as such a table.
     """
 
     def __init__(self, group: PermutationGroup, *, rng: Random):
@@ -514,39 +521,39 @@ class ProductReplacement:
         self.group = group
         self.rng = rng
         self._ident = self._acc = Permutation.identity(group.n).image
+        # (pad, compose, inverse) for the images' storage form
+        self._ops = ((_PAD[group.n:], bytes.translate, bytes.maketrans)
+                     if type(self._ident) is bytes else ((), _compose, _scatter))
         n_slots = max(MIN_SLOTS, 2 * len(gens) + 1) if gens else 0
         self._slots = [gens[i % len(gens)].image for i in range(n_slots)]
-        for _ in range(BURN_IN_PER_SLOT * n_slots):
-            self._move()
+        self._moves(BURN_IN_PER_SLOT * n_slots)
 
-    @property
-    def slots(self) -> list[Permutation]:
-        """The current slots as permutations."""
-        return [Permutation._wrap(s) for s in self._slots]
-
-    def _move(self) -> None:
-        rng = self.rng
-        slots = self._slots
-        s = len(slots)
-        i = rng.randrange(s)
-        j = rng.randrange(s - 1)
-        if j >= i:
-            j += 1
-        q = slots[j]
-        # scattering the identity inverts
-        if rng.random() < 0.5:
-            q = _scatter(q, self._ident)
-        r = slots[i] = _compose(slots[i], q)
-        if rng.random() < 0.5:
-            r = _scatter(r, self._ident)
-        self._acc = _compose(self._acc, r)
+    def _moves(self, count: int) -> Image:
+        """Run `count` replacement moves; return the accumulator."""
+        getrandbits, random = self.rng.getrandbits, self.rng.random
+        slots, ident, acc = self._slots, self._ident, self._acc
+        pad, compose, inverse = self._ops
+        s, s1 = len(slots), len(slots) - 1
+        k, k1 = s.bit_length(), s1.bit_length()
+        for _ in range(count):
+            i = getrandbits(k)
+            while i >= s:
+                i = getrandbits(k)
+            j = getrandbits(k1)
+            while j >= s1:
+                j = getrandbits(k1)
+            if j >= i:
+                j += 1
+            q = slots[j]
+            q = inverse(q, ident) if random() < 0.5 else q + pad
+            r = slots[i] = compose(slots[i], q)
+            acc = compose(acc, inverse(r, ident) if random() < 0.5 else r + pad)
+        self._acc = acc
+        return acc
 
     def _draw(self) -> Image:
         """Advance the state and return the accumulator's raw image."""
-        if self._slots:
-            for _ in range(DRAW_MOVES):
-                self._move()
-        return self._acc
+        return self._moves(DRAW_MOVES) if self._slots else self._acc
 
     def next(self) -> Permutation:
         """Advance the state and return a (near-uniform) group member."""
@@ -576,6 +583,8 @@ class OrbitSampler:
 
     def sample(self, bits: Config) -> Config:
         n = self._n
+        if len(bits) != n:
+            raise ValueError(f"configuration length {len(bits)} != domain size {n}")
         if self._els is not None:
             start = self.rng.randrange(self._order) * n
             image = self._els[start:start + n]
@@ -583,8 +592,6 @@ class OrbitSampler:
             image = self._pr._draw()
         else:
             return bits
-        if len(bits) != n:
-            raise ValueError(f"configuration length {len(bits)} != domain size {n}")
         if n <= MAX_BYTES_N:
             return bytes.maketrans(image, bits)[:n]
         return _scatter(image, bits)

@@ -11,7 +11,8 @@ from orbitalmcmc.analysis import CouplingReport, CouplingSimulator
 from orbitalmcmc.autgroup import Cells, color_cells, is_automorphism, is_valid_partition
 from orbitalmcmc.clauses import WeightedClauseSet, parse_clause_file
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
-from orbitalmcmc.perm import (Permutation, PermutationGroup, config_orbit_partition,
+from orbitalmcmc.perm import (BURN_IN_PER_SLOT, DRAW_MOVES, MIN_SLOTS, Permutation,
+                              PermutationGroup, _compose, _scatter, config_orbit_partition,
                               orbit_ids, parse_cycles)
 
 # Two equal-weight clauses over three variables; the classic two-fold
@@ -281,3 +282,41 @@ def dense_color_refine(graph: Graph, start: Optional[Cells] = None) -> Cells:
         cells = new_cells
         if not changed:
             return tuple(tuple(c) for c in cells)
+
+
+class ReferenceProductReplacement:
+    """Reference for `perm.ProductReplacement`: the same slots, moves and
+    accumulator, one move at a time through `randrange`, `_compose` and
+    `_scatter`."""
+
+    def __init__(self, group: PermutationGroup, rng: Random):
+        gens = group.generators
+        self.rng = rng
+        self._ident = self._acc = Permutation.identity(group.n).image
+        n_slots = max(MIN_SLOTS, 2 * len(gens) + 1) if gens else 0
+        self._slots = [gens[i % len(gens)].image for i in range(n_slots)]
+        for _ in range(BURN_IN_PER_SLOT * n_slots):
+            self._move()
+
+    def _move(self) -> None:
+        rng = self.rng
+        slots = self._slots
+        s = len(slots)
+        i = rng.randrange(s)
+        j = rng.randrange(s - 1)
+        if j >= i:
+            j += 1
+        q = slots[j]
+        # scattering the identity inverts
+        if rng.random() < 0.5:
+            q = _scatter(q, self._ident)
+        r = slots[i] = _compose(slots[i], q)
+        if rng.random() < 0.5:
+            r = _scatter(r, self._ident)
+        self._acc = _compose(self._acc, r)
+
+    def next(self) -> Permutation:
+        if self._slots:
+            for _ in range(DRAW_MOVES):
+                self._move()
+        return Permutation._wrap(self._acc)

@@ -29,8 +29,8 @@ from orbitalmcmc.perm import (
     state_action,
 )
 
-from helpers import (apply_config_action, closure_elements, config_orbits,
-                     cycle_count_burnside, load_generating_set)
+from helpers import (ReferenceProductReplacement, apply_config_action, closure_elements,
+                     config_orbits, cycle_count_burnside, load_generating_set)
 
 NAMES9 = list("abcdefghi")
 
@@ -51,6 +51,13 @@ def complete3_group() -> PermutationGroup:
     gens = [parse_cycles(f"(b {x})", names=NAMES9) for x in "cdefghi"]
     gens.append(parse_cycles("(a b)", names=NAMES9))
     return PermutationGroup(gens)
+
+
+def dihedral300_group() -> PermutationGroup:
+    # order 600 on 300 points: tuple images
+    n = 300
+    return PermutationGroup([Permutation([(x + 1) % n for x in range(n)]),
+                             Permutation([-x % n for x in range(n)])])
 
 
 def random_element(group, rng, word_len=6):
@@ -465,9 +472,32 @@ class TestEnumeration:
 
 class TestProductReplacement:
     def test_trivial_group(self):
-        state = ProductReplacement(PermutationGroup([], n=6), rng=Random(0))
+        rng = Random(0)
+        before = rng.getstate()
+        state = ProductReplacement(PermutationGroup([], n=6), rng=rng)
         for _ in range(5):
             assert state.next().is_identity()
+        assert rng.getstate() == before
+
+    @pytest.mark.parametrize("make,slots", [
+        pytest.param(grid3_group, 10, id="grid3"),
+        # 8 generators, 17 slots: s - 1 = 16 is a power of two
+        pytest.param(complete3_group, 17, id="K9"),
+        # 16 transpositions generating S_17: 33 slots
+        pytest.param(lambda: PermutationGroup(
+            [parse_cycles(f"({i} {i + 1})", n=17) for i in range(16)]), 33, id="S17"),
+        pytest.param(dihedral300_group, 10, id="dihedral300"),
+    ])
+    def test_draws_equal_the_reference(self, make, slots):
+        group = make()
+        rng, ref_rng = Random(21), Random(21)
+        state = ProductReplacement(group, rng=rng)
+        ref = ReferenceProductReplacement(group, ref_rng)
+        assert len(state._slots) == slots
+        assert rng.getstate() == ref_rng.getstate()
+        for _ in range(2000):
+            assert state.next().mapping == ref.next().mapping
+        assert rng.getstate() == ref_rng.getstate()
 
     def test_membership(self):
         group = cliques3_group()
@@ -482,7 +512,7 @@ class TestProductReplacement:
         state = ProductReplacement(group, rng=Random(2))
         for _ in range(100):
             state.next()
-        assert all(s in members for s in state.slots)
+        assert all(Permutation._wrap(s) in members for s in state._slots)
 
     def test_rough_uniformity(self):
         # strict chi-square at 1e5 draws lives in the acceptance suite
@@ -516,9 +546,7 @@ class TestOrbitSampling:
     @pytest.mark.parametrize("mode", [SamplerMode.EXACT, SamplerMode.PRODUCT_REPLACEMENT])
     def test_bytes_states_past_255_points(self, mode):
         # dihedral group of order 600 on 300 points: tuple images, bytes states
-        n, rng = 300, Random(11)
-        group = PermutationGroup([Permutation([(x + 1) % n for x in range(n)]),
-                                  Permutation([-x % n for x in range(n)])])
+        n, rng, group = 300, Random(11), dihedral300_group()
         sampler, clone = OrbitSampler(group, mode, Random(12)), Random(12)
         if mode is SamplerMode.EXACT:
             els = group.elements()
@@ -534,6 +562,22 @@ class TestOrbitSampling:
             assert type(out) is bytes and out == draw().apply_config(c)
             moved += out != c
         assert moved > 190
+
+    def test_trivial_group_rejects_a_wrong_length(self):
+        with pytest.raises(ValueError, match="length 3 != domain size 4"):
+            OrbitSampler(PermutationGroup([], n=4), SamplerMode.EXACT, Random(0)).sample(b"\0" * 3)
+
+    @pytest.mark.parametrize("mode", [SamplerMode.EXACT, SamplerMode.PRODUCT_REPLACEMENT])
+    def test_wrong_length_draws_nothing(self, mode):
+        group, c = grid3_group(), bytes((1, 0, 0, 1, 0, 0, 0, 0, 1))
+        rng = Random(15)
+        sampler, fresh = OrbitSampler(group, mode, rng), OrbitSampler(group, mode, Random(15))
+        before = rng.getstate()
+        with pytest.raises(ValueError, match="length 8 != domain size 9"):
+            sampler.sample(c[:8])
+        assert rng.getstate() == before
+        for _ in range(20):
+            assert sampler.sample(c) == fresh.sample(c)
 
     def test_exact_draws_read_the_element_array(self):
         # K_9: bytes images, one slice of the array's buffer per draw
