@@ -11,8 +11,6 @@ from .chains import (
     ChainTrace,
     ClauseModel,
     IndependentSetModel,
-    gibbs_step,
-    insert_delete_step,
     run_chain,
 )
 from .clauses import (

@@ -20,8 +20,8 @@ import numpy as np
 from .chains import ChainKind, ChainTrace, IndependentSetModel
 from .errors import GuardExceededError, enumeration_cap
 from .graphs import Graph
-from .perm import (Config, Permutation, PermutationGroup, _orbit_walk, _row_lookup, as_config,
-                   config_matrix, orbit_ids, state_action)
+from .perm import (Config, Permutation, PermutationGroup, _orbit_walk, as_config, config_matrix,
+                   config_rows, orbit_ids, state_action)
 
 
 class ExactDistribution:
@@ -66,7 +66,9 @@ def exact_distribution(model) -> ExactDistribution:
 
 
 def exact_pi_lambda(graph: Graph, lam: float) -> ExactDistribution:
-    """Normalized fugacity-weighted distribution over independent sets."""
+    """Normalized fugacity-weighted distribution over independent sets:
+    `exact_distribution` of the model, kept because `perfbench/workloads.py`
+    calls it."""
     return exact_distribution(IndependentSetModel(graph, lam))
 
 
@@ -243,8 +245,9 @@ def tv_curve(trace: ChainTrace, exact: ExactDistribution,
     """TV distance to the target at growing prefixes of the recorded samples.
 
     The empirical distribution at checkpoint c uses the first c recorded
-    states, initial state included and no burn-in discarded; one
-    `_row_lookup` finds them all, and counts are added per segment.
+    states, initial state included and no burn-in discarded;
+    `exact.index_of` finds each one, KeyError for a state outside
+    `exact.states`, and counts are added per segment.
     """
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if not checkpoints or checkpoints[0] < 1:
@@ -252,14 +255,8 @@ def tv_curve(trace: ChainTrace, exact: ExactDistribution,
     if checkpoints[-1] > len(trace.states):
         raise ValueError(
             f"checkpoint {checkpoints[-1]} exceeds {len(trace.states)} samples")
-    states = [as_config(s) for s in trace.states[:checkpoints[-1]]]
-    flat, width = b"".join(states), len(exact.states[0])
-    found = np.full(len(states), -1)
-    if width and len(flat) == len(states) * width:
-        found = _row_lookup(config_matrix(exact.states, width))(
-            np.frombuffer(flat, np.uint8).reshape(len(states), width))
-    for i in np.flatnonzero(found < 0):  # KeyError unless a listed state
-        found[i] = exact.index_of(states[i])
+    found = np.fromiter(map(exact.index_of, trace.states[:checkpoints[-1]]),
+                        np.intp, checkpoints[-1])
     counts, points, used = np.zeros(len(exact.states)), [], 0
     for target in checkpoints:
         counts += np.bincount(found[used:target], minlength=len(counts))
@@ -388,12 +385,11 @@ class CouplingSimulator:
         for v, w in model.graph.edges:
             adjacency[v, w] = adjacency[w, v] = True
         blocked = bits @ adjacency
-        find = _row_lookup(bits)
         flip = np.empty(bits.shape, dtype=np.intp)
         for w in range(n):
             toggled = bits.copy()
             toggled[:, w] ^= True
-            flip[:, w] = find(toggled)
+            flip[:, w] = [self._index.get(s, -1) for s in config_rows(toggled)]
         upper, vertex = np.nonzero(bits)
         lower = flip[upper, vertex]
         # the case rule: 1 if the pair differs at w, 2 if w is in both, 3 if

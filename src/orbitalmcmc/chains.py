@@ -310,6 +310,7 @@ def _holds(clause, bits: np.ndarray) -> np.ndarray:
     return np.logical_or.reduce([bits[:, v] != neg for v, neg in clause.literals])
 
 
+# the step functions under the names `perfbench/workloads.py` reads
 gibbs_step = ClauseModel.step
 insert_delete_step = IndependentSetModel.step
 
@@ -323,7 +324,8 @@ class ChainTrace:
 
 
 def initial_state(model, kind: ChainKind) -> Config:
-    """The model's `start`, once `ChainKind.check` passes `kind` on it."""
+    """The model's `start`, once `ChainKind.check` passes `kind` on it;
+    `run_chain` and `perfbench/workloads.py` start from it."""
     ChainKind(kind).check(model)
     return model.start
 

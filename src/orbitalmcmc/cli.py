@@ -381,7 +381,8 @@ def build_parser() -> Parser:
     p.add_argument("--model", choices=GRAPH_MODELS + ("fs",))
     p.add_argument("--k", type=at_least(2), default=3)
     p.add_argument("--people", type=at_least(2), default=4)
-    p.add_argument("--evidence-fraction", type=float, default=0.0)
+    p.add_argument("--evidence-fraction", default=0.0,
+                   type=checked(float, lambda fraction: 0 <= fraction <= 1, "in [0, 1]"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)

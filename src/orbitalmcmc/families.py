@@ -71,10 +71,12 @@ def gen_friends_smokers(people: int, evidence_fraction: float = 0.0,
 
     Evidence fixes the smoking status of a random fraction of the people
     (the count rounded to nearest, at least one), drawn reproducibly from
-    the seed.
+    the seed.  ValueError unless the fraction is in [0, 1].
     """
     if people < 2:
         raise ValueError(f"need at least 2 people, got {people}")
+    if not 0 <= evidence_fraction <= 1:
+        raise ValueError(f"evidence fraction must be in [0, 1], got {evidence_fraction}")
     persons = [f"p{i}" for i in range(people)]
     smokes = {p: f"smokes_{p}" for p in persons}
     cancer = {p: f"cancer_{p}" for p in persons}

@@ -50,8 +50,8 @@ class Graph:
         return len(set(self.colors)) if self.n else 0
 
     def to_colored(self) -> "Graph":
-        """The graph itself: every graph carries colors.  Kept for callers
-        written when plain and colored graphs were separate types."""
+        """The graph itself: every graph carries colors.  Kept because
+        `perfbench/workloads.py` calls it."""
         return self
 
     def is_independent(self, bits: Sequence[int]) -> bool:

@@ -61,6 +61,12 @@ def config_matrix(states: Sequence[Config], n: int) -> np.ndarray:
     return np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), n)
 
 
+def config_rows(bits: np.ndarray) -> list[Config]:
+    """The rows of a 0/1 matrix as configurations: `config_matrix` undone."""
+    bits = np.ascontiguousarray(bits, dtype=np.uint8)
+    return bits.view(np.dtype((np.void, bits.shape[1]))).ravel().tolist()
+
+
 def _compose(a: Image, b: Image) -> Image:
     """Raw image of a followed by b: x -> b[a[x]]."""
     if type(a) is bytes:
@@ -365,42 +371,22 @@ def _schreier_sims(n: int, gens: Sequence[Image]) -> list[dict]:
     return chain
 
 
-def _row_lookup(bits: np.ndarray):
-    """A function giving, for each row of a 0/1 matrix, its index among the
-    distinct rows of `bits`, or -1 where it is not one of them: one sorted
-    lookup on the rows packed to bytes."""
-    def packed(rows):  # one key per row: the row packed to bytes, compared bytewise
-        rows = np.ascontiguousarray(np.packbits(rows, axis=1))
-        return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-
-    order = np.argsort(packed(bits))
-    keys, ordered = packed(bits)[order], bits[order]
-
-    def find(rows: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(keys, packed(rows)).clip(max=len(bits) - 1)
-        return np.where((ordered[pos] == rows).all(axis=1), order[pos], -1)
-
-    return find
-
-
-def state_action(group: PermutationGroup, states) -> np.ndarray:
+def state_action(group: PermutationGroup, states: Sequence[Config]) -> np.ndarray:
     """action[g][i], the index in a list of distinct configurations of
     generator g applied to states[i]: each generator permutes the columns
-    of the states' 0/1 matrix once, and `_row_lookup` finds every image.
-    ValueError unless all images are listed."""
+    of the states' 0/1 matrix once, and a dict over the states' bytes finds
+    every image.  ValueError unless all images are listed."""
     bits = config_matrix(states, group.n)
     action = np.empty((len(group.generators), len(bits)), dtype=np.intp)
-    if not group.generators:
-        return action
-    find = _row_lookup(bits)
+    index = {s: i for i, s in enumerate(states)}
     for g, perm in enumerate(group.generators):
-        image = bits[:, np.argsort(perm.mapping)]  # bit i moves to position perm[i]
-        action[g] = find(image)
-        miss = np.flatnonzero(action[g] < 0)
-        if miss.size:
-            i = miss[0]
+        images = config_rows(bits[:, np.argsort(perm.mapping)])  # bit i moves to perm[i]
+        try:
+            action[g] = [index[image] for image in images]
+        except KeyError as miss:
+            i = images.index(miss.args[0])
             raise ValueError("group does not preserve the state space: a generator "
-                             f"maps {tuple(bits[i].tolist())} to {tuple(image[i].tolist())}")
+                             f"maps {tuple(states[i])} to {tuple(images[i])}") from None
     return action
 
 
@@ -518,7 +504,6 @@ class ProductReplacement:
 
     def __init__(self, group: PermutationGroup, *, rng: Random):
         gens = group.generators
-        self.group = group
         self.rng = rng
         self._ident = self._acc = Permutation.identity(group.n).image
         # (pad, compose, inverse) for the images' storage form
@@ -571,10 +556,8 @@ class OrbitSampler:
     """
 
     def __init__(self, group: PermutationGroup, mode: SamplerMode, rng: Random):
-        self.group = group
-        self.mode = SamplerMode(mode)
         self.rng = rng
-        exact, trivial = self.mode is SamplerMode.EXACT, group.is_trivial()
+        exact, trivial = SamplerMode(mode) is SamplerMode.EXACT, group.is_trivial()
         self._pr = None if exact or trivial else ProductReplacement(group, rng=rng)
         self._n, self._els = group.n, None
         if exact and not trivial:

@@ -271,6 +271,26 @@ class TestTotalVariation:
         with pytest.raises(KeyError):
             tv_curve(ChainTrace([(1, 1)]), universe, [1])
 
+    @pytest.mark.parametrize("form", [bytes, tuple])
+    @pytest.mark.parametrize("states", [
+        [(0, 0), (1, 0), (1, 1)],  # a foreign state after valid ones
+        [(0, 0), (0,)],            # too short
+        [(0, 1), (0, 1, 0)]])      # too long
+    def test_empirical_rejects_any_unlisted_state(self, states, form):
+        universe = exact_pi_lambda(Graph(2, [(0, 1)]), 1.0)
+        trace = ChainTrace([form(s) for s in states])
+        assert tv_curve(trace, universe, [1]).points
+        with pytest.raises(KeyError, match="not in the enumerated universe"):
+            tv_curve(trace, universe, [len(states)])
+
+    def test_tuple_states_give_the_points_of_bytes(self):
+        graph = gen_grid(3)
+        pi = exact_pi_lambda(graph, 1.0)
+        trace = run_chain(IndependentSetModel(graph, 1.0), ChainKind.INSERT_DELETE, 2000, seed=52)
+        as_tuples = ChainTrace([tuple(s) for s in trace.states])
+        checkpoints = [1, 7, 100, 2001]
+        assert tv_curve(as_tuples, pi, checkpoints) == tv_curve(trace, pi, checkpoints)
+
     def test_sampled_orbital_chain_approaches_pi(self):
         graph = gen_complete(3)
         model = IndependentSetModel(graph, 1.0)

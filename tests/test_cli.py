@@ -247,7 +247,10 @@ class TestAnalysisCommands:
         ["mix", "--model", "grid", "--k", "3", "--epsilon", "0,0.1"],
         ["mix", "--model", "grid", "--k", "3", "--epsilon", "0.1,1"],
         ["sample", "--model", "grid", "--k", "3", "--lambda", "0"],
-        ["sample", "--model", "grid", "--k", "3", "--lambda", "-1.5"]])
+        ["sample", "--model", "grid", "--k", "3", "--lambda", "-1.5"],
+        ["gen", "--model", "fs", "--evidence-fraction", "1.5"],
+        ["gen", "--model", "fs", "--evidence-fraction", "-0.1"],
+        ["gen", "--model", "fs", "--evidence-fraction", "nan"]])
     def test_model_parameters_rejected_before_writing(self, capsys, tmp_path, args):
         code, _, err = run_cli(capsys, *args, "--out", str(tmp_path / "o"))
         assert code == 1

@@ -61,3 +61,8 @@ class TestFriendsSmokers:
     def test_people_guard(self):
         with pytest.raises(ValueError):
             gen_friends_smokers(1)
+
+    @pytest.mark.parametrize("fraction", [1.5, -0.1, float("nan")])
+    def test_evidence_fraction_guard(self, fraction):
+        with pytest.raises(ValueError, match=r"evidence fraction must be in \[0, 1\]"):
+            gen_friends_smokers(3, evidence_fraction=fraction)
