@@ -4,9 +4,13 @@ The search is classic individualization-refinement: refine the color
 partition until equitable, branch on a vertex of the first smallest
 non-singleton cell, and read candidate automorphisms off pairs of discrete
 partitions.  Discovered automorphisms prune sibling branches in the same
-orbit.  Every emitted permutation is re-checked explicitly, so the search
-is sound by construction; completeness is exercised against a brute-force
-oracle in the test suite (`tests/helpers.py`).
+orbit, a node whose cell sizes differ from the first path's at its depth
+is pruned (an invariant, as in McKay & Piperno, "Practical graph
+isomorphism, II", 2014), and a child that finds no automorphism is
+backtracked past.  Every emitted permutation is re-checked explicitly, so
+the search is sound by construction; completeness is exercised against a
+brute-force oracle in the test suite (`tests/helpers.py`), and the pruning
+and the backtracking each by a graph that needs it.
 
 Refinement works in synchronous passes with a sparse key: a vertex is keyed
 by the (-cell index, neighbor count) pairs of the cells it has neighbors
@@ -37,19 +41,9 @@ def color_cells(graph: Graph) -> Cells:
     return tuple(tuple(cells[c]) for c in sorted(cells))
 
 
-def is_valid_partition(graph: Graph, cells: Cells) -> bool:
-    seen: set[int] = set()
-    for cell in cells:
-        if not cell or (seen & set(cell)):
-            return False
-        if len({graph.colors[v] for v in cell}) != 1:
-            return False
-        seen |= set(cell)
-    return seen == set(range(graph.n))
-
-
-def color_refine(graph: Graph, start: Optional[Cells] = None) -> Cells:
-    """Coarsest equitable refinement of the starting partition.
+def color_refine(graph: Graph) -> Cells:
+    """Coarsest equitable refinement of the color partition, `color_cells`;
+    to refine from other cells, recolor the graph by cell.
 
     A partition is equitable when all vertices in a cell have the same
     number of neighbors in every cell.  Refinement runs in passes; each
@@ -73,11 +67,7 @@ def color_refine(graph: Graph, start: Optional[Cells] = None) -> Cells:
     last fragment's count is the split cell's uniform count minus its
     siblings', so it never holds the first difference between two vertices.
     """
-    if start is None:
-        start = color_cells(graph)
-    elif not is_valid_partition(graph, start):
-        raise ValueError("start partition must respect vertex colors")
-    cells = [sorted(c) for c in start]
+    cells = [list(c) for c in color_cells(graph)]
     return _refine(graph, cells, range(len(cells)))
 
 
@@ -175,8 +165,6 @@ def automorphism_generators(graph: Graph) -> PermutationGroup:
     of per-level representatives generate the whole group; vertices already
     reachable under discovered generators are skipped.
     """
-    if graph.n == 0:
-        return PermutationGroup([], n=0)
     root = color_refine(graph)
 
     # first branch: partitions and branch choices from root to a discrete leaf
@@ -194,21 +182,18 @@ def automorphism_generators(graph: Graph) -> PermutationGroup:
 
     def leaf_permutation(leaf: Cells) -> Optional[Permutation]:
         mapping = [0] * graph.n
-        for src_cell, dst_cell in zip(base_leaf, leaf):
-            mapping[src_cell[0]] = dst_cell[0]
-        if len(set(mapping)) != graph.n:
-            return None
+        for (src,), (dst,) in zip(base_leaf, leaf):
+            mapping[src] = dst
         p = Permutation._trusted(mapping)
         return p if is_automorphism(graph, p) else None
 
     def search(cells: Cells, depth: int) -> Optional[Permutation]:
-        # exhaustive hunt for one automorphism below this node
-        if depth < len(profiles) and _profile(cells) != profiles[depth]:
+        # exhaustive hunt for one automorphism below this node; a node that
+        # passes the profile check is discrete only at the base leaf's depth
+        if _profile(cells) != profiles[depth]:
             return None
         idx = _target_cell(cells)
         if idx < 0:
-            if len(cells) != graph.n:
-                return None
             return leaf_permutation(cells)
         for u in cells[idx]:
             found = search(_individualize(graph, cells, idx, u), depth + 1)
@@ -226,7 +211,7 @@ def automorphism_generators(graph: Graph) -> PermutationGroup:
             if ids[u] == ids[v]:
                 continue
             found = search(_individualize(graph, cells, idx, u), depth + 1)
-            if found is not None and found not in gens:
+            if found is not None:  # found takes v to u, so it is not in gens
                 gens.append(found)
                 ids = orbit_ids(PermutationGroup(gens).point_action()).tolist()
     return PermutationGroup(gens, n=graph.n)

@@ -83,8 +83,8 @@ class IndependentSetModel:
     base = ChainKind.INSERT_DELETE
 
     def __init__(self, graph: Graph, lam: float):
-        if lam <= 0:
-            raise ValueError(f"fugacity must be positive, got {lam}")
+        if not 0 < lam < math.inf:  # NaN fails too
+            raise ValueError(f"fugacity must be finite and positive, got {lam}")
         self.graph = graph
         self.lam = lam
         self.start = bytes(graph.n)
@@ -136,7 +136,15 @@ class IndependentSetModel:
         return enumerate_independent_sets(self.graph)
 
     def weights(self, states: Sequence[Config]) -> np.ndarray:
-        return np.array([self.lam ** sum(s) for s in states], dtype=float)
+        """lam^|X| per state, read off a table of lam^i that holds inf where
+        the power overflows a float, for `exact_distribution` to report."""
+        powers = np.full(self.graph.n + 1, math.inf)
+        for i in range(self.graph.n + 1):
+            try:
+                powers[i] = self.lam ** i
+            except OverflowError:
+                break
+        return powers[config_matrix(states, self.graph.n).sum(axis=1)]
 
     def __repr__(self) -> str:
         return f"IndependentSetModel({self.graph!r}, lam={self.lam})"

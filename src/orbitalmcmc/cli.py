@@ -192,7 +192,8 @@ def add_model_flags(sub, with_lambda=True):
     sub.add_argument("--evidence", help="evidence file for --model clauses")
     if with_lambda:
         sub.add_argument("--lambda", dest="lam", default=1.0,
-                         type=checked(float, lambda lam: lam > 0, "positive"),
+                         type=checked(float, lambda lam: 0 < lam < math.inf,
+                                      "finite and positive"),
                          help="fugacity for independent-set models")
 
 

@@ -6,8 +6,9 @@ whole package: p.compose(q) applied to x is q applied to (p applied to x).
 
 A configuration (`Config`) is `bytes`, one 0/1 byte per variable, at every
 n.  A permutation is stored as one raw image, the sequence of images of
-0..n-1: `bytes` when n <= 255 and a tuple of ints above that (the colored
-graphs of larger clause models have more than 255 vertices).  For `bytes`,
+0..n-1: `bytes` when n <= 256, since a byte holds every point of a
+256-point domain, and a tuple of ints above that (the colored graphs of
+larger clause models have more than 256 vertices).  For `bytes`,
 `bytes.translate` gathers and `bytes.maketrans` scatters at C speed, which
 gives composition, inversion and, in one call, the action on a
 configuration.  Only `_compose` (gather), `_scatter`, `ProductReplacement`
@@ -44,7 +45,7 @@ Image = Union[bytes, tuple]  # raw image of a permutation, see the module docstr
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _PAD = bytes(range(256))
-MAX_BYTES_N = 255  # largest domain stored as bytes
+MAX_BYTES_N = 256  # largest domain stored as bytes: points 0..255
 
 
 def _as_image(mapping: Sequence[int]) -> Image:
@@ -71,7 +72,7 @@ def _compose(a: Image, b: Image) -> Image:
     """Raw image of a followed by b: x -> b[a[x]]."""
     if type(a) is bytes:
         return a.translate(b + _PAD[len(a):])
-    return itemgetter(*a)(b)  # a tuple: more than 255 points
+    return itemgetter(*a)(b)  # a tuple: more than MAX_BYTES_N points
 
 
 def _scatter(a: Image, values: Image) -> Image:
@@ -92,9 +93,9 @@ def _scatter(a: Image, values: Image) -> Image:
 class Permutation:
     """A bijection on {0, ..., n-1}.
 
-    `image` holds the images of 0..n-1 as `bytes` when n <= 255 and as a
-    tuple above that; `mapping` is the same images as a tuple whatever the
-    storage.  Equality and hashing follow the image, so two permutations
+    `image` holds the images of 0..n-1 as `bytes` when n <= MAX_BYTES_N
+    and as a tuple above that; `mapping` is the same images as a tuple
+    whatever the storage.  Equality and hashing follow the image, so two permutations
     are equal exactly when they have the same domain and the same images.
     """
 
@@ -132,7 +133,7 @@ class Permutation:
 
     @property
     def mapping(self) -> tuple[int, ...]:
-        """The images of 0..n-1 as a tuple of ints (a copy for n <= 255)."""
+        """The images of 0..n-1 as a tuple of ints (a copy for `bytes` images)."""
         return tuple(self.image)
 
     def is_identity(self) -> bool:
@@ -289,8 +290,9 @@ class PermutationGroup:
         return math.prod(map(len, self._chain))
 
     def image_array(self) -> np.ndarray:
-        """All |G| images in lexicographic order, one read-only uint8 (up to 255
-        points) or uint16 array built once; GuardExceededError past the cap."""
+        """All |G| images in lexicographic order, one read-only array built
+        once, uint8 exactly when the images are `bytes` (up to MAX_BYTES_N
+        points); GuardExceededError past the cap."""
         order, cap = self.order(), enumeration_cap()
         if order > cap:
             raise GuardExceededError(f"group of order {order} exceeds enumeration cap {cap}")
@@ -298,7 +300,7 @@ class PermutationGroup:
 
     @functools.cached_property
     def _elements(self) -> np.ndarray:  # one gather per chain level
-        dtype = np.min_scalar_type(self.n)
+        dtype = np.uint8 if self.n <= MAX_BYTES_N else np.min_scalar_type(self.n - 1)
         els = np.arange(self.n, dtype=dtype).reshape(1, self.n)
         for level in reversed(self._chain):
             u = np.array([tuple(v) for v, _ in level.values()], dtype=dtype)

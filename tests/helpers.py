@@ -3,12 +3,11 @@
 import itertools
 import math
 from random import Random
-from typing import Optional
 
 import numpy as np
 
 from orbitalmcmc.analysis import CouplingReport, CouplingSimulator
-from orbitalmcmc.autgroup import Cells, color_cells, is_automorphism, is_valid_partition
+from orbitalmcmc.autgroup import Cells, color_cells, is_automorphism
 from orbitalmcmc.clauses import WeightedClauseSet, parse_clause_file
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
 from orbitalmcmc.perm import (BURN_IN_PER_SLOT, DRAW_MOVES, MIN_SLOTS, Permutation,
@@ -244,7 +243,17 @@ def permuted_clause_multiset(model: WeightedClauseSet, p: Permutation) -> dict:
     return out
 
 
-def dense_color_refine(graph: Graph, start: Optional[Cells] = None) -> Cells:
+def recolored(graph: Graph, cells: Cells) -> Graph:
+    """The graph colored by cell: vertex v gets the index of its cell, so
+    `color_cells` of the result is `cells`, each cell sorted."""
+    colors = [0] * graph.n
+    for i, cell in enumerate(cells):
+        for v in cell:
+            colors[v] = i
+    return Graph(graph.n, graph.edges, colors)
+
+
+def dense_color_refine(graph: Graph) -> Cells:
     """Ordering oracle: refinement by dense neighbor-count vectors.
 
     Every pass gives each vertex its count of neighbors in every cell and
@@ -252,12 +261,7 @@ def dense_color_refine(graph: Graph, start: Optional[Cells] = None) -> Cells:
     sorted by vertex.  O(n * cells) per pass; `autgroup.color_refine` must
     return the identical tuple.
     """
-    if start is None:
-        cells = [list(c) for c in color_cells(graph)]
-    else:
-        if not is_valid_partition(graph, start):
-            raise ValueError("start partition must respect vertex colors")
-        cells = [list(c) for c in start]
+    cells = [list(c) for c in color_cells(graph)]
     while True:
         cell_of = [0] * graph.n
         for idx, cell in enumerate(cells):

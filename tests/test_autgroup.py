@@ -5,7 +5,8 @@ from random import Random
 
 import pytest
 
-from helpers import FS_EVIDENCE, brute_force_automorphisms, dense_color_refine, read_graph
+from helpers import (FS_EVIDENCE, brute_force_automorphisms, dense_color_refine, read_graph,
+                     recolored)
 from orbitalmcmc import autgroup, clauses, families
 from orbitalmcmc.autgroup import (
     automorphism_generators,
@@ -50,6 +51,34 @@ def path3() -> Graph:
     return Graph(3, [(0, 1), (1, 2)])
 
 
+def cycle(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def shrikhande() -> Graph:
+    """Cayley graph of Z4 x Z4 on +-(0,1), +-(1,0), +-(1,1): srg(16, 6, 2, 2),
+    automorphism group of order 192."""
+    steps = [(0, 1), (1, 0), (1, 1)]
+    return Graph(16, [(4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+                      for a in range(4) for b in range(4) for da, db in steps])
+
+
+def rook4() -> Graph:
+    """The 4 x 4 rook's graph, also srg(16, 6, 2, 2), automorphism group of
+    order 1152."""
+    return Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
+                      if u // 4 == v // 4 or u % 4 == v % 4])
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    """The graphs side by side, vertices numbered in order, one color."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.n
+    return Graph(offset, edges)
+
+
 def random_colored_graph(rng: Random, max_n: int = 8) -> Graph:
     n = rng.randrange(1, max_n + 1)
     n_colors = rng.randrange(1, min(3, n) + 1)
@@ -64,8 +93,8 @@ def random_colored_graph(rng: Random, max_n: int = 8) -> Graph:
 
 
 def random_start(rng: Random, graph: Graph) -> tuple:
-    """A valid start partition: color classes cut into random pieces,
-    cells in random order, each cell in random vertex order."""
+    """A start partition that respects the colors: color classes cut into
+    random pieces, cells in random order, each cell in random vertex order."""
     cells = []
     for cell in color_cells(graph):
         cell = list(cell)
@@ -110,9 +139,8 @@ class TestColoredGraph:
 
 class TestColorRefine:
     def test_discrete_is_fixpoint(self):
-        g = triangle()
         discrete = ((0,), (1,), (2,))
-        assert color_refine(g, discrete) == discrete
+        assert color_refine(recolored(triangle(), discrete)) == discrete
 
     def test_equitable_unchanged(self):
         g = triangle()
@@ -131,15 +159,10 @@ class TestColorRefine:
         for _ in range(40):
             g = random_colored_graph(rng)
             refined = color_refine(g)
-            assert color_refine(g, refined) == refined
+            assert color_refine(recolored(g, refined)) == refined
             start_cells = {frozenset(c) for c in color_cells(g)}
             for cell in refined:
                 assert any(set(cell) <= s for s in start_cells)
-
-    def test_rejects_color_mixing_start(self):
-        g = example_clause_graph()
-        with pytest.raises(ValueError):
-            color_refine(g, ((0, 3), (1, 2, 4, 5), (6, 7)))
 
 
 class TestRefinementOrder:
@@ -149,10 +172,10 @@ class TestRefinementOrder:
         rng = Random(21)
         for _ in range(200):
             g = random_colored_graph(rng, max_n=rng.choice((8, 16)))
-            starts = [None] + [random_start(rng, g) for _ in range(3)]
-            for start in starts:
-                refined = color_refine(g, start)
-                assert refined == dense_color_refine(g, start)
+            starts = [recolored(g, random_start(rng, g)) for _ in range(3)]
+            for colored in [g] + starts:
+                refined = color_refine(colored)
+                assert refined == dense_color_refine(colored)
                 assert_equitable(g, refined)
 
     def test_individualize_matches_dense_oracle(self, monkeypatch):
@@ -171,7 +194,7 @@ class TestRefinementOrder:
         for graph, cells, idx, v, out in calls:
             rest = tuple(x for x in cells[idx] if x != v)
             split = cells[:idx] + ((v,), rest) + cells[idx + 1:]
-            assert out == dense_color_refine(graph, split)
+            assert out == dense_color_refine(recolored(graph, split))
             assert_equitable(graph, out)
 
 
@@ -264,3 +287,44 @@ class TestSearch:
             assert all(is_automorphism(g, b) for b in back)
             assert set(PermutationGroup(back, n=g.n).elements()) == \
                 set(automorphism_generators(g).elements())
+
+
+class TestSearchBranches:
+    """Graphs on which each branch of the search decides the result."""
+
+    def test_empty_graph_is_trivial(self):
+        group = automorphism_generators(Graph(0, []))
+        assert group.n == 0 and group.is_trivial()
+        assert group.order() == 1
+
+    def test_backtracks_past_a_child_that_finds_nothing(self):
+        # triangle 0-1-2, square 3-4-5-6, triangle 7-8-9, all of degree 2:
+        # the first path fixes triangle 0-1-2 and then branches into the
+        # square; below the swap of the triangles that cell's first vertex
+        # is 0, a triangle vertex, so the search must try further children
+        g = disjoint_union(cycle(3), cycle(4), cycle(3))
+        assert automorphism_generators(g).order() == 6 * 8 * 6 * 2
+
+    def test_union_of_cycles_matches_brute_force(self):
+        g = disjoint_union(cycle(3), cycle(4))
+        group = automorphism_generators(g)
+        assert group.order() == 6 * 8
+        assert set(group.elements()) == set(brute_force_automorphisms(g))
+
+    def test_profile_pruning_bounds_leaf_checks(self, monkeypatch):
+        # both halves are srg(16, 6, 2, 2), so refinement cannot tell them
+        # apart; a branch into the wrong half is cut by its cell sizes, not
+        # by checking its 1152 x 192 leaves
+        bound = 20
+        calls = []
+        check = autgroup.is_automorphism
+
+        def counting(graph, p):
+            calls.append(p)
+            assert len(calls) <= bound, "leaf checks past the bound"
+            return check(graph, p)
+
+        monkeypatch.setattr(autgroup, "is_automorphism", counting)
+        group = automorphism_generators(disjoint_union(shrikhande(), rook4()))
+        assert group.order() == 192 * 1152
+        assert len(calls) <= bound

@@ -363,6 +363,28 @@ class TestConditionalTables:
         assert model._tables[0][1] == {1: 0.5}  # keyed by b alone
 
 
+class TestIndependentSetModel:
+    @pytest.mark.parametrize("lam", [0.0, -1.5, float("inf"), float("nan")])
+    def test_fugacity_must_be_finite_and_positive(self, lam):
+        with pytest.raises(ValueError, match="finite and positive"):
+            IndependentSetModel(gen_grid(3), lam)
+
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 1.7, 3.14159])
+    def test_weights_are_powers_of_lambda(self, lam):
+        model = IndependentSetModel(gen_grid(4), lam)
+        states = model.states()
+        assert model.weights(states).tolist() == [lam ** sum(s) for s in states]
+
+    def test_overflowing_weight_is_inf(self):
+        # 1e200 ** 2 overflows a float: sets of two or more weigh inf
+        model = IndependentSetModel(gen_grid(3), 1e200)
+        states = model.states()
+        assert model.weights(states).tolist() == [
+            (1.0, 1e200)[sum(s)] if sum(s) < 2 else float("inf") for s in states]
+        with pytest.raises(ValueError, match="state weights overflow"):
+            exact_distribution(model)
+
+
 class TestInsertDeleteStep:
     def test_empty_set_on_complete_graph(self):
         graph = gen_complete(2)  # K_4

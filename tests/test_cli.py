@@ -250,7 +250,10 @@ class TestAnalysisCommands:
         ["sample", "--model", "grid", "--k", "3", "--lambda", "-1.5"],
         ["gen", "--model", "fs", "--evidence-fraction", "1.5"],
         ["gen", "--model", "fs", "--evidence-fraction", "-0.1"],
-        ["gen", "--model", "fs", "--evidence-fraction", "nan"]])
+        ["gen", "--model", "fs", "--evidence-fraction", "nan"],
+        ["sample", "--model", "grid", "--k", "3", "--lambda", "inf"],
+        ["coupling", "--model", "grid", "--k", "3", "--lambda", "inf"],
+        ["exact", "--model", "grid", "--k", "3", "--lambda", "nan"]])
     def test_model_parameters_rejected_before_writing(self, capsys, tmp_path, args):
         code, _, err = run_cli(capsys, *args, "--out", str(tmp_path / "o"))
         assert code == 1
@@ -258,7 +261,8 @@ class TestAnalysisCommands:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("args,message", [
-        (["sample", "--lambda", "abc"], "argument --lambda: must be positive, got abc"),
+        (["sample", "--lambda", "abc"],
+         "argument --lambda: must be finite and positive, got abc"),
         (["sample", "--steps", "abc"], "argument --steps: must be at least 0, got abc"),
         (["mix", "--epsilon", "0.1,abc"],
          "argument --epsilon: must be values in (0, 1), got 0.1,abc")])
@@ -403,6 +407,15 @@ class TestAnalysisCommands:
         code, out, _ = run_cli(capsys, "--config", str(config), "detect")
         assert code == 0
         assert "group order: 8" in out
+
+    def test_config_lambda_must_be_finite(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("model=grid\nk=3\nlam=inf\n")
+        code, _, err = run_cli(capsys, "--config", str(config), "sample",
+                               "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "argument --lambda: must be finite and positive, got inf" in err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
@@ -682,6 +695,15 @@ class TestExitCodes:
         assert "weights overflow" in err
         assert not (tmp_path / "o" / "pi.csv").exists()
 
+    @pytest.mark.parametrize("command", ["exact", "tvcurve", "mix"])
+    def test_overflowing_fugacity_exits_one(self, capsys, tmp_path, command):
+        # 1e200 ** 2 overflows a float, as clause weights past e^709 do
+        code, _, err = run_cli(capsys, command, "--model", "grid", "--k", "3",
+                               "--lambda", "1e200", "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "state weights overflow: the partition function Z is inf" in err
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["config.resolved.txt"]
+
     def test_hard_clause_scan_guarded(self, capsys, monkeypatch, tmp_path):
         # the first assignment satisfying all four unit clauses is number 15
         model = tmp_path / "units.txt"
@@ -723,3 +745,45 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "detect", "--model", "clauses",
                                "--clauses", str(tmp_path / "nope.txt"))
         assert code == 1
+
+    @pytest.mark.parametrize("argv,files,message", [
+        pytest.param(["sample", "--model", "clauses", "--clauses", "m.txt", "--chain", "gibbs",
+                      "--out", "o"], {"m.txt": "vars: a b\n0.5 a | b\n"},
+                     "clause line missing '::'", id="clause-without-separator"),
+        pytest.param(["sample", "--model", "clauses", "--clauses", "m.txt", "--chain", "gibbs",
+                      "--out", "o"], {"m.txt": "vars: a b\n0.5 :: a | | b\n"},
+                     "empty literal", id="empty-literal"),
+        pytest.param(["sample", "--model", "clauses", "--clauses", "m.txt", "--chain", "gibbs",
+                      "--out", "o"], {"m.txt": "vars: a\n0.5 :: a | b\n"},
+                     "undeclared variable 'b'", id="undeclared-variable"),
+        pytest.param(["sample", "--model", "clauses", "--clauses", "m.txt", "--evidence", "e.txt",
+                      "--chain", "gibbs", "--out", "o"],
+                     {"m.txt": "vars: a b\n0.5 :: a | b\n", "e.txt": "a true\n"},
+                     "evidence line missing '='", id="evidence-without-equals"),
+        pytest.param(["sample", "--model", "clauses", "--clauses", "m.txt", "--evidence", "e.txt",
+                      "--chain", "gibbs", "--out", "o"],
+                     {"m.txt": "vars: a b\n0.5 :: a | b\n", "e.txt": "a=yes\n"},
+                     "evidence value must be true or false", id="evidence-not-boolean"),
+        pytest.param(["sample", "--model", "grid", "--seeds", "0", "--out", "o"], {},
+                     "need at least one seed", id="no-seeds"),
+        pytest.param(["--config", "run.cfg", "sample", "--out", "o"], {"run.cfg": "model grid\n"},
+                     "config line missing '='", id="config-without-equals"),
+        pytest.param(["sample", "--model", "grid"], {}, "--out is required", id="no-out"),
+        pytest.param(["sample", "--out", "o"], {}, "--model is required", id="no-model"),
+        pytest.param(["sample", "--model", "clauses", "--chain", "gibbs", "--out", "o"], {},
+                     "--model clauses requires --clauses FILE", id="clauses-without-file"),
+        pytest.param(["--config", "run.cfg", "sample", "--out", "o"], {"run.cfg": "model=foo\n"},
+                     "unknown model 'foo'", id="config-unknown-model"),
+        pytest.param(["--config", "run.cfg", "gen", "--out", "o"],
+                     {"run.cfg": "model=clauses\n"}, "gen cannot produce model 'clauses'",
+                     id="config-gen-clauses")])
+    def test_input_error_exits_before_writing(self, capsys, monkeypatch, tmp_path,
+                                              argv, files, message):
+        # argparse's choices do not check a --config value, so the commands do
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)

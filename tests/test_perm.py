@@ -125,9 +125,9 @@ def oracle_cycles(m: tuple) -> list:
 
 class TestRepresentation:
     """Every operation against plain-tuple oracles on both sides of the
-    bytes/tuple storage boundary (n = 255 / 256) and at the tiny sizes."""
+    bytes/tuple storage boundary (n = 256 / 257) and at the tiny sizes."""
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 300])
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 300])
     def test_operations_match_tuple_oracle(self, n):
         rng = Random(n)
         pm, qm = list(range(n)), list(range(n))
@@ -135,7 +135,7 @@ class TestRepresentation:
         rng.shuffle(qm)
         pm, qm = tuple(pm), tuple(qm)
         p, q = Permutation(pm), Permutation(qm)
-        assert isinstance(p.image, bytes) == (n <= 255)
+        assert isinstance(p.image, bytes) == (n <= 256)
         assert p.n == n and p.mapping == pm
         assert p.compose(q).mapping == tuple(qm[v] for v in pm)
         inv = [0] * n
@@ -157,7 +157,7 @@ class TestRepresentation:
         if n >= 2:
             assert p != p.compose(Permutation(tuple(range(1, n)) + (0,)))
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 300])
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 300])
     def test_elements_sorted_like_tuples(self, n):
         gens = []
         if n >= 2:
