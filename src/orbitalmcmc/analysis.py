@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from random import Random
 from typing import Optional, Sequence
 
@@ -245,9 +246,10 @@ def tv_curve(trace: ChainTrace, exact: ExactDistribution,
     """TV distance to the target at growing prefixes of the recorded samples.
 
     The empirical distribution at checkpoint c uses the first c recorded
-    states, initial state included and no burn-in discarded;
-    `exact.index_of` finds each one, KeyError for a state outside
-    `exact.states`, and counts are added per segment.
+    states, initial state included and no burn-in discarded, looked up
+    all at once in the index of `exact.states`; if any lookup fails,
+    `exact.index_of` finds each one, so 0/1 tuples are accepted and a state
+    outside `exact.states` raises its KeyError.  Counts are added per segment.
     """
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if not checkpoints or checkpoints[0] < 1:
@@ -255,8 +257,12 @@ def tv_curve(trace: ChainTrace, exact: ExactDistribution,
     if checkpoints[-1] > len(trace.states):
         raise ValueError(
             f"checkpoint {checkpoints[-1]} exceeds {len(trace.states)} samples")
-    found = np.fromiter(map(exact.index_of, trace.states[:checkpoints[-1]]),
-                        np.intp, checkpoints[-1])
+    states = trace.states[:checkpoints[-1]]
+    try:  # one key more, so that one state too gives a tuple; fromiter stops before it
+        found = itemgetter(*states, states[0])(exact._index)
+    except (KeyError, TypeError):  # TypeError: an unhashable state
+        found = map(exact.index_of, states)
+    found = np.fromiter(found, np.intp, len(states))
     counts, points, used = np.zeros(len(exact.states)), [], 0
     for target in checkpoints:
         counts += np.bincount(found[used:target], minlength=len(counts))
@@ -401,8 +407,10 @@ class CouplingSimulator:
         self._upper, self._lower, self._cases = upper, lower, cases
         lam = model.lam
         self._p_insert, self._p_delete = lam / (1.0 + lam), 1.0 / (1.0 + lam)
-        # the draw reads scalars through memoryviews, as Python ints
+        # the draw reads scalars through memoryviews, as Python ints, and
+        # draws its indices as `perm`'s module docstring says, from these bounds
         self._views = tuple(map(memoryview, (upper, lower, cases, flip, self._orbit)))
+        self._bounds = (n, n.bit_length(), self._order, self._order.bit_length())
 
     def _pair_of(self, upper: Config, lower: Config) -> int:
         """The index in `pairs` of a distance-one pair of 0/1 sequences."""
@@ -449,8 +457,11 @@ class CouplingSimulator:
         new upper and lower states.  Draws, from rng, the vertex, then the
         acceptance coin if the case has one, then the element."""
         upper, lower, cases, flip, orbit = self._views
+        n, kn, order, korder = self._bounds
         hi, lo = upper[pair], lower[pair]
-        w = rng.randrange(self.model.n)
+        w = rng.getrandbits(kn)
+        while w >= n:
+            w = rng.getrandbits(kn)
         case = cases[pair, w]
         a, b = hi, lo  # the pre-images of the common element
         if case == 1:
@@ -463,7 +474,10 @@ class CouplingSimulator:
             b = flip[lo, w]
             if orbit[b] == orbit[hi]:
                 b = hi
-        return a, b, rng.randrange(self._order), case
+        element = rng.getrandbits(korder)
+        while element >= order:
+            element = rng.getrandbits(korder)
+        return a, b, element, case
 
     def step(self, upper: Config, lower: Config,
              rng: Random) -> tuple[Config, Config, int]:
@@ -497,9 +511,12 @@ def coupling_drift(model: IndependentSetModel, group: PermutationGroup,
 
     counts = [0] * 6
     by_distance = [0] * (model.n + 1)  # trials per new Hamming distance
-    draw = sim._draw
+    draw, getrandbits, k = sim._draw, rng.getrandbits, pairs.bit_length()
     for _ in range(trials):
-        a, b, _, case = draw(rng.randrange(pairs), rng)
+        pair = getrandbits(k)
+        while pair >= pairs:
+            pair = getrandbits(k)
+        a, b, _, case = draw(pair, rng)
         counts[case] += 1
         by_distance[(masks[a] ^ masks[b]).bit_count()] += 1
     drift_sum = float(sum((h - 1) * k for h, k in enumerate(by_distance)))

@@ -22,7 +22,8 @@ the target distribution; with evidence, that is the conditioned one.
 
 Within a step the random draws happen in a fixed order (site choice, then
 acceptance coin or conditional draw, then group element), so a trace is a
-pure function of model, kind, steps and seed.
+pure function of model, kind, steps and seed.  The site choice and the
+group element are index draws as `perm`'s module docstring defines them.
 
 The steps trust their input: each base move keeps an independent set
 independent, never leaves a hard clause violated and never touches a
@@ -79,7 +80,7 @@ class IndependentSetModel:
     Chains start from the empty set.
     """
 
-    __slots__ = ("graph", "lam", "start", "_p_delete", "_p_insert", "_neighbours")
+    __slots__ = ("graph", "lam", "start", "_k", "_p_delete", "_p_insert", "_neighbours")
     base = ChainKind.INSERT_DELETE
 
     def __init__(self, graph: Graph, lam: float):
@@ -88,6 +89,7 @@ class IndependentSetModel:
         self.graph = graph
         self.lam = lam
         self.start = bytes(graph.n)
+        self._k = graph.n.bit_length()  # bits per vertex draw, see `perm`
         self._p_delete, self._p_insert = 1.0 / (1.0 + lam), lam / (1.0 + lam)
         # per vertex, a gather of its neighbours' bits and its value when none is set
         self._neighbours = tuple(
@@ -104,9 +106,15 @@ class IndependentSetModel:
 
         Pick a vertex uniformly; delete it with probability 1/(1+lam) if
         present, insert it with probability lam/(1+lam) if absent and
-        unblocked, otherwise leave the state unchanged.
+        unblocked, otherwise leave the state unchanged.  A graph with no
+        vertices raises ValueError.
         """
-        v = rng.randrange(self.graph.n)
+        n, k = self.graph.n, self._k
+        v = rng.getrandbits(k)
+        while v >= n:
+            if not n:
+                raise ValueError("cannot step a model with no vertices")
+            v = rng.getrandbits(k)
         if bits[v]:
             if rng.random() < self._p_delete:
                 return bits[:v] + b"\x00" + bits[v + 1:]
@@ -174,6 +182,7 @@ class ClauseModel:
         clamped = {clause_set.var_index(name): int(value)
                    for name, value in (evidence or {}).items()}
         self.free = tuple(v for v in range(self.n) if v not in clamped)
+        self._k = len(self.free).bit_length()  # bits per site draw, see `perm`
         self._clamped = bytes(clamped.get(v, 0) for v in range(self.n))
         self._hard = tuple(c for c in clause_set.clauses if c.is_hard)
         # per variable, one term per clause it occurs in, in clause order:
@@ -271,7 +280,11 @@ class ClauseModel:
         free = self.free
         if not free:
             return bits
-        v = free[rng.randrange(len(free))]
+        m, k = len(free), self._k
+        i = rng.getrandbits(k)
+        while i >= m:
+            i = rng.getrandbits(k)
+        v = free[i]
         value = 1 if rng.random() < self._p1(bits, v) else 0
         if bits[v] == value:
             return bits

@@ -109,13 +109,27 @@ def state_label(state: perm.Config) -> str:
     return state.translate(_LABEL).decode()
 
 
-def out_dir(args) -> Path:
+def out_path(args) -> Path:
+    """`--out` as a path, a usage error when it is missing; nothing is created."""
     if not getattr(args, "out", None):
         raise UsageError("--out is required")
-    path = Path(args.out)
+    return Path(args.out)
+
+
+def out_dir(args) -> Path:
+    path = out_path(args)
     path.mkdir(parents=True, exist_ok=True)
     write_resolved_config(args, path)
     return path
+
+
+def exact_and_out(bundle, args) -> tuple[analysis.ExactDistribution, Path]:
+    """The model's exact distribution, then the `--out` directory: a missing
+    `--out` exits 1 before any enumeration, and an overflow or guard exit
+    leaves no directory."""
+    out_path(args)
+    dist = analysis.exact_distribution(bundle.chain_model)
+    return dist, out_dir(args)
 
 
 class ModelBundle:
@@ -282,8 +296,7 @@ def cmd_sample(args) -> int:
 
 def cmd_exact(args) -> int:
     bundle = ModelBundle(args, args.chain)
-    target = out_dir(args)
-    dist = analysis.exact_distribution(bundle.chain_model)
+    dist, target = exact_and_out(bundle, args)
     labels = [state_label(state) for state in dist.states]
     write_csv(target / "pi.csv", ["state", "prob"],
               zip(labels, map(repr, dist.probs.tolist())))
@@ -303,8 +316,7 @@ def cmd_exact(args) -> int:
 
 def cmd_tvcurve(args) -> int:
     bundle = ModelBundle(args, args.chain)
-    target = out_dir(args)
-    dist = analysis.exact_distribution(bundle.chain_model)
+    dist, target = exact_and_out(bundle, args)
     mode = perm.SamplerMode(args.mode)
     step = max(1, (args.steps + 1) // CHECKPOINT_COUNT)
     checkpoints = list(range(step, args.steps + 2, step))
@@ -348,8 +360,7 @@ def cmd_coupling(args) -> int:
 
 def cmd_mix(args) -> int:
     bundle = ModelBundle(args, args.chain)
-    target = out_dir(args)
-    dist = analysis.exact_distribution(bundle.chain_model)
+    dist, target = exact_and_out(bundle, args)
     rows = []
     for kind in bundle.kinds:
         # with the group, base kernels too mix on one row per state orbit

@@ -23,6 +23,13 @@ of points, configurations or states, is read off one routine, `orbit_ids`,
 from an action given as one row of images per generator:
 `PermutationGroup.point_action` on points, `state_action` on a
 configuration list.  Lists of orbits are sorted tuples.
+
+Every uniform index in [0, m) that a sampler here or a step loop in
+`chains` or `analysis` draws comes from the rejection loop CPython's
+`Random.randrange(m)` runs: with k = m.bit_length() bound once,
+`i = getrandbits(k)` retried while i >= m.  It is inlined at each caller,
+so each draw costs no `randrange` call yet consumes the generator exactly
+as `randrange(m)` would, and every stream is `randrange`'s.
 """
 
 from __future__ import annotations
@@ -496,12 +503,10 @@ class ProductReplacement:
     consecutive draws enough for frequency tests at the 10^5-draw scale.
     Every value produced is a member of the generated group.
 
-    Burn-in and draws run one loop, `_moves`.  It draws each slot index by
-    the rejection loop `Random.randrange` runs, `getrandbits` retried while
-    out of range, so it consumes the generator exactly as `randrange` would.
-    `bytes` images are composed through full 256-byte tables: a slot padded
-    with the identity above n, or its inverse, which `bytes.maketrans`
-    already gives as such a table.
+    Burn-in and draws run one loop, `_moves`, which draws each slot index
+    as the module docstring says.  `bytes` images are composed through full
+    256-byte tables: a slot padded with the identity above n, or its
+    inverse, which `bytes.maketrans` already gives as such a table.
     """
 
     def __init__(self, group: PermutationGroup, *, rng: Random):
@@ -565,14 +570,18 @@ class OrbitSampler:
         if exact and not trivial:
             els = group.image_array()
             self._order, self._els = len(els), memoryview(els).cast("B").cast(els.dtype.char)
+            self._k = self._order.bit_length()
 
     def sample(self, bits: Config) -> Config:
         n = self._n
         if len(bits) != n:
             raise ValueError(f"configuration length {len(bits)} != domain size {n}")
         if self._els is not None:
-            start = self.rng.randrange(self._order) * n
-            image = self._els[start:start + n]
+            getrandbits, order, k = self.rng.getrandbits, self._order, self._k
+            i = getrandbits(k)
+            while i >= order:
+                i = getrandbits(k)
+            image = self._els[i * n:i * n + n]
         elif self._pr is not None:
             image = self._pr._draw()
         else:

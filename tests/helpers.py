@@ -324,3 +324,66 @@ class ReferenceProductReplacement:
             for _ in range(DRAW_MOVES):
                 self._move()
         return Permutation._wrap(self._acc)
+
+
+# References for the index draws that `perm`'s module docstring defines: each
+# draws its indices through `Random.randrange` of the running interpreter.
+
+
+def reference_insert_delete_step(model, bits: bytes, rng: Random) -> bytes:
+    """Reference for `IndependentSetModel.step`, blocking read off the adjacency."""
+    v = rng.randrange(model.graph.n)
+    if bits[v]:
+        if rng.random() < 1.0 / (1.0 + model.lam):
+            return bits[:v] + b"\x00" + bits[v + 1:]
+        return bits
+    free = not any(bits[u] for u in model.graph.adj[v])
+    if free and rng.random() < model.lam / (1.0 + model.lam):
+        return bits[:v] + b"\x01" + bits[v + 1:]
+    return bits
+
+
+def reference_gibbs_step(model, bits: bytes, rng: Random) -> bytes:
+    """Reference for `ClauseModel.step`, through `conditional_p1`."""
+    if not model.free:
+        return bits
+    v = model.free[rng.randrange(len(model.free))]
+    value = 1 if rng.random() < model.conditional_p1(bits, v) else 0
+    return bits[:v] + bytes((value,)) + bits[v + 1:]
+
+
+def reference_exact_sample(elements, bits: bytes, rng: Random) -> bytes:
+    """Reference for an EXACT `OrbitSampler.sample`: `elements` is the
+    group's sorted element tuple."""
+    return elements[rng.randrange(len(elements))].apply_config(bits)
+
+
+def reference_coupled_draw(sim: CouplingSimulator, pair: int, rng: Random) -> tuple:
+    """Reference for `CouplingSimulator._draw`, on the simulator's tables."""
+    hi, lo = int(sim._upper[pair]), int(sim._lower[pair])
+    w = rng.randrange(sim.model.n)
+    case = int(sim._cases[pair, w])
+    flip, orbit, lam = sim._flip, sim._orbit, sim.model.lam
+    a, b = hi, lo
+    if case == 1:
+        a = b = hi if rng.random() < lam / (1.0 + lam) else lo
+    elif case == 2 and rng.random() < 1.0 / (1.0 + lam):
+        a, b = int(flip[hi, w]), int(flip[lo, w])
+    elif case == 3 and rng.random() < lam / (1.0 + lam):
+        a, b = int(flip[hi, w]), int(flip[lo, w])
+    elif case == 4 and rng.random() < lam / (1.0 + lam):
+        b = int(flip[lo, w])
+        if orbit[b] == orbit[hi]:
+            b = hi
+    return a, b, rng.randrange(sim._order), case
+
+
+def reference_drift_draws(sim: CouplingSimulator, trials: int, rng: Random) -> list:
+    """Reference for `coupling_drift`'s trials: per trial, the pair by
+    `randrange`, then `reference_coupled_draw`; the (case, new Hamming
+    distance) of each trial."""
+    pairs, out = len(sim.pairs()), []
+    for _ in range(trials):
+        a, b, _, case = reference_coupled_draw(sim, rng.randrange(pairs), rng)
+        out.append((case, sum(x != y for x, y in zip(sim.states[a], sim.states[b]))))
+    return out

@@ -39,7 +39,7 @@ from orbitalmcmc.perm import (Permutation, PermutationGroup, SamplerMode, orbit_
                               parse_cycles)
 
 from helpers import (coupling_drift_by_steps, distance_one_pairs, exact_rho, exact_varrho,
-                     two_spin_model)
+                     reference_coupled_draw, reference_drift_draws, two_spin_model)
 
 NAMES9 = list("abcdefghi")
 
@@ -603,6 +603,16 @@ def hamming(a, b):
     return sum(x != y for x, y in zip(a, b))
 
 
+# K_4 (4 vertices, 4 pairs), K_32 (32 and 32) and grid 3 (a group of order 8):
+# bounds that are powers of two, so that index draws are often rejected
+POWER_OF_TWO_COUPLINGS = [
+    pytest.param(gen_complete(2), automorphism_generators, id="K4"),
+    pytest.param(Graph(32, itertools.combinations(range(32), 2)), lambda g: PermutationGroup(
+        [parse_cycles("(0 1)", n=32), parse_cycles(f"({' '.join(map(str, range(32)))})", n=32)]),
+        id="K32"),
+    pytest.param(gen_grid(3), lambda g: grid3_group(), id="grid3")]
+
+
 class TestCoupling:
     def test_case_distance_contract(self):
         graph = gen_grid(3)
@@ -743,6 +753,40 @@ class TestCoupling:
         for seed, trials in itertools.product((0, 1, 78), (1, 2, 1023, 4099)):
             assert (coupling_drift(model, group, trials, seed)
                     == coupling_drift_by_steps(model, group, trials, seed)), (seed, trials)
+
+    @pytest.mark.parametrize("graph,make", [
+        # one vertex and a trivial group: bounds of 1 still draw a bit
+        pytest.param(Graph(1, []), lambda g: PermutationGroup([], n=1), id="one-vertex"),
+        *POWER_OF_TWO_COUPLINGS])
+    def test_draws_equal_the_reference(self, graph, make):
+        # 2,000 draws: the results and the generator state of `randrange`'s draws
+        sim = CouplingSimulator(IndependentSetModel(graph, 1.5), make(graph))
+        pairs = len(sim.pairs())
+        rng, ref_rng = Random(64), Random(64)
+        for t in range(2000):
+            assert sim._draw(t % pairs, rng) == reference_coupled_draw(sim, t % pairs, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("graph,make", [
+        # K_2: two pairs
+        pytest.param(Graph(2, [(0, 1)]), automorphism_generators, id="K2"),
+        *POWER_OF_TWO_COUPLINGS])
+    def test_drift_draws_equal_the_reference(self, monkeypatch, graph, make):
+        made = []
+
+        class Recorded(Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        monkeypatch.setattr(analysis, "Random", Recorded)
+        model, group = IndependentSetModel(graph, 1.5), make(graph)
+        report = coupling_drift(model, group, 2000, seed=65)
+        ref_rng = Random(65)
+        draws = reference_drift_draws(CouplingSimulator(model, group), 2000, ref_rng)
+        assert report.case_counts == {k: sum(c == k for c, _ in draws) for k in range(1, 6)}
+        assert report.expected_drift == sum(h - 1 for _, h in draws) / 2000
+        assert [r.getstate() for r in made] == [ref_rng.getstate()]
 
     def test_drift_memory_does_not_grow_with_trials(self):
         model = IndependentSetModel(gen_grid(3), 1.0)

@@ -24,7 +24,8 @@ from orbitalmcmc.families import gen_complete, gen_friends_smokers, gen_grid
 from orbitalmcmc.graphs import Graph
 from orbitalmcmc.perm import OrbitSampler, PermutationGroup, SamplerMode, parse_cycles
 
-from helpers import HARD_PAIRS_TEXT, two_spin_model
+from helpers import (HARD_PAIRS_TEXT, reference_gibbs_step, reference_insert_delete_step,
+                     two_spin_model)
 
 
 def two_spin_chain_model() -> ClauseModel:
@@ -466,11 +467,61 @@ class TestOrbitalStep:
             state = nxt
 
 
+class TestIndexDraws:
+    """Each step draws its site as `randrange` does: 2,000 steps give the
+    states and the generator state of a reference built on `randrange`.
+    A power-of-two bound rejects nearly half its draws, and a bound of 1
+    still draws a bit."""
+
+    @pytest.mark.parametrize("graph", [
+        pytest.param(Graph(1, []), id="one-vertex"),
+        pytest.param(gen_complete(2), id="K4"),
+        pytest.param(Graph(32, [(i, (i + 1) % 32) for i in range(32)]), id="cycle32"),
+        pytest.param(gen_grid(3), id="grid3")])
+    def test_insert_delete_equals_the_reference(self, graph):
+        model = IndependentSetModel(graph, 1.5)
+        rng, ref_rng = Random(61), Random(61)
+        state = expected = model.start
+        for _ in range(2000):
+            state = model.step(state, rng)
+            expected = reference_insert_delete_step(model, expected, ref_rng)
+            assert state == expected
+        assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("clause_set,evidence,free", [
+        pytest.param(HARD_PAIRS, {"a": True, "b": False, "c": True}, 1, id="hard-pairs-1"),
+        pytest.param(HARD_PAIRS, {"a": True, "b": False}, 2, id="hard-pairs-2"),
+        pytest.param(*gen_friends_smokers(4, 1.0), 16, id="fs4-16"),
+        pytest.param(*gen_friends_smokers(4, 0.5, 1), 18, id="fs4-18")])
+    def test_gibbs_with_evidence_equals_the_reference(self, clause_set, evidence, free):
+        model = ClauseModel(clause_set, evidence)
+        assert len(model.free) == free
+        rng, ref_rng = Random(62), Random(62)
+        state = expected = model.start
+        for _ in range(2000):
+            state = model.step(state, rng)
+            expected = reference_gibbs_step(model, expected, ref_rng)
+            assert state == expected
+        assert rng.getstate() == ref_rng.getstate()
+
+
 class TestRunChain:
     def test_zero_steps(self):
         model = two_spin_chain_model()
         trace = run_chain(model, ChainKind.GIBBS, 0, seed=39)
         assert trace.states == [bytes((0, 0))]
+
+    def test_no_vertices(self):
+        # getrandbits(0) is 0, a draw below 0 never comes: stepping raises
+        model = IndependentSetModel(Graph(0, []), 1.0)
+        assert run_chain(model, ChainKind.INSERT_DELETE, 0, seed=0).states == [b""]
+        rng = Random(0)
+        before = rng.getstate()
+        with pytest.raises(ValueError, match="no vertices"):
+            model.step(b"", rng)
+        assert rng.getstate() == before
+        with pytest.raises(ValueError, match="no vertices"):
+            run_chain(model, ChainKind.INSERT_DELETE, 1, seed=0)
 
     def test_determinism(self):
         graph = gen_grid(3)

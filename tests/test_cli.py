@@ -639,6 +639,25 @@ class TestExitCodes:
         assert code == 2
         assert "guard" in err.lower()
 
+    @pytest.mark.parametrize("command", ["exact", "tvcurve", "mix"])
+    def test_guarded_enumeration_writes_nothing(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.setenv("ORBITAL_GUARD", "5")
+        code, _, err = run_cli(capsys, command, "--model", "grid", "--k", "3",
+                               "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "guard" in err.lower()
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["exact", "tvcurve", "mix"])
+    def test_missing_out_exits_before_enumeration(self, capsys, monkeypatch, command):
+        def enumerated(model):
+            raise AssertionError("enumerated before checking --out")
+
+        monkeypatch.setattr(analysis, "exact_distribution", enumerated)
+        code, _, err = run_cli(capsys, command, "--model", "grid", "--k", "3")
+        assert code == 1
+        assert "--out is required" in err
+
     @pytest.mark.parametrize("command", ["exact", "mix"])
     def test_dense_kernel_guarded_by_memory(self, capsys, monkeypatch, tmp_path, command):
         # grid 4 has 1,234 states, under the cap; its kernel exceeds 64 x 2,000 cells
@@ -702,7 +721,7 @@ class TestExitCodes:
                                "--lambda", "1e200", "--out", str(tmp_path / "o"))
         assert code == 1
         assert "state weights overflow: the partition function Z is inf" in err
-        assert [p.name for p in (tmp_path / "o").iterdir()] == ["config.resolved.txt"]
+        assert not (tmp_path / "o").exists()
 
     def test_hard_clause_scan_guarded(self, capsys, monkeypatch, tmp_path):
         # the first assignment satisfying all four unit clauses is number 15

@@ -30,7 +30,8 @@ from orbitalmcmc.perm import (
 )
 
 from helpers import (ReferenceProductReplacement, apply_config_action, closure_elements,
-                     config_orbits, cycle_count_burnside, load_generating_set)
+                     config_orbits, cycle_count_burnside, load_generating_set,
+                     reference_exact_sample)
 
 NAMES9 = list("abcdefghi")
 
@@ -588,6 +589,24 @@ class TestOrbitSampling:
             c = bytes(rng.randrange(2) for _ in range(9))
             out = sampler.sample(c)
             assert type(out) is bytes and out == els[clone.randrange(len(els))].apply_config(c)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: PermutationGroup([parse_cycles("(0 1)", n=2)]), id="order2"),
+        pytest.param(lambda: PermutationGroup(
+            [parse_cycles(f"({2 * i} {2 * i + 1})", n=8) for i in range(4)]), id="order16"),
+        pytest.param(grid3_group, id="grid3-order8"),
+        pytest.param(lambda: automorphism_generators(gen_complete(2)), id="K4-order24"),
+        pytest.param(dihedral300_group, id="dihedral300-order600")])
+    def test_exact_draws_equal_the_reference(self, make):
+        # 2,000 draws: the images and the generator state of `randrange`'s draws
+        group = make()
+        els, configs = group.elements(), Random(63)
+        rng, ref_rng = Random(62), Random(62)
+        sampler = OrbitSampler(group, SamplerMode.EXACT, rng)
+        for _ in range(2000):
+            c = bytes(b & 1 for b in configs.randbytes(group.n))
+            assert sampler.sample(c) == reference_exact_sample(els, c, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
 
     def test_result_in_orbit(self):
         group = grid3_group()
