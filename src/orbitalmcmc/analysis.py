@@ -11,7 +11,7 @@ ground truth on small models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from random import Random
 from typing import Optional, Sequence
@@ -78,11 +78,14 @@ class TransitionMatrix:
     """A row-stochastic kernel over enumerated states.  `action`, set when
     the kernel was built with a group, is the one record of its symmetry:
     one row per generator g with action[g][i] the index of g applied to
-    state i."""
+    state i.  `mixing_time` keeps its eps-free work on the kernel, so the
+    arrays must not change after its first call."""
 
     states: tuple[Config, ...]
     rows: np.ndarray
     action: Optional[np.ndarray] = None
+    # mixing_time's (squares, gather), set once the kernel passes its checks
+    _ladder: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(map(as_config, self.states)))
@@ -101,6 +104,15 @@ class TransitionMatrix:
             raise ValueError(f"row {int(np.argmax(bad))} does not sum to 1")
 
 
+def check_dense_kernel(n: int) -> None:
+    """GuardExceededError if a dense n x n kernel exceeds 64 x
+    `enumeration_cap()` cells."""
+    cells = 64 * enumeration_cap()
+    if n * n > cells:
+        raise GuardExceededError(f"a dense {n} x {n} kernel ({n * n * 8 >> 20:,} "
+                                 f"MiB) exceeds {cells:,} cells, 64 x the enumeration cap")
+
+
 def transition_matrix(model, kind: ChainKind,
                       group: Optional[PermutationGroup] = None) -> TransitionMatrix:
     """Exact transition matrix of a chain kind on an enumerated state space.
@@ -112,7 +124,7 @@ def transition_matrix(model, kind: ChainKind,
     inside it (ValueError otherwise); `representative_rows` reduces the
     kernel by it.  A group without generators averages over one-state
     orbits, so its kernels are the dense base ones, action None.  An N x N
-    kernel over 64 x `enumeration_cap()` cells raises GuardExceededError
+    kernel that `check_dense_kernel` refuses raises GuardExceededError
     unbuilt; a kind that fails `ChainKind.check` raises TypeError.
     """
     kind = ChainKind(kind)
@@ -120,11 +132,8 @@ def transition_matrix(model, kind: ChainKind,
     if kind.is_orbital and group is None:
         raise ValueError(f"kernel {kind.value} requires a symmetry group")
     states = tuple(model.states())
-    n, cells = len(states), 64 * enumeration_cap()
-    if n * n > cells:
-        raise GuardExceededError(f"a dense {n} x {n} kernel ({n * n * 8 >> 20:,} "
-                                 f"MiB) exceeds {cells:,} cells, 64 x the enumeration cap")
-    index = {s: i for i, s in enumerate(states)}
+    check_dense_kernel(len(states))
+    n, index = len(states), {s: i for i, s in enumerate(states)}
     action = (state_action(group, states)
               if group is not None and group.generators else None)
     rows = np.zeros((n, n))
@@ -154,20 +163,18 @@ def representative_rows(matrix: TransitionMatrix, dist: ExactDistribution
     x = g r, then P^t(x, y) = P^t(r, g^-1 y).  ValueError unless, to 1e-12,
     P[s, s] = P for the index array s of every generator.  Either way
     ValueError unless pi[s] = pi to 1e-12 for every generator."""
-    rows, pi, n = matrix.rows, dist.probs, len(matrix.states)
+    rows, n = matrix.rows, len(matrix.states)
     ids = orbit_ids(matrix.action)
     reps = np.unique(ids, return_index=True)[1]
     columns = reps[ids]  # the first state of each state's orbit
     first, gather = rows[reps], None
     if np.abs(first - first[:, columns]).max() <= 1e-12:
-        indicator = np.zeros((n, len(reps)))
-        indicator[np.arange(n), ids] = 1.0
-        lumped = rows @ indicator
+        lumped = rows @ _orbit_indicator(ids)
         if np.abs(lumped - lumped[reps][ids]).max() > 1e-12:
             raise ValueError("kernel is not lumpable: rows differ within an orbit")
         if np.abs(rows - rows[:, columns]).max() > 1e-12:
             raise ValueError("kernel columns are not constant on orbits")
-        reduced, reduced_pi = lumped[reps], pi @ indicator
+        reduced = lumped[reps]
     else:
         back = np.argsort(matrix.action, axis=1)  # index arrays of the inverses
         # P[s, s] - P vanishes off the nonzeros of P and their preimages under s
@@ -180,10 +187,25 @@ def representative_rows(matrix: TransitionMatrix, dist: ExactDistribution
         for x, z, g in _orbit_walk(matrix.action):
             # row x = row z with its columns moved by generator g
             gather[x] = ids[x] * n + np.arange(n) if z < 0 else gather[z][back[g]]
-        reduced, reduced_pi = first, pi
+        reduced = first
+    return reduced, _reduced_pi(matrix, dist, lumped=gather is None), gather
+
+
+def _orbit_indicator(ids: np.ndarray) -> np.ndarray:
+    """The N x M 0/1 matrix of states by orbit ids."""
+    indicator = np.zeros((len(ids), int(ids.max()) + 1))
+    indicator[np.arange(len(ids)), ids] = 1.0
+    return indicator
+
+
+def _reduced_pi(matrix: TransitionMatrix, dist: ExactDistribution, lumped: bool) -> np.ndarray:
+    """pi as `representative_rows` reduces it: summed orbit by orbit for a
+    lumped kernel, else unchanged.  ValueError unless pi[s] = pi to 1e-12
+    for the index array s of every generator."""
+    pi = dist.probs
     if any(np.abs(pi[s] - pi).max() > 1e-12 for s in matrix.action):
         raise ValueError("pi is not invariant under the group action")
-    return reduced, reduced_pi, gather
+    return pi @ _orbit_indicator(orbit_ids(matrix.action)) if lumped else pi
 
 
 @dataclass(frozen=True)
@@ -295,18 +317,33 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution, eps: float) -
     runs on M x N rows, a right factor being expanded to N x N by one
     gather.  The reduction raises ValueError when its checks fail.  Without
     an action, M = N and nothing is gathered.
+
+    Once per kernel, kept on it: the irreducibility and aperiodicity
+    checks, the kernel's half of `representative_rows`, and each square; a
+    later call squares only past the last one kept.  Per call: pi's
+    reduction and check, the distance of each square read, the descent and
+    the verification, so tau and every power are a fresh kernel's.
     """
     if not (0 < eps < 1):
         raise ValueError("eps must be in (0, 1)")
     if matrix.states != dist.states:
         raise ValueError("matrix and distribution enumerate different states")
-    if not is_connected(matrix):
-        raise ValueError("chain is not irreducible")
-    if not (np.diag(matrix.rows) > 0).any():
-        raise ValueError("cannot verify aperiodicity: no positive diagonal")
-    rows, pi, gather = matrix.rows, dist.probs, None
-    if matrix.action is not None:
-        rows, pi, gather = representative_rows(matrix, dist)
+    ladder = matrix._ladder
+    if ladder is None:
+        if not is_connected(matrix):
+            raise ValueError("chain is not irreducible")
+        if not (np.diag(matrix.rows) > 0).any():
+            raise ValueError("cannot verify aperiodicity: no positive diagonal")
+        rows, pi, gather = matrix.rows, dist.probs, None
+        if matrix.action is not None:
+            rows, pi, gather = representative_rows(matrix, dist)
+        ladder = [rows], gather  # [rows] grows: squares[j] = P^(2^j), M rows
+        object.__setattr__(matrix, "_ladder", ladder)
+    elif matrix.action is None:
+        pi = dist.probs
+    else:
+        pi = _reduced_pi(matrix, dist, lumped=ladder[1] is None)
+    squares, gather = ladder
 
     def distance(power: np.ndarray) -> float:
         return float(0.5 * np.abs(power - pi).sum(axis=1).max())
@@ -316,24 +353,24 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution, eps: float) -
         prod /= prod.sum(axis=1, keepdims=True)
         return prod
 
-    squares = [rows]  # squares[j] = P^(2^j), M rows
-    last = distance(rows)
+    top, last = 0, distance(squares[0])  # squares[top]: the first at or below eps
     while last > eps:
-        if 2 ** len(squares) > MIXING_HORIZON:
+        if 2 ** (top + 1) > MIXING_HORIZON:
             raise GuardExceededError(
                 f"no crossing below eps={eps} within horizon {MIXING_HORIZON}; "
-                f"last distance {last} at t={2 ** (len(squares) - 1)}")
-        squares.append(times(squares[-1], squares[-1]))
-        last = distance(squares[-1])
+                f"last distance {last} at t={2 ** top}")
+        top += 1
+        if top == len(squares):
+            squares.append(times(squares[-1], squares[-1]))
+        last = distance(squares[top])
 
     power, t = None, 0  # power = P^t with d(t) > eps
-    for j in reversed(range(len(squares) - 1)):
+    for j in reversed(range(top)):
         step = squares[j] if power is None else times(power, squares[j])
         if distance(step) > eps:
             power, t = step, t + 2 ** j
     tau = t + 1
     power = squares[0] if power is None else times(power, squares[0])
-    squares = step = None  # no square outlives the descent
 
     check = 2 * tau
     while check <= min(MIXING_HORIZON, 8 * tau):

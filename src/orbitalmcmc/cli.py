@@ -123,12 +123,15 @@ def out_dir(args) -> Path:
     return path
 
 
-def exact_and_out(bundle, args) -> tuple[analysis.ExactDistribution, Path]:
+def exact_and_out(bundle, args, kernels=False) -> tuple[analysis.ExactDistribution, Path]:
     """The model's exact distribution, then the `--out` directory: a missing
     `--out` exits 1 before any enumeration, and an overflow or guard exit
-    leaves no directory."""
+    leaves no directory.  With `kernels`, the dense kernel of each chain
+    kind must pass `analysis.check_dense_kernel` first."""
     out_path(args)
     dist = analysis.exact_distribution(bundle.chain_model)
+    if kernels and bundle.kinds:
+        analysis.check_dense_kernel(len(dist))
     return dist, out_dir(args)
 
 
@@ -296,7 +299,7 @@ def cmd_sample(args) -> int:
 
 def cmd_exact(args) -> int:
     bundle = ModelBundle(args, args.chain)
-    dist, target = exact_and_out(bundle, args)
+    dist, target = exact_and_out(bundle, args, kernels=True)
     labels = [state_label(state) for state in dist.states]
     write_csv(target / "pi.csv", ["state", "prob"],
               zip(labels, map(repr, dist.probs.tolist())))
@@ -360,7 +363,7 @@ def cmd_coupling(args) -> int:
 
 def cmd_mix(args) -> int:
     bundle = ModelBundle(args, args.chain)
-    dist, target = exact_and_out(bundle, args)
+    dist, target = exact_and_out(bundle, args, kernels=True)
     rows = []
     for kind in bundle.kinds:
         # with the group, base kernels too mix on one row per state orbit

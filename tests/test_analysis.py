@@ -577,6 +577,101 @@ class TestRepresentativeRows:
             TransitionMatrix(((0,), (1,)), np.eye(2), action=np.array(action))
 
 
+def taus_in_every_order(matrix, pi, epsilons):
+    """tau per eps, the same whether the eps are asked of a fresh copy of
+    the kernel each, or of one copy in ascending or in descending order."""
+    fresh = [mixing_time(dataclasses.replace(matrix), pi, eps) for eps in epsilons]
+    for order in (sorted(epsilons), sorted(epsilons, reverse=True)):
+        warm = dataclasses.replace(matrix)
+        taus = {eps: mixing_time(warm, pi, eps) for eps in order}
+        assert [taus[eps] for eps in epsilons] == fresh
+    return fresh
+
+
+def uninvariant(pi: ExactDistribution, action: np.ndarray) -> ExactDistribution:
+    """pi with more weight on one state that the first generator moves."""
+    probs = pi.probs.copy()
+    probs[np.flatnonzero(action[0] != np.arange(len(probs)))[0]] *= 1.5
+    return ExactDistribution(pi.states, probs / probs.sum(), 1.0)
+
+
+class TestMixingLadder:
+    KINDS = (ChainKind.INSERT_DELETE, ChainKind.ORBITAL_INSERT_DELETE)
+
+    def test_order_free_on_digest_cases(self):
+        for graph, group in tau_digest_cases():
+            for lam in (0.5, 1.0, 2.0):
+                model = IndependentSetModel(graph, lam)
+                pi = exact_pi_lambda(graph, lam)
+                for kind in self.KINDS:
+                    matrix = transition_matrix(model, kind, group)
+                    taus = taus_in_every_order(matrix, pi, (0.5, 0.1, 0.01))
+                    dense = dataclasses.replace(matrix, action=None)
+                    assert taus_in_every_order(dense, pi, (0.5, 0.1, 0.01)) == taus
+
+    @pytest.mark.parametrize("make,taus", [(gen_grid, ((192, 405), (83, 159))),
+                                           (gen_connected_cliques, ((115, 236),) * 2)])
+    def test_order_free_at_four(self, make, taus):
+        graph = make(4)
+        model, pi = IndependentSetModel(graph, 1.0), exact_pi_lambda(graph, 1.0)
+        group = automorphism_generators(graph)
+        for kind, want in zip(self.KINDS, taus):
+            matrix = transition_matrix(model, kind, group)
+            assert tuple(taus_in_every_order(matrix, pi, (0.1, 0.01))) == want
+
+    def test_one_reduction_and_each_square_made_once(self, monkeypatch):
+        reductions = []
+
+        def spy(matrix, dist):
+            reductions.append(len(matrix.states))
+            return representative_rows(matrix, dist)
+
+        monkeypatch.setattr(analysis, "representative_rows", spy)
+        model, pi = IndependentSetModel(gen_grid(3), 1.0), exact_pi_lambda(gen_grid(3), 1.0)
+        for kind in self.KINDS:
+            matrix = transition_matrix(model, kind, grid3_group())
+            kept, longest = [], 1
+            for eps in (0.1, 0.5, 0.01, 0.1, 0.001):
+                longest = max(longest, mixing_time(matrix, pi, eps))
+                squares = matrix._ladder[0]
+                # the squares one tau needs: P^(2^j) up to the first 2^j >= tau
+                assert len(squares) == (longest - 1).bit_length() + 1
+                assert all(a is b for a, b in zip(kept, squares))
+                kept = list(squares)
+        assert reductions == [63, 63]
+
+    def test_kernel_checks_fail_on_every_call(self):
+        states = tuple((i,) for i in range(4))
+        uniform = ExactDistribution(states, [0.25] * 4, 1.0)
+        reducible = [[.5, .5, 0, 0], [.5, .5, 0, 0], [0, 0, .5, .5], [0, 0, .5, .5]]
+        periodic = [[0, .5, 0, .5], [.5, 0, .5, 0], [0, .5, 0, .5], [.5, 0, .5, 0]]
+        for rows, message in ((reducible, "not irreducible"), (periodic, "aperiodicity")):
+            matrix = TransitionMatrix(states, np.array(rows, dtype=float))
+            for eps in (0.1, 0.1, 0.01):
+                with pytest.raises(ValueError, match=message):
+                    mixing_time(matrix, uniform, eps)
+            assert matrix._ladder is None
+
+    def test_pi_checked_on_every_call(self):
+        states = tuple((i,) for i in range(3))
+        # the uniform kernel commutes with every permutation: lumped rows
+        lumped = TransitionMatrix(states, np.full((3, 3), 1 / 3), action=np.array([[1, 0, 2]]))
+        model, pi = IndependentSetModel(gen_grid(3), 1.0), exact_pi_lambda(gen_grid(3), 1.0)
+        cases = [(lumped, ExactDistribution(states, [1 / 3] * 3, 1.0))]
+        cases += [(transition_matrix(model, kind, grid3_group()), pi) for kind in self.KINDS]
+        for matrix, good in cases:
+            bad = uninvariant(good, matrix.action)
+            taus = [mixing_time(dataclasses.replace(matrix), good, eps) for eps in (0.1, 0.01)]
+            # the first call fails, before any ladder; later ones after it is built
+            for dist in (bad, good, bad, bad, good):
+                for eps, tau in zip((0.1, 0.01), taus):
+                    if dist is bad:
+                        with pytest.raises(ValueError, match="pi is not invariant"):
+                            mixing_time(matrix, dist, eps)
+                    else:
+                        assert mixing_time(matrix, dist, eps) == tau
+
+
 class TestKernelMemoryGuard:
     def test_guard_raises_before_allocating(self, monkeypatch):
         # 64 x 2,000 cells admit at most a 357 x 357 kernel; grid 4 has 1,234 states

@@ -343,7 +343,7 @@ class TestAnalysisCommands:
                                "--chain", "id", "--epsilon", "0.1,0.01",
                                "--out", str(tmp_path))
         assert code == 0
-        assert calls == [1267, 1267]
+        assert calls == [1267]  # one reduction per kernel, not per eps
         assert "id eps=0.1: tau=115" in out
         assert "id eps=0.01: tau=236" in out
 
@@ -674,6 +674,16 @@ class TestExitCodes:
                                "--out", str(tmp_path / "o"))
         assert code == 2
         assert "19721 x 19721 kernel" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_guarded_exact_leaves_no_out(self, capsys, monkeypatch, tmp_path):
+        # grid 4's 1,234 states enumerate under the cap; pi.csv is not written
+        monkeypatch.setenv("ORBITAL_GUARD", "2000")
+        code, _, err = run_cli(capsys, "exact", "--model", "grid", "--k", "4",
+                               "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "1234 x 1234 kernel" in err
+        assert not (tmp_path / "o").exists()
 
     def test_detect_degrades_when_guarded(self, capsys, monkeypatch):
         # the order needs no enumeration; the 2^9 configurations exceed the cap
