@@ -314,12 +314,14 @@ class ClauseModel:
 
     def weights(self, states: Sequence[Config]) -> np.ndarray:
         """exp(total weight of the satisfied soft clauses) per state, each
-        total added in clause order as a per-state loop would add it."""
+        total added in clause order as a per-state loop would add it; inf
+        past a float, for `exact_distribution` to report."""
         bits, total = config_matrix(states, self.n), np.zeros(len(states))
         for c in self.clause_set.clauses:
             if not c.is_hard:
                 total[_holds(c, bits)] += weight_value(c.weight)
-        return np.exp(total)
+        with np.errstate(over="ignore"):
+            return np.exp(total)
 
     def __repr__(self) -> str:
         clamped = self.n - len(self.free)

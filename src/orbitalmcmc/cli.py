@@ -1,6 +1,8 @@
 """Command-line front end: model generation, symmetry detection, sampling,
-exact kernels, TV curves, coupling drift, and mixing times.  Every result
-file is a CSV written here by `write_csv`.
+exact kernels, TV curves, coupling drift, and mixing times.  Every file
+under `--out` is named by `out_file`, whose first call creates `--out` and
+writes `config.resolved.txt`: a run that exits before its first result file
+leaves no `--out`.
 
 Exit codes: 0 success, 1 usage or input error, 2 enumeration guard
 exceeded, 3 model infeasible.
@@ -84,18 +86,6 @@ def load_config(path: str, known: set) -> dict:
     return out
 
 
-def write_resolved_config(args: argparse.Namespace, out_dir: Path) -> None:
-    skip = {"func", "config"}
-    lines = []
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{key}={value}")
-    (out_dir / "config.resolved.txt").write_text("\n".join(lines) + "\n")
-
-
 def write_csv(path: Path, header: list, rows) -> None:
     """`header`, then each row, in the csv module's default dialect, whose
     lines end in CR LF."""
@@ -116,23 +106,22 @@ def out_path(args) -> Path:
     return Path(args.out)
 
 
-def out_dir(args) -> Path:
-    path = out_path(args)
-    path.mkdir(parents=True, exist_ok=True)
-    write_resolved_config(args, path)
-    return path
-
-
-def exact_and_out(bundle, args, kernels=False) -> tuple[analysis.ExactDistribution, Path]:
-    """The model's exact distribution, then the `--out` directory: a missing
-    `--out` exits 1 before any enumeration, and an overflow or guard exit
-    leaves no directory.  With `kernels`, the dense kernel of each chain
-    kind must pass `analysis.check_dense_kernel` first."""
-    out_path(args)
-    dist = analysis.exact_distribution(bundle.chain_model)
-    if kernels and bundle.kinds:
-        analysis.check_dense_kernel(len(dist))
-    return dist, out_dir(args)
+def out_file(args, name: str) -> Path:
+    """The path of result file `name` under `--out`.  The first call in a run
+    creates `--out` and writes `config.resolved.txt` there, one key=value
+    line per flag that has a value."""
+    target = out_path(args)
+    if not getattr(args, "out_made", False):
+        lines = []
+        for key, value in sorted(vars(args).items()):
+            if key not in ("func", "config") and value is not None:
+                if isinstance(value, list):
+                    value = ",".join(map(str, value))
+                lines.append(f"{key}={value}")
+        target.mkdir(parents=True, exist_ok=True)
+        (target / "config.resolved.txt").write_text("\n".join(lines) + "\n")
+        args.out_made = True
+    return target / name
 
 
 class ModelBundle:
@@ -161,8 +150,6 @@ class ModelBundle:
             if getattr(args, "evidence", None):
                 self.evidence = clauses.parse_evidence_file(
                     Path(args.evidence).read_text())
-            for name in self.evidence:  # an unknown name fails before any output
-                self.clause_set.var_index(name)
             self.names = list(self.clause_set.variables)
             model_class = chains.ClauseModel
         else:
@@ -217,20 +204,20 @@ def add_model_flags(sub, with_lambda=True):
 def cmd_gen(args) -> int:
     if args.model not in GRAPH_MODELS + ("fs",):
         raise UsageError(f"gen cannot produce model {args.model!r}")
-    target = out_dir(args)
     if args.model in GRAPH_MODELS:
         bundle = ModelBundle(args)
-        graphs.write_graph(target / "model.graph.txt", bundle.graph)
-        print(f"wrote {target / 'model.graph.txt'} "
+        path = out_file(args, "model.graph.txt")
+        path.write_text(graphs.format_graph(bundle.graph))
+        print(f"wrote {path} "
               f"({bundle.graph.n} vertices, {len(bundle.graph.edges)} edges)")
     elif args.model == "fs":
         model, evidence = families.gen_friends_smokers(
             args.people, args.evidence_fraction, args.seed)
-        (target / "model.clauses.txt").write_text(
-            clauses.format_clause_file(model))
-        (target / "model.evidence.txt").write_text(
+        path = out_file(args, "model.clauses.txt")
+        path.write_text(clauses.format_clause_file(model))
+        out_file(args, "model.evidence.txt").write_text(
             clauses.format_evidence_file(evidence))
-        print(f"wrote {target / 'model.clauses.txt'} "
+        print(f"wrote {path} "
               f"({model.n} variables, {len(model.clauses)} clauses, "
               f"{len(evidence)} evidence assignments)")
     return 0
@@ -271,23 +258,26 @@ def cmd_detect(args) -> int:
         for orb in report.feature_orbits:
             print("  {" + " ".join(f"c{j}" for j in orb) + "}")
     if args.out:
-        target = out_dir(args)
-        perm.save_generating_set(target / "generators.txt", group, bundle.names)
-        print(f"wrote {target / 'generators.txt'}")
+        path = out_file(args, "generators.txt")
+        path.write_text(perm.format_generating_set(group, bundle.names))
+        print(f"wrote {path}")
     return 0
 
 
 def cmd_sample(args) -> int:
     bundle = ModelBundle(args, args.chain)
-    target = out_dir(args)
+    out_path(args)
     mode = perm.SamplerMode(args.mode)
+    # EXACT mode's element array, kept for the sampler: past the cap, exit 2 before any chain
+    if mode is perm.SamplerMode.EXACT and any(kind.is_orbital for kind in bundle.kinds):
+        bundle.group.image_array()
     for kind in bundle.kinds:
         group = bundle.group if kind.is_orbital else None
         for seed in args.seeds:
             trace = chains.run_chain(bundle.chain_model, kind, args.steps,
                                      seed, record_every=args.record_every,
                                      group=group, mode=mode)
-            path = target / f"trace_{kind.value}_seed{seed}.csv"
+            path = out_file(args, f"trace_{kind.value}_seed{seed}.csv")
             write_csv(path, ["step", "state"],
                       ((i * args.record_every, state_label(state))
                        for i, state in enumerate(trace.states)))
@@ -299,15 +289,18 @@ def cmd_sample(args) -> int:
 
 def cmd_exact(args) -> int:
     bundle = ModelBundle(args, args.chain)
-    dist, target = exact_and_out(bundle, args, kernels=True)
+    out_path(args)
+    dist = analysis.exact_distribution(bundle.chain_model)
+    if bundle.kinds:
+        analysis.check_dense_kernel(len(dist))
     labels = [state_label(state) for state in dist.states]
-    write_csv(target / "pi.csv", ["state", "prob"],
-              zip(labels, map(repr, dist.probs.tolist())))
-    print(f"wrote {target / 'pi.csv'} ({len(dist)} states, Z={dist.partition_value:g})")
+    path = out_file(args, "pi.csv")
+    write_csv(path, ["state", "prob"], zip(labels, map(repr, dist.probs.tolist())))
+    print(f"wrote {path} ({len(dist)} states, Z={dist.partition_value:g})")
     for kind in bundle.kinds:
         group = bundle.group if kind.is_orbital else None
         matrix = analysis.transition_matrix(bundle.chain_model, kind, group=group)
-        path = target / f"matrix_{kind.value}.csv"
+        path = out_file(args, f"matrix_{kind.value}.csv")
         write_csv(path, ["state"] + labels,
                   ([label, *map(repr, row.tolist())]
                    for label, row in zip(labels, matrix.rows)))
@@ -319,8 +312,12 @@ def cmd_exact(args) -> int:
 
 def cmd_tvcurve(args) -> int:
     bundle = ModelBundle(args, args.chain)
-    dist, target = exact_and_out(bundle, args)
+    out_path(args)
+    dist = analysis.exact_distribution(bundle.chain_model)
     mode = perm.SamplerMode(args.mode)
+    # EXACT mode's element array, kept for the sampler: past the cap, exit 2 before any chain
+    if mode is perm.SamplerMode.EXACT and any(kind.is_orbital for kind in bundle.kinds):
+        bundle.group.image_array()
     step = max(1, (args.steps + 1) // CHECKPOINT_COUNT)
     checkpoints = list(range(step, args.steps + 2, step))
     rows = []
@@ -334,9 +331,9 @@ def cmd_tvcurve(args) -> int:
                      for used, dtv in curve.points]
             print(f"{kind.value} seed {seed}: final d_tv "
                   f"{curve.points[-1][1]:.4f}, auc {curve.auc():,.1f}")
-    write_csv(target / "tvcurve.csv", ["samples", "d_tv", "chain_kind", "seed"],
-              rows)
-    print(f"wrote {target / 'tvcurve.csv'}")
+    path = out_file(args, "tvcurve.csv")
+    write_csv(path, ["samples", "d_tv", "chain_kind", "seed"], rows)
+    print(f"wrote {path}")
     return 0
 
 
@@ -345,10 +342,11 @@ def cmd_coupling(args) -> int:
         raise UsageError("coupling takes one seed: give it as a list, such as "
                          "--seeds 42, (a bare count N means seeds 0..N-1)")
     bundle = ModelBundle(args, chains.ChainKind.ORBITAL_INSERT_DELETE.value)
-    target = out_dir(args)
+    out_path(args)
     report = analysis.coupling_drift(bundle.chain_model, bundle.group,
                                      trials=args.trials, seed=args.seeds[0])
-    write_csv(target / "coupling.csv",
+    path = out_file(args, "coupling.csv")
+    write_csv(path,
               ["case", "count", "rho", "varrho", "drift", "bound"],
               ((case, count, repr(report.rho), repr(report.varrho),
                 repr(report.expected_drift), repr(report.bound))
@@ -357,13 +355,14 @@ def cmd_coupling(args) -> int:
     print(f"rho={report.rho:.6f} varrho={report.varrho:.6f}")
     print(f"measured drift {report.expected_drift:.6f} (se {report.drift_se:.6f})"
           f" vs bound {report.bound:.6f}: {'ok' if ok else 'VIOLATED'}")
-    print(f"wrote {target / 'coupling.csv'}")
+    print(f"wrote {path}")
     return 0
 
 
 def cmd_mix(args) -> int:
     bundle = ModelBundle(args, args.chain)
-    dist, target = exact_and_out(bundle, args, kernels=True)
+    out_path(args)
+    dist = analysis.exact_distribution(bundle.chain_model)
     rows = []
     for kind in bundle.kinds:
         # with the group, base kernels too mix on one row per state orbit
@@ -379,9 +378,9 @@ def cmd_mix(args) -> int:
                 note = f" (bound {limit:.1f}, within={within})"
             rows.append((kind.value, eps, tau, bound, within))
             print(f"{kind.value} eps={eps}: tau={tau}{note}")
-    write_csv(target / "mix.csv",
-              ["chain_kind", "epsilon", "tau", "bound", "within_bound"], rows)
-    print(f"wrote {target / 'mix.csv'}")
+    path = out_file(args, "mix.csv")
+    write_csv(path, ["chain_kind", "epsilon", "tau", "bound", "within_bound"], rows)
+    print(f"wrote {path}")
     return 0
 
 

@@ -94,11 +94,10 @@ def default_names(n: int) -> list[str]:
     return [chr(ord("a") + i) if i < 26 else f"v{i}" for i in range(n)]
 
 
-def write_graph(path, graph: Graph) -> None:
+def format_graph(graph: Graph) -> str:
     """Text format: header "n m c", then "vertex color" lines, then "u v" lines."""
     lines = [f"{graph.n} {len(graph.edges)} {graph.num_colors}"]
     lines += [f"{v} {graph.colors[v]}" for v in range(graph.n)]
     lines += [f"{u} {v}" for u, v in sorted(graph.edges)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 

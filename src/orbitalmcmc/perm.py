@@ -591,12 +591,11 @@ class OrbitSampler:
         return _scatter(image, bits)
 
 
-def save_generating_set(path, group: PermutationGroup, names: Sequence[str]) -> None:
-    """Write a generating set: point names on line one, one cycle form per line."""
+def format_generating_set(group: PermutationGroup, names: Sequence[str]) -> str:
+    """A generating set as text: point names on line one, one cycle form per line."""
     if len(names) != group.n:
         raise ValueError("name count does not match domain size")
     lines = [" ".join(names)]
     lines += [format_cycles(g, names) for g in group.generators]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 

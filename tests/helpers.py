@@ -106,7 +106,7 @@ def cycle_count_burnside(group: PermutationGroup, elements) -> int:
 
 
 def read_graph(path) -> Graph:
-    """Reader for `graphs.write_graph`'s text format, for round trips."""
+    """Reader for `graphs.format_graph`'s text format, for round trips."""
     with open(path) as fh:
         rows = [ln.split() for ln in fh if ln.strip()]
     if not rows:
@@ -125,7 +125,7 @@ def read_graph(path) -> Graph:
 
 
 def load_generating_set(path) -> tuple[PermutationGroup, list[str]]:
-    """Reader for `perm.save_generating_set`'s format, for round trips."""
+    """Reader for `perm.format_generating_set`'s format, for round trips."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:

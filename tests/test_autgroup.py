@@ -14,7 +14,7 @@ from orbitalmcmc.autgroup import (
     color_refine,
     is_automorphism,
 )
-from orbitalmcmc.graphs import Graph, write_graph
+from orbitalmcmc.graphs import Graph, format_graph
 from orbitalmcmc.perm import Permutation, PermutationGroup, parse_cycles
 
 
@@ -130,7 +130,7 @@ class TestColoredGraph:
     def test_file_round_trip(self, tmp_path):
         g = example_clause_graph()
         path = tmp_path / "graph.txt"
-        write_graph(path, g)
+        path.write_text(format_graph(g))
         back = read_graph(path)
         assert back.n == g.n
         assert back.colors == g.colors

@@ -2,10 +2,11 @@
 
 import csv
 import hashlib
+import warnings
 
 import pytest
 
-from orbitalmcmc import analysis, clauses
+from orbitalmcmc import analysis, chains, clauses
 from orbitalmcmc.analysis import representative_rows
 from orbitalmcmc.autgroup import automorphism_generators
 from orbitalmcmc.chains import IndependentSetModel
@@ -534,6 +535,7 @@ class TestEvidence:
                                "--out", str(tmp_path / "o"))
         assert code == 3
         assert "infeasible" in err
+        assert not (tmp_path / "o").exists()
 
     def test_clamped_variables_leave_the_scan(self, capsys, monkeypatch, tmp_path):
         # without evidence this scan stops at the cap (exit 2, see below)
@@ -648,12 +650,49 @@ class TestExitCodes:
         assert "guard" in err.lower()
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("guard,argv,message", [
+        pytest.param("1000000", ["sample", "--model", "complete", "--k", "4",
+                                 "--chain", "orbital-id", "--mode", "exact", "--steps", "50"],
+                     "group of order 20922789888000 exceeds enumeration cap 1000000",
+                     id="sample-exact-k16"),
+        pytest.param("1000", ["sample", "--model", "complete", "--k", "3",
+                              "--chain", "id,orbital-id", "--mode", "exact", "--steps", "50"],
+                     "group of order 362880 exceeds enumeration cap 1000",
+                     id="sample-exact-after-a-base-chain"),
+        pytest.param("1000", ["tvcurve", "--model", "complete", "--k", "3",
+                              "--chain", "id,orbital-id", "--mode", "exact", "--steps", "50"],
+                     "group of order 362880 exceeds enumeration cap 1000",
+                     id="tvcurve-exact-after-a-base-chain"),
+        pytest.param("100", ["coupling", "--model", "grid", "--k", "4"],
+                     "more than 100 independent sets (cap exceeded)", id="coupling-grid4")])
+    def test_guarded_run_writes_nothing(self, capsys, monkeypatch, tmp_path, guard, argv,
+                                        message):
+        # each guard exit comes before the first result file, so --out is never made
+        monkeypatch.setenv("ORBITAL_GUARD", guard)
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err == f"guard exceeded: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["exact", "tvcurve", "mix"])
     def test_missing_out_exits_before_enumeration(self, capsys, monkeypatch, command):
         def enumerated(model):
             raise AssertionError("enumerated before checking --out")
 
         monkeypatch.setattr(analysis, "exact_distribution", enumerated)
+        code, _, err = run_cli(capsys, command, "--model", "grid", "--k", "3")
+        assert code == 1
+        assert "--out is required" in err
+
+    @pytest.mark.parametrize("command,module,name", [
+        pytest.param("sample", chains, "run_chain", id="sample"),
+        pytest.param("coupling", analysis, "coupling_drift", id="coupling")])
+    def test_missing_out_exits_before_running(self, capsys, monkeypatch, command, module,
+                                              name):
+        def ran(*args, **kwargs):
+            raise AssertionError(f"{name} ran before checking --out")
+
+        monkeypatch.setattr(module, name, ran)
         code, _, err = run_cli(capsys, command, "--model", "grid", "--k", "3")
         assert code == 1
         assert "--out is required" in err
@@ -712,14 +751,18 @@ class TestExitCodes:
                                "--clauses", str(bad), "--chain", "gibbs",
                                "--steps", "5", "--out", str(tmp_path / "o"))
         assert code == 3
+        assert not (tmp_path / "o").exists()
 
     def test_overflowing_weights_exit_one(self, capsys, tmp_path):
-        # e^800 overflows a float: no NaN pi is written
+        # e^800 overflows a float: no NaN pi is written, and the exit
+        # message is the only report of it, no numpy warning
         model = tmp_path / "big.txt"
         model.write_text("vars: a b\n800 :: a | b\n1 :: !a\n")
-        code, _, err = run_cli(capsys, "exact", "--model", "clauses",
-                               "--clauses", str(model), "--chain", "gibbs",
-                               "--out", str(tmp_path / "o"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "exact", "--model", "clauses",
+                                   "--clauses", str(model), "--chain", "gibbs",
+                                   "--out", str(tmp_path / "o"))
         assert code == 1
         assert "weights overflow" in err
         assert not (tmp_path / "o" / "pi.csv").exists()
@@ -743,6 +786,7 @@ class TestExitCodes:
                                "--steps", "5", "--out", str(tmp_path / "o"))
         assert code == 2
         assert "guard" in err.lower()
+        assert not (tmp_path / "o").exists()
 
     def test_detect_skips_hard_clause_scan(self, capsys, monkeypatch, tmp_path):
         # detect runs no chain, so the guarded start-state scan never runs
