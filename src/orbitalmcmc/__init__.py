@@ -1,41 +1,13 @@
 """Symmetry detection for discrete probabilistic models and orbit-resampling
-Markov chains, verified against exact desk-scale analysis."""
+Markov chains, verified against exact desk-scale analysis.
 
-from .autgroup import (
-    automorphism_generators,
-    color_refine,
-    is_automorphism,
-)
-from .chains import (
-    ChainKind,
-    ChainTrace,
-    ClauseModel,
-    IndependentSetModel,
-    run_chain,
-)
-from .clauses import (
-    HARD,
-    Evidence,
-    SymmetryReport,
-    WeightedClauseSet,
-    build_colored_graph,
-    model_symmetry_group,
-    parse_clause_file,
-    parse_evidence_file,
-)
-from .errors import GuardExceededError, InfeasibleModelError
-from .graphs import Graph
-from .perm import (
-    OrbitSampler,
-    Permutation,
-    PermutationGroup,
-    ProductReplacement,
-    SamplerMode,
-    config_orbit_partition,
-    format_cycles,
-    parse_cycles,
-)
+The top level holds README's API; every other name lives in its submodule."""
+
+from .autgroup import automorphism_generators
+from .chains import ChainKind, IndependentSetModel, run_chain
+from .perm import SamplerMode
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = ["ChainKind", "IndependentSetModel", "SamplerMode", "automorphism_generators",
+           "run_chain"]

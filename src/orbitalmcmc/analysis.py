@@ -46,23 +46,21 @@ class ExactDistribution:
         except KeyError:
             raise KeyError(f"state {state} not in the enumerated universe") from None
 
-    def prob_of(self, state: Sequence[int]) -> float:
-        return float(self.probs[self.index_of(state)])
-
-    def marginal(self, var: int) -> float:
-        return float(sum(p for s, p in zip(self.states, self.probs) if s[var]))
-
     def __len__(self) -> int:
         return len(self.states)
 
 
 def exact_distribution(model) -> ExactDistribution:
-    """The model's normalized stationary distribution over `model.states()`."""
+    """The model's normalized stationary distribution over `model.states()`.
+    ValueError if the weights overflow (Z is inf) or all underflow (the
+    largest is below the smallest normal float)."""
     states = model.states()
     weights = model.weights(states)
     z = weights.sum()
     if not math.isfinite(z):
         raise ValueError(f"state weights overflow: the partition function Z is {z}")
+    if weights.max() < np.finfo(float).tiny:
+        raise ValueError(f"state weights underflow: the largest is {weights.max()}")
     return ExactDistribution(states, weights / z, z)
 
 

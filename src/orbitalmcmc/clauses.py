@@ -62,9 +62,6 @@ class Clause:
     def is_hard(self) -> bool:
         return self.weight == HARD
 
-    def satisfied_by(self, bits: Sequence[int]) -> bool:
-        return any(bits[v] == (0 if neg else 1) for v, neg in self.literals)
-
 
 class WeightedClauseSet:
     """Clauses over named variables, each hard or weighted.
@@ -245,16 +242,10 @@ def build_colored_graph(model: WeightedClauseSet,
 class SymmetryReport:
     """Detected symmetries of a clause set, on the graph and on the model."""
 
-    clause_set: WeightedClauseSet
-    graph: Graph
     graph_group: PermutationGroup       # acts on graph vertices
     model_group: PermutationGroup       # projected action on variables
     variable_orbits: tuple[tuple[int, ...], ...]
     feature_orbits: tuple[tuple[int, ...], ...]
-
-    def variable_orbit_names(self) -> list[tuple[str, ...]]:
-        names = self.clause_set.variables
-        return [tuple(names[i] for i in o) for o in self.variable_orbits]
 
 
 def model_symmetry_group(model: WeightedClauseSet,
@@ -281,8 +272,6 @@ def model_symmetry_group(model: WeightedClauseSet,
 
     clause_ids = orbit_ids(action)[list(vmap.clause)]
     return SymmetryReport(
-        clause_set=model,
-        graph=graph,
         graph_group=graph_group,
         model_group=model_group,
         variable_orbits=tuple(model_group.orbit_partition()),

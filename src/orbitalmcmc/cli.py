@@ -252,8 +252,8 @@ def cmd_detect(args) -> int:
     else:
         report = bundle.report
         print(f"variable orbits: {len(report.variable_orbits)}")
-        for cell in report.variable_orbit_names():
-            print("  {" + " ".join(cell) + "}")
+        for orb in report.variable_orbits:
+            print("  {" + " ".join(bundle.names[i] for i in orb) + "}")
         print(f"feature orbits: {len(report.feature_orbits)}")
         for orb in report.feature_orbits:
             print("  {" + " ".join(f"c{j}" for j in orb) + "}")
@@ -264,9 +264,8 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    bundle = ModelBundle(args, args.chain)
-    out_path(args)
+def run_chains(bundle: ModelBundle, args, record_every: int = 1):
+    """Yield (kind, seed, trace) for each chain kind, then each seed."""
     mode = perm.SamplerMode(args.mode)
     # EXACT mode's element array, kept for the sampler: past the cap, exit 2 before any chain
     if mode is perm.SamplerMode.EXACT and any(kind.is_orbital for kind in bundle.kinds):
@@ -274,16 +273,22 @@ def cmd_sample(args) -> int:
     for kind in bundle.kinds:
         group = bundle.group if kind.is_orbital else None
         for seed in args.seeds:
-            trace = chains.run_chain(bundle.chain_model, kind, args.steps,
-                                     seed, record_every=args.record_every,
-                                     group=group, mode=mode)
-            path = out_file(args, f"trace_{kind.value}_seed{seed}.csv")
-            write_csv(path, ["step", "state"],
-                      ((i * args.record_every, state_label(state))
-                       for i, state in enumerate(trace.states)))
-            rate = (args.steps / trace.elapsed_seconds
-                    if trace.elapsed_seconds > 0 else float("inf"))
-            print(f"{path}: {args.steps} steps, {rate:,.0f} steps/s")
+            yield kind, seed, chains.run_chain(bundle.chain_model, kind, args.steps, seed,
+                                               record_every=record_every, group=group,
+                                               mode=mode)
+
+
+def cmd_sample(args) -> int:
+    bundle = ModelBundle(args, args.chain)
+    out_path(args)
+    for kind, seed, trace in run_chains(bundle, args, args.record_every):
+        path = out_file(args, f"trace_{kind.value}_seed{seed}.csv")
+        write_csv(path, ["step", "state"],
+                  ((i * args.record_every, state_label(state))
+                   for i, state in enumerate(trace.states)))
+        rate = (args.steps / trace.elapsed_seconds
+                if trace.elapsed_seconds > 0 else float("inf"))
+        print(f"{path}: {args.steps} steps, {rate:,.0f} steps/s")
     return 0
 
 
@@ -314,23 +319,14 @@ def cmd_tvcurve(args) -> int:
     bundle = ModelBundle(args, args.chain)
     out_path(args)
     dist = analysis.exact_distribution(bundle.chain_model)
-    mode = perm.SamplerMode(args.mode)
-    # EXACT mode's element array, kept for the sampler: past the cap, exit 2 before any chain
-    if mode is perm.SamplerMode.EXACT and any(kind.is_orbital for kind in bundle.kinds):
-        bundle.group.image_array()
     step = max(1, (args.steps + 1) // CHECKPOINT_COUNT)
     checkpoints = list(range(step, args.steps + 2, step))
     rows = []
-    for kind in bundle.kinds:
-        group = bundle.group if kind.is_orbital else None
-        for seed in args.seeds:
-            trace = chains.run_chain(bundle.chain_model, kind, args.steps,
-                                     seed, group=group, mode=mode)
-            curve = analysis.tv_curve(trace, dist, checkpoints)
-            rows += [(used, repr(dtv), kind.value, seed)
-                     for used, dtv in curve.points]
-            print(f"{kind.value} seed {seed}: final d_tv "
-                  f"{curve.points[-1][1]:.4f}, auc {curve.auc():,.1f}")
+    for kind, seed, trace in run_chains(bundle, args):
+        curve = analysis.tv_curve(trace, dist, checkpoints)
+        rows += [(used, repr(dtv), kind.value, seed) for used, dtv in curve.points]
+        print(f"{kind.value} seed {seed}: final d_tv "
+              f"{curve.points[-1][1]:.4f}, auc {curve.auc():,.1f}")
     path = out_file(args, "tvcurve.csv")
     write_csv(path, ["samples", "d_tv", "chain_kind", "seed"], rows)
     print(f"wrote {path}")

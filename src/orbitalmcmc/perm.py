@@ -276,9 +276,6 @@ class PermutationGroup:
     def __repr__(self) -> str:
         return f"PermutationGroup({len(self.generators)} generators, n={self.n})"
 
-    def is_trivial(self) -> bool:
-        return not self.generators
-
     def point_action(self) -> np.ndarray:
         """The generators' images as a G x n int array: the action on points."""
         return np.array([g.mapping for g in self.generators],
@@ -564,7 +561,7 @@ class OrbitSampler:
 
     def __init__(self, group: PermutationGroup, mode: SamplerMode, rng: Random):
         self.rng = rng
-        exact, trivial = SamplerMode(mode) is SamplerMode.EXACT, group.is_trivial()
+        exact, trivial = SamplerMode(mode) is SamplerMode.EXACT, not group.generators
         self._pr = None if exact or trivial else ProductReplacement(group, rng=rng)
         self._n, self._els = group.n, None
         if exact and not trivial:

@@ -6,9 +6,9 @@ from random import Random
 
 import numpy as np
 
-from orbitalmcmc.analysis import CouplingReport, CouplingSimulator
+from orbitalmcmc.analysis import CouplingReport, CouplingSimulator, ExactDistribution
 from orbitalmcmc.autgroup import Cells, color_cells, is_automorphism
-from orbitalmcmc.clauses import WeightedClauseSet, parse_clause_file
+from orbitalmcmc.clauses import Clause, WeightedClauseSet, parse_clause_file
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
 from orbitalmcmc.perm import (BURN_IN_PER_SLOT, DRAW_MOVES, MIN_SLOTS, Permutation,
                               PermutationGroup, _compose, _scatter, config_orbit_partition,
@@ -45,6 +45,16 @@ def two_spin_model() -> WeightedClauseSet:
         ["x1", "x2"],
         [([(0, False), (1, False)], w),
          ([(0, True), (1, True)], w)])
+
+
+def satisfied_by(clause: Clause, bits) -> bool:
+    """Reference for a clause's truth on one assignment, literal by literal."""
+    return any(bits[v] == (0 if neg else 1) for v, neg in clause.literals)
+
+
+def marginal(dist: ExactDistribution, var: int) -> float:
+    """Reference for P(var = 1) under `dist`: a sum over its states in order."""
+    return float(sum(p for s, p in zip(dist.states, dist.probs) if s[var]))
 
 
 def apply_config_action(group: PermutationGroup, states) -> np.ndarray:

@@ -124,13 +124,13 @@ class TestExactDistributions:
 
     def test_lambda_weighting(self):
         dist = exact_pi_lambda(Graph(1, []), 3.0)
-        assert dist.prob_of((1,)) == pytest.approx(0.75)
+        assert dist.probs[dist.index_of((1,))] == pytest.approx(0.75)
 
     def test_two_spin_distribution(self):
         dist = exact_distribution(ClauseModel(two_spin_model()))
         expected = {(0, 0): 0.01, (0, 1): 0.49, (1, 0): 0.49, (1, 1): 0.01}
         for state, p in expected.items():
-            assert dist.prob_of(state) == pytest.approx(p, abs=1e-12)
+            assert dist.probs[dist.index_of(state)] == pytest.approx(p, abs=1e-12)
 
     def test_orbit_constancy(self):
         model = IndependentSetModel(gen_grid(3), 1.0)
@@ -310,7 +310,7 @@ class TestTotalVariation:
         assert [s for s, _ in series.points] == [1, 10, 100, 1000, 5001]
         assert all(0.0 <= d <= 1.0 for _, d in series.points)
         # the first checkpoint sees only the deterministic initial state
-        assert series.points[0][1] == pytest.approx(1 - pi.prob_of((0,) * 9))
+        assert series.points[0][1] == pytest.approx(1 - pi.probs[pi.index_of((0,) * 9)])
         assert series.points[-1][1] < series.points[0][1]
         assert series.auc() > 0
 

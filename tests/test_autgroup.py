@@ -247,7 +247,7 @@ class TestSearch:
     def test_rigid_graph(self):
         g = Graph(3, [], [0, 1, 2])
         group = automorphism_generators(g)
-        assert group.is_trivial()
+        assert not group.generators
         assert group.order() == 1
 
     def test_generators_are_automorphisms(self):
@@ -294,7 +294,7 @@ class TestSearchBranches:
 
     def test_empty_graph_is_trivial(self):
         group = automorphism_generators(Graph(0, []))
-        assert group.n == 0 and group.is_trivial()
+        assert group.n == 0 and not group.generators
         assert group.order() == 1
 
     def test_backtracks_past_a_child_that_finds_nothing(self):

@@ -111,7 +111,9 @@ class TestModelSymmetry:
         assert report.model_group.order() == 2
         expected = parse_cycles("(a b)", names=["a", "b", "c"])
         assert report.model_group.generators == (expected,)
-        assert report.variable_orbit_names() == [("a", "b"), ("c",)]
+        names = EXAMPLE_CLAUSES.variables
+        assert ([tuple(names[i] for i in o) for o in report.variable_orbits]
+                == [("a", "b"), ("c",)])
         assert [tuple(o) for o in report.feature_orbits] == [(0, 1)]
 
     def test_two_spin_orbits(self):

@@ -767,6 +767,36 @@ class TestExitCodes:
         assert "weights overflow" in err
         assert not (tmp_path / "o" / "pi.csv").exists()
 
+    @pytest.mark.parametrize("text", [
+        # every weight subnormal: pi(a=1) would read 0.625, not 0.62246
+        "vars: a\n-740 :: a\n-740.5 :: !a\n",
+        # every weight 0, so Z is 0
+        "vars: a b\n-800 :: a\n-800 :: !a\n"], ids=["subnormal", "zero"])
+    def test_underflowing_weights_exit_one(self, capsys, tmp_path, text):
+        model = tmp_path / "small.txt"
+        model.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "exact", "--model", "clauses",
+                                   "--clauses", str(model), "--chain", "gibbs",
+                                   "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith("error: state weights underflow: the largest is ")
+        assert not (tmp_path / "o").exists()
+
+    def test_normal_largest_weight_keeps_pi(self, capsys, tmp_path):
+        # the subnormal case shifted by 40: the largest weight is normal
+        model = tmp_path / "small.txt"
+        model.write_text("vars: a\n-700 :: a\n-700.5 :: !a\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, _ = run_cli(capsys, "exact", "--model", "clauses",
+                                 "--clauses", str(model), "--chain", "gibbs",
+                                 "--out", str(tmp_path / "o"))
+        assert code == 0
+        rows = list(csv.reader((tmp_path / "o" / "pi.csv").open(newline="")))
+        assert rows[1:] == [["0", "0.37754066879814546"], ["1", "0.6224593312018546"]]
+
     @pytest.mark.parametrize("command", ["exact", "tvcurve", "mix"])
     def test_overflowing_fugacity_exits_one(self, capsys, tmp_path, command):
         # 1e200 ** 2 overflows a float, as clause weights past e^709 do
