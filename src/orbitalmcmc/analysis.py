@@ -145,22 +145,20 @@ def transition_matrix(model, kind: ChainKind,
     return TransitionMatrix(states, rows, action)
 
 
-def representative_rows(matrix: TransitionMatrix, dist: ExactDistribution
-                        ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """The kernel and pi reduced to one row per orbit of the kernel's group
-    action, for `mixing_time`: (rows, pi, gather), with the M orbits in
-    order of their first states.
+def representative_rows(matrix: TransitionMatrix) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The kernel reduced to one row per orbit of its group action, for
+    `mixing_time`: (rows, gather), with the M orbits in order of their
+    first states.
 
     If the rows of the first states are constant on column orbits, as those
     of every orbital kernel K = P A are, the kernel is lumped: rows is the
-    M x M quotient Q(O, O') = K(first state of O, O'), pi the lumped pi and
-    gather None.  ValueError unless, to 1e-12, the rows of an orbit lump
-    alike and every column is constant on orbits.  Otherwise rows are the
-    M x N rows of the first states, pi is unchanged, and `rows.take(gather)`
-    expands them, and those of every power P^t, to the whole kernel: if
-    x = g r, then P^t(x, y) = P^t(r, g^-1 y).  ValueError unless, to 1e-12,
-    P[s, s] = P for the index array s of every generator.  Either way
-    ValueError unless pi[s] = pi to 1e-12 for every generator."""
+    M x M quotient Q(O, O') = K(first state of O, O') and gather None.
+    ValueError unless, to 1e-12, the rows of an orbit lump alike and every
+    column is constant on orbits.  Otherwise rows are the M x N rows of the
+    first states, and `rows.take(gather)` expands them, and those of every
+    power P^t, to the whole kernel: if x = g r, then P^t(x, y) =
+    P^t(r, g^-1 y).  ValueError unless, to 1e-12, P[s, s] = P for the index
+    array s of every generator."""
     rows, n = matrix.rows, len(matrix.states)
     ids = orbit_ids(matrix.action)
     reps = np.unique(ids, return_index=True)[1]
@@ -186,7 +184,7 @@ def representative_rows(matrix: TransitionMatrix, dist: ExactDistribution
             # row x = row z with its columns moved by generator g
             gather[x] = ids[x] * n + np.arange(n) if z < 0 else gather[z][back[g]]
         reduced = first
-    return reduced, _reduced_pi(matrix, dist, lumped=gather is None), gather
+    return reduced, gather
 
 
 def _orbit_indicator(ids: np.ndarray) -> np.ndarray:
@@ -197,9 +195,9 @@ def _orbit_indicator(ids: np.ndarray) -> np.ndarray:
 
 
 def _reduced_pi(matrix: TransitionMatrix, dist: ExactDistribution, lumped: bool) -> np.ndarray:
-    """pi as `representative_rows` reduces it: summed orbit by orbit for a
-    lumped kernel, else unchanged.  ValueError unless pi[s] = pi to 1e-12
-    for the index array s of every generator."""
+    """pi for `representative_rows`, the one path by which `mixing_time`
+    reduces pi: summed orbit by orbit for a lumped kernel, else unchanged.
+    ValueError unless pi[s] = pi to 1e-12 for every generator's index array s."""
     pi = dist.probs
     if any(np.abs(pi[s] - pi).max() > 1e-12 for s in matrix.action):
         raise ValueError("pi is not invariant under the group action")
@@ -313,14 +311,15 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution, eps: float) -
     constant on orbits, runs on the M x M lumped quotient, the distance
     summing orbit by orbit (Kemeny & Snell 1960, lumpability); any other
     runs on M x N rows, a right factor being expanded to N x N by one
-    gather.  The reduction raises ValueError when its checks fail.  Without
-    an action, M = N and nothing is gathered.
+    gather.  Without an action, M = N and nothing is gathered.
 
-    Once per kernel, kept on it: the irreducibility and aperiodicity
-    checks, the kernel's half of `representative_rows`, and each square; a
-    later call squares only past the last one kept.  Per call: pi's
-    reduction and check, the distance of each square read, the descent and
-    the verification, so tau and every power are a fresh kernel's.
+    Per kernel, kept on it from its first call: the irreducibility and
+    aperiodicity checks, `representative_rows` and each square, a later
+    call squaring only past the last one kept.
+
+    Per call: pi, checked and reduced by `_reduced_pi` given an action,
+    before the kernel's work is kept; the distance of each square read, the
+    descent and the verification, so tau and every power are a fresh kernel's.
     """
     if not (0 < eps < 1):
         raise ValueError("eps must be in (0, 1)")
@@ -332,16 +331,12 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution, eps: float) -
             raise ValueError("chain is not irreducible")
         if not (np.diag(matrix.rows) > 0).any():
             raise ValueError("cannot verify aperiodicity: no positive diagonal")
-        rows, pi, gather = matrix.rows, dist.probs, None
-        if matrix.action is not None:
-            rows, pi, gather = representative_rows(matrix, dist)
+        rows, gather = ((matrix.rows, None) if matrix.action is None
+                        else representative_rows(matrix))
         ladder = [rows], gather  # [rows] grows: squares[j] = P^(2^j), M rows
-        object.__setattr__(matrix, "_ladder", ladder)
-    elif matrix.action is None:
-        pi = dist.probs
-    else:
-        pi = _reduced_pi(matrix, dist, lumped=ladder[1] is None)
     squares, gather = ladder
+    pi = dist.probs if matrix.action is None else _reduced_pi(matrix, dist, lumped=gather is None)
+    object.__setattr__(matrix, "_ladder", ladder)  # kept once pi has passed its check
 
     def distance(power: np.ndarray) -> float:
         return float(0.5 * np.abs(power - pi).sum(axis=1).max())

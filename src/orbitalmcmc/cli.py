@@ -135,6 +135,9 @@ class ModelBundle:
         # float(): detect and gen have no --lambda flag to type a config value
         self.lam = float(getattr(args, "lam", 1.0))
         if self.kind in GRAPH_MODELS:
+            given = [f"--{f}" for f in ("clauses", "evidence") if getattr(args, f, None)]
+            if given and args.command != "gen":  # gen has neither flag; --config may set one
+                raise UsageError(f"{given[0]} is for --model clauses only, not {self.kind}")
             maker = {"grid": families.gen_grid,
                      "cliques": families.gen_connected_cliques,
                      "complete": families.gen_complete}[self.kind]

@@ -22,7 +22,8 @@ sorted |G| x n array read off it once, the only copy kept.  Every orbit,
 of points, configurations or states, is read off one routine, `orbit_ids`,
 from an action given as one row of images per generator:
 `PermutationGroup.point_action` on points, `state_action` on a
-configuration list.  Lists of orbits are sorted tuples.
+configuration list; beside it, `_orbit_walk` walks the same action and
+gives `representative_rows` its gather tree.  Lists of orbits are sorted tuples.
 
 Every uniform index in [0, m) that a sampler here or a step loop in
 `chains` or `analysis` draws comes from the rejection loop CPython's

@@ -406,12 +406,13 @@ class TestOrbitQuotient:
         base = transition_matrix(model, ChainKind.INSERT_DELETE, grid3_group())
         assert base.action.shape == (2, 63)
         assert transition_matrix(model, ChainKind.INSERT_DELETE).action is None
-        rows, same_pi, gather = representative_rows(base, pi)
+        rows, gather = representative_rows(base)
         m = len(rows)
         assert m < 63 and rows.shape == (m, 63) and gather.shape == (63, 63)
-        assert same_pi is pi.probs
+        assert analysis._reduced_pi(base, pi, lumped=False) is pi.probs
         orbital = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE, grid3_group())
-        rows, lumped_pi, gather = representative_rows(orbital, pi)
+        rows, gather = representative_rows(orbital)
+        lumped_pi = analysis._reduced_pi(orbital, pi, lumped=gather is None)
         assert rows.shape == (m, m) and lumped_pi.shape == (m,) and gather is None
 
     def test_quotient_is_the_lumped_kernel(self):
@@ -428,8 +429,9 @@ class TestOrbitQuotient:
                 fs3):
             matrix = transition_matrix(model, kind, group)
             pi = exact_distribution(model)
-            rows, lumped_pi, gather = representative_rows(matrix, pi)
+            rows, gather = representative_rows(matrix)
             assert gather is None
+            lumped_pi = analysis._reduced_pi(matrix, pi, lumped=True)
             ids = orbit_ids(matrix.action)
             reps = [list(ids).index(o) for o in dict.fromkeys(ids.tolist())]
             # per-orbit sums, in the order of the representatives
@@ -469,8 +471,7 @@ class TestOrbitQuotient:
         rows = np.array([[.5, .25, .25], [.2, .5, .3], [.2, .3, .5]])
         matrix = TransitionMatrix(states, rows, action=np.array([[0, 2, 1]]))
         dist = ExactDistribution(states, [0.2, 0.3, 0.5], 1.0)
-        invariant = ExactDistribution(states, [0.2, 0.4, 0.4], 1.0)
-        assert representative_rows(matrix, invariant)[2] is not None  # M x N rows
+        assert representative_rows(matrix)[1] is not None  # M x N rows
         with pytest.raises(ValueError, match="pi is not invariant"):
             mixing_time(matrix, dist, 0.1)
 
@@ -529,7 +530,7 @@ class TestRepresentativeRows:
                  automorphism_generators(gen_connected_cliques(3))),
                 fs3):
             matrix = transition_matrix(model, kind, group)
-            reps, _, gather = representative_rows(matrix, exact_distribution(model))
+            reps, gather = representative_rows(matrix)
             ids = orbit_ids(transition_matrix(model, orbital, group).action)
             assert len(reps) == len(set(ids.tolist())) < len(matrix.states)
             assert np.abs(reps.take(gather) - matrix.rows).max() <= 1e-12
@@ -556,7 +557,7 @@ class TestRepresentativeRows:
         states = tuple((i,) for i in range(4))
         matrix = TransitionMatrix(states, rows, action=np.array([[1, 2, 3, 0]]))
         with pytest.raises(ValueError, match="does not commute with the group action"):
-            representative_rows(matrix, ExactDistribution(states, [0.25] * 4, 1.0))
+            representative_rows(matrix)
 
     def test_pi_not_invariant_rejected(self):
         # the uniform kernel commutes with every permutation of the states
@@ -622,9 +623,9 @@ class TestMixingLadder:
     def test_one_reduction_and_each_square_made_once(self, monkeypatch):
         reductions = []
 
-        def spy(matrix, dist):
+        def spy(matrix):
             reductions.append(len(matrix.states))
-            return representative_rows(matrix, dist)
+            return representative_rows(matrix)
 
         monkeypatch.setattr(analysis, "representative_rows", spy)
         model, pi = IndependentSetModel(gen_grid(3), 1.0), exact_pi_lambda(gen_grid(3), 1.0)
@@ -670,6 +671,15 @@ class TestMixingLadder:
                             mixing_time(matrix, dist, eps)
                     else:
                         assert mixing_time(matrix, dist, eps) == tau
+
+
+    def test_first_call_failing_on_pi_keeps_nothing(self):
+        model, pi = IndependentSetModel(gen_grid(3), 1.0), exact_pi_lambda(gen_grid(3), 1.0)
+        for kind in self.KINDS:
+            matrix = transition_matrix(model, kind, grid3_group())
+            with pytest.raises(ValueError, match="pi is not invariant"):
+                mixing_time(matrix, uninvariant(pi, matrix.action), 0.1)
+            assert matrix._ladder is None
 
 
 class TestKernelMemoryGuard:
@@ -944,6 +954,69 @@ class TestCoupling:
             v = CouplingSimulator(IndependentSetModel(graph, 1.0),
                                   automorphism_generators(graph)).varrho()
             assert 0.0 <= v <= 1.0
+
+
+class TestInputChecks:
+    STATES = ((0,), (1,))
+
+    @pytest.mark.parametrize("probs,message", [
+        ([1.0], "differ in length"),
+        ([1.5, -0.5], "negative probability"),
+        ([0.5, 0.4], "sum to 0.9"),
+    ])
+    def test_distribution_rejected(self, probs, message):
+        with pytest.raises(ValueError, match=message):
+            ExactDistribution(self.STATES, probs, 1.0)
+
+    @pytest.mark.parametrize("rows,message", [
+        (np.eye(3), "shape does not match state count"),
+        (np.array([[1.5, -0.5], [0.0, 1.0]]), "negative transition probability"),
+        (np.array([[1.0, 0.0], [0.5, 0.4]]), "row 1 does not sum to 1"),
+    ])
+    def test_transition_matrix_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            TransitionMatrix(self.STATES, rows)
+
+    @pytest.mark.parametrize("check", [
+        check_detailed_balance, stationary_deviation,
+        lambda matrix, dist: mixing_time(matrix, dist, 0.1)])
+    def test_states_must_match(self, check):
+        matrix = TransitionMatrix(self.STATES, np.full((2, 2), 0.5))
+        dist = ExactDistribution(self.STATES[::-1], [0.5, 0.5], 1.0)
+        with pytest.raises(ValueError, match="enumerate different states"):
+            check(matrix, dist)
+
+    @pytest.mark.parametrize("checkpoints,message", [
+        ([], "must be positive sample counts"),
+        ([0, 2], "must be positive sample counts"),
+        ([1, 4], "checkpoint 4 exceeds 3 samples"),
+    ])
+    def test_tv_checkpoints_rejected(self, checkpoints, message):
+        universe = exact_pi_lambda(Graph(2, [(0, 1)]), 1.0)
+        trace = ChainTrace([(0, 0), (1, 0), (0, 0)])
+        with pytest.raises(ValueError, match=message):
+            tv_curve(trace, universe, checkpoints)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5])
+    def test_mixing_eps_rejected(self, eps):
+        matrix = TransitionMatrix(self.STATES, np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
+            mixing_time(matrix, ExactDistribution(self.STATES, [0.5, 0.5], 1.0), eps)
+
+    def test_rho_needs_an_edge(self):
+        graph = Graph(3, [])
+        sim = CouplingSimulator(IndependentSetModel(graph, 1.0), automorphism_generators(graph))
+        with pytest.raises(ValueError, match="no valid adjacent extensions"):
+            sim.rho()
+
+    @pytest.mark.parametrize("graph,trials,message", [
+        (gen_grid(2), 0, "need at least one trial"),
+        (Graph(0, []), 10, "graph admits no distance-one pairs"),
+    ])
+    def test_coupling_drift_rejected(self, graph, trials, message):
+        model = IndependentSetModel(graph, 1.0)
+        with pytest.raises(ValueError, match=message):
+            coupling_drift(model, automorphism_generators(graph), trials)
 
 
 def test_readme_example_runs(capsys):

@@ -127,6 +127,15 @@ class TestColoredGraph:
         with pytest.raises(ValueError):
             Graph(2, [], [0, 2])
 
+    @pytest.mark.parametrize("edges,colors,names,message", [
+        ([], [0], None, "1 colors for 2 vertices"),
+        ([(0, 2)], None, None, r"edge \(0, 2\) out of range"),
+        ([(0, 1)], None, ["a"], "vertex name count does not match n"),
+    ])
+    def test_rejects_bad_input(self, edges, colors, names, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(2, edges, colors, names)
+
     def test_file_round_trip(self, tmp_path):
         g = example_clause_graph()
         path = tmp_path / "graph.txt"

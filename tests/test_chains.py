@@ -85,6 +85,12 @@ class TestClauseModel:
         with pytest.raises(GuardExceededError):
             ClauseModel(parse_clause_file(text))
 
+    def test_states_guarded(self, monkeypatch):
+        model = ClauseModel(parse_clause_file("vars: a b c d\n0.5 :: a\n"))
+        monkeypatch.setenv("ORBITAL_GUARD", "8")
+        with pytest.raises(GuardExceededError, match="2\\^4 assignments exceed enumeration cap 8"):
+            model.states()
+
     @pytest.mark.parametrize("evidence", [{}, {"smokes_p0": True, "friends_p1_p2": False}])
     def test_scans_match_the_per_assignment_loop(self, monkeypatch, evidence):
         # fs3 with hard clauses: someone of p1, p2 smokes, and the last
@@ -535,6 +541,15 @@ class TestRunChain:
         model = two_spin_chain_model()
         trace = run_chain(model, ChainKind.GIBBS, 100, seed=41, record_every=10)
         assert len(trace.states) == 11
+
+    @pytest.mark.parametrize("steps,record_every,message", [
+        (-1, 1, "steps must be nonnegative"),
+        (10, 0, "record_every must be at least 1"),
+    ])
+    def test_arguments_rejected(self, steps, record_every, message):
+        with pytest.raises(ValueError, match=message):
+            run_chain(two_spin_chain_model(), ChainKind.GIBBS, steps, seed=0,
+                      record_every=record_every)
 
     def test_hard_conflict_with_zero_state(self):
         # all-zeros violates the hard clause: start from the first assignment

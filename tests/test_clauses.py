@@ -54,6 +54,10 @@ class TestClauseSet:
         with pytest.raises(ValueError):
             WeightedClauseSet(["a"], [([(3, False)], "1")])
 
+    def test_rejects_duplicate_variable(self):
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            WeightedClauseSet(["a", "b", "a"], [])
+
     def test_file_round_trip(self):
         text = format_clause_file(EXAMPLE_CLAUSES)
         back = parse_clause_file(text)
@@ -68,6 +72,9 @@ class TestClauseSet:
     def test_evidence_file_round_trip(self):
         ev = {"a": True, "b": False}
         assert parse_evidence_file(format_evidence_file(ev)) == ev
+
+    def test_evidence_skips_comment_and_blank_lines(self):
+        assert parse_evidence_file("# observed\n\na=true\n  # b unknown\n") == {"a": True}
 
     def test_evidence_rejects_double_assignment(self):
         with pytest.raises(ValueError):

@@ -335,9 +335,9 @@ class TestAnalysisCommands:
     def test_base_mix_on_representative_rows(self, capsys, monkeypatch, tmp_path):
         calls = []
 
-        def spy(matrix, dist):
+        def spy(matrix):
             calls.append(len(matrix.states))
-            return representative_rows(matrix, dist)
+            return representative_rows(matrix)
 
         monkeypatch.setattr(analysis, "representative_rows", spy)
         code, out, _ = run_cli(capsys, "mix", "--model", "cliques", "--k", "4",
@@ -405,6 +405,13 @@ class TestAnalysisCommands:
     def test_config_lambda_for_command_without_flag(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("model=grid\nk=3\nlam=2\n")
+        code, out, _ = run_cli(capsys, "--config", str(config), "detect")
+        assert code == 0
+        assert "group order: 8" in out
+
+    def test_config_comment_and_blank_lines_skipped(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("# the 3 x 3 grid\nmodel=grid\n\n  # k is its side\nk=3\n")
         code, out, _ = run_cli(capsys, "--config", str(config), "detect")
         assert code == 0
         assert "group order: 8" in out
@@ -879,7 +886,19 @@ class TestExitCodes:
                      "unknown model 'foo'", id="config-unknown-model"),
         pytest.param(["--config", "run.cfg", "gen", "--out", "o"],
                      {"run.cfg": "model=clauses\n"}, "gen cannot produce model 'clauses'",
-                     id="config-gen-clauses")])
+                     id="config-gen-clauses"),
+        *(pytest.param([command, "--model", "grid", "--evidence", "e.txt", "--out", "o"],
+                       {"e.txt": "a=true\n"},
+                       "--evidence is for --model clauses only, not grid",
+                       id=f"{command}-grid-evidence") for command in ("detect", "sample", "mix")),
+        *(pytest.param(["--config", "run.cfg", command, "--out", "o"],
+                       {"run.cfg": "model=grid\nevidence=e.txt\n", "e.txt": "a=true\n"},
+                       "--evidence is for --model clauses only, not grid",
+                       id=f"config-{command}-grid-evidence")
+          for command in ("detect", "sample", "mix")),
+        pytest.param(["coupling", "--model", "cliques", "--clauses", "nope.txt", "--out", "o"],
+                     {}, "--clauses is for --model clauses only, not cliques",
+                     id="coupling-cliques-missing-clauses")])
     def test_input_error_exits_before_writing(self, capsys, monkeypatch, tmp_path,
                                               argv, files, message):
         # argparse's choices do not check a --config value, so the commands do

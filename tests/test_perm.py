@@ -109,6 +109,21 @@ class TestCompose:
         with pytest.raises(ValueError):
             Permutation.identity(3).compose(Permutation.identity(4))
 
+    @pytest.mark.parametrize("mapping", [[0, 0], [1, 2], [0, 1.0]])
+    def test_not_a_permutation(self, mapping):
+        with pytest.raises(ValueError, match="not a permutation of 0..1"):
+            Permutation(mapping)
+
+    @pytest.mark.parametrize("generators,n,message", [
+        ([Permutation.identity(2), Permutation.identity(3)], None,
+         r"mixed domain sizes \[2, 3\]"),
+        ([Permutation.identity(3)], 4, "declared domain size 4 != generator size 3"),
+        ([], None, "empty generating set requires an explicit domain size"),
+    ])
+    def test_group_rejected(self, generators, n, message):
+        with pytest.raises(ValueError, match=message):
+            PermutationGroup(generators, n=n)
+
 
 def oracle_cycles(m: tuple) -> list:
     out, seen = [], set()
@@ -212,6 +227,16 @@ class TestCycleText:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             parse_cycles("(a z)", names=NAMES9)
+
+    @pytest.mark.parametrize("text,n,names,message", [
+        ("(a b)", None, ["a", "b", "a"], "duplicate point names"),
+        ("(0 1)", None, None, "either n or names is required"),
+        ("(0 1) 2", 3, None, "unparseable cycle text"),
+        ("(0 3)", 3, None, r"point 3 outside domain 0\.\.2"),
+    ])
+    def test_rejected(self, text, n, names, message):
+        with pytest.raises(ValueError, match=message):
+            parse_cycles(text, n=n, names=names)
 
 
 class TestApply:
@@ -627,6 +652,10 @@ class TestSerialization:
         loaded, names = load_generating_set(path)
         assert names == NAMES9
         assert loaded.generators == group.generators
+
+    def test_name_count_checked(self):
+        with pytest.raises(ValueError, match="name count does not match domain size"):
+            format_generating_set(grid3_group(), NAMES9[:8])
 
     def test_identity_only_group(self, tmp_path):
         path = tmp_path / "triv.txt"
