@@ -82,7 +82,7 @@ class TransitionMatrix:
     states: tuple[Config, ...]
     rows: np.ndarray
     action: Optional[np.ndarray] = None
-    # mixing_time's (squares, gather), set once the kernel passes its checks
+    # mixing_time's (squares, gather, orbit indicator), set once the kernel passes its checks
     _ladder: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -194,14 +194,16 @@ def _orbit_indicator(ids: np.ndarray) -> np.ndarray:
     return indicator
 
 
-def _reduced_pi(matrix: TransitionMatrix, dist: ExactDistribution, lumped: bool) -> np.ndarray:
+def _reduced_pi(matrix: TransitionMatrix, dist: ExactDistribution,
+                indicator: Optional[np.ndarray]) -> np.ndarray:
     """pi for `representative_rows`, the one path by which `mixing_time`
-    reduces pi: summed orbit by orbit for a lumped kernel, else unchanged.
-    ValueError unless pi[s] = pi to 1e-12 for every generator's index array s."""
+    reduces pi: summed orbit by orbit through the `_orbit_indicator` of a
+    lumped kernel, else (indicator None) unchanged.  ValueError unless
+    pi[s] = pi to 1e-12 for every generator's index array s."""
     pi = dist.probs
     if any(np.abs(pi[s] - pi).max() > 1e-12 for s in matrix.action):
         raise ValueError("pi is not invariant under the group action")
-    return pi @ _orbit_indicator(orbit_ids(matrix.action)) if lumped else pi
+    return pi if indicator is None else pi @ indicator
 
 
 @dataclass(frozen=True)
@@ -314,8 +316,8 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution, eps: float) -
     gather.  Without an action, M = N and nothing is gathered.
 
     Per kernel, kept on it from its first call: the irreducibility and
-    aperiodicity checks, `representative_rows` and each square, a later
-    call squaring only past the last one kept.
+    aperiodicity checks, `representative_rows`, a lumped kernel's orbit
+    indicator and each square, a later call squaring only past the last one kept.
 
     Per call: pi, checked and reduced by `_reduced_pi` given an action,
     before the kernel's work is kept; the distance of each square read, the
@@ -333,9 +335,11 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution, eps: float) -
             raise ValueError("cannot verify aperiodicity: no positive diagonal")
         rows, gather = ((matrix.rows, None) if matrix.action is None
                         else representative_rows(matrix))
-        ladder = [rows], gather  # [rows] grows: squares[j] = P^(2^j), M rows
-    squares, gather = ladder
-    pi = dist.probs if matrix.action is None else _reduced_pi(matrix, dist, lumped=gather is None)
+        indicator = (_orbit_indicator(orbit_ids(matrix.action))
+                     if matrix.action is not None and gather is None else None)
+        ladder = [rows], gather, indicator  # [rows] grows: squares[j] = P^(2^j), M rows
+    squares, gather, indicator = ladder
+    pi = dist.probs if matrix.action is None else _reduced_pi(matrix, dist, indicator)
     object.__setattr__(matrix, "_ladder", ladder)  # kept once pi has passed its check
 
     def distance(power: np.ndarray) -> float:

@@ -6,7 +6,9 @@ analysis read; every state is a `Config`, one 0/1 byte per variable:
 - `base`, the base chain kind the model runs: `ChainKind.check`, the one
   test that a kind runs on a model, compares it with the kind's base;
 - `start`, the start state, valid by construction;
-- `step(bits, rng)`, one base move, a new state by two slices and a byte;
+- `stepper(rng)`, one base move as a closure `step(bits)` over the
+  generator, a new state by two slices and a byte; `step(bits, rng)` is
+  `stepper(rng)(bits)`;
 - `moves(bits)`, the exact one-step distribution of `step` as
   (state, probability) pairs;
 - `states()` and `weights(states)`, the enumerated state space and its
@@ -24,6 +26,8 @@ Within a step the random draws happen in a fixed order (site choice, then
 acceptance coin or conditional draw, then group element), so a trace is a
 pure function of model, kind, steps and seed.  The site choice and the
 group element are index draws as `perm`'s module docstring defines them.
+`run_chain` binds its loop once per run: the model's `stepper` and, for an
+orbital kind, `OrbitSampler.resample`, closures over the run's generator.
 
 The steps trust their input: each base move keeps an independent set
 independent, never leaves a hard clause violated and never touches a
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from random import Random
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -101,28 +105,36 @@ class IndependentSetModel:
     def n(self) -> int:
         return self.graph.n
 
-    def step(self, bits: Config, rng: Random) -> Config:
-        """One insert/delete move.
+    def stepper(self, rng: Random) -> Callable[[Config], Config]:
+        """One insert/delete move as a closure over `rng`.
 
         Pick a vertex uniformly; delete it with probability 1/(1+lam) if
         present, insert it with probability lam/(1+lam) if absent and
-        unblocked, otherwise leave the state unchanged.  A graph with no
-        vertices raises ValueError.
+        unblocked, otherwise leave the state unchanged.  Stepping a graph
+        with no vertices raises ValueError.
         """
-        n, k = self.graph.n, self._k
-        v = rng.getrandbits(k)
-        while v >= n:
-            if not n:
-                raise ValueError("cannot step a model with no vertices")
-            v = rng.getrandbits(k)
-        if bits[v]:
-            if rng.random() < self._p_delete:
-                return bits[:v] + b"\x00" + bits[v + 1:]
+        n, k, getrandbits, random = self.graph.n, self._k, rng.getrandbits, rng.random
+        p_delete, p_insert, neighbours = self._p_delete, self._p_insert, self._neighbours
+
+        def step(bits: Config) -> Config:
+            v = getrandbits(k)
+            while v >= n:
+                if not n:
+                    raise ValueError("cannot step a model with no vertices")
+                v = getrandbits(k)
+            if bits[v]:
+                if random() < p_delete:
+                    return bits[:v] + b"\x00" + bits[v + 1:]
+                return bits
+            gather, empty = neighbours[v]
+            if gather(bits) == empty and random() < p_insert:
+                return bits[:v] + b"\x01" + bits[v + 1:]
             return bits
-        gather, empty = self._neighbours[v]
-        if gather(bits) == empty and rng.random() < self._p_insert:
-            return bits[:v] + b"\x01" + bits[v + 1:]
-        return bits
+        return step
+
+    def step(self, bits: Config, rng: Random) -> Config:
+        """One move of `stepper(rng)`."""
+        return self.stepper(rng)(bits)
 
     def moves(self, bits: Config) -> Iterator[tuple[Config, float]]:
         """`step` from `bits` as (state, probability) pairs; a state can
@@ -274,21 +286,28 @@ class ClauseModel:
             p1 = table[1][key] = self.conditional_p1(bits, v)
         return p1
 
+    def stepper(self, rng: Random) -> Callable[[Config], Config]:
+        """A closure over `rng` resampling one uniformly chosen free variable
+        from its exact conditional; with no free variable, it draws nothing."""
+        free, p1 = self.free, self._p1
+        m, k, getrandbits, random = len(free), self._k, rng.getrandbits, rng.random
+        if not m:
+            return lambda bits: bits
+
+        def step(bits: Config) -> Config:
+            i = getrandbits(k)
+            while i >= m:
+                i = getrandbits(k)
+            v = free[i]
+            value = 1 if random() < p1(bits, v) else 0
+            if bits[v] == value:
+                return bits
+            return bits[:v] + _BIT[value] + bits[v + 1:]
+        return step
+
     def step(self, bits: Config, rng: Random) -> Config:
-        """Resample one uniformly chosen free variable from its exact
-        conditional; with no free variable, draw nothing and stay."""
-        free = self.free
-        if not free:
-            return bits
-        m, k = len(free), self._k
-        i = rng.getrandbits(k)
-        while i >= m:
-            i = rng.getrandbits(k)
-        v = free[i]
-        value = 1 if rng.random() < self._p1(bits, v) else 0
-        if bits[v] == value:
-            return bits
-        return bits[:v] + _BIT[value] + bits[v + 1:]
+        """One move of `stepper(rng)`."""
+        return self.stepper(rng)(bits)
 
     def moves(self, bits: Config) -> Iterator[tuple[Config, float]]:
         """`step` from `bits` as (state, probability) pairs; a state can
@@ -368,22 +387,24 @@ def run_chain(model, kind: ChainKind, steps: int, seed: int,
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     state = initial_state(model, kind)
-    step = type(model).step
-
     rng = Random(seed)
-    sampler = None
+    resample = None
     if kind.is_orbital:
         if group is None:
             raise ValueError(f"chain kind {kind.value} requires a symmetry group")
-        sampler = OrbitSampler(group, mode, rng)
+        if group.n != len(state):  # `resample` trusts the length `sample` checks
+            raise ValueError(f"configuration length {len(state)} != domain size {group.n}")
+        resample = OrbitSampler(group, mode, rng).resample
+    step = model.stepper(rng)
 
     trace = ChainTrace([state])
+    record = trace.states.append
     t0 = time.perf_counter()
     for t in range(1, steps + 1):
-        state = step(model, state, rng)
-        if sampler is not None:
-            state = sampler.sample(state)
+        state = step(state)
+        if resample is not None:
+            state = resample(state)
         if t % record_every == 0:
-            trace.states.append(state)
+            record(state)
     trace.elapsed_seconds = time.perf_counter() - t0
     return trace

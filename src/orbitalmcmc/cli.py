@@ -69,7 +69,8 @@ def load_config(path: str, known: set) -> dict:
 
     Values stay strings: argparse converts a string default with the
     matching flag's own type.  A key outside `known` (the flag names of all
-    commands) is a usage error; a key that only some commands have is kept.
+    commands) is a usage error; a key that only some commands have is kept,
+    for `main` to give to those commands alone.
     """
     out = {}
     for ln in Path(path).read_text().splitlines():
@@ -132,11 +133,10 @@ class ModelBundle:
         self.kind = args.model
         if self.kind is None:
             raise UsageError("--model is required")
-        # float(): detect and gen have no --lambda flag to type a config value
-        self.lam = float(getattr(args, "lam", 1.0))
+        self.lam = getattr(args, "lam", 1.0)  # detect and gen have no --lambda
         if self.kind in GRAPH_MODELS:
             given = [f"--{f}" for f in ("clauses", "evidence") if getattr(args, f, None)]
-            if given and args.command != "gen":  # gen has neither flag; --config may set one
+            if given:
                 raise UsageError(f"{given[0]} is for --model clauses only, not {self.kind}")
             maker = {"grid": families.gen_grid,
                      "cliques": families.gen_connected_cliques,
@@ -455,14 +455,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            parsers = [parser] + parser.command_parsers
-            known = {a.dest for p in parsers for a in p._actions
-                     if a.option_strings and a.default is not argparse.SUPPRESS}
-            defaults = load_config(args.config, known)
-            # subcommands parse into their own namespace, so defaults must
-            # land on every command parser, not just the root
-            for p in parsers:
-                p.set_defaults(**defaults)
+            flags = {p: {a.dest for a in p._actions
+                         if a.option_strings and a.default is not argparse.SUPPRESS}
+                     for p in [parser] + parser.command_parsers}
+            defaults = load_config(args.config, set().union(*flags.values()))
+            # commands parse into their own namespace: each parser takes
+            # the keys of its own flags only
+            for p, dests in flags.items():
+                p.set_defaults(**{key: defaults[key] for key in dests & defaults.keys()})
             args = parser.parse_args(argv)
         enumeration_cap()  # a bad ORBITAL_GUARD fails here, before any output
         return args.func(args)

@@ -30,7 +30,9 @@ Every uniform index in [0, m) that a sampler here or a step loop in
 `Random.randrange(m)` runs: with k = m.bit_length() bound once,
 `i = getrandbits(k)` retried while i >= m.  It is inlined at each caller,
 so each draw costs no `randrange` call yet consumes the generator exactly
-as `randrange(m)` would, and every stream is `randrange`'s.
+as `randrange(m)` would, and every stream is `randrange`'s.  The samplers
+bind their loops once, as closures over the generator: a step loop calls
+`OrbitSampler.resample` with no attribute read or mode branch per draw.
 """
 
 from __future__ import annotations
@@ -501,53 +503,47 @@ class ProductReplacement:
     consecutive draws enough for frequency tests at the 10^5-draw scale.
     Every value produced is a member of the generated group.
 
-    Burn-in and draws run one loop, `_moves`, which draws each slot index
-    as the module docstring says.  `bytes` images are composed through full
-    256-byte tables: a slot padded with the identity above n, or its
-    inverse, which `bytes.maketrans` already gives as such a table.
+    Burn-in and draws run one loop, `_moves(count)`, a closure bound once
+    over the slots, the accumulator and the generator, which draws each
+    slot index as the module docstring says.  `bytes` images are composed
+    through full 256-byte tables: a slot padded with the identity above n,
+    or its inverse, which `bytes.maketrans` already gives as such a table.
     """
 
     def __init__(self, group: PermutationGroup, *, rng: Random):
         gens = group.generators
-        self.rng = rng
-        self._ident = self._acc = Permutation.identity(group.n).image
-        # (pad, compose, inverse) for the images' storage form
-        self._ops = ((_PAD[group.n:], bytes.translate, bytes.maketrans)
-                     if type(self._ident) is bytes else ((), _compose, _scatter))
+        ident = acc = Permutation.identity(group.n).image
+        pad, compose, inverse = ((_PAD[group.n:], bytes.translate, bytes.maketrans)
+                                 if type(ident) is bytes else ((), _compose, _scatter))
         n_slots = max(MIN_SLOTS, 2 * len(gens) + 1) if gens else 0
-        self._slots = [gens[i % len(gens)].image for i in range(n_slots)]
-        self._moves(BURN_IN_PER_SLOT * n_slots)
-
-    def _moves(self, count: int) -> Image:
-        """Run `count` replacement moves; return the accumulator."""
-        getrandbits, random = self.rng.getrandbits, self.rng.random
-        slots, ident, acc = self._slots, self._ident, self._acc
-        pad, compose, inverse = self._ops
-        s, s1 = len(slots), len(slots) - 1
+        self._slots = slots = [gens[i % len(gens)].image for i in range(n_slots)]
+        s, s1, getrandbits, random = n_slots, n_slots - 1, rng.getrandbits, rng.random
         k, k1 = s.bit_length(), s1.bit_length()
-        for _ in range(count):
-            i = getrandbits(k)
-            while i >= s:
-                i = getrandbits(k)
-            j = getrandbits(k1)
-            while j >= s1:
-                j = getrandbits(k1)
-            if j >= i:
-                j += 1
-            q = slots[j]
-            q = inverse(q, ident) if random() < 0.5 else q + pad
-            r = slots[i] = compose(slots[i], q)
-            acc = compose(acc, inverse(r, ident) if random() < 0.5 else r + pad)
-        self._acc = acc
-        return acc
 
-    def _draw(self) -> Image:
-        """Advance the state and return the accumulator's raw image."""
-        return self._moves(DRAW_MOVES) if self._slots else self._acc
+        def moves(count: int) -> Image:
+            """Run `count` replacement moves; return the accumulator."""
+            nonlocal acc
+            for _ in range(count):
+                i = getrandbits(k)
+                while i >= s:
+                    i = getrandbits(k)
+                j = getrandbits(k1)
+                while j >= s1:
+                    j = getrandbits(k1)
+                if j >= i:
+                    j += 1
+                q = slots[j]
+                q = inverse(q, ident) if random() < 0.5 else q + pad
+                r = slots[i] = compose(slots[i], q)
+                acc = compose(acc, inverse(r, ident) if random() < 0.5 else r + pad)
+            return acc
+
+        self._moves = moves if slots else lambda count: acc  # no slots: no moves, no draws
+        moves(BURN_IN_PER_SLOT * n_slots)
 
     def next(self) -> Permutation:
         """Advance the state and return a (near-uniform) group member."""
-        return Permutation._wrap(self._draw())
+        return Permutation._wrap(self._moves(DRAW_MOVES))
 
 
 class OrbitSampler:
@@ -558,35 +554,44 @@ class OrbitSampler:
     which by the orbit-stabilizer correspondence yields the uniform
     distribution on the orbit.  PRODUCT_REPLACEMENT trades exactness for
     scalability.  A trivial group consumes no randomness.
+
+    `resample`, one closure bound for the mode and the images' storage form,
+    is the resample: `sample` checks the state's length and calls it, a step
+    loop calls it directly.  It is None for a trivial group, which moves nothing.
     """
 
     def __init__(self, group: PermutationGroup, mode: SamplerMode, rng: Random):
-        self.rng = rng
-        exact, trivial = SamplerMode(mode) is SamplerMode.EXACT, not group.generators
-        self._pr = None if exact or trivial else ProductReplacement(group, rng=rng)
-        self._n, self._els = group.n, None
-        if exact and not trivial:
+        self._n, self.resample = group.n, None
+        n, maketrans, exact = group.n, bytes.maketrans, SamplerMode(mode) is SamplerMode.EXACT
+        if not group.generators:
+            return
+        if exact:
             els = group.image_array()
-            self._order, self._els = len(els), memoryview(els).cast("B").cast(els.dtype.char)
-            self._k = self._order.bit_length()
+            order, view = len(els), memoryview(els).cast("B").cast(els.dtype.char)
+            k, getrandbits = order.bit_length(), rng.getrandbits
+
+            def draw() -> Image:
+                i = getrandbits(k)
+                while i >= order:
+                    i = getrandbits(k)
+                return view[i * n:i * n + n]
+
+            def resample(bits: Config) -> Config:  # `draw`, inlined, on `bytes` images
+                i = getrandbits(k)
+                while i >= order:
+                    i = getrandbits(k)
+                return maketrans(view[i * n:i * n + n], bits)[:n]
+        else:
+            draw = functools.partial(ProductReplacement(group, rng=rng)._moves, DRAW_MOVES)
+
+            def resample(bits: Config) -> Config:
+                return maketrans(draw(), bits)[:n]
+        self.resample = resample if n <= MAX_BYTES_N else lambda bits: _scatter(draw(), bits)
 
     def sample(self, bits: Config) -> Config:
-        n = self._n
-        if len(bits) != n:
-            raise ValueError(f"configuration length {len(bits)} != domain size {n}")
-        if self._els is not None:
-            getrandbits, order, k = self.rng.getrandbits, self._order, self._k
-            i = getrandbits(k)
-            while i >= order:
-                i = getrandbits(k)
-            image = self._els[i * n:i * n + n]
-        elif self._pr is not None:
-            image = self._pr._draw()
-        else:
-            return bits
-        if n <= MAX_BYTES_N:
-            return bytes.maketrans(image, bits)[:n]
-        return _scatter(image, bits)
+        if len(bits) != self._n:
+            raise ValueError(f"configuration length {len(bits)} != domain size {self._n}")
+        return bits if self.resample is None else self.resample(bits)
 
 
 def format_generating_set(group: PermutationGroup, names: Sequence[str]) -> str:

@@ -8,11 +8,12 @@ import numpy as np
 
 from orbitalmcmc.analysis import CouplingReport, CouplingSimulator, ExactDistribution
 from orbitalmcmc.autgroup import Cells, color_cells, is_automorphism
+from orbitalmcmc.chains import ChainKind
 from orbitalmcmc.clauses import Clause, WeightedClauseSet, parse_clause_file
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
 from orbitalmcmc.perm import (BURN_IN_PER_SLOT, DRAW_MOVES, MIN_SLOTS, Permutation,
-                              PermutationGroup, _compose, _scatter, config_orbit_partition,
-                              orbit_ids, parse_cycles)
+                              PermutationGroup, SamplerMode, _compose, _scatter,
+                              config_orbit_partition, orbit_ids, parse_cycles)
 
 # Two equal-weight clauses over three variables; the classic two-fold
 # symmetric example: (a or !c) and (b or !c), both weighted 0.5.
@@ -366,6 +367,37 @@ def reference_exact_sample(elements, bits: bytes, rng: Random) -> bytes:
     """Reference for an EXACT `OrbitSampler.sample`: `elements` is the
     group's sorted element tuple."""
     return elements[rng.randrange(len(elements))].apply_config(bits)
+
+
+def reference_chain(model, kind: ChainKind, steps: int, seed: int, record_every: int = 1,
+                    group: PermutationGroup = None, mode: SamplerMode = SamplerMode.EXACT):
+    """Reference for `run_chain`'s states: its loop, one call per draw
+    through the reference steps, `reference_exact_sample` and
+    `ReferenceProductReplacement`; a trivial group draws nothing."""
+    kind, rng = ChainKind(kind), Random(seed)
+    step = (reference_gibbs_step if kind.base is ChainKind.GIBBS
+            else reference_insert_delete_step)
+    resample = None
+    if kind.is_orbital and group.generators:
+        if SamplerMode(mode) is SamplerMode.EXACT:
+            elements = group.elements()
+
+            def resample(bits):
+                return reference_exact_sample(elements, bits, rng)
+        else:
+            pr = ReferenceProductReplacement(group, rng)
+
+            def resample(bits):
+                return pr.next().apply_config(bits)
+    state = model.start
+    states = [state]
+    for t in range(1, steps + 1):
+        state = step(model, state, rng)
+        if resample is not None:
+            state = resample(state)
+        if t % record_every == 0:
+            states.append(state)
+    return states
 
 
 def reference_coupled_draw(sim: CouplingSimulator, pair: int, rng: Random) -> tuple:

@@ -409,10 +409,10 @@ class TestOrbitQuotient:
         rows, gather = representative_rows(base)
         m = len(rows)
         assert m < 63 and rows.shape == (m, 63) and gather.shape == (63, 63)
-        assert analysis._reduced_pi(base, pi, lumped=False) is pi.probs
+        assert analysis._reduced_pi(base, pi, None) is pi.probs
         orbital = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE, grid3_group())
         rows, gather = representative_rows(orbital)
-        lumped_pi = analysis._reduced_pi(orbital, pi, lumped=gather is None)
+        lumped_pi = analysis._reduced_pi(orbital, pi, indicator(orbital))
         assert rows.shape == (m, m) and lumped_pi.shape == (m,) and gather is None
 
     def test_quotient_is_the_lumped_kernel(self):
@@ -431,7 +431,7 @@ class TestOrbitQuotient:
             pi = exact_distribution(model)
             rows, gather = representative_rows(matrix)
             assert gather is None
-            lumped_pi = analysis._reduced_pi(matrix, pi, lumped=True)
+            lumped_pi = analysis._reduced_pi(matrix, pi, indicator(matrix))
             ids = orbit_ids(matrix.action)
             reps = [list(ids).index(o) for o in dict.fromkeys(ids.tolist())]
             # per-orbit sums, in the order of the representatives
@@ -589,6 +589,11 @@ def taus_in_every_order(matrix, pi, epsilons):
     return fresh
 
 
+def indicator(matrix: TransitionMatrix) -> np.ndarray:
+    """The N x M orbit indicator of a lumped kernel's action, as `mixing_time` keeps it."""
+    return analysis._orbit_indicator(orbit_ids(matrix.action))
+
+
 def uninvariant(pi: ExactDistribution, action: np.ndarray) -> ExactDistribution:
     """pi with more weight on one state that the first generator moves."""
     probs = pi.probs.copy()
@@ -640,6 +645,28 @@ class TestMixingLadder:
                 assert all(a is b for a, b in zip(kept, squares))
                 kept = list(squares)
         assert reductions == [63, 63]
+
+    def test_warm_calls_find_no_orbits(self, monkeypatch):
+        # the first call keeps the orbit indicator of a lumped kernel; later
+        # calls check pi and reduce it through the kept indicator alone
+        calls = []
+
+        def spy(action):
+            calls.append(action.shape)
+            return orbit_ids(action)
+
+        monkeypatch.setattr(analysis, "orbit_ids", spy)
+        model, pi = IndependentSetModel(gen_grid(3), 1.0), exact_pi_lambda(gen_grid(3), 1.0)
+        for kind in self.KINDS:
+            matrix = transition_matrix(model, kind, grid3_group())
+            fresh = [mixing_time(dataclasses.replace(matrix), pi, eps) for eps in (0.1, 0.01)]
+            assert mixing_time(matrix, pi, 0.1) == fresh[0]
+            calls.clear()
+            for eps, tau in zip((0.1, 0.01, 0.1), fresh + fresh[:1]):
+                assert mixing_time(matrix, pi, eps) == tau
+                with pytest.raises(ValueError, match="pi is not invariant"):
+                    mixing_time(matrix, uninvariant(pi, matrix.action), eps)
+            assert calls == []
 
     def test_kernel_checks_fail_on_every_call(self):
         states = tuple((i,) for i in range(4))

@@ -20,12 +20,13 @@ from orbitalmcmc.chains import (
 from orbitalmcmc.clauses import (HARD, WeightedClauseSet, model_symmetry_group,
                                  parse_clause_file, weight_value)
 from orbitalmcmc.errors import GuardExceededError, InfeasibleModelError
+from orbitalmcmc.autgroup import automorphism_generators
 from orbitalmcmc.families import gen_complete, gen_friends_smokers, gen_grid
 from orbitalmcmc.graphs import Graph
 from orbitalmcmc.perm import OrbitSampler, PermutationGroup, SamplerMode, parse_cycles
 
-from helpers import (HARD_PAIRS_TEXT, reference_gibbs_step, reference_insert_delete_step,
-                     satisfied_by, two_spin_model)
+from helpers import (HARD_PAIRS_TEXT, reference_chain, reference_gibbs_step,
+                     reference_insert_delete_step, satisfied_by, two_spin_model)
 
 
 def two_spin_chain_model() -> ClauseModel:
@@ -574,3 +575,92 @@ class TestRunChain:
         assert all(satisfied_by(c, s) for s in trace.states
                    for c in clause_set.clauses if c.is_hard)
         assert len(set(trace.states)) > 250  # the resample moves the states
+
+
+def bound_loop_case(name: str):
+    """(model, group, base kind, orbital kind) for the bound-loop tests."""
+    if name in ("grid3", "K9"):
+        graph = gen_grid(3) if name == "grid3" else gen_complete(3)
+        return (IndependentSetModel(graph, 1.5), automorphism_generators(graph),
+                ChainKind.INSERT_DELETE, ChainKind.ORBITAL_INSERT_DELETE)
+    clause_set, evidence = gen_friends_smokers(4, 0.5, 1)  # 18 free of 24 variables
+    return (ClauseModel(clause_set, evidence),
+            model_symmetry_group(clause_set, evidence).model_group,
+            ChainKind.GIBBS, ChainKind.ORBITAL_GIBBS)
+
+
+class TestBoundLoop:
+    """`run_chain` binds its step loop once; its traces are those of the
+    one-call references, for every kind and sampler mode."""
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize("mode", list(SamplerMode))
+    @pytest.mark.parametrize("orbital", [False, True], ids=["base", "orbital"])
+    @pytest.mark.parametrize("name", ["grid3", "K9", "fs4e"])
+    def test_traces_equal_the_references(self, name, orbital, mode, record_every):
+        model, group, base, orbital_kind = bound_loop_case(name)
+        kind = orbital_kind if orbital else base
+        trace = run_chain(model, kind, 300, seed=71, record_every=record_every,
+                          group=group, mode=mode)
+        assert len(trace.states) == 300 // record_every + 1
+        assert trace.states == reference_chain(model, kind, 300, 71, record_every, group, mode)
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_pr_on_tuple_images_equals_the_reference(self, record_every):
+        # fs16: 272 variables, so the group's images are tuples
+        clause_set, _ = gen_friends_smokers(16)
+        group = model_symmetry_group(clause_set).model_group
+        assert group.n == 272 and type(group.generators[0].image) is tuple
+        model, pr = ClauseModel(clause_set), SamplerMode.PRODUCT_REPLACEMENT
+        trace = run_chain(model, ChainKind.ORBITAL_GIBBS, 200, seed=72,
+                          record_every=record_every, group=group, mode=pr)
+        assert trace.states == reference_chain(model, ChainKind.ORBITAL_GIBBS, 200, 72,
+                                               record_every, group, pr)
+
+    @pytest.mark.parametrize("mode", list(SamplerMode))
+    @pytest.mark.parametrize("name", ["grid3", "fs4e"])
+    def test_trivial_group_draws_nothing(self, name, mode):
+        model, _, base, orbital_kind = bound_loop_case(name)
+        trivial = PermutationGroup([], n=model.n)
+        trace = run_chain(model, orbital_kind, 300, seed=73, record_every=3,
+                          group=trivial, mode=mode)
+        assert trace.states == run_chain(model, base, 300, seed=73, record_every=3).states
+        assert trace.states == reference_chain(model, orbital_kind, 300, 73, 3, trivial, mode)
+
+    @pytest.mark.parametrize("mode", list(SamplerMode))
+    def test_wrong_size_group_rejected_before_any_draw(self, mode):
+        model = IndependentSetModel(gen_grid(3), 1.0)
+        for group in (PermutationGroup([], n=8), PermutationGroup([parse_cycles("(0 1)", n=8)])):
+            with pytest.raises(ValueError, match="length 9 != domain size 8"):
+                run_chain(model, ChainKind.ORBITAL_INSERT_DELETE, 0, seed=0,
+                          group=group, mode=mode)
+
+
+class TestOneCallApis:
+    """The one-call APIs bind per call and draw what the bound closures draw."""
+
+    @pytest.mark.parametrize("name", ["grid3", "K9", "fs4e"])
+    def test_step_equals_a_stepper_on_a_clone(self, name):
+        model = bound_loop_case(name)[0]
+        rng, clone = Random(74), Random(74)
+        step = model.stepper(clone)
+        state = expected = model.start
+        for _ in range(2000):
+            state, expected = model.step(state, rng), step(expected)
+            assert state == expected
+        assert rng.getstate() == clone.getstate()
+
+    @pytest.mark.parametrize("mode", list(SamplerMode))
+    @pytest.mark.parametrize("group", [
+        pytest.param(PermutationGroup([], n=9), id="trivial"),
+        pytest.param(automorphism_generators(gen_grid(3)), id="grid3-bytes"),
+        pytest.param(PermutationGroup([parse_cycles(f"({i} {i + 1})", n=300)
+                                       for i in (0, 298)]), id="300-tuples")])
+    def test_sample_rejects_a_wrong_length_unchanged(self, group, mode):
+        rng = Random(76)
+        sampler = OrbitSampler(group, mode, rng)
+        before = rng.getstate()
+        for bits in (bytes(group.n - 1), bytes(group.n + 1)):
+            with pytest.raises(ValueError, match=f"!= domain size {group.n}"):
+                sampler.sample(bits)
+        assert rng.getstate() == before

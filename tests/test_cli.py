@@ -378,6 +378,8 @@ class TestAnalysisCommands:
         runs = {"mix": (["--chain", "id"], ["--epsilon", "0.1,0.01"]),
                 "sample": (["--steps", "50", "--mode", "exact"],
                            ["--seeds", "0,3"])}
+        # each command resolves the keys of its own flags only
+        lines = {"mix": ("epsilon=0.1,0.01\n", "seeds="), "sample": ("seeds=0,3\n", "epsilon=")}
         for command, (common, typed) in runs.items():
             via_config = tmp_path / f"{command}_config"
             via_flags = tmp_path / f"{command}_flags"
@@ -395,9 +397,9 @@ class TestAnalysisCommands:
                     assert (via_config / name).read_text() == \
                         (via_flags / name).read_text()
             resolved = (via_config / "config.resolved.txt").read_text()
-            assert "lam=2.0\n" in resolved
-            assert "epsilon=0.1,0.01\n" in resolved
-            assert "seeds=0,3\n" in resolved
+            own, other = lines[command]
+            assert "lam=2.0\n" in resolved and own in resolved
+            assert other not in resolved
         assert (tmp_path / "sample_config" / "trace_id_seed3.csv").exists()
         mix_rows = (tmp_path / "mix_config" / "mix.csv").read_text().splitlines()
         assert [row.split(",")[1] for row in mix_rows[1:]] == ["0.1", "0.01"]
@@ -408,6 +410,33 @@ class TestAnalysisCommands:
         code, out, _ = run_cli(capsys, "--config", str(config), "detect")
         assert code == 0
         assert "group order: 8" in out
+
+    def test_config_keys_reach_only_commands_with_the_flag(self, capsys, tmp_path):
+        # detect has no --lambda: a config lam neither reaches it nor is resolved
+        config = tmp_path / "run.cfg"
+        config.write_text("model=grid\nk=3\nlam=2\n")
+        code, _, _ = run_cli(capsys, "--config", str(config), "detect",
+                             "--out", str(tmp_path / "detect"))
+        assert code == 0
+        resolved = (tmp_path / "detect" / "config.resolved.txt").read_text().splitlines()
+        assert "model=grid" in resolved
+        assert not [line for line in resolved if line.startswith("lam=")]
+
+    def test_config_evidence_reaches_only_commands_with_the_flag(self, capsys, tmp_path):
+        # gen has no --evidence, so the key is not its own; mix has, and
+        # evidence on a graph model is a usage error there
+        (tmp_path / "e.txt").write_text("a=true\n")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"model=grid\nk=3\nevidence={tmp_path / 'e.txt'}\n")
+        code, _, _ = run_cli(capsys, "--config", str(config), "gen",
+                             "--out", str(tmp_path / "gen"))
+        assert code == 0
+        assert (tmp_path / "gen" / "model.graph.txt").exists()
+        code, _, err = run_cli(capsys, "--config", str(config), "mix",
+                               "--out", str(tmp_path / "mix"))
+        assert code == 1
+        assert "--evidence is for --model clauses only, not grid" in err
+        assert not (tmp_path / "mix").exists()
 
     def test_config_comment_and_blank_lines_skipped(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
