@@ -65,6 +65,11 @@ GOLDEN = {
     "gens/fs7e/graph": "07330c18623841a6",
     "orbits/fs7e/graph": "f848ea4c9250f5c5",
     "gens/fs7e/model": "a560161b09e2b7b7",
+    # past the sizes above: cliques 10 (40 vertices) and fs20 with the fs7
+    # evidence (2,420 vertices)
+    "gens/cliques10": "f4dbb2e6b20701d4",
+    "gens/fs20e/graph": "d19c2a9dae7bc75e",
+    "orbits/fs20e/graph": "9071ca770e3f235e",
     "kernel/grid3": "bac07869742a1582",
     "kernel/cliques3": "76c214daae07a8b1",
     "kernel/complete3": "c066cecd24e5d084",
@@ -172,6 +177,23 @@ def test_detection_with_evidence_classes():
     assert digest(orbits) == GOLDEN["orbits/fs7e/graph"]
     assert digest(images(report.model_group)) == GOLDEN["gens/fs7e/model"]
     order, orbits = fs_expected(7, FS_EVIDENCE)
+    assert report.model_group.order() == order
+    assert len(report.variable_orbits) == orbits
+
+
+def test_cliques10_generators():
+    group = autgroup.automorphism_generators(families.gen_connected_cliques(10))
+    assert digest(images(group)) == GOLDEN["gens/cliques10"]
+
+
+def test_detection_past_2000_vertices():
+    model, _ = families.gen_friends_smokers(20)
+    report = clauses.model_symmetry_group(model, FS_EVIDENCE)
+    assert report.graph_group.n > 2000
+    assert digest(images(report.graph_group)) == GOLDEN["gens/fs20e/graph"]
+    orbits = [list(o) for o in report.graph_group.orbit_partition()]
+    assert digest(orbits) == GOLDEN["orbits/fs20e/graph"]
+    order, orbits = fs_expected(20, FS_EVIDENCE)
     assert report.model_group.order() == order
     assert len(report.variable_orbits) == orbits
 
