@@ -145,27 +145,30 @@ def transition_matrix(model, kind: ChainKind,
     return TransitionMatrix(states, rows, action)
 
 
-def representative_rows(matrix: TransitionMatrix) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def representative_rows(matrix: TransitionMatrix
+                        ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """The kernel reduced to one row per orbit of its group action, for
-    `mixing_time`: (rows, gather), with the M orbits in order of their
-    first states.
+    `mixing_time`: (rows, gather, indicator), with the M orbits in order
+    of their first states.
 
     If the rows of the first states are constant on column orbits, as those
     of every orbital kernel K = P A are, the kernel is lumped: rows is the
-    M x M quotient Q(O, O') = K(first state of O, O') and gather None.
+    M x M quotient Q(O, O') = K(first state of O, O'), gather None and
+    indicator the N x M `_orbit_indicator` that sums pi orbit by orbit.
     ValueError unless, to 1e-12, the rows of an orbit lump alike and every
     column is constant on orbits.  Otherwise rows are the M x N rows of the
-    first states, and `rows.take(gather)` expands them, and those of every
+    first states, `rows.take(gather)` expands them, and those of every
     power P^t, to the whole kernel: if x = g r, then P^t(x, y) =
-    P^t(r, g^-1 y).  ValueError unless, to 1e-12, P[s, s] = P for the index
-    array s of every generator."""
+    P^t(r, g^-1 y), and indicator is None.  ValueError unless, to 1e-12,
+    P[s, s] = P for the index array s of every generator."""
     rows, n = matrix.rows, len(matrix.states)
     ids = orbit_ids(matrix.action)
     reps = np.unique(ids, return_index=True)[1]
     columns = reps[ids]  # the first state of each state's orbit
-    first, gather = rows[reps], None
+    first, gather, indicator = rows[reps], None, None
     if np.abs(first - first[:, columns]).max() <= 1e-12:
-        lumped = rows @ _orbit_indicator(ids)
+        indicator = _orbit_indicator(ids)
+        lumped = rows @ indicator
         if np.abs(lumped - lumped[reps][ids]).max() > 1e-12:
             raise ValueError("kernel is not lumpable: rows differ within an orbit")
         if np.abs(rows - rows[:, columns]).max() > 1e-12:
@@ -184,7 +187,7 @@ def representative_rows(matrix: TransitionMatrix) -> tuple[np.ndarray, Optional[
             # row x = row z with its columns moved by generator g
             gather[x] = ids[x] * n + np.arange(n) if z < 0 else gather[z][back[g]]
         reduced = first
-    return reduced, gather
+    return reduced, gather, indicator
 
 
 def _orbit_indicator(ids: np.ndarray) -> np.ndarray:
@@ -333,10 +336,8 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution, eps: float) -
             raise ValueError("chain is not irreducible")
         if not (np.diag(matrix.rows) > 0).any():
             raise ValueError("cannot verify aperiodicity: no positive diagonal")
-        rows, gather = ((matrix.rows, None) if matrix.action is None
-                        else representative_rows(matrix))
-        indicator = (_orbit_indicator(orbit_ids(matrix.action))
-                     if matrix.action is not None and gather is None else None)
+        rows, gather, indicator = ((matrix.rows, None, None) if matrix.action is None
+                                   else representative_rows(matrix))
         ladder = [rows], gather, indicator  # [rows] grows: squares[j] = P^(2^j), M rows
     squares, gather, indicator = ladder
     pi = dist.probs if matrix.action is None else _reduced_pi(matrix, dist, indicator)

@@ -13,19 +13,22 @@ brute-force oracle in the test suite (`tests/helpers.py`), and the pruning
 and the backtracking each by a graph that needs it.
 
 Refinement works in synchronous passes with a sparse key: a vertex is keyed
-by the (-cell index, neighbor count) pairs of the cells it has neighbors
+by the (-cell start, neighbor count) pairs of the cells it has neighbors
 in, which orders fragments exactly as dense per-cell count vectors would,
 without a pass costing n * cells.  After the first pass only fresh cells,
 those the previous pass split off, are counted, and only the cells next to
 them are examined; individualizing a vertex of an equitable partition
-counts the new singleton alone.
+counts the new singleton alone.  The partition is three flat lists, the
+vertices in cell order, each vertex's cell start and each start's cell
+size; a pass splits cells in place, and the search copies the lists once
+per individualized vertex, so no pass renumbers the cells it leaves alone.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
-from typing import Optional, Sequence
+from collections import defaultdict
+from typing import Optional
 
 from .graphs import Graph
 from .perm import Permutation, PermutationGroup, orbit_ids
@@ -53,11 +56,20 @@ def color_refine(graph: Graph) -> Cells:
     Splitting never merges cells and a pass over an equitable partition is
     a no-op.
 
-    The key is sparse: the (-cell index, count) pairs, ascending by cell,
-    of the cells a vertex has neighbors in.  It orders fragments as the
-    dense vector of counts in every cell would: at the first cell where two
-    vertices differ, the one with more neighbors there sorts later, and a
-    missing pair is a count of 0.
+    The partition is kept in three lists of length n: `lab`, the vertices
+    in cell order; `start[v]`, the position of v's cell in `lab`, which is
+    its cell id; and `size[p]`, the size of the cell at position p, 0 where
+    no cell starts.  A split writes the fragments back over the cell and
+    renumbers only the vertices outside its first fragment.
+
+    The key is sparse: the (-cell start, count) pairs, ascending by cell,
+    of the cells a vertex has neighbors in, kept written out as -start
+    once per neighbor.  That list sorts as the pairs do: of two runs of
+    one start, the shorter ends first or meets a lower -start.  Cell
+    starts order cells as their indices do, so the key orders fragments as
+    the dense vector of counts in every cell would: at the first cell
+    where two vertices differ, the one with more neighbors there sorts
+    later, and a missing pair is a count of 0.
 
     The first pass counts neighbors in every cell.  Later passes count only
     neighbors in fresh cells, the fragments the previous pass split off
@@ -67,77 +79,89 @@ def color_refine(graph: Graph) -> Cells:
     last fragment's count is the split cell's uniform count minus its
     siblings', so it never holds the first difference between two vertices.
     """
-    cells = [list(c) for c in color_cells(graph)]
-    return _refine(graph, cells, range(len(cells)))
+    lab, _, size = _root(graph)
+    return tuple(tuple(lab[p:p + k]) for p, k in enumerate(size) if k)
 
 
-def _refine(graph: Graph, cells: list[list[int]], fresh: Sequence[int]) -> Cells:
-    """Refine sorted cells to equitable; see `color_refine` for the rules.
+Partition = tuple[list[int], list[int], list[int]]  # lab, start, size
 
-    `fresh` lists, ascending, the cells whose neighbors the first pass
-    counts.  It must be what a pass would list: every cell, or the pieces
-    just split off the cells of an equitable partition except the last
-    piece of each.
+
+def _root(graph: Graph) -> Partition:
+    """`color_refine` as the lists the search works on."""
+    lab, start, size = [], [0] * graph.n, [0] * graph.n
+    for cell in color_cells(graph):
+        size[len(lab)] = len(cell)
+        for v in cell:
+            start[v] = len(lab)
+        lab += cell
+    _refine(graph, lab, start, size, [p for p, k in enumerate(size) if k])
+    return lab, start, size
+
+
+def _refine(graph: Graph, lab: list[int], start: list[int], size: list[int],
+            fresh: list[int]) -> None:
+    """Refine a partition to equitable in place; see `color_refine` for the
+    lists and the rules.
+
+    `fresh` lists, ascending, the starts of the cells whose neighbors the
+    first pass counts.  It must be what a pass would list: every cell, or
+    the pieces just split off the cells of an equitable partition except
+    the last piece of each.
     """
     adj = graph.adj
-    cell_of = [0] * graph.n
     while fresh:
-        for idx, cell in enumerate(cells):
-            for v in cell:
-                cell_of[v] = idx
-        # hits[v]: (-c, count of v's neighbors in c) per fresh cell c, c ascending
-        hits: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        # hits[v]: -c once per neighbor of v in c, per fresh cell c ascending
+        hits: defaultdict[int, list[int]] = defaultdict(list)
         for c in fresh:
-            counts = Counter(itertools.chain.from_iterable(adj[w] for w in cells[c]))
-            for v, k in counts.items():
-                hits[v].append((-c, k))
-        splits: dict[int, list[list[int]]] = {}
-        for x in {cell_of[v] for v in hits}:
-            cell = cells[x]
-            if len(cell) == 1:
-                continue
-            groups: dict[tuple, list[int]] = {}
-            for v in cell:
-                groups.setdefault(tuple(hits.get(v, ())), []).append(v)
-            if len(groups) > 1:
-                splits[x] = [groups[k] for k in sorted(groups)]
-        if not splits:
-            break
-        new_cells: list[list[int]] = []
+            for w in lab[c:c + size[c]]:
+                for v in adj[w]:
+                    hits[v].append(-c)
+        # a cell's fragments depend on its own vertices alone, so each is
+        # split as soon as it is keyed; a vertex without hits keys [],
+        # which sorts first, and the stable sort keeps each fragment sorted
+        key = hits.__getitem__
         fresh = []
-        for idx, cell in enumerate(cells):
-            frags = splits.get(idx)
-            if frags is None:
-                new_cells.append(cell)
+        for x in {start[v] for v in hits}:
+            if size[x] == 1:
                 continue
-            for frag in frags[:-1]:
-                fresh.append(len(new_cells))
-                new_cells.append(frag)
-            new_cells.append(frags[-1])
-        cells = new_cells
-    return tuple(tuple(c) for c in cells)
+            cell = sorted(lab[x:x + size[x]], key=key)
+            frags = [list(g) for _, g in itertools.groupby(cell, key)]
+            if len(frags) == 1:
+                continue
+            lab[x:x + size[x]] = cell
+            p = x
+            for frag in frags:
+                size[p] = len(frag)
+                fresh.append(p)
+                if p != x:
+                    for v in frag:
+                        start[v] = p
+                p += len(frag)
+            fresh.pop()  # the last fragment
+        fresh.sort()
 
 
-def _target_cell(cells: Cells) -> int:
-    """Index of the first non-singleton cell of minimum size."""
-    best = -1
-    best_size = None
-    for i, cell in enumerate(cells):
-        if len(cell) > 1 and (best_size is None or len(cell) < best_size):
-            best, best_size = i, len(cell)
-    return best
+def _target_cell(size: list[int]) -> int:
+    """Start of the first non-singleton cell of minimum size, -1 if none."""
+    sizes = set(size) - {0, 1}
+    return size.index(min(sizes)) if sizes else -1
 
 
-def _individualize(graph: Graph, cells: Cells, idx: int, v: int) -> Cells:
-    # cells is equitable and (v,) comes before the rest of its cell, so
+def _individualize(graph: Graph, part: Partition, x: int, v: int) -> Partition:
+    """The refinement of `part` with v split off the front of its cell, the
+    one at x; `part` itself is left as it was."""
+    lab, start, size = part[0][:], part[1][:], part[2][:]
+    # part is equitable and (v,) comes before the rest of its cell, so
     # counting v's neighbors decides the first pass
-    split = [list(c) for c in cells]
-    split[idx:idx + 1] = [[v], [x for x in cells[idx] if x != v]]
-    return _refine(graph, split, (idx,))
-
-
-def _profile(cells: Cells) -> tuple[int, ...]:
-    return tuple(len(c) for c in cells)
+    i = lab.index(v, x)
+    lab[x + 1:i + 1] = lab[x:i]
+    lab[x] = v
+    size[x + 1] = size[x] - 1
+    size[x] = 1
+    for w in lab[x + 1:x + 1 + size[x + 1]]:
+        start[w] = x + 1
+    _refine(graph, lab, start, size, [x])
+    return lab, start, size
 
 
 def is_automorphism(graph: Graph, p: Permutation) -> bool:
@@ -165,38 +189,32 @@ def automorphism_generators(graph: Graph) -> PermutationGroup:
     of per-level representatives generate the whole group; vertices already
     reachable under discovered generators are skipped.
     """
-    root = color_refine(graph)
+    # first branch: partitions and branch cells from root to a discrete leaf;
+    # no partition is changed once made, so the path's size lists are the
+    # profiles a node is checked against
+    path: list[tuple[Partition, int]] = []
+    part = _root(graph)
+    while (x := _target_cell(part[2])) >= 0:
+        path.append((part, x))
+        part = _individualize(graph, part, x, part[0][x])
+    profiles = [size for (_, _, size), _ in path] + [part[2]]
+    base_start = part[1]  # a discrete partition's starts are positions
 
-    # first branch: partitions and branch choices from root to a discrete leaf
-    path: list[tuple[Cells, int]] = []
-    profiles: list[tuple[int, ...]] = []
-    cells = root
-    while True:
-        profiles.append(_profile(cells))
-        idx = _target_cell(cells)
-        if idx < 0:
-            break
-        path.append((cells, idx))
-        cells = _individualize(graph, cells, idx, cells[idx][0])
-    base_leaf = cells
-
-    def leaf_permutation(leaf: Cells) -> Optional[Permutation]:
-        mapping = [0] * graph.n
-        for (src,), (dst,) in zip(base_leaf, leaf):
-            mapping[src] = dst
-        p = Permutation._trusted(mapping)
+    def leaf_permutation(lab: list[int]) -> Optional[Permutation]:
+        p = Permutation._trusted(list(map(lab.__getitem__, base_start)))
         return p if is_automorphism(graph, p) else None
 
-    def search(cells: Cells, depth: int) -> Optional[Permutation]:
+    def search(part: Partition, depth: int) -> Optional[Permutation]:
         # exhaustive hunt for one automorphism below this node; a node that
         # passes the profile check is discrete only at the base leaf's depth
-        if _profile(cells) != profiles[depth]:
+        lab, _, size = part
+        if size != profiles[depth]:
             return None
-        idx = _target_cell(cells)
-        if idx < 0:
-            return leaf_permutation(cells)
-        for u in cells[idx]:
-            found = search(_individualize(graph, cells, idx, u), depth + 1)
+        x = _target_cell(size)
+        if x < 0:
+            return leaf_permutation(lab)
+        for u in lab[x:x + size[x]]:
+            found = search(_individualize(graph, part, x, u), depth + 1)
             if found is not None:
                 return found
         return None
@@ -204,15 +222,14 @@ def automorphism_generators(graph: Graph) -> PermutationGroup:
     gens: list[Permutation] = []
     ids = list(range(graph.n))  # point orbit ids under gens
     for depth in range(len(path) - 1, -1, -1):
-        cells, idx = path[depth]
-        cell = cells[idx]
+        part, x = path[depth]
+        cell = part[0][x:x + part[2][x]]
         v = cell[0]
         for u in cell[1:]:
             if ids[u] == ids[v]:
                 continue
-            found = search(_individualize(graph, cells, idx, u), depth + 1)
+            found = search(_individualize(graph, part, x, u), depth + 1)
             if found is not None:  # found takes v to u, so it is not in gens
                 gens.append(found)
                 ids = orbit_ids(PermutationGroup(gens).point_action()).tolist()
     return PermutationGroup(gens, n=graph.n)
-

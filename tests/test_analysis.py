@@ -406,13 +406,15 @@ class TestOrbitQuotient:
         base = transition_matrix(model, ChainKind.INSERT_DELETE, grid3_group())
         assert base.action.shape == (2, 63)
         assert transition_matrix(model, ChainKind.INSERT_DELETE).action is None
-        rows, gather = representative_rows(base)
+        rows, gather, lumping = representative_rows(base)
         m = len(rows)
         assert m < 63 and rows.shape == (m, 63) and gather.shape == (63, 63)
+        assert lumping is None
         assert analysis._reduced_pi(base, pi, None) is pi.probs
         orbital = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE, grid3_group())
-        rows, gather = representative_rows(orbital)
-        lumped_pi = analysis._reduced_pi(orbital, pi, indicator(orbital))
+        rows, gather, lumping = representative_rows(orbital)
+        assert np.array_equal(lumping, indicator(orbital))
+        lumped_pi = analysis._reduced_pi(orbital, pi, lumping)
         assert rows.shape == (m, m) and lumped_pi.shape == (m,) and gather is None
 
     def test_quotient_is_the_lumped_kernel(self):
@@ -429,9 +431,9 @@ class TestOrbitQuotient:
                 fs3):
             matrix = transition_matrix(model, kind, group)
             pi = exact_distribution(model)
-            rows, gather = representative_rows(matrix)
+            rows, gather, lumping = representative_rows(matrix)
             assert gather is None
-            lumped_pi = analysis._reduced_pi(matrix, pi, indicator(matrix))
+            lumped_pi = analysis._reduced_pi(matrix, pi, lumping)
             ids = orbit_ids(matrix.action)
             reps = [list(ids).index(o) for o in dict.fromkeys(ids.tolist())]
             # per-orbit sums, in the order of the representatives
@@ -530,7 +532,8 @@ class TestRepresentativeRows:
                  automorphism_generators(gen_connected_cliques(3))),
                 fs3):
             matrix = transition_matrix(model, kind, group)
-            reps, gather = representative_rows(matrix)
+            reps, gather, lumping = representative_rows(matrix)
+            assert lumping is None
             ids = orbit_ids(transition_matrix(model, orbital, group).action)
             assert len(reps) == len(set(ids.tolist())) < len(matrix.states)
             assert np.abs(reps.take(gather) - matrix.rows).max() <= 1e-12
@@ -645,6 +648,24 @@ class TestMixingLadder:
                 assert all(a is b for a, b in zip(kept, squares))
                 kept = list(squares)
         assert reductions == [63, 63]
+
+    def test_first_call_finds_orbits_once(self, monkeypatch):
+        # representative_rows finds the orbits and hands mixing_time the
+        # indicator it lumped by, so a first call finds them once
+        calls = []
+
+        def spy(action):
+            calls.append(action.shape)
+            return orbit_ids(action)
+
+        monkeypatch.setattr(analysis, "orbit_ids", spy)
+        model, pi = IndependentSetModel(gen_grid(3), 1.0), exact_pi_lambda(gen_grid(3), 1.0)
+        for kind in self.KINDS:
+            matrix = transition_matrix(model, kind, grid3_group())
+            dense = dataclasses.replace(matrix, action=None)
+            calls.clear()
+            assert mixing_time(matrix, pi, 0.1) == mixing_time(dense, pi, 0.1)
+            assert calls == [(2, 63)]
 
     def test_warm_calls_find_no_orbits(self, monkeypatch):
         # the first call keeps the orbit indicator of a lumped kernel; later

@@ -118,6 +118,23 @@ def assert_equitable(graph: Graph, cells) -> None:
         assert len(profiles) == 1, cell
 
 
+def cells_of(part) -> tuple:
+    """The cells of a search partition (lab, start, size), in order, after
+    checking that its three lists agree."""
+    lab, start, size = part
+    cells = tuple(tuple(lab[p:p + k]) for p, k in enumerate(size) if k)
+    assert sorted(lab) == list(range(len(lab))) and sum(size) == len(lab)
+    assert all(start[v] == p for p, k in enumerate(size) if k for v in lab[p:p + k])
+    return cells
+
+
+def split_off(cells: tuple, v: int) -> tuple:
+    """The cells with v split off the front of its cell."""
+    idx = next(i for i, cell in enumerate(cells) if v in cell)
+    rest = tuple(x for x in cells[idx] if x != v)
+    return cells[:idx] + ((v,), rest) + cells[idx + 1:]
+
+
 class TestColoredGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -191,20 +208,45 @@ class TestRefinementOrder:
         calls = []
         individualize = autgroup._individualize
 
-        def recording(graph, cells, idx, v):
-            out = individualize(graph, cells, idx, v)
-            calls.append((graph, cells, idx, v, out))
+        def recording(graph, part, x, v):
+            out = individualize(graph, part, x, v)
+            calls.append((graph, cells_of(part), v, cells_of(out)))
             return out
 
         monkeypatch.setattr(autgroup, "_individualize", recording)
         model, _ = families.gen_friends_smokers(7)
         clauses.model_symmetry_group(model, FS_EVIDENCE)
         assert len(calls) >= 10
-        for graph, cells, idx, v, out in calls:
-            rest = tuple(x for x in cells[idx] if x != v)
-            split = cells[:idx] + ((v,), rest) + cells[idx + 1:]
-            assert out == dense_color_refine(recolored(graph, split))
+        for graph, cells, v, out in calls:
+            assert out == dense_color_refine(recolored(graph, split_off(cells, v)))
             assert_equitable(graph, out)
+
+    @pytest.mark.parametrize("detect", [
+        lambda: clauses.model_symmetry_group(families.gen_friends_smokers(7)[0], FS_EVIDENCE),
+        lambda: automorphism_generators(disjoint_union(shrikhande(), rook4())),
+    ], ids=["fs7e", "shrikhande-rook4"])
+    def test_search_leaves_the_first_path_unchanged(self, monkeypatch, detect):
+        # the search keeps the first path's partitions to the end and
+        # individualizes each of them again; when it is over, each must
+        # still be the refinement of the split it was made from
+        calls = []
+        individualize = autgroup._individualize
+
+        def recording(graph, part, x, v):
+            cells = cells_of(part)
+            out = individualize(graph, part, x, v)
+            calls.append((graph, cells, v, out, all(out[2])))
+            return out
+
+        monkeypatch.setattr(autgroup, "_individualize", recording)
+        detect()
+        leaves = [i for i, call in enumerate(calls) if call[4]]
+        first_path = calls[:leaves[0] + 1]  # up to the first discrete leaf
+        graph = calls[0][0]
+        assert cells_of(autgroup._root(graph)) == color_refine(graph) == calls[0][1]
+        for graph, cells, v, out, _ in first_path:
+            assert cells_of(out) == dense_color_refine(recolored(graph, split_off(cells, v)))
+        assert len(first_path) >= 3 and len(calls) > len(first_path)
 
 
 class TestIsAutomorphism:

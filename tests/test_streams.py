@@ -2,7 +2,9 @@
 
 The digests were recorded with the tuple-based permutation code that
 preceded the `bytes` storage, and the fs7-with-evidence digests with the
-dense-signature refinement that preceded the sparse incremental one.  The
+dense-signature refinement that preceded the sparse incremental one; the
+cliques 10 and fs20-with-evidence digests were recorded with the
+list-of-cells refinement that preceded the in-place one.  The
 exact-analysis digests (orbital kernels, coupled steps and mixing times)
 were recorded with the bisection mixing time, the looped orbit averaging
 and the group-scanning coalescence test that preceded the current ones.
