@@ -21,8 +21,8 @@ import numpy as np
 from .chains import ChainKind, ChainTrace, IndependentSetModel
 from .errors import GuardExceededError, enumeration_cap
 from .graphs import Graph
-from .perm import (Config, Permutation, PermutationGroup, _orbit_walk, as_config, config_matrix,
-                   config_rows, orbit_ids, state_action)
+from .perm import (Config, PermutationGroup, _orbit_walk, as_config, config_matrix, config_rows,
+                   orbit_ids, state_action)
 
 
 class ExactDistribution:
@@ -400,9 +400,10 @@ class CouplingSimulator:
     neighbour of vertex w, one product with the adjacency matrix;
     `flip[s, w]`, the index of s with vertex w removed or added, -1 when
     that is not a state; each state's orbit id under the group action; the
-    distance-one pairs as (upper, lower, vertex) index arrays in the order
-    of `pairs`; and the case of every pair and vertex, one case rule read by
-    `varrho` and the coupled draw.  The model must run `orbital-id` chains.
+    distance-one pairs (X, X minus one vertex) as (upper, lower, vertex)
+    index arrays, X in lexicographic order and the vertex ascending; and the
+    case of every pair and vertex, one case rule read by `varrho` and the
+    coupled draw.  The model must run `orbital-id` chains.
 
     The two chains share the vertex choice and acceptance coin and apply a
     common uniformly drawn group element, so each side marginally follows
@@ -410,16 +411,17 @@ class CouplingSimulator:
     can accept the chosen insertion and the upper state already lies in
     the inserted state's orbit, both sides move to one uniform sample of
     that shared orbit and the pair coalesces: some group element maps the
-    upper state to the inserted one iff their orbit ids agree.  Only `step`
-    applies the element, so only `step` enumerates the group.
+    upper state to the inserted one iff their orbit ids agree.  The draw
+    gives the element as an index into the group's sorted elements and
+    never applies it, so the group is never enumerated.
     """
 
     def __init__(self, model: IndependentSetModel, group: PermutationGroup):
         ChainKind.ORBITAL_INSERT_DELETE.check(model)
         self.model = model
         self.states = model.states()
-        self._group, self._order = group, group.order()
-        self._index = {s: i for i, s in enumerate(self.states)}
+        self._order = group.order()
+        index = {s: i for i, s in enumerate(self.states)}
         n = model.n
         bits = config_matrix(self.states, n).astype(bool)
         adjacency = np.zeros((n, n), dtype=bool)
@@ -430,7 +432,7 @@ class CouplingSimulator:
         for w in range(n):
             toggled = bits.copy()
             toggled[:, w] ^= True
-            flip[:, w] = [self._index.get(s, -1) for s in config_rows(toggled)]
+            flip[:, w] = [index.get(s, -1) for s in config_rows(toggled)]
         upper, vertex = np.nonzero(bits)
         lower = flip[upper, vertex]
         # the case rule: 1 if the pair differs at w, 2 if w is in both, 3 if
@@ -446,25 +448,6 @@ class CouplingSimulator:
         # draws its indices as `perm`'s module docstring says, from these bounds
         self._views = tuple(map(memoryview, (upper, lower, cases, flip, self._orbit)))
         self._bounds = (n, n.bit_length(), self._order, self._order.bit_length())
-
-    def _pair_of(self, upper: Config, lower: Config) -> int:
-        """The index in `pairs` of a distance-one pair of 0/1 sequences."""
-        index, upper, lower = self._index, as_config(upper), as_config(lower)
-        if upper not in index or lower not in index:
-            raise ValueError("coupled states must be independent sets")
-        diff = [v for v, (a, b) in enumerate(zip(upper, lower)) if a != b]
-        if len(diff) != 1 or not upper[diff[0]]:
-            raise ValueError(
-                "states must differ at exactly one vertex present in the first")
-        # the pairs of a state are its vertices in ascending order
-        return int(np.searchsorted(self._upper, index[upper])) + sum(upper[:diff[0]])
-
-    def pairs(self) -> list[tuple[Config, Config]]:
-        """All ordered pairs (X, X minus one vertex), X in lexicographic
-        order and the vertex ascending."""
-        states = self.states
-        return [(states[u], states[v]) for u, v in zip(self._upper.tolist(),
-                                                       self._lower.tolist())]
 
     def rho(self) -> float:
         """Fraction of adjacent-extension triples landing in different orbits:
@@ -486,7 +469,7 @@ class CouplingSimulator:
         return hits / (len(self._upper) * self.model.n)
 
     def _draw(self, pair: int, rng: Random) -> tuple[int, int, int, int]:
-        """One coupled step of the pair with index `pair` in `pairs`, on
+        """One coupled step of the distance-one pair with index `pair`, on
         state indices: (a, b, element, case), where the group element with
         index `element` in its sorted elements maps states a and b to the
         new upper and lower states.  Draws, from rng, the vertex, then the
@@ -514,15 +497,6 @@ class CouplingSimulator:
             element = rng.getrandbits(korder)
         return a, b, element, case
 
-    def step(self, upper: Config, lower: Config,
-             rng: Random) -> tuple[Config, Config, int]:
-        """One coupled step of a distance-one pair of 0/1 sequences: the new
-        upper and lower states and the case of the chosen vertex."""
-        a, b, element, case = self._draw(self._pair_of(upper, lower), rng)
-        g = Permutation._trusted(self._group.image_array()[element].tolist())
-        new = g.apply_config(self.states[a])
-        return new, (new if a == b else g.apply_config(self.states[b])), case
-
 
 def coupling_drift(model: IndependentSetModel, group: PermutationGroup,
                    trials: int, seed: int = 0) -> CouplingReport:
@@ -530,8 +504,7 @@ def coupling_drift(model: IndependentSetModel, group: PermutationGroup,
     -1/n + varrho (2 rho - 1) lam / (1 + lam), all read from one simulator.
 
     Each trial draws a pair index, then one coupled step through the
-    simulator's draw, so the random stream is that of `step` on the pair.
-    The drawn element is not applied: a permutation of the vertices keeps
+    simulator's draw.  The drawn element is not applied: a permutation of the vertices keeps
     Hamming distances, so the new pair is as far apart as its pre-images,
     one XOR of their bit masks.  Nothing is kept per trial."""
     if trials < 1:

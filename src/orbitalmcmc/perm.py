@@ -18,12 +18,15 @@ image, which reads the same ints from both forms.
 Groups are represented by generating sets and a stabilizer chain, built
 lazily by deterministic Schreier-Sims on the raw images: the order is the
 product of its transversal sizes, and all elements, when needed, are one
-sorted |G| x n array read off it once, the only copy kept.  Every orbit,
-of points, configurations or states, is read off one routine, `orbit_ids`,
-from an action given as one row of images per generator:
+sorted |G| x n array read off it once, the only copy kept and the one way
+to list them (`image_array`).  Every orbit, of points, configurations or
+states, is read off one routine, `orbit_ids`, from an action given as one
+row of images per generator:
 `PermutationGroup.point_action` on points, `state_action` on a
 configuration list; beside it, `_orbit_walk` walks the same action and
 gives `representative_rows` its gather tree.  Lists of orbits are sorted tuples.
+Cycle notation is written here (`format_cycles`, `format_generating_set`),
+never read back.
 
 Every uniform index in [0, m) that a sampler here or a step loop in
 `chains` or `analysis` draws comes from the rejection loop CPython's
@@ -40,7 +43,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from enum import Enum
 from operator import itemgetter
 from random import Random
@@ -53,7 +55,6 @@ from .errors import GuardExceededError, enumeration_cap
 Config = bytes  # binary configuration: one 0/1 byte per variable, at every n
 Image = Union[bytes, tuple]  # raw image of a permutation, see the module docstring
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _PAD = bytes(range(256))
 MAX_BYTES_N = 256  # largest domain stored as bytes: points 0..255
 
@@ -206,53 +207,6 @@ def format_cycles(p: Permutation, names: Optional[Sequence[str]] = None) -> str:
     return "".join("(" + " ".join(label(i) for i in cyc) + ")" for cyc in cycs)
 
 
-def parse_cycles(text: str, n: Optional[int] = None,
-                 names: Optional[Sequence[str]] = None) -> Permutation:
-    """Parse a product of cycles like "(a c)(d f)" over named points.
-
-    Without `names` the points are the integers 0..n-1.  Cycles in the
-    product need not be disjoint; they are composed left to right.  A point
-    repeated inside a single cycle is an error.
-    """
-    if names is not None:
-        index = {name: i for i, name in enumerate(names)}
-        if len(index) != len(names):
-            raise ValueError("duplicate point names")
-        n = len(names)
-    elif n is None:
-        raise ValueError("either n or names is required")
-    else:
-        index = None
-
-    stripped = _CYCLE_RE.sub("", text)
-    if stripped.strip():
-        raise ValueError(f"unparseable cycle text: {text!r}")
-
-    result = Permutation.identity(n)
-    for body in _CYCLE_RE.findall(text):
-        tokens = body.split()
-        if not tokens:
-            continue
-        if index is not None:
-            try:
-                points = [index[t] for t in tokens]
-            except KeyError as exc:
-                raise ValueError(f"unknown point name {exc.args[0]!r}") from exc
-        else:
-            points = [int(t) for t in tokens]
-            for x in points:
-                if not 0 <= x < n:
-                    raise ValueError(f"point {x} outside domain 0..{n - 1}")
-        if len(set(points)) != len(points):
-            raise ValueError(f"repeated point within cycle ({body})")
-        mapping = list(range(n))
-        for a, b in zip(points, points[1:]):
-            mapping[a] = b
-        mapping[points[-1]] = points[0]
-        result = result.compose(Permutation._trusted(mapping))
-    return result
-
-
 class PermutationGroup:
     """A permutation group given by a generating set.
 
@@ -297,9 +251,9 @@ class PermutationGroup:
         return math.prod(map(len, self._chain))
 
     def image_array(self) -> np.ndarray:
-        """All |G| images in lexicographic order, one read-only array built
-        once, uint8 exactly when the images are `bytes` (up to MAX_BYTES_N
-        points); GuardExceededError past the cap."""
+        """All |G| elements as images in lexicographic order, one read-only
+        array built once, uint8 exactly when the images are `bytes` (up to
+        MAX_BYTES_N points); GuardExceededError past the cap."""
         order, cap = self.order(), enumeration_cap()
         if order > cap:
             raise GuardExceededError(f"group of order {order} exceeds enumeration cap {cap}")
@@ -317,12 +271,6 @@ class PermutationGroup:
         els = els[np.lexsort(els[:, :cols].T[::-1])] if len(els) > 1 else els
         els.flags.writeable = False
         return els
-
-    def elements(self) -> tuple[Permutation, ...]:
-        """All group elements in lexicographic order of their images."""
-        els = self.image_array()
-        rows = map(bytes, els) if self.n <= MAX_BYTES_N else map(tuple, els.tolist())
-        return tuple(map(Permutation._wrap, rows))
 
 
 def _schreier_sims(n: int, gens: Sequence[Image]) -> list[dict]:

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import re
 from random import Random
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -11,9 +13,9 @@ from orbitalmcmc.autgroup import Cells, color_cells, is_automorphism
 from orbitalmcmc.chains import ChainKind
 from orbitalmcmc.clauses import Clause, WeightedClauseSet, parse_clause_file
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
-from orbitalmcmc.perm import (BURN_IN_PER_SLOT, DRAW_MOVES, MIN_SLOTS, Permutation,
-                              PermutationGroup, SamplerMode, _compose, _scatter,
-                              config_orbit_partition, orbit_ids, parse_cycles)
+from orbitalmcmc.perm import (BURN_IN_PER_SLOT, DRAW_MOVES, MAX_BYTES_N, MIN_SLOTS, Config,
+                              Permutation, PermutationGroup, SamplerMode, _compose, _scatter,
+                              as_config, config_orbit_partition, orbit_ids)
 
 # Two equal-weight clauses over three variables; the classic two-fold
 # symmetric example: (a or !c) and (b or !c), both weighted 0.5.
@@ -31,6 +33,65 @@ HARD_PAIRS_TEXT = ("vars: a b c d\ninf :: a | b\ninf :: c | d\n0.5 :: a | c\n0.5
 # friends-smokers evidence pinning three people, two smoking and one not:
 # the symmetry group is S_{k-3} x S_2 x S_1 on the people
 FS_EVIDENCE = {"smokes_p1": True, "smokes_p4": True, "smokes_p5": False}
+
+
+_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def parse_cycles(text: str, n: Optional[int] = None,
+                 names: Optional[Sequence[str]] = None) -> Permutation:
+    """Parse a product of cycles like "(a c)(d f)" over named points, the
+    reader of `perm.format_cycles`' text.
+
+    Without `names` the points are the integers 0..n-1.  Cycles in the
+    product need not be disjoint; they are composed left to right.  A point
+    repeated inside a single cycle is an error.
+    """
+    if names is not None:
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
+            raise ValueError("duplicate point names")
+        n = len(names)
+    elif n is None:
+        raise ValueError("either n or names is required")
+    else:
+        index = None
+
+    stripped = _CYCLE_RE.sub("", text)
+    if stripped.strip():
+        raise ValueError(f"unparseable cycle text: {text!r}")
+
+    result = Permutation.identity(n)
+    for body in _CYCLE_RE.findall(text):
+        tokens = body.split()
+        if not tokens:
+            continue
+        if index is not None:
+            try:
+                points = [index[t] for t in tokens]
+            except KeyError as exc:
+                raise ValueError(f"unknown point name {exc.args[0]!r}") from exc
+        else:
+            points = [int(t) for t in tokens]
+            for x in points:
+                if not 0 <= x < n:
+                    raise ValueError(f"point {x} outside domain 0..{n - 1}")
+        if len(set(points)) != len(points):
+            raise ValueError(f"repeated point within cycle ({body})")
+        mapping = list(range(n))
+        for a, b in zip(points, points[1:]):
+            mapping[a] = b
+        mapping[points[-1]] = points[0]
+        result = result.compose(Permutation._trusted(mapping))
+    return result
+
+
+def elements(group: PermutationGroup) -> tuple[Permutation, ...]:
+    """All group elements in lexicographic order of their images: the rows
+    of `PermutationGroup.image_array` as permutations."""
+    els = group.image_array()
+    rows = map(bytes, els) if group.n <= MAX_BYTES_N else map(tuple, els.tolist())
+    return tuple(map(Permutation._wrap, rows))
 
 
 def two_spin_model() -> WeightedClauseSet:
@@ -88,7 +149,7 @@ def brute_force_automorphisms(graph: Graph) -> list[Permutation]:
 
 
 def closure_elements(group: PermutationGroup) -> list[Permutation]:
-    """Reference for `PermutationGroup.elements`: breadth-first closure of
+    """Reference for `PermutationGroup.image_array`: breadth-first closure of
     the identity under right multiplication by the generators, sorted."""
     seen = {Permutation.identity(group.n)}
     frontier = list(seen)
@@ -146,8 +207,46 @@ def load_generating_set(path) -> tuple[PermutationGroup, list[str]]:
     return PermutationGroup(gens, n=len(names)), names
 
 
+class CoupledSteps(CouplingSimulator):
+    """A `CouplingSimulator` that also applies its draws: the coupled step
+    on 0/1 sequences, with the drawn group element applied to both sides."""
+
+    def __init__(self, model, group: PermutationGroup):
+        super().__init__(model, group)
+        self._group = group
+        self._index = {s: i for i, s in enumerate(self.states)}
+
+    def _pair_of(self, upper: Config, lower: Config) -> int:
+        """The index in `pairs` of a distance-one pair of 0/1 sequences."""
+        index, upper, lower = self._index, as_config(upper), as_config(lower)
+        if upper not in index or lower not in index:
+            raise ValueError("coupled states must be independent sets")
+        diff = [v for v, (a, b) in enumerate(zip(upper, lower)) if a != b]
+        if len(diff) != 1 or not upper[diff[0]]:
+            raise ValueError(
+                "states must differ at exactly one vertex present in the first")
+        # the pairs of a state are its vertices in ascending order
+        return int(np.searchsorted(self._upper, index[upper])) + sum(upper[:diff[0]])
+
+    def pairs(self) -> list[tuple[Config, Config]]:
+        """All ordered pairs (X, X minus one vertex), X in lexicographic
+        order and the vertex ascending: the simulator's pair indices."""
+        states = self.states
+        return [(states[u], states[v]) for u, v in zip(self._upper.tolist(),
+                                                       self._lower.tolist())]
+
+    def step(self, upper: Config, lower: Config,
+             rng: Random) -> tuple[Config, Config, int]:
+        """One coupled step of a distance-one pair of 0/1 sequences: the new
+        upper and lower states and the case of the chosen vertex."""
+        a, b, element, case = self._draw(self._pair_of(upper, lower), rng)
+        g = Permutation._trusted(self._group.image_array()[element].tolist())
+        new = g.apply_config(self.states[a])
+        return new, (new if a == b else g.apply_config(self.states[b])), case
+
+
 def distance_one_pairs(graph: Graph) -> list:
-    """Reference for `CouplingSimulator.pairs`: all ordered pairs
+    """Reference for `CoupledSteps.pairs`: all ordered pairs
     (X, X minus one vertex) of independent sets."""
     pairs = []
     for s in enumerate_independent_sets(graph):
@@ -206,10 +305,10 @@ def exact_varrho(graph: Graph) -> float:
 
 def coupling_drift_by_steps(model, group: PermutationGroup, trials: int,
                             seed: int = 0) -> CouplingReport:
-    """Reference for `analysis.coupling_drift`: one `CouplingSimulator.step`
+    """Reference for `analysis.coupling_drift`: one `CoupledSteps.step`
     per trial on the listed states, the distance counted on the stepped states,
     with the constants from `exact_rho` and `exact_varrho`."""
-    sim = CouplingSimulator(model, group)
+    sim = CoupledSteps(model, group)
     pairs = distance_one_pairs(model.graph)
     rng = Random(seed)
     counts = {k: 0 for k in range(1, 6)}
@@ -363,10 +462,10 @@ def reference_gibbs_step(model, bits: bytes, rng: Random) -> bytes:
     return bits[:v] + bytes((value,)) + bits[v + 1:]
 
 
-def reference_exact_sample(elements, bits: bytes, rng: Random) -> bytes:
-    """Reference for an EXACT `OrbitSampler.sample`: `elements` is the
-    group's sorted element tuple."""
-    return elements[rng.randrange(len(elements))].apply_config(bits)
+def reference_exact_sample(els, bits: bytes, rng: Random) -> bytes:
+    """Reference for an EXACT `OrbitSampler.sample`: `els` is the group's
+    `elements`."""
+    return els[rng.randrange(len(els))].apply_config(bits)
 
 
 def reference_chain(model, kind: ChainKind, steps: int, seed: int, record_every: int = 1,
@@ -380,10 +479,10 @@ def reference_chain(model, kind: ChainKind, steps: int, seed: int, record_every:
     resample = None
     if kind.is_orbital and group.generators:
         if SamplerMode(mode) is SamplerMode.EXACT:
-            elements = group.elements()
+            listed = elements(group)
 
             def resample(bits):
-                return reference_exact_sample(elements, bits, rng)
+                return reference_exact_sample(listed, bits, rng)
         else:
             pr = ReferenceProductReplacement(group, rng)
 
@@ -424,7 +523,7 @@ def reference_drift_draws(sim: CouplingSimulator, trials: int, rng: Random) -> l
     """Reference for `coupling_drift`'s trials: per trial, the pair by
     `randrange`, then `reference_coupled_draw`; the (case, new Hamming
     distance) of each trial."""
-    pairs, out = len(sim.pairs()), []
+    pairs, out = len(distance_one_pairs(sim.model.graph)), []
     for _ in range(trials):
         a, b, _, case = reference_coupled_draw(sim, rng.randrange(pairs), rng)
         out.append((case, sum(x != y for x, y in zip(sim.states[a], sim.states[b]))))

@@ -35,11 +35,11 @@ from orbitalmcmc.errors import DEFAULT_ENUMERATION_CAP, GuardExceededError, enum
 from orbitalmcmc.families import (gen_complete, gen_connected_cliques,
                                   gen_friends_smokers, gen_grid)
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
-from orbitalmcmc.perm import (Permutation, PermutationGroup, SamplerMode, orbit_ids,
-                              parse_cycles)
+from orbitalmcmc.perm import Permutation, PermutationGroup, SamplerMode, orbit_ids
 
-from helpers import (coupling_drift_by_steps, distance_one_pairs, exact_rho, exact_varrho,
-                     reference_coupled_draw, reference_drift_draws, two_spin_model)
+from helpers import (CoupledSteps, coupling_drift_by_steps, distance_one_pairs, exact_rho,
+                     exact_varrho, parse_cycles, reference_coupled_draw, reference_drift_draws,
+                     two_spin_model)
 
 NAMES9 = list("abcdefghi")
 
@@ -770,7 +770,7 @@ class TestCoupling:
     def test_case_distance_contract(self):
         graph = gen_grid(3)
         model = IndependentSetModel(graph, 1.0)
-        sim = CouplingSimulator(model, grid3_group())
+        sim = CoupledSteps(model, grid3_group())
         rng = Random(52)
         pairs = sim.pairs()
         seen_cases = set()
@@ -793,7 +793,7 @@ class TestCoupling:
         graph = gen_complete(2)
         model = IndependentSetModel(graph, 1.0)
         group = automorphism_generators(graph)
-        sim = CouplingSimulator(model, group)
+        sim = CoupledSteps(model, group)
         rng = Random(53)
         upper = (1, 0, 0, 0)
         lower = (0, 0, 0, 0)
@@ -805,7 +805,7 @@ class TestCoupling:
     def test_case4_separates_without_symmetry(self):
         graph = Graph(3, [(0, 1), (1, 2)])  # path; trivial group
         model = IndependentSetModel(graph, 1.0)
-        sim = CouplingSimulator(model, PermutationGroup([], n=3))
+        sim = CoupledSteps(model, PermutationGroup([], n=3))
         rng = Random(54)
         upper, lower = (0, 1, 0), (0, 0, 0)
         distances = set()
@@ -818,8 +818,7 @@ class TestCoupling:
     def test_coalescence_test_does_not_scan_group(self, monkeypatch):
         # K_9 has 9! elements; deciding case 4 must not apply each of them
         graph = gen_complete(3)
-        sim = CouplingSimulator(IndependentSetModel(graph, 1.0),
-                                automorphism_generators(graph))
+        sim = CoupledSteps(IndependentSetModel(graph, 1.0), automorphism_generators(graph))
         calls = [0]
         apply_config = Permutation.apply_config
 
@@ -841,7 +840,7 @@ class TestCoupling:
     def test_precondition_rejected(self):
         graph = gen_grid(3)
         model = IndependentSetModel(graph, 1.0)
-        sim = CouplingSimulator(model, grid3_group())
+        sim = CoupledSteps(model, grid3_group())
         with pytest.raises(ValueError):
             sim.step((0,) * 9, (0,) * 9, Random(0))
         edge = (1, 1) + (0,) * 7  # a and b are adjacent
@@ -873,7 +872,7 @@ class TestCoupling:
     def test_constants_equal_the_oracles(self, graph, trivial):
         group = (PermutationGroup([], n=graph.n) if trivial
                  else automorphism_generators(graph))
-        sim = CouplingSimulator(IndependentSetModel(graph, 1.0), group)
+        sim = CoupledSteps(IndependentSetModel(graph, 1.0), group)
         assert sim.pairs() == distance_one_pairs(graph)
         assert sim.rho() == exact_rho(graph, group)
         assert sim.varrho() == exact_varrho(graph)
@@ -913,7 +912,7 @@ class TestCoupling:
         *POWER_OF_TWO_COUPLINGS])
     def test_draws_equal_the_reference(self, graph, make):
         # 2,000 draws: the results and the generator state of `randrange`'s draws
-        sim = CouplingSimulator(IndependentSetModel(graph, 1.5), make(graph))
+        sim = CoupledSteps(IndependentSetModel(graph, 1.5), make(graph))
         pairs = len(sim.pairs())
         rng, ref_rng = Random(64), Random(64)
         for t in range(2000):
@@ -978,7 +977,7 @@ class TestCoupling:
                                    group=group)
         dist = exact_distribution(model)
         assert dist.states == matrix.states
-        sim = CouplingSimulator(model, group)
+        sim = CoupledSteps(model, group)
         rng = Random(56)
         corner = NAMES9.index("a")
         middle = NAMES9.index("e")

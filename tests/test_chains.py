@@ -23,9 +23,9 @@ from orbitalmcmc.errors import GuardExceededError, InfeasibleModelError
 from orbitalmcmc.autgroup import automorphism_generators
 from orbitalmcmc.families import gen_complete, gen_friends_smokers, gen_grid
 from orbitalmcmc.graphs import Graph
-from orbitalmcmc.perm import OrbitSampler, PermutationGroup, SamplerMode, parse_cycles
+from orbitalmcmc.perm import OrbitSampler, PermutationGroup, SamplerMode
 
-from helpers import (HARD_PAIRS_TEXT, reference_chain, reference_gibbs_step,
+from helpers import (HARD_PAIRS_TEXT, parse_cycles, reference_chain, reference_gibbs_step,
                      reference_insert_delete_step, satisfied_by, two_spin_model)
 
 

@@ -25,13 +25,12 @@ from orbitalmcmc.perm import (
     format_cycles,
     format_generating_set,
     orbit_ids,
-    parse_cycles,
     state_action,
 )
 
 from helpers import (ReferenceProductReplacement, apply_config_action, closure_elements,
-                     config_orbits, cycle_count_burnside, load_generating_set,
-                     reference_exact_sample)
+                     config_orbits, cycle_count_burnside, elements, load_generating_set,
+                     parse_cycles, reference_exact_sample)
 
 NAMES9 = list("abcdefghi")
 
@@ -180,7 +179,7 @@ class TestRepresentation:
             gens.append(parse_cycles("(0 1)", n=n))
         if n >= 5:
             gens.append(parse_cycles(f"({n - 3} {n - 2} {n - 1})", n=n))
-        els = PermutationGroup(gens, n=n).elements()
+        els = elements(PermutationGroup(gens, n=n))
         mappings = [g.mapping for g in els]
         assert mappings == sorted(mappings)
         assert len(els) == {0: 1, 1: 1, 2: 2}.get(n, 6)
@@ -319,7 +318,7 @@ class TestOrbits:
                 gens.append(Permutation(mapping))
             groups.append(PermutationGroup(gens, n=n))
         for group in groups:
-            els = group.elements()
+            els = elements(group)
             expected = sorted({tuple(sorted({g.apply(x) for g in els}))
                                for x in range(group.n)})
             assert [tuple(o) for o in group.orbit_partition()] == expected
@@ -405,11 +404,11 @@ class TestEnumeration:
         assert cliques3_group().order() == 24
 
     def test_empty_generators(self):
-        els = PermutationGroup([], n=4).elements()
+        els = elements(PermutationGroup([], n=4))
         assert els == (Permutation.identity(4),)
 
     def test_closure_is_a_group(self):
-        els = set(grid3_group().elements())
+        els = set(elements(grid3_group()))
         for p in els:
             assert p.inverse() in els
             for q in els:
@@ -418,7 +417,7 @@ class TestEnumeration:
     def test_cap_exceeded(self, monkeypatch):
         monkeypatch.setenv("ORBITAL_GUARD", "10")
         with pytest.raises(GuardExceededError, match="cap 10"):
-            cliques3_group().elements()
+            elements(cliques3_group())
 
     def test_chain_equals_the_closure(self):
         rng = Random(14)
@@ -438,9 +437,9 @@ class TestEnumeration:
         for group in groups:
             expected = closure_elements(group)
             assert group.order() == len(expected)
-            assert list(group.elements()) == expected
+            assert list(elements(group)) == expected
             assert burnside_config_orbit_count(group) == cycle_count_burnside(group, expected)
-        assert PermutationGroup([], n=0).elements() == (Permutation.identity(0),)
+        assert elements(PermutationGroup([], n=0)) == (Permutation.identity(0),)
         assert groups[-1].order() == 600
         assert groups[-1].image_array().dtype == np.uint16
 
@@ -460,7 +459,7 @@ class TestEnumeration:
         tracemalloc.start()
         try:
             with pytest.raises(GuardExceededError, match="exceeds enumeration cap 10"):
-                group.elements()
+                elements(group)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -472,7 +471,7 @@ class TestEnumeration:
         els = group.image_array()
         assert group.image_array() is els
         OrbitSampler(group, SamplerMode.EXACT, Random(0))
-        assert len(group.elements()) == 24
+        assert len(elements(group)) == 24
         assert group.image_array() is els
         with pytest.raises(ValueError):
             els[0, 0] = 1
@@ -487,7 +486,7 @@ class TestEnumeration:
     def test_orbit_stabilizer(self):
         rng = Random(6)
         for group in (grid3_group(), cliques3_group()):
-            els = group.elements()
+            els = elements(group)
             orbits = config_orbits(group)
             for _ in range(10):
                 c = bytes(rng.randrange(2) for _ in range(9))
@@ -527,14 +526,14 @@ class TestProductReplacement:
 
     def test_membership(self):
         group = cliques3_group()
-        members = set(group.elements())
+        members = set(elements(group))
         state = ProductReplacement(group, rng=Random(1))
         for _ in range(500):
             assert state.next() in members
 
     def test_slots_stay_members(self):
         group = grid3_group()
-        members = set(group.elements())
+        members = set(elements(group))
         state = ProductReplacement(group, rng=Random(2))
         for _ in range(100):
             state.next()
@@ -543,7 +542,7 @@ class TestProductReplacement:
     def test_rough_uniformity(self):
         # strict chi-square at 1e5 draws lives in the acceptance suite
         group = grid3_group()
-        els = group.elements()
+        els = elements(group)
         index = {g: i for i, g in enumerate(els)}
         state = ProductReplacement(group, rng=Random(3))
         counts = [0] * len(els)
@@ -575,7 +574,7 @@ class TestOrbitSampling:
         n, rng, group = 300, Random(11), dihedral300_group()
         sampler, clone = OrbitSampler(group, mode, Random(12)), Random(12)
         if mode is SamplerMode.EXACT:
-            els = group.elements()
+            els = elements(group)
 
             def draw():
                 return els[clone.randrange(len(els))]
@@ -608,7 +607,7 @@ class TestOrbitSampling:
     def test_exact_draws_read_the_element_array(self):
         # K_9: bytes images, one slice of the array's buffer per draw
         group, rng = complete3_group(), Random(13)
-        els = group.elements()
+        els = elements(group)
         sampler, clone = OrbitSampler(group, SamplerMode.EXACT, Random(14)), Random(14)
         for _ in range(1000):
             c = bytes(rng.randrange(2) for _ in range(9))
@@ -625,7 +624,7 @@ class TestOrbitSampling:
     def test_exact_draws_equal_the_reference(self, make):
         # 2,000 draws: the images and the generator state of `randrange`'s draws
         group = make()
-        els, configs = group.elements(), Random(63)
+        els, configs = elements(group), Random(63)
         rng, ref_rng = Random(62), Random(62)
         sampler = OrbitSampler(group, SamplerMode.EXACT, rng)
         for _ in range(2000):

@@ -23,13 +23,12 @@ from random import Random
 
 import pytest
 
-from helpers import FS_EVIDENCE, two_spin_model
+from helpers import FS_EVIDENCE, CoupledSteps, parse_cycles, two_spin_model
 from orbitalmcmc import autgroup, clauses, families
-from orbitalmcmc.analysis import (CouplingSimulator, coupling_drift, exact_pi_lambda,
-                                  mixing_time, transition_matrix)
+from orbitalmcmc.analysis import coupling_drift, exact_pi_lambda, mixing_time, transition_matrix
 from orbitalmcmc.chains import ChainKind, ClauseModel, IndependentSetModel, run_chain
 from orbitalmcmc.graphs import Graph
-from orbitalmcmc.perm import PermutationGroup, ProductReplacement, SamplerMode, parse_cycles
+from orbitalmcmc.perm import PermutationGroup, ProductReplacement, SamplerMode
 
 EXACT, PR = SamplerMode.EXACT, SamplerMode.PRODUCT_REPLACEMENT
 GRAPHS = {"grid3": (families.gen_grid, 3),
@@ -237,7 +236,7 @@ def test_orbital_gibbs_kernel():
                                         ("complete3", 500)])
 def test_coupled_steps(graph_groups, name, steps):
     graph, group = graph_groups[name]
-    sim = CouplingSimulator(IndependentSetModel(graph, 1.0), group)
+    sim = CoupledSteps(IndependentSetModel(graph, 1.0), group)
     rng = Random(52)
     pairs = sim.pairs()
     moves = []
