@@ -504,9 +504,10 @@ def coupling_drift(model: IndependentSetModel, group: PermutationGroup,
     -1/n + varrho (2 rho - 1) lam / (1 + lam), all read from one simulator.
 
     Each trial draws a pair index, then one coupled step through the
-    simulator's draw.  The drawn element is not applied: a permutation of the vertices keeps
-    Hamming distances, so the new pair is as far apart as its pre-images,
-    one XOR of their bit masks.  Nothing is kept per trial."""
+    simulator's draw.  The drawn element is not applied: a permutation of
+    the vertices keeps Hamming distances, so the new pair is as far apart
+    as its pre-images, one XOR of their bit masks.  Nothing is kept per
+    trial."""
     if trials < 1:
         raise ValueError("need at least one trial")
     sim = CouplingSimulator(model, group)

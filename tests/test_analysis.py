@@ -493,6 +493,47 @@ class TestOrbitQuotient:
                 assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps)
 
 
+def algebra_cases():
+    graphs = [("grid3", gen_grid(3)), ("cliques3", gen_connected_cliques(3)),
+              ("complete3", gen_complete(3))]
+    for name, graph in graphs:
+        group = automorphism_generators(graph)
+        for lam in (0.5, 1.0, 2.0):
+            yield pytest.param(IndependentSetModel(graph, lam), group, ChainKind.INSERT_DELETE,
+                               ChainKind.ORBITAL_INSERT_DELETE, id=f"{name}-lam{lam}")
+    swap = PermutationGroup([parse_cycles("(0 1)", n=2)])
+    yield pytest.param(ClauseModel(two_spin_model()), swap, ChainKind.GIBBS,
+                       ChainKind.ORBITAL_GIBBS, id="two-spin-gibbs")
+
+
+class TestOrbitalKernelAlgebra:
+    """The orbital kernel K against the base kernel P and the orbit-averaging
+    matrix A, A(x, y) = 1/|orbit of x| when x and y share an orbit, else 0."""
+
+    @pytest.mark.parametrize("model,group,base_kind,orbital_kind", algebra_cases())
+    def test_orbital_kernel_identities(self, model, group, base_kind, orbital_kind):
+        base = transition_matrix(model, base_kind, group)
+        orbital = transition_matrix(model, orbital_kind, group)
+        assert base.states == orbital.states
+        p, k = base.rows, orbital.rows
+        ids = orbit_ids(base.action)
+        sizes = np.bincount(ids)
+        a = np.zeros_like(p)
+        for x, orbit in enumerate(ids):
+            a[x, ids == orbit] = 1.0 / sizes[orbit]
+
+        def error(lhs, rhs):
+            return np.abs(lhs - rhs).max()
+
+        assert error(k, p @ a) <= 1e-12
+        assert error(a @ k, k) <= 1e-12
+        assert error(p @ a, a @ p) <= 1e-12
+        assert error(a @ a, a) <= 1e-12
+        for t in range(2, 6):
+            p_t = np.linalg.matrix_power(p, t)
+            assert error(np.linalg.matrix_power(k, t), p_t @ a) <= 1e-12, t
+
+
 class TestRepresentativeRows:
     def test_rep_rows_equal_dense_on_digest_cases(self):
         for graph, group in tau_digest_cases():

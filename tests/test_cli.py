@@ -17,6 +17,12 @@ from orbitalmcmc.families import gen_grid
 from helpers import EXAMPLE_CLAUSES, HARD_PAIRS_TEXT
 
 
+def csv_rows(path) -> list[list[str]]:
+    """The rows of a CSV file the CLI wrote, read in a `with` block."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 # `detect` on the files of `gen --model fs --people 4 --evidence-fraction 0.5
 # --seed 1`: generators, order and every variable and feature orbit cell
 FS4_EVIDENCE_DETECT = """\
@@ -152,7 +158,7 @@ class TestSampleAndExact:
         for kind in ("id", "orbital-id"):
             for seed in (0, 1):
                 path = tmp_path / f"trace_{kind}_seed{seed}.csv"
-                rows = list(csv.reader(path.open()))
+                rows = csv_rows(path)
                 assert rows[0] == ["step", "state"]
                 assert len(rows) == 202
 
@@ -188,7 +194,7 @@ class TestSampleAndExact:
                                "--k", "3", "--chain", "id,orbital-id",
                                "--out", str(tmp_path))
         assert code == 0
-        pi_rows = list(csv.reader((tmp_path / "pi.csv").open()))
+        pi_rows = csv_rows(tmp_path / "pi.csv")
         assert len(pi_rows) == 11
         assert (tmp_path / "matrix_id.csv").exists()
         assert (tmp_path / "matrix_orbital-id.csv").exists()
@@ -201,7 +207,7 @@ class TestAnalysisCommands:
                                "--steps", "2000", "--seeds", "1",
                                "--mode", "exact", "--out", str(tmp_path))
         assert code == 0
-        rows = list(csv.reader((tmp_path / "tvcurve.csv").open()))
+        rows = csv_rows(tmp_path / "tvcurve.csv")
         assert rows[0] == ["samples", "d_tv", "chain_kind", "seed"]
         kinds = {r[2] for r in rows[1:]}
         assert kinds == {"id", "orbital-id"}
@@ -211,7 +217,7 @@ class TestAnalysisCommands:
                                "--trials", "2000", "--out", str(tmp_path))
         assert code == 0
         assert "rho=" in out
-        rows = list(csv.reader((tmp_path / "coupling.csv").open()))
+        rows = csv_rows(tmp_path / "coupling.csv")
         assert rows[0] == ["case", "count", "rho", "varrho", "drift", "bound"]
         assert len(rows) == 6
 
@@ -557,7 +563,7 @@ class TestEvidence:
         assert code == 0
         # 12 variables, one clamped: half of the 4096 assignments
         assert "(2048 states" in out
-        rows = list(csv.reader((tmp_path / "o" / "pi.csv").open()))
+        rows = csv_rows(tmp_path / "o" / "pi.csv")
         assert len(rows) == 1 + 2048
         assert all(row[0][0] == "0" for row in rows[1:])
 
@@ -830,7 +836,7 @@ class TestExitCodes:
                                  "--clauses", str(model), "--chain", "gibbs",
                                  "--out", str(tmp_path / "o"))
         assert code == 0
-        rows = list(csv.reader((tmp_path / "o" / "pi.csv").open(newline="")))
+        rows = csv_rows(tmp_path / "o" / "pi.csv")
         assert rows[1:] == [["0", "0.37754066879814546"], ["1", "0.6224593312018546"]]
 
     @pytest.mark.parametrize("command", ["exact", "tvcurve", "mix"])

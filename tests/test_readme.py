@@ -1,4 +1,5 @@
-"""README's example, run as written, and the top-level API it documents."""
+"""README's example, run as written, the top-level API it documents, and a
+check that every public name in the package has a program caller."""
 
 import ast
 import os
@@ -36,3 +37,62 @@ def test_top_level_exports_the_example_imports():
                 for alias in node.names]
     assert sorted(orbitalmcmc.__all__) == sorted(imported)
     assert len(imported) == 5
+
+
+# Public names that no program reads by name, each kept on purpose.
+KEPT_UNREFERENCED = {
+    "Permutation.apply": "the value type's checked algebra: a point's image",
+    "Permutation.compose": "the value type's checked algebra; the `perm` docstring "
+                           "states composition order through it",
+    "Permutation.inverse": "the value type's checked algebra",
+    "Parser.error": "argparse calls it on a bad command line",
+}
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every name a tree reads, imports or reads as an attribute, the
+    attributes as `.name`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add("." + node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_has_a_program_caller():
+    """Each public module-level name and public class method under
+    src/orbitalmcmc is read somewhere in src/, in perfbench/ or in README's
+    example, unless KEPT_UNREFERENCED gives a reason.  A module-level name
+    matches a bare name or an attribute; a method matches any attribute of
+    its name, whatever the object, so a method named like another class's
+    method that is read passes unseen: a `CouplingSimulator.step` would,
+    since the models' `.step` is read."""
+    sources = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    referenced = referenced_names(ast.parse(readme_example()))
+    for path in sources:
+        referenced |= referenced_names(ast.parse(path.read_text()))
+    unreferenced = []
+    for path in sorted((ROOT / "src" / "orbitalmcmc").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                defined = []
+            unreferenced += [name for name in defined if not name.startswith("_")
+                             and name not in referenced and "." + name not in referenced]
+            if isinstance(node, ast.ClassDef):
+                unreferenced += [f"{node.name}.{item.name}" for item in node.body
+                                 if isinstance(item, ast.FunctionDef)
+                                 and not item.name.startswith("_")
+                                 and "." + item.name not in referenced]
+    extra = sorted(set(unreferenced) - set(KEPT_UNREFERENCED))
+    assert not extra, f"public names with no program caller: {extra}"
+    stale = sorted(set(KEPT_UNREFERENCED) - set(unreferenced))
+    assert not stale, f"kept names that now have a caller: {stale}"
