@@ -21,15 +21,15 @@ import numpy as np
 from .chains import ChainKind, ChainTrace, IndependentSetModel
 from .errors import GuardExceededError, enumeration_cap
 from .graphs import Graph
-from .perm import (Config, PermutationGroup, _orbit_walk, as_config, config_matrix, config_rows,
-                   orbit_ids, state_action)
+from .perm import (Config, PermutationGroup, _orbit_walk, config_matrix, config_rows, orbit_ids,
+                   state_action)
 
 
 class ExactDistribution:
-    """A fully enumerated distribution over configurations, given as any 0/1 sequences."""
+    """A fully enumerated distribution over configurations."""
 
     def __init__(self, states: Sequence[Config], probs, partition_value: float):
-        self.states = tuple(map(as_config, states))
+        self.states = tuple(states)
         self.probs = np.asarray(probs, dtype=float)
         self.partition_value = float(partition_value)
         if len(self.states) != len(self.probs):
@@ -40,9 +40,9 @@ class ExactDistribution:
             raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
         self._index = {s: i for i, s in enumerate(self.states)}
 
-    def index_of(self, state: Sequence[int]) -> int:
+    def index_of(self, state: Config) -> int:
         try:
-            return self._index[as_config(state)]
+            return self._index[state]
         except KeyError:
             raise KeyError(f"state {state} not in the enumerated universe") from None
 
@@ -86,7 +86,6 @@ class TransitionMatrix:
     _ladder: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(map(as_config, self.states)))
         rows, n = self.rows, len(self.states)
         if rows.shape != (n, n):
             raise ValueError("matrix shape does not match state count")
@@ -270,9 +269,8 @@ def tv_curve(trace: ChainTrace, exact: ExactDistribution,
 
     The empirical distribution at checkpoint c uses the first c recorded
     states, initial state included and no burn-in discarded, looked up
-    all at once in the index of `exact.states`; if any lookup fails,
-    `exact.index_of` finds each one, so 0/1 tuples are accepted and a state
-    outside `exact.states` raises its KeyError.  Counts are added per segment.
+    all at once in the index of `exact.states`; a state outside it raises
+    `exact.index_of`'s KeyError.  Counts are added per segment.
     """
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if not checkpoints or checkpoints[0] < 1:
@@ -283,8 +281,9 @@ def tv_curve(trace: ChainTrace, exact: ExactDistribution,
     states = trace.states[:checkpoints[-1]]
     try:  # one key more, so that one state too gives a tuple; fromiter stops before it
         found = itemgetter(*states, states[0])(exact._index)
-    except (KeyError, TypeError):  # TypeError: an unhashable state
-        found = map(exact.index_of, states)
+    except KeyError as miss:
+        exact.index_of(miss.args[0])  # raises, naming the state
+        raise
     found = np.fromiter(found, np.intp, len(states))
     counts, points, used = np.zeros(len(exact.states)), [], 0
     for target in checkpoints:

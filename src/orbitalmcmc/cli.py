@@ -35,12 +35,17 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _parse_list(text: str, cast, flag: str) -> list:
+    """Comma-separated `cast` values, empty items skipped; a repeat would run twice."""
+    values = [cast(tok) for tok in text.split(",") if tok.strip()]
+    if len(set(values)) < len(values):
+        raise UsageError(f"{flag} lists a value twice: {text}")
+    return values
+
+
 def parse_seeds(text: str) -> list[int]:
     """Either a count N (seeds 0..N-1) or a comma-separated list."""
-    if "," in text:
-        seeds = [int(tok) for tok in text.split(",") if tok.strip()]
-    else:
-        seeds = list(range(int(text)))
+    seeds = _parse_list(text, int, "--seeds") if "," in text else list(range(int(text)))
     if not seeds:
         raise UsageError("need at least one seed")
     return seeds
@@ -110,14 +115,14 @@ def out_path(args) -> Path:
 def out_file(args, name: str) -> Path:
     """The path of result file `name` under `--out`.  The first call in a run
     creates `--out` and writes `config.resolved.txt` there, one key=value
-    line per flag that has a value."""
+    line per flag that has a value, which `--config` reads back."""
     target = out_path(args)
     if not getattr(args, "out_made", False):
         lines = []
         for key, value in sorted(vars(args).items()):
-            if key not in ("func", "config") and value is not None:
-                if isinstance(value, list):
-                    value = ",".join(map(str, value))
+            if key not in ("func", "config", "command") and value is not None:
+                if isinstance(value, list):  # one value keeps a comma: seeds 5, not 0..4
+                    value = ",".join(map(str, value)) + ("," if len(value) == 1 else "")
                 lines.append(f"{key}={value}")
         target.mkdir(parents=True, exist_ok=True)
         (target / "config.resolved.txt").write_text("\n".join(lines) + "\n")
@@ -158,12 +163,12 @@ class ModelBundle:
         else:
             raise UsageError(f"unknown model {self.kind!r}")
         self.kinds = []
-        for token in chain.split(",") if chain else ():
+        for token in _parse_list(chain, str.strip, "--chain"):
             try:
-                kind = chains.ChainKind(token.strip())
+                kind = chains.ChainKind(token)
                 kind.check(model_class)
             except ValueError:
-                raise UsageError(f"unknown chain {token.strip()!r}; choose from "
+                raise UsageError(f"unknown chain {token!r}; choose from "
                                  f"{', '.join(chains.ChainKind)}") from None
             except TypeError as exc:
                 raise UsageError(f"chain {kind.value} does not match model "
@@ -440,8 +445,8 @@ def build_parser() -> Parser:
     p = sub.add_parser("mix", help="mixing time of the exact kernel")
     add_model_flags(p)
     p.add_argument("--chain", default="orbital-id")
-    p.add_argument("--epsilon", type=checked(lambda text: [float(x) for x in text.split(",")],
-                                             lambda eps: all(0 < e < 1 for e in eps),
+    p.add_argument("--epsilon", type=checked(lambda text: _parse_list(text, float, "--epsilon"),
+                                             lambda eps: eps and all(0 < e < 1 for e in eps),
                                              "values in (0, 1)"),
                    default=[0.1, 0.01])
     p.add_argument("--out")

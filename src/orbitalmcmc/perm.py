@@ -63,11 +63,6 @@ def _as_image(mapping: Sequence[int]) -> Image:
     return bytes(mapping) if len(mapping) <= MAX_BYTES_N else tuple(mapping)
 
 
-def as_config(bits: Sequence[int]) -> Config:
-    """Any 0/1 sequence as a configuration; `bytes` pass through as they are."""
-    return bits if type(bits) is bytes else bytes(map(int, bits))
-
-
 def config_matrix(states: Sequence[Config], n: int) -> np.ndarray:
     """The configurations as one read-only len(states) x n uint8 matrix."""
     return np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), n)
@@ -156,12 +151,12 @@ class Permutation:
             raise ValueError(f"point {x} outside domain 0..{len(self.image) - 1}")
         return self.image[x]
 
-    def apply_config(self, bits: Sequence[int]) -> Config:
-        """Move bit i of any 0/1 sequence to position image[i]."""
+    def apply_config(self, bits: Config) -> Config:
+        """Move bit i of a configuration to position image[i]."""
         if len(bits) != len(self.image):
             raise ValueError(
                 f"configuration length {len(bits)} != domain size {len(self.image)}")
-        return _scatter(self.image, as_config(bits))
+        return _scatter(self.image, bits)
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self followed by other: x -> other(self(x))."""

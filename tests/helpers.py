@@ -15,7 +15,7 @@ from orbitalmcmc.clauses import Clause, WeightedClauseSet, parse_clause_file
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
 from orbitalmcmc.perm import (BURN_IN_PER_SLOT, DRAW_MOVES, MAX_BYTES_N, MIN_SLOTS, Config,
                               Permutation, PermutationGroup, SamplerMode, _compose, _scatter,
-                              as_config, config_orbit_partition, orbit_ids)
+                              config_orbit_partition, orbit_ids)
 
 # Two equal-weight clauses over three variables; the classic two-fold
 # symmetric example: (a or !c) and (b or !c), both weighted 0.5.
@@ -209,7 +209,7 @@ def load_generating_set(path) -> tuple[PermutationGroup, list[str]]:
 
 class CoupledSteps(CouplingSimulator):
     """A `CouplingSimulator` that also applies its draws: the coupled step
-    on 0/1 sequences, with the drawn group element applied to both sides."""
+    on configurations, with the drawn group element applied to both sides."""
 
     def __init__(self, model, group: PermutationGroup):
         super().__init__(model, group)
@@ -217,8 +217,8 @@ class CoupledSteps(CouplingSimulator):
         self._index = {s: i for i, s in enumerate(self.states)}
 
     def _pair_of(self, upper: Config, lower: Config) -> int:
-        """The index in `pairs` of a distance-one pair of 0/1 sequences."""
-        index, upper, lower = self._index, as_config(upper), as_config(lower)
+        """The index in `pairs` of a distance-one pair of configurations."""
+        index = self._index
         if upper not in index or lower not in index:
             raise ValueError("coupled states must be independent sets")
         diff = [v for v, (a, b) in enumerate(zip(upper, lower)) if a != b]
@@ -237,7 +237,7 @@ class CoupledSteps(CouplingSimulator):
 
     def step(self, upper: Config, lower: Config,
              rng: Random) -> tuple[Config, Config, int]:
-        """One coupled step of a distance-one pair of 0/1 sequences: the new
+        """One coupled step of a distance-one pair of configurations: the new
         upper and lower states and the case of the chosen vertex."""
         a, b, element, case = self._draw(self._pair_of(upper, lower), rng)
         g = Permutation._trusted(self._group.image_array()[element].tolist())

@@ -196,8 +196,8 @@ def test_c07_coupling_faithful_and_drift(benchmark_models):
     assert dist.states == matrix.states
     sim = CoupledSteps(model3, group3)
     rng = Random(77)
-    upper = tuple(1 if i in (0, 4) else 0 for i in range(9))  # corner + center
-    lower = tuple(1 if i == 4 else 0 for i in range(9))
+    upper = bytes(1 if i in (0, 4) else 0 for i in range(9))  # corner + center
+    lower = bytes(1 if i == 4 else 0 for i in range(9))
     counts_u = np.zeros(len(matrix.states))
     counts_l = np.zeros(len(matrix.states))
     for _ in range(trials):

@@ -124,13 +124,13 @@ class TestExactDistributions:
 
     def test_lambda_weighting(self):
         dist = exact_pi_lambda(Graph(1, []), 3.0)
-        assert dist.probs[dist.index_of((1,))] == pytest.approx(0.75)
+        assert dist.probs[dist.index_of(b"\x01")] == pytest.approx(0.75)
 
     def test_two_spin_distribution(self):
         dist = exact_distribution(ClauseModel(two_spin_model()))
         expected = {(0, 0): 0.01, (0, 1): 0.49, (1, 0): 0.49, (1, 1): 0.01}
         for state, p in expected.items():
-            assert dist.probs[dist.index_of(state)] == pytest.approx(p, abs=1e-12)
+            assert dist.probs[dist.index_of(bytes(state))] == pytest.approx(p, abs=1e-12)
 
     def test_orbit_constancy(self):
         model = IndependentSetModel(gen_grid(3), 1.0)
@@ -191,8 +191,8 @@ class TestTransitionMatrices:
 
     def test_detailed_balance_fails_for_wrong_pi(self):
         rows = np.array([[0.9, 0.1], [0.5, 0.5]])
-        matrix = TransitionMatrix(((0,), (1,)), rows)
-        wrong = ExactDistribution(((0,), (1,)), [0.5, 0.5], 1.0)
+        matrix = TransitionMatrix((b"\x00", b"\x01"), rows)
+        wrong = ExactDistribution((b"\x00", b"\x01"), [0.5, 0.5], 1.0)
         assert not check_detailed_balance(matrix, wrong, tol=1e-12).passed
 
     def test_structure_flags(self):
@@ -269,7 +269,7 @@ class TestTotalVariation:
     def test_empirical_rejects_foreign_state(self):
         universe = exact_pi_lambda(Graph(2, [(0, 1)]), 1.0)
         with pytest.raises(KeyError):
-            tv_curve(ChainTrace([(1, 1)]), universe, [1])
+            tv_curve(ChainTrace([b"\x01\x01"]), universe, [1])
 
     @pytest.mark.parametrize("form", [bytes, tuple])
     @pytest.mark.parametrize("states", [
@@ -277,19 +277,25 @@ class TestTotalVariation:
         [(0, 0), (0,)],            # too short
         [(0, 1), (0, 1, 0)]])      # too long
     def test_empirical_rejects_any_unlisted_state(self, states, form):
+        # a tuple is never a listed state, not even the first
         universe = exact_pi_lambda(Graph(2, [(0, 1)]), 1.0)
         trace = ChainTrace([form(s) for s in states])
-        assert tv_curve(trace, universe, [1]).points
+        if form is bytes:
+            assert tv_curve(trace, universe, [1]).points
         with pytest.raises(KeyError, match="not in the enumerated universe"):
             tv_curve(trace, universe, [len(states)])
 
-    def test_tuple_states_give_the_points_of_bytes(self):
+    @pytest.mark.parametrize("form", [tuple, list])
+    def test_states_not_bytes_are_rejected(self, form):
         graph = gen_grid(3)
         pi = exact_pi_lambda(graph, 1.0)
         trace = run_chain(IndependentSetModel(graph, 1.0), ChainKind.INSERT_DELETE, 2000, seed=52)
-        as_tuples = ChainTrace([tuple(s) for s in trace.states])
-        checkpoints = [1, 7, 100, 2001]
-        assert tv_curve(as_tuples, pi, checkpoints) == tv_curve(trace, pi, checkpoints)
+        other = ChainTrace([form(s) for s in trace.states])
+        with pytest.raises((KeyError, TypeError)):
+            tv_curve(other, pi, [1, 7, 100, 2001])
+        with pytest.raises((KeyError, TypeError)):
+            pi.index_of(other.states[0])
+        assert pi.index_of(trace.states[0]) == 0
 
     def test_sampled_orbital_chain_approaches_pi(self):
         graph = gen_complete(3)
@@ -310,14 +316,14 @@ class TestTotalVariation:
         assert [s for s, _ in series.points] == [1, 10, 100, 1000, 5001]
         assert all(0.0 <= d <= 1.0 for _, d in series.points)
         # the first checkpoint sees only the deterministic initial state
-        assert series.points[0][1] == pytest.approx(1 - pi.probs[pi.index_of((0,) * 9)])
+        assert series.points[0][1] == pytest.approx(1 - pi.probs[pi.index_of(bytes(9))])
         assert series.points[-1][1] < series.points[0][1]
         assert series.auc() > 0
 
 
 class TestMixingTime:
     def test_already_mixed(self):
-        states = tuple((i,) for i in range(3))
+        states = tuple(bytes((i,)) for i in range(3))
         pi = np.array([0.2, 0.3, 0.5])
         matrix = TransitionMatrix(states, np.tile(pi, (3, 1)))
         dist = ExactDistribution(states, pi, 1.0)
@@ -346,7 +352,7 @@ class TestMixingTime:
         assert tau_orb <= tau_base
 
     def test_reducible_and_one_way_chains_rejected(self):
-        states = tuple((i,) for i in range(4))
+        states = tuple(bytes((i,)) for i in range(4))
         # two closed classes, {0, 1} and {2, 3}
         reducible = [[.5, .5, 0, 0], [.5, .5, 0, 0], [0, 0, .5, .5], [0, 0, .5, .5]]
         # 0 -> 1 -> 2 -> 3 and no way back: forward from 0 reaches every state
@@ -361,7 +367,7 @@ class TestMixingTime:
         assert is_connected(TransitionMatrix(states, np.array(cycle)))
 
     def test_horizon_error(self):
-        states = ((0,), (1,))
+        states = (b"\x00", b"\x01")
         rows = np.array([[1 - 1e-9, 1e-9], [1e-9, 1 - 1e-9]])
         matrix = TransitionMatrix(states, rows)
         dist = ExactDistribution(states, [0.5, 0.5], 1.0)
@@ -451,7 +457,7 @@ class TestOrbitQuotient:
         # the swap of states 1 and 2: the first states 0 and 1 have rows
         # constant on {1, 2}, and rows 1 and 2 lump alike, but row 2 is not
         # constant on {1, 2}
-        states = tuple((i,) for i in range(3))
+        states = tuple(bytes((i,)) for i in range(3))
         rows = np.array([[.5, .25, .25], [.2, .4, .4], [.2, .3, .5]])
         matrix = TransitionMatrix(states, rows, action=np.array([[0, 2, 1]]))
         dist = ExactDistribution(states, [0.2, 0.4, 0.4], 1.0)
@@ -469,7 +475,7 @@ class TestOrbitQuotient:
     def test_pi_not_constant_on_orbits_rejected(self):
         # the kernel commutes with the swap of states 1 and 2, its rows are
         # not constant on {1, 2}, and pi is not invariant under the swap
-        states = tuple((i,) for i in range(3))
+        states = tuple(bytes((i,)) for i in range(3))
         rows = np.array([[.5, .25, .25], [.2, .5, .3], [.2, .3, .5]])
         matrix = TransitionMatrix(states, rows, action=np.array([[0, 2, 1]]))
         dist = ExactDistribution(states, [0.2, 0.3, 0.5], 1.0)
@@ -598,14 +604,14 @@ class TestRepresentativeRows:
             rows[x, x] = diag[x]
             for j in (1, 2, 3):
                 rows[x, (x + j) % 4] = 1 / 3 - diag[x] / 3
-        states = tuple((i,) for i in range(4))
+        states = tuple(bytes((i,)) for i in range(4))
         matrix = TransitionMatrix(states, rows, action=np.array([[1, 2, 3, 0]]))
         with pytest.raises(ValueError, match="does not commute with the group action"):
             representative_rows(matrix)
 
     def test_pi_not_invariant_rejected(self):
         # the uniform kernel commutes with every permutation of the states
-        states = tuple((i,) for i in range(3))
+        states = tuple(bytes((i,)) for i in range(3))
         matrix = TransitionMatrix(states, np.full((3, 3), 1 / 3),
                                   action=np.array([[1, 0, 2]]))
         dist = ExactDistribution(states, [0.2, 0.3, 0.5], 1.0)
@@ -619,7 +625,7 @@ class TestRepresentativeRows:
     ])
     def test_action_must_permute_the_states(self, action, message):
         with pytest.raises(ValueError, match=message):
-            TransitionMatrix(((0,), (1,)), np.eye(2), action=np.array(action))
+            TransitionMatrix((b"\x00", b"\x01"), np.eye(2), action=np.array(action))
 
 
 def taus_in_every_order(matrix, pi, epsilons):
@@ -731,7 +737,7 @@ class TestMixingLadder:
             assert calls == []
 
     def test_kernel_checks_fail_on_every_call(self):
-        states = tuple((i,) for i in range(4))
+        states = tuple(bytes((i,)) for i in range(4))
         uniform = ExactDistribution(states, [0.25] * 4, 1.0)
         reducible = [[.5, .5, 0, 0], [.5, .5, 0, 0], [0, 0, .5, .5], [0, 0, .5, .5]]
         periodic = [[0, .5, 0, .5], [.5, 0, .5, 0], [0, .5, 0, .5], [.5, 0, .5, 0]]
@@ -743,7 +749,7 @@ class TestMixingLadder:
             assert matrix._ladder is None
 
     def test_pi_checked_on_every_call(self):
-        states = tuple((i,) for i in range(3))
+        states = tuple(bytes((i,)) for i in range(3))
         # the uniform kernel commutes with every permutation: lumped rows
         lumped = TransitionMatrix(states, np.full((3, 3), 1 / 3), action=np.array([[1, 0, 2]]))
         model, pi = IndependentSetModel(gen_grid(3), 1.0), exact_pi_lambda(gen_grid(3), 1.0)
@@ -836,8 +842,8 @@ class TestCoupling:
         group = automorphism_generators(graph)
         sim = CoupledSteps(model, group)
         rng = Random(53)
-        upper = (1, 0, 0, 0)
-        lower = (0, 0, 0, 0)
+        upper = bytes((1, 0, 0, 0))
+        lower = bytes((0, 0, 0, 0))
         for _ in range(500):
             nu, nl, case = sim.step(upper, lower, rng)
             if case == 4:
@@ -848,7 +854,7 @@ class TestCoupling:
         model = IndependentSetModel(graph, 1.0)
         sim = CoupledSteps(model, PermutationGroup([], n=3))
         rng = Random(54)
-        upper, lower = (0, 1, 0), (0, 0, 0)
+        upper, lower = bytes((0, 1, 0)), bytes((0, 0, 0))
         distances = set()
         for _ in range(500):
             nu, nl, case = sim.step(upper, lower, rng)
@@ -869,7 +875,7 @@ class TestCoupling:
 
         monkeypatch.setattr(Permutation, "apply_config", counted)
         rng = Random(55)
-        upper, lower = (1,) + (0,) * 8, (0,) * 9
+        upper, lower = b"\x01" + bytes(8), bytes(9)
         cases = set()
         for _ in range(200):
             calls[0] = 0
@@ -883,12 +889,12 @@ class TestCoupling:
         model = IndependentSetModel(graph, 1.0)
         sim = CoupledSteps(model, grid3_group())
         with pytest.raises(ValueError):
-            sim.step((0,) * 9, (0,) * 9, Random(0))
-        edge = (1, 1) + (0,) * 7  # a and b are adjacent
+            sim.step(bytes(9), bytes(9), Random(0))
+        edge = b"\x01\x01" + bytes(7)  # a and b are adjacent
         with pytest.raises(ValueError, match="independent sets"):
-            sim.step(edge, (1,) + (0,) * 8, Random(0))
+            sim.step(edge, b"\x01" + bytes(8), Random(0))
         with pytest.raises(ValueError, match="independent sets"):
-            sim.step((1,) + (0,) * 9, (0,) * 10, Random(0))
+            sim.step(b"\x01" + bytes(9), bytes(10), Random(0))
 
     def test_exact_rho_extremes(self):
         complete = gen_complete(2)
@@ -1022,8 +1028,8 @@ class TestCoupling:
         rng = Random(56)
         corner = NAMES9.index("a")
         middle = NAMES9.index("e")
-        upper = tuple(1 if i in (corner, middle) else 0 for i in range(9))
-        lower = tuple(1 if i == middle else 0 for i in range(9))
+        upper = bytes(1 if i in (corner, middle) else 0 for i in range(9))
+        lower = bytes(1 if i == middle else 0 for i in range(9))
         trials = 30_000
         counts_u = np.zeros(len(matrix.states))
         counts_l = np.zeros(len(matrix.states))
@@ -1045,7 +1051,7 @@ class TestCoupling:
 
 
 class TestInputChecks:
-    STATES = ((0,), (1,))
+    STATES = (b"\x00", b"\x01")
 
     @pytest.mark.parametrize("probs,message", [
         ([1.0], "differ in length"),
@@ -1081,7 +1087,7 @@ class TestInputChecks:
     ])
     def test_tv_checkpoints_rejected(self, checkpoints, message):
         universe = exact_pi_lambda(Graph(2, [(0, 1)]), 1.0)
-        trace = ChainTrace([(0, 0), (1, 0), (0, 0)])
+        trace = ChainTrace([b"\x00\x00", b"\x01\x00", b"\x00\x00"])
         with pytest.raises(ValueError, match=message):
             tv_curve(trace, universe, checkpoints)
 

@@ -25,8 +25,9 @@ from orbitalmcmc.families import gen_complete, gen_friends_smokers, gen_grid
 from orbitalmcmc.graphs import Graph
 from orbitalmcmc.perm import OrbitSampler, PermutationGroup, SamplerMode
 
-from helpers import (HARD_PAIRS_TEXT, parse_cycles, reference_chain, reference_gibbs_step,
-                     reference_insert_delete_step, satisfied_by, two_spin_model)
+from helpers import (FS_EVIDENCE, HARD_PAIRS_TEXT, parse_cycles, reference_chain,
+                     reference_gibbs_step, reference_insert_delete_step, satisfied_by,
+                     two_spin_model)
 
 
 def two_spin_chain_model() -> ClauseModel:
@@ -279,10 +280,10 @@ class TestGibbsStep:
         matrix = transition_matrix(model, ChainKind.GIBBS)
         dist = exact_distribution(model)
         assert dist.states == matrix.states
-        row = matrix.rows[dist.index_of((1, 0))]
-        mass = row[dist.index_of((0, 0))] + row[dist.index_of((1, 1))]
+        row = matrix.rows[dist.index_of(bytes((1, 0)))]
+        mass = row[dist.index_of(bytes((0, 0)))] + row[dist.index_of(bytes((1, 1)))]
         assert mass == pytest.approx(0.02, abs=1e-12)
-        assert row[dist.index_of((0, 1))] == 0.0
+        assert row[dist.index_of(bytes((0, 1)))] == 0.0
 
     def test_changes_at_most_one_variable(self):
         model = two_spin_chain_model()
@@ -664,3 +665,49 @@ class TestOneCallApis:
             with pytest.raises(ValueError, match=f"!= domain size {group.n}"):
                 sampler.sample(bits)
         assert rng.getstate() == before
+
+
+def contract_case(name: str):
+    """(model, group, enumerable) for the state-contract test."""
+    if name in ("grid3", "grid17"):  # grid 17: 289 variables, images stored as tuples
+        graph = gen_grid(3 if name == "grid3" else 17)
+        return IndependentSetModel(graph, 1.0), automorphism_generators(graph), name == "grid3"
+    if name == "fs6-pinned":
+        clause_set, evidence = gen_friends_smokers(6)[0], FS_EVIDENCE
+    else:
+        clause_set, evidence = HARD_PAIRS, {"a": True} if name == "hard-pairs-pinned" else {}
+    group = model_symmetry_group(clause_set, evidence).model_group
+    return ClauseModel(clause_set, evidence), group, name != "fs6-pinned"
+
+
+class TestStateContract:
+    """Every state the package hands out is `bytes` of the model's length,
+    one 0/1 byte per variable: the one form `ExactDistribution.index_of`,
+    `tv_curve` and `Permutation.apply_config` take."""
+
+    @staticmethod
+    def assert_configs(states, n: int):
+        assert all(type(s) is bytes and len(s) == n for s in states)
+        assert set(b"".join(states)) <= {0, 1}
+
+    @pytest.mark.parametrize("name", ["grid3", "grid17", "hard-pairs", "hard-pairs-pinned",
+                                      "fs6-pinned"])
+    def test_every_state_is_bytes_of_the_model_length(self, name):
+        model, group, enumerable = contract_case(name)
+        n = model.n
+        self.assert_configs([model.start], n)
+        kinds = [kind for kind in ChainKind if kind.base is model.base]
+        for kind in kinds:
+            for mode in SamplerMode:
+                trace = run_chain(model, kind, 100, seed=81, group=group, mode=mode)
+                self.assert_configs(trace.states, n)
+        for mode in SamplerMode:
+            sampler, rng, state = OrbitSampler(group, mode, Random(82)), Random(83), model.start
+            for _ in range(20):
+                state = sampler.sample(model.step(state, rng))
+                self.assert_configs([state], n)
+        if enumerable:
+            self.assert_configs(model.states(), n)
+            self.assert_configs(exact_distribution(model).states, n)
+            for kind in kinds:
+                self.assert_configs(transition_matrix(model, kind, group).states, n)

@@ -460,6 +460,41 @@ class TestAnalysisCommands:
         assert "argument --lambda: must be finite and positive, got inf" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--steps", "20", "--seeds", "5,", "--record-every", "2"],
+        ["tvcurve", "--chain", "id,orbital-id", "--steps", "200", "--seeds", "0,2",
+         "--mode", "exact"],
+        ["coupling", "--trials", "500", "--seeds", "42,"],
+        ["mix", "--chain", "id", "--epsilon", "0.05"]])
+    def test_resolved_config_reproduces_its_run(self, capsys, tmp_path, argv):
+        first, again = tmp_path / "first", tmp_path / "again"
+        code, _, _ = run_cli(capsys, *argv, "--model", "grid", "--k", "3", "--lambda", "2",
+                             "--out", str(first))
+        assert code == 0
+        code, _, _ = run_cli(capsys, "--config", str(first / "config.resolved.txt"),
+                             argv[0], "--out", str(again))
+        assert code == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        assert [name for name in names if name.endswith(".csv")]
+        for name in names:
+            if name != "config.resolved.txt":
+                assert (again / name).read_bytes() == (first / name).read_bytes()
+        resolved = (again / "config.resolved.txt").read_text()
+        assert resolved == (first / "config.resolved.txt").read_text().replace(
+            f"out={first}\n", f"out={again}\n")
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("tvcurve", "--seeds", "1,1"), ("sample", "--seeds", "4,0,4"),
+        ("mix", "--chain", "id,id"), ("mix", "--epsilon", "0.1,0.1")])
+    def test_repeated_list_value_rejected_before_writing(self, capsys, tmp_path, command,
+                                                         flag, value):
+        code, _, err = run_cli(capsys, command, "--model", "grid", "--k", "3",
+                               flag, value, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert f"{flag} lists a value twice: {value}" in err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("model=grid\nk=3\nstepz=5\n")
