@@ -21,8 +21,7 @@ import numpy as np
 from .chains import ChainKind, ChainTrace, IndependentSetModel
 from .errors import GuardExceededError, enumeration_cap
 from .graphs import Graph
-from .perm import (Config, PermutationGroup, _orbit_walk, config_matrix, config_rows, orbit_ids,
-                   state_action)
+from .perm import Config, PermutationGroup, config_matrix, config_rows, orbit_ids, state_action
 
 
 class ExactDistribution:
@@ -159,8 +158,11 @@ def representative_rows(matrix: TransitionMatrix
     first states, `rows.take(gather)` expands them, and those of every
     power P^t, to the whole kernel: if x = g r, then P^t(x, y) =
     P^t(r, g^-1 y), and indicator is None.  ValueError unless, to 1e-12,
-    P[s, s] = P for the index array s of every generator."""
+    P[s, s] = P for the index array s of every generator.  A kernel with no
+    action is its own reduction: (rows, None, None)."""
     rows, n = matrix.rows, len(matrix.states)
+    if matrix.action is None:
+        return rows, None, None
     ids = orbit_ids(matrix.action)
     reps = np.unique(ids, return_index=True)[1]
     columns = reps[ids]  # the first state of each state's orbit
@@ -182,9 +184,14 @@ def representative_rows(matrix: TransitionMatrix
             if np.abs(rows[s[i], s[j]] - values).max() > 1e-12:
                 raise ValueError("kernel does not commute with the group action")
         gather = np.empty((n, n), dtype=np.intp)
-        for x, z, g in _orbit_walk(matrix.action):
-            # row x = row z with its columns moved by generator g
-            gather[x] = ids[x] * n + np.arange(n) if z < 0 else gather[z][back[g]]
+        gather[reps] = np.arange(len(reps) * n).reshape(-1, n)
+        images, queue, seen = matrix.action.tolist(), reps.tolist(), set(reps.tolist())
+        for z in queue:  # breadth first from the first states, the queue growing as read
+            for g, image in enumerate(images):
+                if (x := image[z]) not in seen:  # row x = row z, columns moved by g
+                    seen.add(x)
+                    queue.append(x)
+                    gather[x] = gather[z][back[g]]
         reduced = first
     return reduced, gather, indicator
 
@@ -201,9 +208,9 @@ def _reduced_pi(matrix: TransitionMatrix, dist: ExactDistribution,
     """pi for `representative_rows`, the one path by which `mixing_time`
     reduces pi: summed orbit by orbit through the `_orbit_indicator` of a
     lumped kernel, else (indicator None) unchanged.  ValueError unless
-    pi[s] = pi to 1e-12 for every generator's index array s."""
-    pi = dist.probs
-    if any(np.abs(pi[s] - pi).max() > 1e-12 for s in matrix.action):
+    pi[s] = pi to 1e-12 for every generator's index array s, if any."""
+    pi, action = dist.probs, () if matrix.action is None else matrix.action
+    if any(np.abs(pi[s] - pi).max() > 1e-12 for s in action):
         raise ValueError("pi is not invariant under the group action")
     return pi if indicator is None else pi @ indicator
 
@@ -335,11 +342,10 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution, eps: float) -
             raise ValueError("chain is not irreducible")
         if not (np.diag(matrix.rows) > 0).any():
             raise ValueError("cannot verify aperiodicity: no positive diagonal")
-        rows, gather, indicator = ((matrix.rows, None, None) if matrix.action is None
-                                   else representative_rows(matrix))
+        rows, gather, indicator = representative_rows(matrix)
         ladder = [rows], gather, indicator  # [rows] grows: squares[j] = P^(2^j), M rows
     squares, gather, indicator = ladder
-    pi = dist.probs if matrix.action is None else _reduced_pi(matrix, dist, indicator)
+    pi = _reduced_pi(matrix, dist, indicator)
     object.__setattr__(matrix, "_ladder", ladder)  # kept once pi has passed its check
 
     def distance(power: np.ndarray) -> float:

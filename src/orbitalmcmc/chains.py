@@ -6,10 +6,9 @@ analysis read; every state is a `Config`, one 0/1 byte per variable:
 - `base`, the base chain kind the model runs: `ChainKind.check`, the one
   test that a kind runs on a model, compares it with the kind's base;
 - `start`, the start state, valid by construction;
-- `stepper(rng)`, one base move as a closure `step(bits)` over the
-  generator, a new state by two slices and a byte; `step(bits, rng)` is
-  `stepper(rng)(bits)`;
-- `moves(bits)`, the exact one-step distribution of `step` as
+- `stepper(rng)`, one base move as a closure `move(bits)` over the
+  generator, a new state by two slices and a byte;
+- `moves(bits)`, the exact one-step distribution of that move as
   (state, probability) pairs;
 - `states()` and `weights(states)`, the enumerated state space and its
   unnormalized stationary weights.
@@ -116,7 +115,7 @@ class IndependentSetModel:
         n, k, getrandbits, random = self.graph.n, self._k, rng.getrandbits, rng.random
         p_delete, p_insert, neighbours = self._p_delete, self._p_insert, self._neighbours
 
-        def step(bits: Config) -> Config:
+        def move(bits: Config) -> Config:
             v = getrandbits(k)
             while v >= n:
                 if not n:
@@ -130,15 +129,11 @@ class IndependentSetModel:
             if gather(bits) == empty and random() < p_insert:
                 return bits[:v] + b"\x01" + bits[v + 1:]
             return bits
-        return step
-
-    def step(self, bits: Config, rng: Random) -> Config:
-        """One move of `stepper(rng)`."""
-        return self.stepper(rng)(bits)
+        return move
 
     def moves(self, bits: Config) -> Iterator[tuple[Config, float]]:
-        """`step` from `bits` as (state, probability) pairs; a state can
-        appear more than once."""
+        """`stepper`'s move from `bits` as (state, probability) pairs; a
+        state can appear more than once."""
         n, lam = self.graph.n, self.lam
         p_del = 1.0 / (n * (1.0 + lam))
         p_ins = lam / (n * (1.0 + lam))
@@ -174,7 +169,7 @@ class ClauseModel:
     """A weighted clause set conditioned on evidence, moved by Gibbs.
 
     `evidence` maps variable names to truth values.  Clamped variables keep
-    their value: `step` and `moves` resample only `free`, the unclamped
+    their value: `stepper` and `moves` resample only `free`, the unclamped
     variables, and the scans below enumerate the free variables alone.
     Per variable, the model precomputes the clauses it occurs in, so the
     exact single-site conditional costs only the touched clauses, and is
@@ -294,7 +289,7 @@ class ClauseModel:
         if not m:
             return lambda bits: bits
 
-        def step(bits: Config) -> Config:
+        def move(bits: Config) -> Config:
             i = getrandbits(k)
             while i >= m:
                 i = getrandbits(k)
@@ -303,15 +298,11 @@ class ClauseModel:
             if bits[v] == value:
                 return bits
             return bits[:v] + _BIT[value] + bits[v + 1:]
-        return step
-
-    def step(self, bits: Config, rng: Random) -> Config:
-        """One move of `stepper(rng)`."""
-        return self.stepper(rng)(bits)
+        return move
 
     def moves(self, bits: Config) -> Iterator[tuple[Config, float]]:
-        """`step` from `bits` as (state, probability) pairs; a state can
-        appear more than once."""
+        """`stepper`'s move from `bits` as (state, probability) pairs; a
+        state can appear more than once."""
         free = self.free
         if not free:
             yield bits, 1.0
@@ -352,9 +343,13 @@ def _holds(clause, bits: np.ndarray) -> np.ndarray:
     return np.logical_or.reduce([bits[:, v] != neg for v, neg in clause.literals])
 
 
-# the step functions under the names `perfbench/workloads.py` reads
-gibbs_step = ClauseModel.step
-insert_delete_step = IndependentSetModel.step
+def _step(model, bits: Config, rng: Random) -> Config:
+    """One move of `model.stepper(rng)`, bound for this call alone."""
+    return model.stepper(rng)(bits)
+
+
+# the one-call step under the names `perfbench/workloads.py` reads
+gibbs_step = insert_delete_step = _step
 
 
 @dataclass

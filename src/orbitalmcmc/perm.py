@@ -21,10 +21,8 @@ product of its transversal sizes, and all elements, when needed, are one
 sorted |G| x n array read off it once, the only copy kept and the one way
 to list them (`image_array`).  Every orbit, of points, configurations or
 states, is read off one routine, `orbit_ids`, from an action given as one
-row of images per generator:
-`PermutationGroup.point_action` on points, `state_action` on a
-configuration list; beside it, `_orbit_walk` walks the same action and
-gives `representative_rows` its gather tree.  Lists of orbits are sorted tuples.
+row of images per generator: `PermutationGroup.point_action` on points,
+`state_action` on a configuration list.  Lists of orbits are sorted tuples.
 Cycle notation is written here (`format_cycles`, `format_generating_set`),
 never read back.
 
@@ -60,7 +58,16 @@ MAX_BYTES_N = 256  # largest domain stored as bytes: points 0..255
 
 
 def _as_image(mapping: Sequence[int]) -> Image:
+    """The raw image of a mapping; a raw image comes back as the same object."""
     return bytes(mapping) if len(mapping) <= MAX_BYTES_N else tuple(mapping)
+
+
+def _check_config(bits: Config, n: int) -> None:
+    """TypeError unless `bits` is `bytes`, ValueError unless of length n."""
+    if not isinstance(bits, bytes):
+        raise TypeError(f"a configuration is bytes, not {type(bits).__name__}")
+    if len(bits) != n:
+        raise ValueError(f"configuration length {len(bits)} != domain size {n}")
 
 
 def config_matrix(states: Sequence[Config], n: int) -> np.ndarray:
@@ -119,14 +126,9 @@ class Permutation:
 
     @classmethod
     def _trusted(cls, mapping: Sequence[int]) -> "Permutation":
-        # internal fast path: caller guarantees mapping is a bijection
-        return cls._wrap(_as_image(mapping))
-
-    @classmethod
-    def _wrap(cls, image: Image) -> "Permutation":
-        # internal fast path: image is already a raw image of a bijection
+        # internal fast path: caller guarantees mapping, or a raw image, is a bijection
         p = object.__new__(cls)
-        p.image = image
+        p.image = _as_image(mapping)
         return p
 
     @classmethod
@@ -153,19 +155,17 @@ class Permutation:
 
     def apply_config(self, bits: Config) -> Config:
         """Move bit i of a configuration to position image[i]."""
-        if len(bits) != len(self.image):
-            raise ValueError(
-                f"configuration length {len(bits)} != domain size {len(self.image)}")
+        _check_config(bits, len(self.image))
         return _scatter(self.image, bits)
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self followed by other: x -> other(self(x))."""
         if len(other.image) != len(self.image):
             raise ValueError("cannot compose permutations of different domain sizes")
-        return Permutation._wrap(_compose(self.image, other.image))
+        return Permutation._trusted(_compose(self.image, other.image))
 
     def inverse(self) -> "Permutation":
-        return Permutation._wrap(_scatter(self.image, _as_image(range(self.n))))
+        return Permutation._trusted(_scatter(self.image, _as_image(range(self.n))))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles of length >= 2, each starting at its least point."""
@@ -342,30 +342,6 @@ def state_action(group: PermutationGroup, states: Sequence[Config]) -> np.ndarra
     return action
 
 
-def _orbit_walk(action: np.ndarray):
-    """Breadth-first walk of the states under the generators, one orbit at a
-    time in order of its first state.  Yields (x, z, g) with x = action[g][z],
-    or z = g = -1 when x is the first state of its orbit."""
-    images = action.tolist()
-    seen = [False] * action.shape[1]
-    for start in range(len(seen)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        yield start, -1, -1
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for z in frontier:
-                for g, image in enumerate(images):
-                    x = image[z]
-                    if not seen[x]:
-                        seen[x] = True
-                        nxt.append(x)
-                        yield x, z, g
-            frontier = nxt
-
-
 def orbit_ids(action: np.ndarray) -> np.ndarray:
     """Orbit id per point of an action given as one row of images per
     generator, numbered in order of each orbit's first point.  Each point's
@@ -486,7 +462,7 @@ class ProductReplacement:
 
     def next(self) -> Permutation:
         """Advance the state and return a (near-uniform) group member."""
-        return Permutation._wrap(self._moves(DRAW_MOVES))
+        return Permutation._trusted(self._moves(DRAW_MOVES))
 
 
 class OrbitSampler:
@@ -499,8 +475,8 @@ class OrbitSampler:
     scalability.  A trivial group consumes no randomness.
 
     `resample`, one closure bound for the mode and the images' storage form,
-    is the resample: `sample` checks the state's length and calls it, a step
-    loop calls it directly.  It is None for a trivial group, which moves nothing.
+    is the resample: `sample` checks the state's type and length and calls
+    it, a step loop calls it directly.  It is None for a trivial group, which moves nothing.
     """
 
     def __init__(self, group: PermutationGroup, mode: SamplerMode, rng: Random):
@@ -532,8 +508,7 @@ class OrbitSampler:
         self.resample = resample if n <= MAX_BYTES_N else lambda bits: _scatter(draw(), bits)
 
     def sample(self, bits: Config) -> Config:
-        if len(bits) != self._n:
-            raise ValueError(f"configuration length {len(bits)} != domain size {self._n}")
+        _check_config(bits, self._n)
         return bits if self.resample is None else self.resample(bits)
 
 

@@ -91,7 +91,7 @@ def elements(group: PermutationGroup) -> tuple[Permutation, ...]:
     of `PermutationGroup.image_array` as permutations."""
     els = group.image_array()
     rows = map(bytes, els) if group.n <= MAX_BYTES_N else map(tuple, els.tolist())
-    return tuple(map(Permutation._wrap, rows))
+    return tuple(map(Permutation._trusted, rows))
 
 
 def two_spin_model() -> WeightedClauseSet:
@@ -125,6 +125,42 @@ def apply_config_action(group: PermutationGroup, states) -> np.ndarray:
     index = {bytes(s): i for i, s in enumerate(states)}
     action = [[index[g.apply_config(s)] for s in states] for g in group.generators]
     return np.array(action, dtype=np.intp).reshape(len(group.generators), len(states))
+
+
+def orbit_walk(action: np.ndarray):
+    """Breadth-first walk of the states under the generators, one orbit at a
+    time in order of its first state.  Yields (x, z, g) with x = action[g][z],
+    or z = g = -1 when x is the first state of its orbit."""
+    images = action.tolist()
+    seen = [False] * action.shape[1]
+    for start in range(len(seen)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        yield start, -1, -1
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for z in frontier:
+                for g, image in enumerate(images):
+                    x = image[z]
+                    if not seen[x]:
+                        seen[x] = True
+                        nxt.append(x)
+                        yield x, z, g
+            frontier = nxt
+
+
+def walk_gather(matrix) -> np.ndarray:
+    """Reference for the gather of `analysis.representative_rows` on a kernel
+    that does not lump: built along `orbit_walk`, orbit by orbit."""
+    n, ids = len(matrix.states), orbit_ids(matrix.action)
+    back = np.argsort(matrix.action, axis=1)  # index arrays of the inverses
+    gather = np.empty((n, n), dtype=np.intp)
+    for x, z, g in orbit_walk(matrix.action):
+        # row x = row z with its columns moved by generator g
+        gather[x] = ids[x] * n + np.arange(n) if z < 0 else gather[z][back[g]]
+    return gather
 
 
 def brute_force_automorphisms(graph: Graph) -> list[Permutation]:
@@ -433,7 +469,7 @@ class ReferenceProductReplacement:
         if self._slots:
             for _ in range(DRAW_MOVES):
                 self._move()
-        return Permutation._wrap(self._acc)
+        return Permutation._trusted(self._acc)
 
 
 # References for the index draws that `perm`'s module docstring defines: each
@@ -441,7 +477,8 @@ class ReferenceProductReplacement:
 
 
 def reference_insert_delete_step(model, bits: bytes, rng: Random) -> bytes:
-    """Reference for `IndependentSetModel.step`, blocking read off the adjacency."""
+    """Reference for an `IndependentSetModel.stepper` move, blocking read off
+    the adjacency."""
     v = rng.randrange(model.graph.n)
     if bits[v]:
         if rng.random() < 1.0 / (1.0 + model.lam):
@@ -454,7 +491,7 @@ def reference_insert_delete_step(model, bits: bytes, rng: Random) -> bytes:
 
 
 def reference_gibbs_step(model, bits: bytes, rng: Random) -> bytes:
-    """Reference for `ClauseModel.step`, through `conditional_p1`."""
+    """Reference for a `ClauseModel.stepper` move, through `conditional_p1`."""
     if not model.free:
         return bits
     v = model.free[rng.randrange(len(model.free))]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -39,7 +40,7 @@ from orbitalmcmc.perm import Permutation, PermutationGroup, SamplerMode, orbit_i
 
 from helpers import (CoupledSteps, coupling_drift_by_steps, distance_one_pairs, exact_rho,
                      exact_varrho, parse_cycles, reference_coupled_draw, reference_drift_draws,
-                     two_spin_model)
+                     two_spin_model, walk_gather)
 
 NAMES9 = list("abcdefghi")
 
@@ -411,7 +412,10 @@ class TestOrbitQuotient:
         pi = exact_pi_lambda(gen_grid(3), 1.0)
         base = transition_matrix(model, ChainKind.INSERT_DELETE, grid3_group())
         assert base.action.shape == (2, 63)
-        assert transition_matrix(model, ChainKind.INSERT_DELETE).action is None
+        dense = transition_matrix(model, ChainKind.INSERT_DELETE)
+        assert dense.action is None
+        assert all(r is d for r, d in zip(representative_rows(dense), (dense.rows, None, None)))
+        assert analysis._reduced_pi(dense, pi, None) is pi.probs
         rows, gather, lumping = representative_rows(base)
         m = len(rows)
         assert m < 63 and rows.shape == (m, 63) and gather.shape == (63, 63)
@@ -512,6 +516,16 @@ def algebra_cases():
                        ChainKind.ORBITAL_GIBBS, id="two-spin-gibbs")
 
 
+def orbit_average(action: np.ndarray) -> np.ndarray:
+    """A, A(x, y) = 1/|orbit of x| when x and y share an orbit, else 0."""
+    ids = orbit_ids(action)
+    sizes = np.bincount(ids)
+    a = np.zeros((len(ids), len(ids)))
+    for x, orbit in enumerate(ids):
+        a[x, ids == orbit] = 1.0 / sizes[orbit]
+    return a
+
+
 class TestOrbitalKernelAlgebra:
     """The orbital kernel K against the base kernel P and the orbit-averaging
     matrix A, A(x, y) = 1/|orbit of x| when x and y share an orbit, else 0."""
@@ -522,11 +536,7 @@ class TestOrbitalKernelAlgebra:
         orbital = transition_matrix(model, orbital_kind, group)
         assert base.states == orbital.states
         p, k = base.rows, orbital.rows
-        ids = orbit_ids(base.action)
-        sizes = np.bincount(ids)
-        a = np.zeros_like(p)
-        for x, orbit in enumerate(ids):
-            a[x, ids == orbit] = 1.0 / sizes[orbit]
+        a = orbit_average(base.action)
 
         def error(lhs, rhs):
             return np.abs(lhs - rhs).max()
@@ -538,6 +548,26 @@ class TestOrbitalKernelAlgebra:
         for t in range(2, 6):
             p_t = np.linalg.matrix_power(p, t)
             assert error(np.linalg.matrix_power(k, t), p_t @ a) <= 1e-12, t
+
+    @pytest.mark.parametrize("model,group,base_kind,orbital_kind", [
+        case for case in algebra_cases() if case.id.endswith(("lam1.0", "two-spin-gibbs"))])
+    def test_relabelled_base_trace_has_the_orbital_law(self, model, group, base_kind,
+                                                        orbital_kind):
+        """From every start, the 2- and 3-step joint laws of K equal those of
+        a base trace Y with each visited state relabelled by its own
+        independent uniform group element, X_t = g_t Y_t:
+        sum over y1, y2 of P(x0, y1) A(y1, x1) P(y1, y2) A(y2, x2) (PA)(y2, x3)."""
+        base = transition_matrix(model, base_kind, group)
+        k = transition_matrix(model, orbital_kind, group).rows
+        p, a = base.rows, orbit_average(base.action)
+        two = k[:, :, None] * k[None, :, :]  # two[x0, x1, x2] = K(x0, x1) K(x1, x2)
+        relabelled = np.einsum("ay,yb,yc->abc", p, a, p @ a)
+        assert np.abs(two - relabelled).max() <= 1e-12
+        tail = relabelled.reshape(len(p), -1)  # two relabelled steps from an unrelabelled y1
+        for x0, row in enumerate(p):
+            y = np.flatnonzero(row)  # the sum over y1 runs where P(x0, y1) > 0
+            relabelled = ((row[y, None] * a[y]).T @ tail[y]).reshape(two.shape)
+            assert np.abs(k[x0, :, None, None] * two - relabelled).max() <= 1e-12, x0
 
 
 class TestRepresentativeRows:
@@ -564,6 +594,13 @@ class TestRepresentativeRows:
         for eps, tau in zip((0.1, 0.01), taus):
             assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps) == tau
 
+    @pytest.mark.parametrize("make", [gen_grid, gen_connected_cliques])
+    def test_gather_equals_the_walk_at_four(self, make):
+        graph = make(4)
+        matrix = transition_matrix(IndependentSetModel(graph, 1.0), ChainKind.INSERT_DELETE,
+                                   automorphism_generators(graph))
+        assert np.array_equal(representative_rows(matrix)[1], walk_gather(matrix))
+
     def test_expanded_rows_of_the_square_are_the_square(self):
         clause_set, _ = gen_friends_smokers(3)
         evidence = FS3_EVIDENCE[0]
@@ -583,6 +620,7 @@ class TestRepresentativeRows:
             assert lumping is None
             ids = orbit_ids(transition_matrix(model, orbital, group).action)
             assert len(reps) == len(set(ids.tolist())) < len(matrix.states)
+            assert np.array_equal(gather, walk_gather(matrix))
             assert np.abs(reps.take(gather) - matrix.rows).max() <= 1e-12
             square = reps @ reps.take(gather)
             assert np.abs(square.take(gather) - matrix.rows @ matrix.rows).max() <= 1e-12
@@ -626,6 +664,70 @@ class TestRepresentativeRows:
     def test_action_must_permute_the_states(self, action, message):
         with pytest.raises(ValueError, match=message):
             TransitionMatrix((b"\x00", b"\x01"), np.eye(2), action=np.array(action))
+
+
+def symmetrised_spectrum(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a pi-reversible kernel, through the symmetric
+    matrix D^1/2 P D^-1/2 with D = diag(pi)."""
+    root = np.sqrt(pi)
+    sym = root[:, None] * rows / root[None, :]
+    return np.linalg.eigvalsh((sym + sym.T) / 2)
+
+
+def relaxation_time(spectrum: np.ndarray) -> float:
+    """1 / (1 - the largest |eigenvalue| past the top one, 1)."""
+    return 1.0 / (1.0 - np.abs(spectrum[:-1]).max(initial=0.0))
+
+
+def spectrum_cases():
+    """(graph, lam, the graph's name in perfbench/reference.json at lam 1 or None)."""
+    for name, make, k, lams in (("grid", gen_grid, 3, (0.5, 1.0, 2.0)),
+                                ("cliques", gen_connected_cliques, 3, (0.5, 1.0, 2.0)),
+                                ("complete", gen_complete, 3, (0.5, 1.0, 2.0)),
+                                ("grid", gen_grid, 4, (1.0,)),
+                                ("cliques", gen_connected_cliques, 4, (1.0,))):
+        for lam in lams:
+            reference = f"{name}{k}" if k == 4 else None
+            yield pytest.param(make(k), lam, reference, id=f"{name}{k}-lam{lam}")
+
+
+REFERENCE_TAUS = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                             / "reference.json").read_text())["mixing_time"]
+
+
+class TestSpectrum:
+    """K = P A has P's eigenvalues on G-invariant functions, those of the
+    lumped quotient Q, and zeros (P and A are pi-self-adjoint and commute),
+    so the orbit resample never slows the relaxation time."""
+
+    @pytest.mark.parametrize("graph,lam,reference", spectrum_cases())
+    def test_quotient_spectrum_within_the_base_spectrum(self, graph, lam, reference):
+        """Q's eigenvalues are a sub-multiset of P's, gap(K) >= gap(P), and
+        each reference mixing time lies within the bounds that the relaxation
+        time t_rel puts on it (Levin, Peres & Wilmer, Markov Chains and
+        Mixing Times, Thms 12.4-12.5)."""
+        model, pi = IndependentSetModel(graph, lam), exact_pi_lambda(graph, lam)
+        base = transition_matrix(model, ChainKind.INSERT_DELETE)
+        orbital = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE,
+                                    automorphism_generators(graph))
+        quotient, _, lumping = representative_rows(orbital)
+        p = symmetrised_spectrum(base.rows, pi.probs)
+        q = symmetrised_spectrum(quotient, analysis._reduced_pi(orbital, pi, lumping))
+        j = 0  # a sub-multiset: each of Q's eigenvalues, ascending, takes the next of P's
+        for value in q:
+            while j < len(p) and p[j] < value - 1e-10:
+                j += 1
+            assert j < len(p) and abs(p[j] - value) <= 1e-10, value
+            j += 1
+        t_rel = {"id": relaxation_time(p), "orbital-id": relaxation_time(q)}
+        assert 1 / t_rel["orbital-id"] >= 1 / t_rel["id"] - 1e-10  # gap(K) >= gap(P)
+        pi_min = pi.probs.min()
+        for kind, taus in (REFERENCE_TAUS[reference].items() if reference else ()):
+            t = t_rel[kind]
+            for eps, tau in taus.items():
+                eps = float(eps)
+                assert ((t - 1) * math.log(1 / (2 * eps)) <= tau
+                        <= t * math.log(1 / (eps * pi_min))), (kind, eps)
 
 
 def taus_in_every_order(matrix, pi, epsilons):

@@ -492,7 +492,7 @@ class TestIndexDraws:
         rng, ref_rng = Random(61), Random(61)
         state = expected = model.start
         for _ in range(2000):
-            state = model.step(state, rng)
+            state = insert_delete_step(model, state, rng)
             expected = reference_insert_delete_step(model, expected, ref_rng)
             assert state == expected
         assert rng.getstate() == ref_rng.getstate()
@@ -508,7 +508,7 @@ class TestIndexDraws:
         rng, ref_rng = Random(62), Random(62)
         state = expected = model.start
         for _ in range(2000):
-            state = model.step(state, rng)
+            state = gibbs_step(model, state, rng)
             expected = reference_gibbs_step(model, expected, ref_rng)
             assert state == expected
         assert rng.getstate() == ref_rng.getstate()
@@ -527,7 +527,7 @@ class TestRunChain:
         rng = Random(0)
         before = rng.getstate()
         with pytest.raises(ValueError, match="no vertices"):
-            model.step(b"", rng)
+            insert_delete_step(model, b"", rng)
         assert rng.getstate() == before
         with pytest.raises(ValueError, match="no vertices"):
             run_chain(model, ChainKind.INSERT_DELETE, 1, seed=0)
@@ -640,14 +640,18 @@ class TestBoundLoop:
 class TestOneCallApis:
     """The one-call APIs bind per call and draw what the bound closures draw."""
 
+    def test_both_step_names_are_one_function(self):
+        assert gibbs_step is insert_delete_step
+
     @pytest.mark.parametrize("name", ["grid3", "K9", "fs4e"])
     def test_step_equals_a_stepper_on_a_clone(self, name):
         model = bound_loop_case(name)[0]
         rng, clone = Random(74), Random(74)
         step = model.stepper(clone)
+        one_call = gibbs_step if model.base is ChainKind.GIBBS else insert_delete_step
         state = expected = model.start
         for _ in range(2000):
-            state, expected = model.step(state, rng), step(expected)
+            state, expected = one_call(model, state, rng), step(expected)
             assert state == expected
         assert rng.getstate() == clone.getstate()
 
@@ -664,6 +668,23 @@ class TestOneCallApis:
         for bits in (bytes(group.n - 1), bytes(group.n + 1)):
             with pytest.raises(ValueError, match=f"!= domain size {group.n}"):
                 sampler.sample(bits)
+        assert rng.getstate() == before
+
+    @pytest.mark.parametrize("mode", list(SamplerMode))
+    @pytest.mark.parametrize("n", [3, 300])  # images as bytes, then as tuples
+    def test_a_state_not_bytes_is_rejected_unchanged(self, n, mode):
+        """`sample` and `apply_config` take `bytes` alone, at every n: a
+        tuple, list or bytearray state raises TypeError before any draw."""
+        group = PermutationGroup([parse_cycles("(0 1)", n=n)])
+        rng = Random(77)
+        sampler = OrbitSampler(group, mode, rng)
+        before = rng.getstate()
+        for form in (tuple, list, bytearray):
+            bits = form(b"\x01" + bytes(n - 1))
+            with pytest.raises(TypeError, match="configuration is bytes"):
+                sampler.sample(bits)
+            with pytest.raises(TypeError, match="configuration is bytes"):
+                group.generators[0].apply_config(bits)
         assert rng.getstate() == before
 
 
@@ -702,9 +723,10 @@ class TestStateContract:
                 trace = run_chain(model, kind, 100, seed=81, group=group, mode=mode)
                 self.assert_configs(trace.states, n)
         for mode in SamplerMode:
-            sampler, rng, state = OrbitSampler(group, mode, Random(82)), Random(83), model.start
+            sampler, step = OrbitSampler(group, mode, Random(82)), model.stepper(Random(83))
+            state = model.start
             for _ in range(20):
-                state = sampler.sample(model.step(state, rng))
+                state = sampler.sample(step(state))
                 self.assert_configs([state], n)
         if enumerable:
             self.assert_configs(model.states(), n)

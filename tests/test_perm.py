@@ -151,6 +151,7 @@ class TestRepresentation:
         pm, qm = tuple(pm), tuple(qm)
         p, q = Permutation(pm), Permutation(qm)
         assert isinstance(p.image, bytes) == (n <= 256)
+        assert Permutation._trusted(p.image).image is p.image  # a raw image kept as given
         assert p.n == n and p.mapping == pm
         assert p.compose(q).mapping == tuple(qm[v] for v in pm)
         inv = [0] * n
@@ -535,7 +536,7 @@ class TestProductReplacement:
         state = ProductReplacement(group, rng=Random(2))
         for _ in range(100):
             state.next()
-        assert all(Permutation._wrap(s) in members for s in state._slots)
+        assert all(Permutation._trusted(s) in members for s in state._slots)
 
     def test_rough_uniformity(self):
         # strict chi-square at 1e5 draws lives in the acceptance suite
@@ -555,7 +556,7 @@ class TestProductReplacement:
 class TestOrbitSampling:
     def test_trivial_group_returns_input(self):
         triv = PermutationGroup([], n=4)
-        c = (1, 0, 0, 1)
+        c = bytes((1, 0, 0, 1))
         assert OrbitSampler(triv, SamplerMode.EXACT, Random(0)).sample(c) == c
 
     def test_exact_pair_frequencies(self):

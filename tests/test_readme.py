@@ -69,8 +69,8 @@ def test_every_public_name_has_a_program_caller():
     example, unless KEPT_UNREFERENCED gives a reason.  A module-level name
     matches a bare name or an attribute; a method matches any attribute of
     its name, whatever the object, so a method named like another class's
-    method that is read passes unseen: a `CouplingSimulator.step` would,
-    since the models' `.step` is read."""
+    method that is read passes unseen: a `CouplingSimulator.sample` would,
+    since `OrbitSampler.sample` is read."""
     sources = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     referenced = referenced_names(ast.parse(readme_example()))
     for path in sources:
