@@ -11,8 +11,8 @@ ground truth on small models.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from operator import itemgetter
 from random import Random
 from typing import Optional, Sequence
 
@@ -277,9 +277,12 @@ def tv_curve(trace: ChainTrace, exact: ExactDistribution,
     The empirical distribution at checkpoint c uses the first c recorded
     states, initial state included and no burn-in discarded, looked up
     all at once in the index of `exact.states`; a state outside it raises
-    `exact.index_of`'s KeyError.  Counts are added per segment.
+    `exact.index_of`'s KeyError, a checkpoint not an integer TypeError.
+    Checkpoints go in blocks of at most max(1, 2^16 // N) for N states: one
+    `bincount` counts each segment into its own row and an integer cumsum,
+    from the counts carried over, gives the points of the per-checkpoint sum.
     """
-    checkpoints = sorted(set(int(c) for c in checkpoints))
+    checkpoints = sorted(set(map(operator.index, checkpoints)))
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive sample counts")
     if checkpoints[-1] > len(trace.states):
@@ -287,16 +290,22 @@ def tv_curve(trace: ChainTrace, exact: ExactDistribution,
             f"checkpoint {checkpoints[-1]} exceeds {len(trace.states)} samples")
     states = trace.states[:checkpoints[-1]]
     try:  # one key more, so that one state too gives a tuple; fromiter stops before it
-        found = itemgetter(*states, states[0])(exact._index)
+        found = operator.itemgetter(*states, states[0])(exact._index)
     except KeyError as miss:
         exact.index_of(miss.args[0])  # raises, naming the state
         raise
     found = np.fromiter(found, np.intp, len(states))
-    counts, points, used = np.zeros(len(exact.states)), [], 0
-    for target in checkpoints:
-        counts += np.bincount(found[used:target], minlength=len(counts))
-        used = target
-        points.append((used, float(0.5 * np.abs(counts / used - exact.probs).sum())))
+    n, bounds = len(exact.states), np.array([0] + checkpoints)
+    block, carry, points = max(1, (1 << 16) // n), np.zeros(n, np.intp), []
+    for start in range(0, len(checkpoints), block):
+        edges = bounds[start:start + block + 1]  # a block's counts: at most 512 KiB
+        rows = np.repeat(np.arange(len(edges) - 1) * n, np.diff(edges))
+        counts = np.bincount(rows + found[edges[0]:edges[-1]], minlength=n * (len(edges) - 1))
+        counts = counts.reshape(-1, n)
+        counts[0] += carry
+        carry = np.cumsum(counts, axis=0, out=counts)[-1]
+        tv = 0.5 * np.abs(counts / edges[1:, None] - exact.probs).sum(axis=1)
+        points += zip(edges[1:].tolist(), tv.tolist())
     return TVSeries(points)
 
 

@@ -3,14 +3,16 @@
 import itertools
 import math
 import re
+from operator import itemgetter
 from random import Random
 from typing import Optional, Sequence
 
 import numpy as np
 
-from orbitalmcmc.analysis import CouplingReport, CouplingSimulator, ExactDistribution
+from orbitalmcmc.analysis import (CouplingReport, CouplingSimulator, ExactDistribution,
+                                  TVSeries)
 from orbitalmcmc.autgroup import Cells, color_cells, is_automorphism
-from orbitalmcmc.chains import ChainKind
+from orbitalmcmc.chains import ChainKind, ChainTrace
 from orbitalmcmc.clauses import Clause, WeightedClauseSet, parse_clause_file
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
 from orbitalmcmc.perm import (BURN_IN_PER_SLOT, DRAW_MOVES, MAX_BYTES_N, MIN_SLOTS, Config,
@@ -117,6 +119,31 @@ def satisfied_by(clause: Clause, bits) -> bool:
 def marginal(dist: ExactDistribution, var: int) -> float:
     """Reference for P(var = 1) under `dist`: a sum over its states in order."""
     return float(sum(p for s, p in zip(dist.states, dist.probs) if s[var]))
+
+
+def reference_tv_curve(trace: ChainTrace, exact: ExactDistribution,
+                       checkpoints: Sequence[int]) -> TVSeries:
+    """Reference for `analysis.tv_curve`: counts added checkpoint by
+    checkpoint into one float vector, one TV sum per checkpoint."""
+    checkpoints = sorted(set(int(c) for c in checkpoints))
+    if not checkpoints or checkpoints[0] < 1:
+        raise ValueError("checkpoints must be positive sample counts")
+    if checkpoints[-1] > len(trace.states):
+        raise ValueError(
+            f"checkpoint {checkpoints[-1]} exceeds {len(trace.states)} samples")
+    states = trace.states[:checkpoints[-1]]
+    try:  # one key more, so that one state too gives a tuple; fromiter stops before it
+        found = itemgetter(*states, states[0])(exact._index)
+    except KeyError as miss:
+        exact.index_of(miss.args[0])  # raises, naming the state
+        raise
+    found = np.fromiter(found, np.intp, len(states))
+    counts, points, used = np.zeros(len(exact.states)), [], 0
+    for target in checkpoints:
+        counts += np.bincount(found[used:target], minlength=len(counts))
+        used = target
+        points.append((used, float(0.5 * np.abs(counts / used - exact.probs).sum())))
+    return TVSeries(points)
 
 
 def apply_config_action(group: PermutationGroup, states) -> np.ndarray:

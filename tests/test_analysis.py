@@ -40,7 +40,7 @@ from orbitalmcmc.perm import Permutation, PermutationGroup, SamplerMode, orbit_i
 
 from helpers import (CoupledSteps, coupling_drift_by_steps, distance_one_pairs, exact_rho,
                      exact_varrho, parse_cycles, reference_coupled_draw, reference_drift_draws,
-                     two_spin_model, walk_gather)
+                     reference_tv_curve, two_spin_model, walk_gather)
 
 NAMES9 = list("abcdefghi")
 
@@ -320,6 +320,56 @@ class TestTotalVariation:
         assert series.points[0][1] == pytest.approx(1 - pi.probs[pi.index_of(bytes(9))])
         assert series.points[-1][1] < series.points[0][1]
         assert series.auc() > 0
+
+    # graph-tv's checkpoints in perfbench: every 5th sample to 200, every
+    # 20th to 4,000, and the last of 4,001
+    GRAPH_TV_CHECKPOINTS = sorted(set(range(5, 200, 5)) | set(range(200, 4001, 20)) | {4001})
+
+    @pytest.mark.parametrize("checkpoints", [
+        GRAPH_TV_CHECKPOINTS, range(1, 4002), [4001], [4001, 17, 5, 17, 1, 900, 5, 2000]],
+        ids=["graph-tv", "every-sample", "last-only", "unsorted-repeats"])
+    @pytest.mark.parametrize("kind,mode", [
+        (ChainKind.INSERT_DELETE, SamplerMode.EXACT),  # a base chain draws no orbit
+        (ChainKind.ORBITAL_INSERT_DELETE, SamplerMode.EXACT),
+        (ChainKind.ORBITAL_INSERT_DELETE, SamplerMode.PRODUCT_REPLACEMENT)],
+        ids=["id", "orbital-id-exact", "orbital-id-pr"])
+    @pytest.mark.parametrize("family", [gen_grid, gen_connected_cliques, gen_complete],
+                             ids=["grid3", "cliques3", "K9"])
+    def test_blocks_equal_the_checkpoint_loop(self, family, kind, mode, checkpoints):
+        graph = family(3)
+        group = automorphism_generators(graph) if kind.is_orbital else None
+        trace = run_chain(IndependentSetModel(graph, 1.0), kind, 4000, seed=53,
+                          group=group, mode=mode)
+        pi = exact_pi_lambda(graph, 1.0)
+        assert tv_curve(trace, pi, checkpoints).points == \
+            reference_tv_curve(trace, pi, checkpoints).points
+
+    def test_blocks_carry_counts_across_many_blocks(self):
+        # grid 4 has 1,234 states, so blocks of 53 checkpoints: every sample
+        # of a 20k-step trace falls in 378 blocks
+        graph = gen_grid(4)
+        pi = exact_pi_lambda(graph, 1.0)
+        trace = run_chain(IndependentSetModel(graph, 1.0), ChainKind.INSERT_DELETE, 20_000,
+                          seed=54)
+        every = range(1, len(trace.states) + 1)
+        points = tv_curve(trace, pi, every).points
+        assert len(points) == 20_001
+        assert points == reference_tv_curve(trace, pi, every).points
+
+    def test_every_sample_as_a_checkpoint_stays_small(self):
+        # a checkpoints x states array of counts would take 20,001 x 1,234 x 8
+        # bytes, about 188 MiB; the blocks' peak is a few MiB
+        graph = gen_grid(4)
+        pi = exact_pi_lambda(graph, 1.0)
+        trace = run_chain(IndependentSetModel(graph, 1.0), ChainKind.INSERT_DELETE, 20_000,
+                          seed=55)
+        tracemalloc.start()
+        try:
+            tv_curve(trace, pi, range(1, 20_002))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestMixingTime:
@@ -1192,6 +1242,22 @@ class TestInputChecks:
         trace = ChainTrace([b"\x00\x00", b"\x01\x00", b"\x00\x00"])
         with pytest.raises(ValueError, match=message):
             tv_curve(trace, universe, checkpoints)
+
+    @pytest.mark.parametrize("checkpoints", [[2.7, 3], [np.float64(2.0)], ["2"]],
+                             ids=["float", "numpy-float", "string"])
+    def test_tv_checkpoints_not_integers_rejected(self, checkpoints):
+        # int() would truncate a float and parse a string without a word
+        universe = exact_pi_lambda(Graph(2, [(0, 1)]), 1.0)
+        trace = ChainTrace([b"\x00\x00", b"\x01\x00", b"\x00\x00"])
+        with pytest.raises(TypeError):
+            tv_curve(trace, universe, checkpoints)
+
+    def test_tv_numpy_integer_checkpoints_accepted(self):
+        universe = exact_pi_lambda(Graph(2, [(0, 1)]), 1.0)
+        trace = ChainTrace([b"\x00\x00", b"\x01\x00", b"\x00\x00"])
+        points = tv_curve(trace, universe, [np.int64(3), np.intp(1)]).points
+        assert points == tv_curve(trace, universe, [1, 3]).points
+        assert [type(c) for c, _ in points] == [int, int]
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5])
     def test_mixing_eps_rejected(self, eps):
