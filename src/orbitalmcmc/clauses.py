@@ -37,7 +37,7 @@ def normalize_weight(text: str) -> str:
     sign = ""
     if text.startswith(("-", "+")):
         sign, text = text[0] if text[0] == "-" else "", text[1:]
-    if not text or not text.replace(".", "", 1).isdigit():
+    if not text.isascii() or not text.replace(".", "", 1).isdigit():
         raise ValueError(f"not a decimal weight: {text!r}")
     if "." in text:
         text = text.rstrip("0").rstrip(".")

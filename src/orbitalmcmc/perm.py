@@ -2,7 +2,7 @@
 
 Permutations act on points 0..n-1 and, extended pointwise, on binary
 configurations of length n.  Composition is fixed left-to-right across the
-whole package: p.compose(q) applied to x is q applied to (p applied to x).
+whole package: `_compose(a, b)` maps x to b[a[x]], a first and then b.
 
 A configuration (`Config`) is `bytes`, one 0/1 byte per variable, at every
 n.  A permutation is stored as one raw image, the sequence of images of
@@ -42,7 +42,7 @@ import functools
 import itertools
 import math
 from enum import Enum
-from operator import itemgetter
+from operator import index, itemgetter
 from random import Random
 from typing import Iterable, Optional, Sequence, Union
 
@@ -115,13 +115,14 @@ class Permutation:
     __slots__ = ("image",)
 
     def __init__(self, mapping: Iterable[int]):
-        m = tuple(mapping)
-        n = len(m)
-        seen = [False] * n
-        for v in m:
-            if not isinstance(v, int) or not 0 <= v < n or seen[v]:
-                raise ValueError(f"not a permutation of 0..{n - 1}: {m}")
-            seen[v] = True
+        given = tuple(mapping)
+        n = len(given)
+        try:
+            m = tuple(map(index, given))  # numpy integers read as Python ints
+        except TypeError:
+            m = ()  # a non-integer entry: rejected below
+        if sorted(m) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {given}")
         self.image = _as_image(m)
 
     @classmethod
@@ -147,25 +148,10 @@ class Permutation:
     def is_identity(self) -> bool:
         return self.image == _as_image(range(len(self.image)))
 
-    def apply(self, x: int) -> int:
-        """Image of point x."""
-        if not 0 <= x < len(self.image):
-            raise ValueError(f"point {x} outside domain 0..{len(self.image) - 1}")
-        return self.image[x]
-
     def apply_config(self, bits: Config) -> Config:
         """Move bit i of a configuration to position image[i]."""
         _check_config(bits, len(self.image))
         return _scatter(self.image, bits)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self followed by other: x -> other(self(x))."""
-        if len(other.image) != len(self.image):
-            raise ValueError("cannot compose permutations of different domain sizes")
-        return Permutation._trusted(_compose(self.image, other.image))
-
-    def inverse(self) -> "Permutation":
-        return Permutation._trusted(_scatter(self.image, _as_image(range(self.n))))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles of length >= 2, each starting at its least point."""

@@ -37,6 +37,16 @@ HARD_PAIRS_TEXT = ("vars: a b c d\ninf :: a | b\ninf :: c | d\n0.5 :: a | c\n0.5
 FS_EVIDENCE = {"smokes_p1": True, "smokes_p4": True, "smokes_p5": False}
 
 
+def compose(p: Permutation, q: Permutation) -> Permutation:
+    """p followed by q, x -> q[p[x]]: `perm._compose` on the images."""
+    return Permutation._trusted(_compose(p.image, q.image))
+
+
+def inverse(p: Permutation) -> Permutation:
+    """p's inverse: `perm._scatter` of the identity image through p."""
+    return Permutation._trusted(_scatter(p.image, Permutation.identity(p.n).image))
+
+
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -84,7 +94,7 @@ def parse_cycles(text: str, n: Optional[int] = None,
         for a, b in zip(points, points[1:]):
             mapping[a] = b
         mapping[points[-1]] = points[0]
-        result = result.compose(Permutation._trusted(mapping))
+        result = compose(result, Permutation._trusted(mapping))
     return result
 
 
@@ -220,7 +230,7 @@ def closure_elements(group: PermutationGroup) -> list[Permutation]:
         nxt = []
         for p in frontier:
             for g in group.generators:
-                q = p.compose(g)
+                q = compose(p, g)
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
@@ -410,7 +420,7 @@ def permuted_clause_multiset(model: WeightedClauseSet, p: Permutation) -> dict:
     """Clause multiset after renaming variables through p."""
     out: dict[tuple, int] = {}
     for c in model.clauses:
-        lits = tuple(sorted((p.apply(v), neg) for v, neg in c.literals))
+        lits = tuple(sorted((p.image[v], neg) for v, neg in c.literals))
         key = (lits, c.weight)
         out[key] = out.get(key, 0) + 1
     return out

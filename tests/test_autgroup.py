@@ -5,8 +5,8 @@ from random import Random
 
 import pytest
 
-from helpers import (FS_EVIDENCE, brute_force_automorphisms, dense_color_refine, elements,
-                     parse_cycles, read_graph, recolored)
+from helpers import (FS_EVIDENCE, brute_force_automorphisms, compose, dense_color_refine,
+                     elements, inverse, parse_cycles, read_graph, recolored)
 from orbitalmcmc import autgroup, clauses, families
 from orbitalmcmc.autgroup import (
     automorphism_generators,
@@ -326,15 +326,15 @@ class TestSearch:
             rho = list(range(g.n))
             rng.shuffle(rho)
             rho_p = Permutation(rho)
+            inv = inverse(rho_p)
             relabeled = Graph(
                 g.n,
-                [(rho_p.apply(u), rho_p.apply(v)) for u, v in g.edges],
-                [g.colors[rho_p.inverse().apply(v)] for v in range(g.n)])
+                [(rho_p.image[u], rho_p.image[v]) for u, v in g.edges],
+                [g.colors[inv.image[v]] for v in range(g.n)])
             conj_group = automorphism_generators(relabeled)
             assert conj_group.order() == order
             # conjugating back by rho yields automorphisms of the original
-            inv = rho_p.inverse()
-            back = [rho_p.compose(h).compose(inv) for h in conj_group.generators]
+            back = [compose(compose(rho_p, h), inv) for h in conj_group.generators]
             assert all(is_automorphism(g, b) for b in back)
             assert set(elements(PermutationGroup(back, n=g.n))) == \
                 set(elements(automorphism_generators(g)))

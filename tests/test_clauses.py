@@ -42,7 +42,7 @@ class TestWeights:
         assert normalize_weight("-0.0") == "0"
 
     def test_rejects_non_decimal(self):
-        for bad in ("1e5", "abc", "", "1.2.3"):
+        for bad in ("1e5", "abc", "", "1.2.3", "²", "١٢"):
             with pytest.raises(ValueError):
                 normalize_weight(bad)
 

@@ -821,6 +821,19 @@ class TestExitCodes:
             "configuration orbits: 10 (cardinalities: 1,9,36,84,126)"]
         assert "burnside cross-check: skipped (guard exceeded)" in lines
 
+    @pytest.mark.parametrize("text", ["vars: a b\n² :: a | b\n",
+                                      "vars: a b\n12 :: a\n١٢ :: b\n"],
+                             ids=["superscript-two", "arabic-indic-twelve"])
+    def test_non_ascii_weight_exits_before_writing(self, capsys, tmp_path, text):
+        # str.isdigit accepts both: float() rejects '²', and '١٢' would color apart from 12
+        (tmp_path / "m.txt").write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "detect", "--model", "clauses",
+                               "--clauses", str(tmp_path / "m.txt"),
+                               "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith("error: not a decimal weight: ")
+        assert not (tmp_path / "o").exists()
+
     def test_infeasible_model(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("vars: a\ninf :: a\ninf :: !a\n")

@@ -41,10 +41,6 @@ def test_top_level_exports_the_example_imports():
 
 # Public names that no program reads by name, each kept on purpose.
 KEPT_UNREFERENCED = {
-    "Permutation.apply": "the value type's checked algebra: a point's image",
-    "Permutation.compose": "the value type's checked algebra; the `perm` docstring "
-                           "states composition order through it",
-    "Permutation.inverse": "the value type's checked algebra",
     "Parser.error": "argparse calls it on a bad command line",
 }
 
