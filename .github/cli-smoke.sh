@@ -55,7 +55,7 @@ cat "$out/detect.txt"
 grep -Eq '^burnside cross-check: [0-9]+ \(agrees\)$' "$out/detect.txt" \
   || { echo "detect: no agreeing burnside cross-check"; exit 1; }
 # the largest cube a shipped family reaches under the default cap: 2^16
-# configurations of K_16 through state_action, 15 generators
+# configurations of K_16 in one StateSpace, 15 generators
 "${cli[@]}" detect --model complete --k 4 > "$out/detect_k16.txt"
 grep -q '^configuration orbits: 17 (' "$out/detect_k16.txt" \
   || { echo "detect complete 4: configuration orbits not 17"; exit 1; }
@@ -109,6 +109,21 @@ code=0
 test "$code" = 1 || { echo "sample --chain id on clauses: exit $code, want 1"; exit 1; }
 test ! -e "$out/bad_clauses" \
   || { echo "sample --chain id on clauses wrote $out/bad_clauses"; exit 1; }
+# a chain list with no kind in it runs nothing: a usage error before any output
+code=0
+"${cli[@]}" sample --model grid --k 3 --chain , --out "$out/no_chain" || code=$?
+test "$code" = 1 || { echo "sample --chain ,: exit $code, want 1"; exit 1; }
+test ! -e "$out/no_chain" || { echo "sample --chain , wrote $out/no_chain"; exit 1; }
+# a soft weight of 10^400 is inf as a float: a's Gibbs conditional would be
+# NaN, so the model is an input error before any output
+printf 'vars: a b\n1%s :: a\n1 :: b\n' "$(printf '%0400d' 0)" > "$out/huge.txt"
+code=0
+"${cli[@]}" sample --model clauses --clauses "$out/huge.txt" --chain gibbs \
+  --out "$out/huge" 2> "$out/huge.err" || code=$?
+cat "$out/huge.err"
+test "$code" = 1 || { echo "weight 10^400: exit $code, want 1"; exit 1; }
+grep -q '^error: ' "$out/huge.err" || { echo "weight 10^400: no error line"; exit 1; }
+test ! -e "$out/huge" || { echo "weight 10^400 wrote $out/huge"; exit 1; }
 # a fugacity must be finite: an infinite one is a usage error before any output
 code=0
 "${cli[@]}" sample --model grid --k 3 --lambda inf --out "$out/bad_lambda" || code=$?

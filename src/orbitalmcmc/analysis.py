@@ -2,6 +2,8 @@
 matrices with orbit averaging, total-variation curves, mixing times,
 detailed balance, and a coupling simulator for adjacent state pairs.
 `transition_matrix` and `CouplingSimulator` ask `ChainKind.check` first.
+Each enumerated state list is one `perm.StateSpace`: an `ExactDistribution`
+is one, and a `TransitionMatrix` and a `CouplingSimulator` each hold one.
 
 Everything here is exact or exhaustive by design and guarded by size caps;
 it exists to let tests and experiments compare sampled behavior against
@@ -21,14 +23,14 @@ import numpy as np
 from .chains import ChainKind, ChainTrace, IndependentSetModel
 from .errors import GuardExceededError, enumeration_cap
 from .graphs import Graph
-from .perm import Config, PermutationGroup, config_matrix, config_rows, orbit_ids, state_action
+from .perm import Config, PermutationGroup, StateSpace, config_rows
 
 
-class ExactDistribution:
-    """A fully enumerated distribution over configurations."""
+class ExactDistribution(StateSpace):
+    """A fully enumerated distribution: a `StateSpace` and its `probs`."""
 
     def __init__(self, states: Sequence[Config], probs, partition_value: float):
-        self.states = tuple(states)
+        super().__init__(states)
         self.probs = np.asarray(probs, dtype=float)
         self.partition_value = float(partition_value)
         if len(self.states) != len(self.probs):
@@ -37,16 +39,12 @@ class ExactDistribution:
             raise ValueError("negative probability")
         if not abs(self.probs.sum() - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
-        self._index = {s: i for i, s in enumerate(self.states)}
 
     def index_of(self, state: Config) -> int:
         try:
-            return self._index[state]
+            return self.index[state]
         except KeyError:
             raise KeyError(f"state {state} not in the enumerated universe") from None
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 def exact_distribution(model) -> ExactDistribution:
@@ -72,27 +70,19 @@ def exact_pi_lambda(graph: Graph, lam: float) -> ExactDistribution:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """A row-stochastic kernel over enumerated states.  `action`, set when
-    the kernel was built with a group, is the one record of its symmetry:
-    one row per generator g with action[g][i] the index of g applied to
-    state i.  `mixing_time` keeps its eps-free work on the kernel, so the
-    arrays must not change after its first call."""
+    """A row-stochastic kernel over a `StateSpace`, whose action is the one
+    record of its symmetry.  `mixing_time` keeps its eps-free work on the
+    kernel, so the arrays must not change after its first call."""
 
-    states: tuple[Config, ...]
+    space: StateSpace
     rows: np.ndarray
-    action: Optional[np.ndarray] = None
     # mixing_time's (squares, gather, orbit indicator), set once the kernel passes its checks
     _ladder: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows, n = self.rows, len(self.states)
+        rows, n = self.rows, len(self.space)
         if rows.shape != (n, n):
             raise ValueError("matrix shape does not match state count")
-        if self.action is not None:
-            if self.action.ndim != 2 or self.action.shape[1] != n:
-                raise ValueError("group action does not match state count")
-            if (np.sort(self.action, axis=1) != np.arange(n)).any():
-                raise ValueError("group action does not permute the states")
         if np.any(rows < -1e-15):
             raise ValueError("negative transition probability")
         bad = np.abs(rows.sum(axis=1) - 1.0) > 1e-12
@@ -115,11 +105,10 @@ def transition_matrix(model, kind: ChainKind,
 
     Base kernels sum `model.moves` over every state; orbital kernels
     multiply the base kernel by the exact orbit-averaging matrix of the
-    group action on the state list.  Given a group with generators, any
-    kernel keeps the group's action on the state list, which must stay
-    inside it (ValueError otherwise); `representative_rows` reduces the
-    kernel by it.  A group without generators averages over one-state
-    orbits, so its kernels are the dense base ones, action None.  An N x N
+    orbit ids of the kernel's `StateSpace`, whose action, given a group,
+    must keep the states inside the list (ValueError otherwise) and by
+    which `representative_rows` reduces any kernel.  A group without
+    generators leaves one-state orbits and the dense base kernels.  An N x N
     kernel that `check_dense_kernel` refuses raises GuardExceededError
     unbuilt; a kind that fails `ChainKind.check` raises TypeError.
     """
@@ -129,18 +118,15 @@ def transition_matrix(model, kind: ChainKind,
         raise ValueError(f"kernel {kind.value} requires a symmetry group")
     states = tuple(model.states())
     check_dense_kernel(len(states))
-    n, index = len(states), {s: i for i, s in enumerate(states)}
-    action = (state_action(group, states)
-              if group is not None and group.generators else None)
-    rows = np.zeros((n, n))
+    space = StateSpace(states, group)
+    index, rows = space.index, np.zeros((len(states),) * 2)
     for i, s in enumerate(states):
         for t, p in model.moves(s):
             rows[i, index[t]] += p
-    if kind.is_orbital and action is not None:
-        orbits = orbit_ids(action)
-        same = orbits[:, None] == orbits[None, :]
+    if kind.is_orbital and space.action is not None:
+        same = space.orbits[:, None] == space.orbits[None, :]
         rows = rows @ (same / same.sum(axis=1, keepdims=True))
-    return TransitionMatrix(states, rows, action)
+    return TransitionMatrix(space, rows)
 
 
 def representative_rows(matrix: TransitionMatrix
@@ -152,7 +138,7 @@ def representative_rows(matrix: TransitionMatrix
     If the rows of the first states are constant on column orbits, as those
     of every orbital kernel K = P A are, the kernel is lumped: rows is the
     M x M quotient Q(O, O') = K(first state of O, O'), gather None and
-    indicator the N x M `_orbit_indicator` that sums pi orbit by orbit.
+    indicator the N x M 0/1 matrix of states by orbit, summing pi by orbit.
     ValueError unless, to 1e-12, the rows of an orbit lump alike and every
     column is constant on orbits.  Otherwise rows are the M x N rows of the
     first states, `rows.take(gather)` expands them, and those of every
@@ -160,15 +146,15 @@ def representative_rows(matrix: TransitionMatrix
     P^t(r, g^-1 y), and indicator is None.  ValueError unless, to 1e-12,
     P[s, s] = P for the index array s of every generator.  A kernel with no
     action is its own reduction: (rows, None, None)."""
-    rows, n = matrix.rows, len(matrix.states)
-    if matrix.action is None:
+    rows, space = matrix.rows, matrix.space
+    n, action, ids = len(space), space.action, space.orbits
+    if action is None:
         return rows, None, None
-    ids = orbit_ids(matrix.action)
     reps = np.unique(ids, return_index=True)[1]
     columns = reps[ids]  # the first state of each state's orbit
     first, gather, indicator = rows[reps], None, None
     if np.abs(first - first[:, columns]).max() <= 1e-12:
-        indicator = _orbit_indicator(ids)
+        indicator = np.eye(len(reps))[ids]
         lumped = rows @ indicator
         if np.abs(lumped - lumped[reps][ids]).max() > 1e-12:
             raise ValueError("kernel is not lumpable: rows differ within an orbit")
@@ -176,16 +162,16 @@ def representative_rows(matrix: TransitionMatrix
             raise ValueError("kernel columns are not constant on orbits")
         reduced = lumped[reps]
     else:
-        back = np.argsort(matrix.action, axis=1)  # index arrays of the inverses
+        back = np.argsort(action, axis=1)  # index arrays of the inverses
         # P[s, s] - P vanishes off the nonzeros of P and their preimages under s
         i, j = np.nonzero(rows)
         values = rows[i, j]
-        for s in (*matrix.action, *back):
+        for s in (*action, *back):
             if np.abs(rows[s[i], s[j]] - values).max() > 1e-12:
                 raise ValueError("kernel does not commute with the group action")
         gather = np.empty((n, n), dtype=np.intp)
         gather[reps] = np.arange(len(reps) * n).reshape(-1, n)
-        images, queue, seen = matrix.action.tolist(), reps.tolist(), set(reps.tolist())
+        images, queue, seen = action.tolist(), reps.tolist(), set(reps.tolist())
         for z in queue:  # breadth first from the first states, the queue growing as read
             for g, image in enumerate(images):
                 if (x := image[z]) not in seen:  # row x = row z, columns moved by g
@@ -196,20 +182,13 @@ def representative_rows(matrix: TransitionMatrix
     return reduced, gather, indicator
 
 
-def _orbit_indicator(ids: np.ndarray) -> np.ndarray:
-    """The N x M 0/1 matrix of states by orbit ids."""
-    indicator = np.zeros((len(ids), int(ids.max()) + 1))
-    indicator[np.arange(len(ids)), ids] = 1.0
-    return indicator
-
-
 def _reduced_pi(matrix: TransitionMatrix, dist: ExactDistribution,
                 indicator: Optional[np.ndarray]) -> np.ndarray:
     """pi for `representative_rows`, the one path by which `mixing_time`
-    reduces pi: summed orbit by orbit through the `_orbit_indicator` of a
+    reduces pi: summed orbit by orbit through the orbit indicator of a
     lumped kernel, else (indicator None) unchanged.  ValueError unless
     pi[s] = pi to 1e-12 for every generator's index array s, if any."""
-    pi, action = dist.probs, () if matrix.action is None else matrix.action
+    pi, action = dist.probs, () if matrix.space.action is None else matrix.space.action
     if any(np.abs(pi[s] - pi).max() > 1e-12 for s in action):
         raise ValueError("pi is not invariant under the group action")
     return pi if indicator is None else pi @ indicator
@@ -228,7 +207,7 @@ class DetailedBalanceReport:
 def check_detailed_balance(matrix: TransitionMatrix, dist: ExactDistribution,
                            tol: float = 1e-12) -> DetailedBalanceReport:
     """Largest |pi(x)P(x,y) - pi(y)P(y,x)| over all state pairs."""
-    if matrix.states != dist.states:
+    if matrix.space.states != dist.states:
         raise ValueError("matrix and distribution enumerate different states")
     flow = dist.probs[:, None] * matrix.rows
     violation = float(np.abs(flow - flow.T).max())
@@ -238,7 +217,7 @@ def check_detailed_balance(matrix: TransitionMatrix, dist: ExactDistribution,
 def stationary_deviation(matrix: TransitionMatrix,
                          dist: ExactDistribution) -> float:
     """Max-norm of pi P - pi."""
-    if matrix.states != dist.states:
+    if matrix.space.states != dist.states:
         raise ValueError("matrix and distribution enumerate different states")
     return float(np.abs(dist.probs @ matrix.rows - dist.probs).max())
 
@@ -276,7 +255,7 @@ def tv_curve(trace: ChainTrace, exact: ExactDistribution,
 
     The empirical distribution at checkpoint c uses the first c recorded
     states, initial state included and no burn-in discarded, looked up
-    all at once in the index of `exact.states`; a state outside it raises
+    all at once in `exact.index`; a state outside it raises
     `exact.index_of`'s KeyError, a checkpoint not an integer TypeError.
     Checkpoints go in blocks of at most max(1, 2^16 // N) for N states: one
     `bincount` counts each segment into its own row and an integer cumsum,
@@ -290,7 +269,7 @@ def tv_curve(trace: ChainTrace, exact: ExactDistribution,
             f"checkpoint {checkpoints[-1]} exceeds {len(trace.states)} samples")
     states = trace.states[:checkpoints[-1]]
     try:  # one key more, so that one state too gives a tuple; fromiter stops before it
-        found = operator.itemgetter(*states, states[0])(exact._index)
+        found = operator.itemgetter(*states, states[0])(exact.index)
     except KeyError as miss:
         exact.index_of(miss.args[0])  # raises, naming the state
         raise
@@ -343,7 +322,7 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution, eps: float) -
     """
     if not (0 < eps < 1):
         raise ValueError("eps must be in (0, 1)")
-    if matrix.states != dist.states:
+    if matrix.space.states != dist.states:
         raise ValueError("matrix and distribution enumerate different states")
     ladder = matrix._ladder
     if ladder is None:
@@ -408,16 +387,16 @@ class CouplingSimulator:
     """Coupled one-step evolution of two independent sets at distance one,
     and the exact constants of its drift bound.
 
-    The model's states are enumerated once, in lexicographic order, and
-    everything else is read from index tables over them, built once with
-    numpy: the states' 0/1 matrix; `blocked[s, w]`, whether state s holds a
-    neighbour of vertex w, one product with the adjacency matrix;
-    `flip[s, w]`, the index of s with vertex w removed or added, -1 when
-    that is not a state; each state's orbit id under the group action; the
-    distance-one pairs (X, X minus one vertex) as (upper, lower, vertex)
-    index arrays, X in lexicographic order and the vertex ascending; and the
-    case of every pair and vertex, one case rule read by `varrho` and the
-    coupled draw.  The model must run `orbital-id` chains.
+    The model's states are enumerated once, in lexicographic order, into one
+    `StateSpace` with the group, read for its 0/1 matrix, index and orbit
+    ids, and index tables over them are built once with numpy:
+    `blocked[s, w]`, whether state s holds a neighbour of vertex w, one
+    product with the adjacency matrix; `flip[s, w]`, the index of s with
+    vertex w removed or added, -1 when that is not a state; the distance-one
+    pairs (X, X minus one vertex) as (upper, lower, vertex) index arrays, X
+    in lexicographic order and the vertex ascending; and the case of every
+    pair and vertex, one case rule read by `varrho` and the coupled draw.
+    The model must run `orbital-id` chains.
 
     The two chains share the vertex choice and acceptance coin and apply a
     common uniformly drawn group element, so each side marginally follows
@@ -433,11 +412,10 @@ class CouplingSimulator:
     def __init__(self, model: IndependentSetModel, group: PermutationGroup):
         ChainKind.ORBITAL_INSERT_DELETE.check(model)
         self.model = model
-        self.states = model.states()
+        self.space = space = StateSpace(model.states(), group)
         self._order = group.order()
-        index = {s: i for i, s in enumerate(self.states)}
         n = model.n
-        bits = config_matrix(self.states, n).astype(bool)
+        bits = space.bits.astype(bool)
         adjacency = np.zeros((n, n), dtype=bool)
         for v, w in model.graph.edges:
             adjacency[v, w] = adjacency[w, v] = True
@@ -446,7 +424,7 @@ class CouplingSimulator:
         for w in range(n):
             toggled = bits.copy()
             toggled[:, w] ^= True
-            flip[:, w] = [index.get(s, -1) for s in config_rows(toggled)]
+            flip[:, w] = [space.index.get(s, -1) for s in config_rows(toggled)]
         upper, vertex = np.nonzero(bits)
         lower = flip[upper, vertex]
         # the case rule: 1 if the pair differs at w, 2 if w is in both, 3 if
@@ -454,13 +432,12 @@ class CouplingSimulator:
         cases = np.select([np.arange(n) == vertex[:, None], bits[upper], ~blocked[upper],
                            blocked[lower]], [1, 2, 3, 5], 4).astype(np.uint8)
         self._bits, self._adjacency, self._flip = bits, adjacency, flip
-        self._orbit = orbit_ids(state_action(group, self.states))
         self._upper, self._lower, self._cases = upper, lower, cases
         lam = model.lam
         self._p_insert, self._p_delete = lam / (1.0 + lam), 1.0 / (1.0 + lam)
         # the draw reads scalars through memoryviews, as Python ints, and
         # draws its indices as `perm`'s module docstring says, from these bounds
-        self._views = tuple(map(memoryview, (upper, lower, cases, flip, self._orbit)))
+        self._views = tuple(map(memoryview, (upper, lower, cases, flip, space.orbits)))
         self._bounds = (n, n.bit_length(), self._order, self._order.bit_length())
 
     def rho(self) -> float:
@@ -468,7 +445,7 @@ class CouplingSimulator:
         over every state X and ordered edge (v, w) with both X + v and X + w
         independent, how often the two are not in one orbit."""
         takes = ~self._bits & (self._flip >= 0)  # X + v is a state
-        extended = self._orbit[self._flip]  # the orbit of X + v where it is one
+        extended = self.space.orbits[self._flip]  # the orbit of X + v where it is one
         v, w = np.nonzero(self._adjacency)
         both = takes[:, v] & takes[:, w]
         total = int(both.sum())
@@ -530,7 +507,7 @@ def coupling_drift(model: IndependentSetModel, group: PermutationGroup,
         raise ValueError("graph admits no distance-one pairs")
     rng = Random(seed)
     rho, varrho = sim.rho(), sim.varrho()
-    masks = [int.from_bytes(s, "big") for s in sim.states]  # one bit per byte
+    masks = [int.from_bytes(s, "big") for s in sim.space.states]  # one bit per byte
 
     counts = [0] * 6
     by_distance = [0] * (model.n + 1)  # trials per new Hamming distance

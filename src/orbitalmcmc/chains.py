@@ -178,6 +178,8 @@ class ClauseModel:
     (bit i of the counter is the i-th free variable, so free variables all
     zero comes first) that satisfies every hard clause, by a scan in
     chunks that raises GuardExceededError at counter `enumeration_cap()`.
+    A free variable whose clauses' absolute soft weights sum past a float
+    raises ValueError first: its conditional would be NaN.
     """
 
     base = ChainKind.GIBBS
@@ -204,7 +206,10 @@ class ClauseModel:
         self._terms = [tuple(t) for t in terms]
         # per variable: (a gather of the others it reads, a table) if tabled, else None
         self._tables = [None] * self.n
-        for v in self.free:
+        for v in self.free:  # a conditional past a float would be exp(inf - inf), NaN
+            if not math.isfinite(sum(abs(w) for hard, w, *_ in self._terms[v] if not hard)):
+                raise ValueError(f"the soft weights of variable {clause_set.variables[v]} "
+                                 "sum past the float range")
             read = sorted({u for *_, others in self._terms[v] for u, _ in others})
             if len(read) <= TABLE_WIDTH:
                 self._tables[v] = (itemgetter(*read) if read else itemgetter(slice(0)), {})

@@ -197,6 +197,15 @@ class ModelBundle:
         return self.report.model_group
 
 
+def chain_bundle(args) -> ModelBundle:
+    """The bundle of a command that runs chains: a `--chain` that lists none
+    is a usage error."""
+    bundle = ModelBundle(args, args.chain)
+    if not bundle.kinds:
+        raise UsageError(f"--chain lists no chain kind: {args.chain!r}")
+    return bundle
+
+
 def add_model_flags(sub, with_lambda=True):
     sub.add_argument("--model", choices=GRAPH_MODELS + ("clauses",))
     sub.add_argument("--k", type=at_least(2), default=3, help="size parameter")
@@ -287,7 +296,7 @@ def run_chains(bundle: ModelBundle, args, record_every: int = 1):
 
 
 def cmd_sample(args) -> int:
-    bundle = ModelBundle(args, args.chain)
+    bundle = chain_bundle(args)
     out_path(args)
     for kind, seed, trace in run_chains(bundle, args, args.record_every):
         path = out_file(args, f"trace_{kind.value}_seed{seed}.csv")
@@ -324,7 +333,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_tvcurve(args) -> int:
-    bundle = ModelBundle(args, args.chain)
+    bundle = chain_bundle(args)
     out_path(args)
     dist = analysis.exact_distribution(bundle.chain_model)
     step = max(1, (args.steps + 1) // CHECKPOINT_COUNT)
@@ -364,7 +373,7 @@ def cmd_coupling(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    bundle = ModelBundle(args, args.chain)
+    bundle = chain_bundle(args)
     out_path(args)
     dist = analysis.exact_distribution(bundle.chain_model)
     rows = []

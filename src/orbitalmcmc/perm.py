@@ -22,7 +22,8 @@ sorted |G| x n array read off it once, the only copy kept and the one way
 to list them (`image_array`).  Every orbit, of points, configurations or
 states, is read off one routine, `orbit_ids`, from an action given as one
 row of images per generator: `PermutationGroup.point_action` on points,
-`state_action` on a configuration list.  Lists of orbits are sorted tuples.
+`StateSpace`, the one index of an enumerated state list, on configurations.
+Lists of orbits are sorted tuples.
 Cycle notation is written here (`format_cycles`, `format_generating_set`),
 never read back.
 
@@ -309,23 +310,38 @@ def _schreier_sims(n: int, gens: Sequence[Image]) -> list[dict]:
     return chain
 
 
-def state_action(group: PermutationGroup, states: Sequence[Config]) -> np.ndarray:
-    """action[g][i], the index in a list of distinct configurations of
-    generator g applied to states[i]: each generator permutes the columns
-    of the states' 0/1 matrix once, and a dict over the states' bytes finds
-    every image.  ValueError unless all images are listed."""
-    bits = config_matrix(states, group.n)
-    action = np.empty((len(group.generators), len(bits)), dtype=np.intp)
-    index = {s: i for i, s in enumerate(states)}
-    for g, perm in enumerate(group.generators):
-        images = config_rows(bits[:, np.argsort(perm.mapping)])  # bit i moves to perm[i]
-        try:
-            action[g] = [index[image] for image in images]
-        except KeyError as miss:
-            i = images.index(miss.args[0])
-            raise ValueError("group does not preserve the state space: a generator "
-                             f"maps {tuple(states[i])} to {tuple(images[i])}") from None
-    return action
+class StateSpace:
+    """Distinct configurations as every exact judge reads them: `states`,
+    their `index`, their `config_matrix` `bits` (built on first read) and,
+    given a group, `action[g][i]`, the index of generator g applied to
+    states[i] (one column gather of `bits`), and `orbits`, its `orbit_ids`.
+    A trivial group leaves `action` None, one orbit per state; no group,
+    both None.  ValueError if a state repeats or an image is not listed."""
+
+    def __init__(self, states: Iterable[Config], group: Optional[PermutationGroup] = None):
+        self.states = tuple(states)
+        self.index = index = {s: i for i, s in enumerate(self.states)}
+        if len(index) < len(self.states):
+            raise ValueError("a state is listed twice")
+        gens = () if group is None else group.generators
+        self.action = np.empty((len(gens), len(index)), dtype=np.intp) if gens else None
+        for g, perm in enumerate(gens):
+            images = config_rows(self.bits[:, np.argsort(perm.mapping)])  # bit i to perm[i]
+            try:
+                self.action[g] = [index[image] for image in images]
+            except KeyError as miss:
+                i = images.index(miss.args[0])
+                raise ValueError("group does not preserve the state space: a generator "
+                                 f"maps {tuple(self.states[i])} to {tuple(images[i])}") from None
+        self.orbits = (None if group is None else
+                       orbit_ids(self.action) if gens else np.arange(len(index)))
+
+    @functools.cached_property
+    def bits(self) -> np.ndarray:
+        return config_matrix(self.states, len(self.states[0]) if self.states else 0)
+
+    def __len__(self) -> int:
+        return len(self.states)
 
 
 def orbit_ids(action: np.ndarray) -> np.ndarray:
@@ -357,7 +373,7 @@ def config_orbit_partition(group: PermutationGroup) -> list[tuple[Config, ...]]:
         raise GuardExceededError(
             f"2^{group.n} configurations exceed enumeration cap {cap}")
     configs = [bytes(c) for c in itertools.product((0, 1), repeat=group.n)]
-    return _orbit_tuples(orbit_ids(state_action(group, configs)), configs)
+    return _orbit_tuples(StateSpace(configs, group).orbits, configs)
 
 
 def burnside_config_orbit_count(group: PermutationGroup) -> int:

@@ -143,7 +143,7 @@ def reference_tv_curve(trace: ChainTrace, exact: ExactDistribution,
             f"checkpoint {checkpoints[-1]} exceeds {len(trace.states)} samples")
     states = trace.states[:checkpoints[-1]]
     try:  # one key more, so that one state too gives a tuple; fromiter stops before it
-        found = itemgetter(*states, states[0])(exact._index)
+        found = itemgetter(*states, states[0])(exact.index)
     except KeyError as miss:
         exact.index_of(miss.args[0])  # raises, naming the state
         raise
@@ -157,7 +157,7 @@ def reference_tv_curve(trace: ChainTrace, exact: ExactDistribution,
 
 
 def apply_config_action(group: PermutationGroup, states) -> np.ndarray:
-    """Reference for `perm.state_action`: action[g][i] is the index of
+    """Reference for `perm.StateSpace.action`: action[g][i] is the index of
     generator g applied to states[i], one `apply_config` call per state."""
     index = {bytes(s): i for i, s in enumerate(states)}
     action = [[index[g.apply_config(s)] for s in states] for g in group.generators]
@@ -191,10 +191,11 @@ def orbit_walk(action: np.ndarray):
 def walk_gather(matrix) -> np.ndarray:
     """Reference for the gather of `analysis.representative_rows` on a kernel
     that does not lump: built along `orbit_walk`, orbit by orbit."""
-    n, ids = len(matrix.states), orbit_ids(matrix.action)
-    back = np.argsort(matrix.action, axis=1)  # index arrays of the inverses
+    action = matrix.space.action
+    n, ids = len(matrix.space.states), orbit_ids(action)
+    back = np.argsort(action, axis=1)  # index arrays of the inverses
     gather = np.empty((n, n), dtype=np.intp)
-    for x, z, g in orbit_walk(matrix.action):
+    for x, z, g in orbit_walk(action):
         # row x = row z with its columns moved by generator g
         gather[x] = ids[x] * n + np.arange(n) if z < 0 else gather[z][back[g]]
     return gather
@@ -287,11 +288,10 @@ class CoupledSteps(CouplingSimulator):
     def __init__(self, model, group: PermutationGroup):
         super().__init__(model, group)
         self._group = group
-        self._index = {s: i for i, s in enumerate(self.states)}
 
     def _pair_of(self, upper: Config, lower: Config) -> int:
         """The index in `pairs` of a distance-one pair of configurations."""
-        index = self._index
+        index = self.space.index
         if upper not in index or lower not in index:
             raise ValueError("coupled states must be independent sets")
         diff = [v for v, (a, b) in enumerate(zip(upper, lower)) if a != b]
@@ -304,7 +304,7 @@ class CoupledSteps(CouplingSimulator):
     def pairs(self) -> list[tuple[Config, Config]]:
         """All ordered pairs (X, X minus one vertex), X in lexicographic
         order and the vertex ascending: the simulator's pair indices."""
-        states = self.states
+        states = self.space.states
         return [(states[u], states[v]) for u, v in zip(self._upper.tolist(),
                                                        self._lower.tolist())]
 
@@ -314,8 +314,9 @@ class CoupledSteps(CouplingSimulator):
         upper and lower states and the case of the chosen vertex."""
         a, b, element, case = self._draw(self._pair_of(upper, lower), rng)
         g = Permutation._trusted(self._group.image_array()[element].tolist())
-        new = g.apply_config(self.states[a])
-        return new, (new if a == b else g.apply_config(self.states[b])), case
+        states = self.space.states
+        new = g.apply_config(states[a])
+        return new, (new if a == b else g.apply_config(states[b])), case
 
 
 def distance_one_pairs(graph: Graph) -> list:
@@ -578,7 +579,7 @@ def reference_coupled_draw(sim: CouplingSimulator, pair: int, rng: Random) -> tu
     hi, lo = int(sim._upper[pair]), int(sim._lower[pair])
     w = rng.randrange(sim.model.n)
     case = int(sim._cases[pair, w])
-    flip, orbit, lam = sim._flip, sim._orbit, sim.model.lam
+    flip, orbit, lam = sim._flip, sim.space.orbits, sim.model.lam
     a, b = hi, lo
     if case == 1:
         a = b = hi if rng.random() < lam / (1.0 + lam) else lo
@@ -600,5 +601,6 @@ def reference_drift_draws(sim: CouplingSimulator, trials: int, rng: Random) -> l
     pairs, out = len(distance_one_pairs(sim.model.graph)), []
     for _ in range(trials):
         a, b, _, case = reference_coupled_draw(sim, rng.randrange(pairs), rng)
-        out.append((case, sum(x != y for x, y in zip(sim.states[a], sim.states[b]))))
+        states = sim.space.states
+        out.append((case, sum(x != y for x, y in zip(states[a], states[b]))))
     return out

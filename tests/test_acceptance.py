@@ -150,9 +150,9 @@ def test_c05_base_kernel_symmetry_compatibility(benchmark_models):
     worst = 0.0
     for model, kind, group, label in models:
         matrix = transition_matrix(model, kind)
-        index = {s: i for i, s in enumerate(matrix.states)}
+        index = {s: i for i, s in enumerate(matrix.space.states)}
         for g in group.generators:
-            mapped = [index[g.apply_config(s)] for s in matrix.states]
+            mapped = [index[g.apply_config(s)] for s in matrix.space.states]
             permuted = matrix.rows[np.ix_(mapped, mapped)]
             worst = max(worst, float(np.abs(matrix.rows - permuted).max()))
     ok = worst <= 1e-12
@@ -193,13 +193,13 @@ def test_c07_coupling_faithful_and_drift(benchmark_models):
     matrix = transition_matrix(model3, ChainKind.ORBITAL_INSERT_DELETE,
                                group=group3)
     dist = exact_pi_lambda(graph3, 1.0)
-    assert dist.states == matrix.states
+    assert dist.states == matrix.space.states
     sim = CoupledSteps(model3, group3)
     rng = Random(77)
     upper = bytes(1 if i in (0, 4) else 0 for i in range(9))  # corner + center
     lower = bytes(1 if i == 4 else 0 for i in range(9))
-    counts_u = np.zeros(len(matrix.states))
-    counts_l = np.zeros(len(matrix.states))
+    counts_u = np.zeros(len(matrix.space.states))
+    counts_l = np.zeros(len(matrix.space.states))
     for _ in range(trials):
         nu, nl, _ = sim.step(upper, lower, rng)
         counts_u[dist.index_of(nu)] += 1

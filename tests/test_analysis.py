@@ -36,7 +36,8 @@ from orbitalmcmc.errors import DEFAULT_ENUMERATION_CAP, GuardExceededError, enum
 from orbitalmcmc.families import (gen_complete, gen_connected_cliques,
                                   gen_friends_smokers, gen_grid)
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
-from orbitalmcmc.perm import Permutation, PermutationGroup, SamplerMode, orbit_ids
+from orbitalmcmc import perm
+from orbitalmcmc.perm import Permutation, PermutationGroup, SamplerMode, StateSpace, orbit_ids
 
 from helpers import (CoupledSteps, coupling_drift_by_steps, distance_one_pairs, exact_rho,
                      exact_varrho, parse_cycles, reference_coupled_draw, reference_drift_draws,
@@ -48,6 +49,20 @@ NAMES9 = list("abcdefghi")
 def grid3_group() -> PermutationGroup:
     return PermutationGroup([parse_cycles("(a c)(d f)(g i)", names=NAMES9),
                              parse_cycles("(a i)(b f)(d h)", names=NAMES9)])
+
+
+def group_space(states, *images) -> StateSpace:
+    """A `StateSpace` of `states` under the group of the given point images."""
+    return StateSpace(states, PermutationGroup([Permutation(image) for image in images]))
+
+
+# three 2-bit states, 00, 10 and 01; the swap of the two bits exchanges the last two
+SWAP_SPACE = (b"\x00\x00", b"\x01\x00", b"\x00\x01"), [1, 0]
+
+
+def without_group(matrix: TransitionMatrix) -> TransitionMatrix:
+    """The kernel over the same states with no group: the dense computation."""
+    return TransitionMatrix(StateSpace(matrix.space.states), matrix.rows)
 
 
 def stationary_power_iteration(rows: np.ndarray, sweeps: int = 200_000,
@@ -137,9 +152,30 @@ class TestExactDistributions:
         model = IndependentSetModel(gen_grid(3), 1.0)
         matrix = transition_matrix(model, ChainKind.INSERT_DELETE, grid3_group())
         dist = exact_pi_lambda(gen_grid(3), 1.0)
-        assert matrix.states == dist.states
-        for s in matrix.action:
+        assert matrix.space.states == dist.states
+        for s in matrix.space.action:
             assert np.abs(dist.probs[s] - dist.probs).max() <= 1e-12
+
+    def test_distribution_is_a_state_space_without_bits(self):
+        # pi is read by index and probabilities alone: every judge below
+        # leaves its 0/1 matrix unbuilt
+        model = IndependentSetModel(gen_grid(3), 1.0)
+        pi = exact_distribution(model)
+        assert isinstance(pi, StateSpace) and pi.action is None and pi.orbits is None
+        assert pi.index == {s: i for i, s in enumerate(pi.states)}
+        trace = run_chain(model, ChainKind.ORBITAL_INSERT_DELETE, 200, seed=3,
+                          group=grid3_group())
+        tv_curve(trace, pi, [50, 201])
+        for kind in (ChainKind.INSERT_DELETE, ChainKind.ORBITAL_INSERT_DELETE):
+            matrix = transition_matrix(model, kind, grid3_group())
+            check_detailed_balance(matrix, pi)
+            stationary_deviation(matrix, pi)
+            mixing_time(matrix, pi, 0.1)
+        assert "bits" not in vars(pi)
+
+    def test_repeated_state_rejected(self):
+        with pytest.raises(ValueError, match="listed twice"):
+            ExactDistribution((b"\x00", b"\x01", b"\x00"), [0.5, 0.25, 0.25], 1.0)
 
 
 class TestTransitionMatrices:
@@ -174,11 +210,11 @@ class TestTransitionMatrices:
     def test_base_kernel_symmetry_compatibility(self):
         model = IndependentSetModel(gen_grid(3), 1.0)
         matrix = transition_matrix(model, ChainKind.INSERT_DELETE)
-        index = {s: i for i, s in enumerate(matrix.states)}
+        index = {s: i for i, s in enumerate(matrix.space.states)}
         for g in grid3_group().generators:
-            for i, x in enumerate(matrix.states):
+            for i, x in enumerate(matrix.space.states):
                 gi = index[g.apply_config(x)]
-                for j, y in enumerate(matrix.states):
+                for j, y in enumerate(matrix.space.states):
                     gj = index[g.apply_config(y)]
                     assert abs(matrix.rows[i, j] - matrix.rows[gi, gj]) <= 1e-12
 
@@ -192,7 +228,7 @@ class TestTransitionMatrices:
 
     def test_detailed_balance_fails_for_wrong_pi(self):
         rows = np.array([[0.9, 0.1], [0.5, 0.5]])
-        matrix = TransitionMatrix((b"\x00", b"\x01"), rows)
+        matrix = TransitionMatrix(StateSpace((b"\x00", b"\x01")), rows)
         wrong = ExactDistribution((b"\x00", b"\x01"), [0.5, 0.5], 1.0)
         assert not check_detailed_balance(matrix, wrong, tol=1e-12).passed
 
@@ -244,7 +280,7 @@ class TestEvidence:
         for kind in (ChainKind.GIBBS, ChainKind.ORBITAL_GIBBS):
             matrix = transition_matrix(model, kind, group=group)
             # two clamped people leave no generators, and so no action
-            for s in () if matrix.action is None else matrix.action:
+            for s in () if matrix.space.action is None else matrix.space.action:
                 assert np.abs(pi.probs[s] - pi.probs).max() <= 1e-15
             assert check_detailed_balance(matrix, pi, tol=1e-15).passed
             assert stationary_deviation(matrix, pi) <= 1e-12
@@ -261,7 +297,7 @@ class TestEvidence:
     def test_fully_clamped_kernel_stays(self):
         model = ClauseModel(two_spin_model(), {"x1": True, "x2": False})
         matrix = transition_matrix(model, ChainKind.GIBBS)
-        assert matrix.states == (bytes((1, 0)),)
+        assert matrix.space.states == (bytes((1, 0)),)
         assert matrix.rows.tolist() == [[1.0]]
         assert exact_distribution(model).probs.tolist() == [1.0]
 
@@ -376,7 +412,7 @@ class TestMixingTime:
     def test_already_mixed(self):
         states = tuple(bytes((i,)) for i in range(3))
         pi = np.array([0.2, 0.3, 0.5])
-        matrix = TransitionMatrix(states, np.tile(pi, (3, 1)))
+        matrix = TransitionMatrix(StateSpace(states), np.tile(pi, (3, 1)))
         dist = ExactDistribution(states, pi, 1.0)
         assert mixing_time(matrix, dist, 0.5) == 1
         assert mixing_time(matrix, dist, 0.01) == 1
@@ -411,16 +447,16 @@ class TestMixingTime:
         cycle = [[.5, .5, 0, 0], [0, .5, .5, 0], [0, 0, .5, .5], [.5, 0, 0, .5]]
         uniform = ExactDistribution(states, [0.25] * 4, 1.0)
         for rows in (reducible, one_way):
-            matrix = TransitionMatrix(states, np.array(rows))
+            matrix = TransitionMatrix(StateSpace(states), np.array(rows))
             assert not is_connected(matrix)
             with pytest.raises(ValueError, match="not irreducible"):
                 mixing_time(matrix, uniform, 0.1)
-        assert is_connected(TransitionMatrix(states, np.array(cycle)))
+        assert is_connected(TransitionMatrix(StateSpace(states), np.array(cycle)))
 
     def test_horizon_error(self):
         states = (b"\x00", b"\x01")
         rows = np.array([[1 - 1e-9, 1e-9], [1e-9, 1 - 1e-9]])
-        matrix = TransitionMatrix(states, rows)
+        matrix = TransitionMatrix(StateSpace(states), rows)
         dist = ExactDistribution(states, [0.5, 0.5], 1.0)
         with pytest.raises(GuardExceededError):
             mixing_time(matrix, dist, 0.01)
@@ -441,7 +477,7 @@ class TestOrbitQuotient:
                 model = IndependentSetModel(graph, lam)
                 pi = exact_pi_lambda(graph, lam)
                 matrix = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE, group)
-                dense = dataclasses.replace(matrix, action=None)
+                dense = without_group(matrix)
                 for eps in (0.1, 0.01):
                     assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps)
 
@@ -453,7 +489,7 @@ class TestOrbitQuotient:
         matrix = transition_matrix(IndependentSetModel(graph, 1.0),
                                    ChainKind.ORBITAL_INSERT_DELETE,
                                    automorphism_generators(graph))
-        dense = dataclasses.replace(matrix, action=None)
+        dense = without_group(matrix)
         for eps, tau in zip((0.1, 0.01), taus):
             assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps) == tau
 
@@ -461,9 +497,9 @@ class TestOrbitQuotient:
         model = IndependentSetModel(gen_grid(3), 1.0)
         pi = exact_pi_lambda(gen_grid(3), 1.0)
         base = transition_matrix(model, ChainKind.INSERT_DELETE, grid3_group())
-        assert base.action.shape == (2, 63)
+        assert base.space.action.shape == (2, 63)
         dense = transition_matrix(model, ChainKind.INSERT_DELETE)
-        assert dense.action is None
+        assert dense.space.action is None
         assert all(r is d for r, d in zip(representative_rows(dense), (dense.rows, None, None)))
         assert analysis._reduced_pi(dense, pi, None) is pi.probs
         rows, gather, lumping = representative_rows(base)
@@ -494,7 +530,7 @@ class TestOrbitQuotient:
             rows, gather, lumping = representative_rows(matrix)
             assert gather is None
             lumped_pi = analysis._reduced_pi(matrix, pi, lumping)
-            ids = orbit_ids(matrix.action)
+            ids = orbit_ids(matrix.space.action)
             reps = [list(ids).index(o) for o in dict.fromkeys(ids.tolist())]
             # per-orbit sums, in the order of the representatives
             assert np.abs(lumped_pi
@@ -502,8 +538,8 @@ class TestOrbitQuotient:
             for a, r in enumerate(reps):
                 expected = np.bincount(ids, weights=matrix.rows[r])[ids[reps]]
                 assert np.abs(rows[a] - expected).max() <= 1e-15
-            states = tuple(matrix.states[r] for r in reps)
-            assert check_detailed_balance(TransitionMatrix(states, rows),
+            states = tuple(matrix.space.states[r] for r in reps)
+            assert check_detailed_balance(TransitionMatrix(StateSpace(states), rows),
                                           ExactDistribution(states, lumped_pi, 1.0),
                                           tol=1e-15).passed
 
@@ -511,10 +547,11 @@ class TestOrbitQuotient:
         # the swap of states 1 and 2: the first states 0 and 1 have rows
         # constant on {1, 2}, and rows 1 and 2 lump alike, but row 2 is not
         # constant on {1, 2}
-        states = tuple(bytes((i,)) for i in range(3))
+        space = group_space(*SWAP_SPACE)
+        assert space.action.tolist() == [[0, 2, 1]]
         rows = np.array([[.5, .25, .25], [.2, .4, .4], [.2, .3, .5]])
-        matrix = TransitionMatrix(states, rows, action=np.array([[0, 2, 1]]))
-        dist = ExactDistribution(states, [0.2, 0.4, 0.4], 1.0)
+        matrix = TransitionMatrix(space, rows)
+        dist = ExactDistribution(space.states, [0.2, 0.4, 0.4], 1.0)
         with pytest.raises(ValueError, match="columns are not constant on orbits"):
             mixing_time(matrix, dist, 0.1)
 
@@ -529,10 +566,11 @@ class TestOrbitQuotient:
     def test_pi_not_constant_on_orbits_rejected(self):
         # the kernel commutes with the swap of states 1 and 2, its rows are
         # not constant on {1, 2}, and pi is not invariant under the swap
-        states = tuple(bytes((i,)) for i in range(3))
+        space = group_space(*SWAP_SPACE)
+        assert space.action.tolist() == [[0, 2, 1]]
         rows = np.array([[.5, .25, .25], [.2, .5, .3], [.2, .3, .5]])
-        matrix = TransitionMatrix(states, rows, action=np.array([[0, 2, 1]]))
-        dist = ExactDistribution(states, [0.2, 0.3, 0.5], 1.0)
+        matrix = TransitionMatrix(space, rows)
+        dist = ExactDistribution(space.states, [0.2, 0.3, 0.5], 1.0)
         assert representative_rows(matrix)[1] is not None  # M x N rows
         with pytest.raises(ValueError, match="pi is not invariant"):
             mixing_time(matrix, dist, 0.1)
@@ -547,7 +585,7 @@ class TestOrbitQuotient:
         dense = transition_matrix(model, ChainKind.GIBBS)
         for kind in (ChainKind.GIBBS, ChainKind.ORBITAL_GIBBS):
             matrix = transition_matrix(model, kind, group)
-            assert matrix.action is None
+            assert matrix.space.action is None
             assert np.array_equal(matrix.rows, dense.rows)
             for eps in (0.1, 0.01):
                 assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps)
@@ -584,9 +622,9 @@ class TestOrbitalKernelAlgebra:
     def test_orbital_kernel_identities(self, model, group, base_kind, orbital_kind):
         base = transition_matrix(model, base_kind, group)
         orbital = transition_matrix(model, orbital_kind, group)
-        assert base.states == orbital.states
+        assert base.space.states == orbital.space.states
         p, k = base.rows, orbital.rows
-        a = orbit_average(base.action)
+        a = orbit_average(base.space.action)
 
         def error(lhs, rhs):
             return np.abs(lhs - rhs).max()
@@ -609,7 +647,7 @@ class TestOrbitalKernelAlgebra:
         sum over y1, y2 of P(x0, y1) A(y1, x1) P(y1, y2) A(y2, x2) (PA)(y2, x3)."""
         base = transition_matrix(model, base_kind, group)
         k = transition_matrix(model, orbital_kind, group).rows
-        p, a = base.rows, orbit_average(base.action)
+        p, a = base.rows, orbit_average(base.space.action)
         two = k[:, :, None] * k[None, :, :]  # two[x0, x1, x2] = K(x0, x1) K(x1, x2)
         relabelled = np.einsum("ay,yb,yc->abc", p, a, p @ a)
         assert np.abs(two - relabelled).max() <= 1e-12
@@ -627,8 +665,8 @@ class TestRepresentativeRows:
                 model = IndependentSetModel(graph, lam)
                 pi = exact_pi_lambda(graph, lam)
                 matrix = transition_matrix(model, ChainKind.INSERT_DELETE, group)
-                assert matrix.action is not None
-                dense = dataclasses.replace(matrix, action=None)
+                assert matrix.space.action is not None
+                dense = without_group(matrix)
                 for eps in (0.1, 0.01):
                     assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps)
 
@@ -640,7 +678,7 @@ class TestRepresentativeRows:
         matrix = transition_matrix(IndependentSetModel(graph, 1.0),
                                    ChainKind.INSERT_DELETE,
                                    automorphism_generators(graph))
-        dense = dataclasses.replace(matrix, action=None)
+        dense = without_group(matrix)
         for eps, tau in zip((0.1, 0.01), taus):
             assert mixing_time(matrix, pi, eps) == mixing_time(dense, pi, eps) == tau
 
@@ -668,8 +706,8 @@ class TestRepresentativeRows:
             matrix = transition_matrix(model, kind, group)
             reps, gather, lumping = representative_rows(matrix)
             assert lumping is None
-            ids = orbit_ids(transition_matrix(model, orbital, group).action)
-            assert len(reps) == len(set(ids.tolist())) < len(matrix.states)
+            ids = orbit_ids(transition_matrix(model, orbital, group).space.action)
+            assert len(reps) == len(set(ids.tolist())) < len(matrix.space.states)
             assert np.array_equal(gather, walk_gather(matrix))
             assert np.abs(reps.take(gather) - matrix.rows).max() <= 1e-12
             square = reps @ reps.take(gather)
@@ -692,28 +730,22 @@ class TestRepresentativeRows:
             rows[x, x] = diag[x]
             for j in (1, 2, 3):
                 rows[x, (x + j) % 4] = 1 / 3 - diag[x] / 3
-        states = tuple(bytes((i,)) for i in range(4))
-        matrix = TransitionMatrix(states, rows, action=np.array([[1, 2, 3, 0]]))
+        # the one-vertex states e0..e3 under the 4-cycle of the vertices
+        space = group_space(tuple(bytes(int(v == i) for v in range(4)) for i in range(4)),
+                            [1, 2, 3, 0])
+        assert space.action.tolist() == [[1, 2, 3, 0]]
+        matrix = TransitionMatrix(space, rows)
         with pytest.raises(ValueError, match="does not commute with the group action"):
             representative_rows(matrix)
 
     def test_pi_not_invariant_rejected(self):
         # the uniform kernel commutes with every permutation of the states
-        states = tuple(bytes((i,)) for i in range(3))
-        matrix = TransitionMatrix(states, np.full((3, 3), 1 / 3),
-                                  action=np.array([[1, 0, 2]]))
-        dist = ExactDistribution(states, [0.2, 0.3, 0.5], 1.0)
+        space = group_space((b"\x01\x00", b"\x00\x01", b"\x00\x00"), [1, 0])
+        assert space.action.tolist() == [[1, 0, 2]]
+        matrix = TransitionMatrix(space, np.full((3, 3), 1 / 3))
+        dist = ExactDistribution(space.states, [0.2, 0.3, 0.5], 1.0)
         with pytest.raises(ValueError, match="pi is not invariant"):
             mixing_time(matrix, dist, 0.1)
-
-    @pytest.mark.parametrize("action,message", [
-        ([[0]], "does not match state count"),
-        ([0, 1], "does not match state count"),
-        ([[0, 0]], "does not permute the states"),
-    ])
-    def test_action_must_permute_the_states(self, action, message):
-        with pytest.raises(ValueError, match=message):
-            TransitionMatrix((b"\x00", b"\x01"), np.eye(2), action=np.array(action))
 
 
 def symmetrised_spectrum(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -793,7 +825,10 @@ def taus_in_every_order(matrix, pi, epsilons):
 
 def indicator(matrix: TransitionMatrix) -> np.ndarray:
     """The N x M orbit indicator of a lumped kernel's action, as `mixing_time` keeps it."""
-    return analysis._orbit_indicator(orbit_ids(matrix.action))
+    ids = orbit_ids(matrix.space.action)
+    out = np.zeros((len(ids), int(ids.max()) + 1))
+    out[np.arange(len(ids)), ids] = 1.0
+    return out
 
 
 def uninvariant(pi: ExactDistribution, action: np.ndarray) -> ExactDistribution:
@@ -814,7 +849,7 @@ class TestMixingLadder:
                 for kind in self.KINDS:
                     matrix = transition_matrix(model, kind, group)
                     taus = taus_in_every_order(matrix, pi, (0.5, 0.1, 0.01))
-                    dense = dataclasses.replace(matrix, action=None)
+                    dense = without_group(matrix)
                     assert taus_in_every_order(dense, pi, (0.5, 0.1, 0.01)) == taus
 
     @pytest.mark.parametrize("make,taus", [(gen_grid, ((192, 405), (83, 159))),
@@ -831,7 +866,7 @@ class TestMixingLadder:
         reductions = []
 
         def spy(matrix):
-            reductions.append(len(matrix.states))
+            reductions.append(len(matrix.space.states))
             return representative_rows(matrix)
 
         monkeypatch.setattr(analysis, "representative_rows", spy)
@@ -849,20 +884,22 @@ class TestMixingLadder:
         assert reductions == [63, 63]
 
     def test_first_call_finds_orbits_once(self, monkeypatch):
-        # representative_rows finds the orbits and hands mixing_time the
-        # indicator it lumped by, so a first call finds them once
+        # the kernel's state space finds the orbits once, when it is built;
+        # representative_rows and mixing_time read them off it
         calls = []
 
         def spy(action):
             calls.append(action.shape)
             return orbit_ids(action)
 
-        monkeypatch.setattr(analysis, "orbit_ids", spy)
+        monkeypatch.setattr(perm, "orbit_ids", spy)
         model, pi = IndependentSetModel(gen_grid(3), 1.0), exact_pi_lambda(gen_grid(3), 1.0)
+        assert calls == []
         for kind in self.KINDS:
-            matrix = transition_matrix(model, kind, grid3_group())
-            dense = dataclasses.replace(matrix, action=None)
             calls.clear()
+            matrix = transition_matrix(model, kind, grid3_group())
+            assert calls == [(2, 63)]
+            dense = without_group(matrix)
             assert mixing_time(matrix, pi, 0.1) == mixing_time(dense, pi, 0.1)
             assert calls == [(2, 63)]
 
@@ -875,7 +912,7 @@ class TestMixingLadder:
             calls.append(action.shape)
             return orbit_ids(action)
 
-        monkeypatch.setattr(analysis, "orbit_ids", spy)
+        monkeypatch.setattr(perm, "orbit_ids", spy)
         model, pi = IndependentSetModel(gen_grid(3), 1.0), exact_pi_lambda(gen_grid(3), 1.0)
         for kind in self.KINDS:
             matrix = transition_matrix(model, kind, grid3_group())
@@ -885,7 +922,7 @@ class TestMixingLadder:
             for eps, tau in zip((0.1, 0.01, 0.1), fresh + fresh[:1]):
                 assert mixing_time(matrix, pi, eps) == tau
                 with pytest.raises(ValueError, match="pi is not invariant"):
-                    mixing_time(matrix, uninvariant(pi, matrix.action), eps)
+                    mixing_time(matrix, uninvariant(pi, matrix.space.action), eps)
             assert calls == []
 
     def test_kernel_checks_fail_on_every_call(self):
@@ -894,21 +931,22 @@ class TestMixingLadder:
         reducible = [[.5, .5, 0, 0], [.5, .5, 0, 0], [0, 0, .5, .5], [0, 0, .5, .5]]
         periodic = [[0, .5, 0, .5], [.5, 0, .5, 0], [0, .5, 0, .5], [.5, 0, .5, 0]]
         for rows, message in ((reducible, "not irreducible"), (periodic, "aperiodicity")):
-            matrix = TransitionMatrix(states, np.array(rows, dtype=float))
+            matrix = TransitionMatrix(StateSpace(states), np.array(rows, dtype=float))
             for eps in (0.1, 0.1, 0.01):
                 with pytest.raises(ValueError, match=message):
                     mixing_time(matrix, uniform, eps)
             assert matrix._ladder is None
 
     def test_pi_checked_on_every_call(self):
-        states = tuple(bytes((i,)) for i in range(3))
+        space = group_space((b"\x01\x00", b"\x00\x01", b"\x00\x00"), [1, 0])
+        assert space.action.tolist() == [[1, 0, 2]]
         # the uniform kernel commutes with every permutation: lumped rows
-        lumped = TransitionMatrix(states, np.full((3, 3), 1 / 3), action=np.array([[1, 0, 2]]))
+        lumped = TransitionMatrix(space, np.full((3, 3), 1 / 3))
         model, pi = IndependentSetModel(gen_grid(3), 1.0), exact_pi_lambda(gen_grid(3), 1.0)
-        cases = [(lumped, ExactDistribution(states, [1 / 3] * 3, 1.0))]
+        cases = [(lumped, ExactDistribution(space.states, [1 / 3] * 3, 1.0))]
         cases += [(transition_matrix(model, kind, grid3_group()), pi) for kind in self.KINDS]
         for matrix, good in cases:
-            bad = uninvariant(good, matrix.action)
+            bad = uninvariant(good, matrix.space.action)
             taus = [mixing_time(dataclasses.replace(matrix), good, eps) for eps in (0.1, 0.01)]
             # the first call fails, before any ladder; later ones after it is built
             for dist in (bad, good, bad, bad, good):
@@ -925,7 +963,7 @@ class TestMixingLadder:
         for kind in self.KINDS:
             matrix = transition_matrix(model, kind, grid3_group())
             with pytest.raises(ValueError, match="pi is not invariant"):
-                mixing_time(matrix, uninvariant(pi, matrix.action), 0.1)
+                mixing_time(matrix, uninvariant(pi, matrix.space.action), 0.1)
             assert matrix._ladder is None
 
 
@@ -1077,7 +1115,7 @@ class TestCoupling:
         assert sim.varrho() == exact_varrho(graph)
 
     def test_drift_enumerates_and_maps_orbits_once(self, monkeypatch):
-        calls = {"enumerate_independent_sets": 0, "state_action": 0}
+        calls = {"enumerate_independent_sets": 0, "StateSpace": 0, "orbit_ids": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -1085,13 +1123,13 @@ class TestCoupling:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # both modules' references, through which the coupling reaches them
-        for module in (analysis, chains):
+        # every module's references, through which the coupling reaches them
+        for module in (analysis, chains, perm):
             for name in calls:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         coupling_drift(IndependentSetModel(gen_grid(3), 1.0), grid3_group(), trials=100)
-        assert calls == {"enumerate_independent_sets": 1, "state_action": 1}
+        assert calls == {"enumerate_independent_sets": 1, "StateSpace": 1, "orbit_ids": 1}
 
     @pytest.mark.parametrize("graph,trivial", [
         (gen_grid(3), False), (gen_connected_cliques(3), False), (gen_complete(2), False),
@@ -1175,7 +1213,7 @@ class TestCoupling:
         matrix = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE,
                                    group=group)
         dist = exact_distribution(model)
-        assert dist.states == matrix.states
+        assert dist.states == matrix.space.states
         sim = CoupledSteps(model, group)
         rng = Random(56)
         corner = NAMES9.index("a")
@@ -1183,8 +1221,8 @@ class TestCoupling:
         upper = bytes(1 if i in (corner, middle) else 0 for i in range(9))
         lower = bytes(1 if i == middle else 0 for i in range(9))
         trials = 30_000
-        counts_u = np.zeros(len(matrix.states))
-        counts_l = np.zeros(len(matrix.states))
+        counts_u = np.zeros(len(matrix.space.states))
+        counts_l = np.zeros(len(matrix.space.states))
         for _ in range(trials):
             nu, nl, _ = sim.step(upper, lower, rng)
             counts_u[dist.index_of(nu)] += 1
@@ -1221,13 +1259,13 @@ class TestInputChecks:
     ])
     def test_transition_matrix_rejected(self, rows, message):
         with pytest.raises(ValueError, match=message):
-            TransitionMatrix(self.STATES, rows)
+            TransitionMatrix(StateSpace(self.STATES), rows)
 
     @pytest.mark.parametrize("check", [
         check_detailed_balance, stationary_deviation,
         lambda matrix, dist: mixing_time(matrix, dist, 0.1)])
     def test_states_must_match(self, check):
-        matrix = TransitionMatrix(self.STATES, np.full((2, 2), 0.5))
+        matrix = TransitionMatrix(StateSpace(self.STATES), np.full((2, 2), 0.5))
         dist = ExactDistribution(self.STATES[::-1], [0.5, 0.5], 1.0)
         with pytest.raises(ValueError, match="enumerate different states"):
             check(matrix, dist)
@@ -1261,7 +1299,7 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5])
     def test_mixing_eps_rejected(self, eps):
-        matrix = TransitionMatrix(self.STATES, np.full((2, 2), 0.5))
+        matrix = TransitionMatrix(StateSpace(self.STATES), np.full((2, 2), 0.5))
         with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
             mixing_time(matrix, ExactDistribution(self.STATES, [0.5, 0.5], 1.0), eps)
 

@@ -75,6 +75,23 @@ class TestClauseModel:
         with pytest.raises(InfeasibleModelError, match="no value of variable a"):
             model.conditional_p1((0, 0), 0)
 
+    @pytest.mark.parametrize("text", [
+        "vars: a b\n1" + "0" * 400 + " :: a\n1 :: b\n",  # 10^400 is inf as a float
+        "vars: a b\n-" + "9" * 308 + " :: a\n" + "9" * 308 + " :: !a | b\n"],  # each fits
+        ids=["one-weight", "two-weights"])
+    def test_soft_weight_sum_past_a_float_rejected(self, text):
+        # a's Gibbs conditional would be exp(inf - inf), NaN, and never drawn
+        with pytest.raises(ValueError, match="variable a sum past the float range"):
+            ClauseModel(parse_clause_file(text))
+        # clamped, a has no conditional to compute
+        assert ClauseModel(parse_clause_file(text), {"a": True}).free == (1,)
+
+    def test_soft_weight_sum_that_fits_samples(self):
+        model = ClauseModel(parse_clause_file("vars: a b\n1" + "0" * 299 + " :: a\n1 :: b\n"))
+        assert model.conditional_p1(bytes(2), 0) == 1.0
+        trace = run_chain(model, ChainKind.GIBBS, 2000, seed=4)
+        assert sum(s[0] for s in trace.states) >= 0.99 * len(trace.states)
+
     def test_unsatisfiable_hard_rejected(self):
         with pytest.raises(InfeasibleModelError):
             ClauseModel(parse_clause_file("vars: a\ninf :: a\ninf :: !a\n"))
@@ -262,15 +279,15 @@ class TestGibbsStep:
         model = two_spin_chain_model()
         matrix = transition_matrix(model, ChainKind.GIBBS)
         dist = exact_distribution(model)
-        assert dist.states == matrix.states
+        assert dist.states == matrix.space.states
         start = bytes((1, 0))
         row = matrix.rows[dist.index_of(start)]
         rng = Random(31)
-        counts = {s: 0 for s in matrix.states}
+        counts = {s: 0 for s in matrix.space.states}
         trials = 100_000
         for _ in range(trials):
             counts[gibbs_step(model, start, rng)] += 1
-        for state, expected in zip(matrix.states, row):
+        for state, expected in zip(matrix.space.states, row):
             se = (expected * (1 - expected) / trials) ** 0.5
             assert abs(counts[state] / trials - expected) <= 3 * se + 1e-9
 
@@ -279,7 +296,7 @@ class TestGibbsStep:
         model = two_spin_chain_model()
         matrix = transition_matrix(model, ChainKind.GIBBS)
         dist = exact_distribution(model)
-        assert dist.states == matrix.states
+        assert dist.states == matrix.space.states
         row = matrix.rows[dist.index_of(bytes((1, 0)))]
         mass = row[dist.index_of(bytes((0, 0)))] + row[dist.index_of(bytes((1, 1)))]
         assert mass == pytest.approx(0.02, abs=1e-12)
@@ -732,4 +749,4 @@ class TestStateContract:
             self.assert_configs(model.states(), n)
             self.assert_configs(exact_distribution(model).states, n)
             for kind in kinds:
-                self.assert_configs(transition_matrix(model, kind, group).states, n)
+                self.assert_configs(transition_matrix(model, kind, group).space.states, n)

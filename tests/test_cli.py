@@ -342,7 +342,7 @@ class TestAnalysisCommands:
         calls = []
 
         def spy(matrix):
-            calls.append(len(matrix.states))
+            calls.append(len(matrix.space.states))
             return representative_rows(matrix)
 
         monkeypatch.setattr(analysis, "representative_rows", spy)
@@ -494,6 +494,35 @@ class TestAnalysisCommands:
         assert code == 1
         assert f"{flag} lists a value twice: {value}" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "tvcurve", "mix"])
+    @pytest.mark.parametrize("chain", [",", ""], ids=["comma", "empty"])
+    def test_empty_chain_list_rejected_before_writing(self, capsys, tmp_path, command, chain):
+        code, out, err = run_cli(capsys, command, "--model", "grid", "--k", "2",
+                                 "--chain", chain, "--out", str(tmp_path / "o"))
+        assert code == 1 and out == ""
+        assert err == f"--chain lists no chain kind: {chain!r}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "tvcurve", "mix"])
+    def test_empty_config_chain_rejected_before_writing(self, capsys, tmp_path, command):
+        config = tmp_path / "run.cfg"
+        config.write_text("model=grid\nk=2\nchain=\n")
+        code, _, err = run_cli(capsys, "--config", str(config), command,
+                               "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "--chain lists no chain kind: ''" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_exact_with_no_chain_writes_pi_alone(self, capsys, monkeypatch, tmp_path):
+        # grid 4's 1,234 states fit the cap of 2,000, its dense kernels do not
+        monkeypatch.setenv("ORBITAL_GUARD", "2000")
+        code, _, _ = run_cli(capsys, "exact", "--model", "grid", "--k", "4",
+                             "--chain", ",", "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+            "config.resolved.txt", "pi.csv"]
+        assert len(csv_rows(tmp_path / "o" / "pi.csv")) == 1 + 1234
 
     def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
@@ -873,6 +902,30 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: state weights underflow: the largest is ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,flags", [("sample", ["--steps", "2000"]), ("exact", [])])
+    def test_soft_weight_sum_past_a_float_exits_one(self, capsys, tmp_path, command, flags):
+        # 10^400 is inf as a float: a's Gibbs conditional would be NaN, so
+        # sample would never set a = 1, where pi puts almost all its mass
+        model = tmp_path / "huge.txt"
+        model.write_text("vars: a b\n1" + "0" * 400 + " :: a\n1 :: b\n")
+        code, out, err = run_cli(capsys, command, "--model", "clauses",
+                                 "--clauses", str(model), "--chain", "gibbs", *flags,
+                                 "--out", str(tmp_path / "o"))
+        assert code == 1 and out == ""
+        assert err == "error: the soft weights of variable a sum past the float range\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_soft_weight_sum_that_fits_samples(self, capsys, tmp_path):
+        # 10^299 fits: every state after the first draw of a has a = 1
+        model = tmp_path / "large.txt"
+        model.write_text("vars: a b\n1" + "0" * 299 + " :: a\n1 :: b\n")
+        code, _, _ = run_cli(capsys, "sample", "--model", "clauses", "--clauses", str(model),
+                             "--chain", "gibbs", "--steps", "2000", "--out", str(tmp_path / "o"))
+        assert code == 0
+        states = [state for _, state in csv_rows(tmp_path / "o" / "trace_gibbs_seed0.csv")[1:]]
+        assert len(states) == 2001
+        assert sum(state[0] == "1" for state in states) >= 0.99 * len(states)
 
     def test_normal_largest_weight_keeps_pi(self, capsys, tmp_path):
         # the subnormal case shifted by 40: the largest weight is normal

@@ -20,17 +20,18 @@ from orbitalmcmc.perm import (
     PermutationGroup,
     ProductReplacement,
     SamplerMode,
+    StateSpace,
     burnside_config_orbit_count,
     config_orbit_partition,
     format_cycles,
     format_generating_set,
     orbit_ids,
-    state_action,
 )
 
 from helpers import (ReferenceProductReplacement, apply_config_action, closure_elements,
                      compose, config_orbits, cycle_count_burnside, elements, inverse,
-                     load_generating_set, parse_cycles, reference_exact_sample)
+                     load_generating_set, parse_cycles, reference_exact_sample,
+                     two_spin_model)
 
 NAMES9 = list("abcdefghi")
 
@@ -360,17 +361,40 @@ class TestOrbits:
 
 class TestStateAction:
     def test_matches_the_apply_config_oracle(self):
+        # the models whose kernels, traces and taus test_streams pins, and fs3
         clause_set, _ = gen_friends_smokers(3)
         evidence = {"smokes_p0": False}
-        cases = [(IndependentSetModel(family(3), 1.0), automorphism_generators(family(3)))
-                 for family in (gen_grid, gen_connected_cliques, gen_complete)]
+        cases = [(IndependentSetModel(graph, 1.0), automorphism_generators(graph))
+                 for graph in (gen_grid(3), gen_connected_cliques(3), gen_complete(2),
+                               gen_complete(3))]
+        cases.append((ClauseModel(two_spin_model()), PermutationGroup([Permutation([1, 0])])))
         cases.append((ClauseModel(clause_set, evidence),
                       model_symmetry_group(clause_set, evidence).model_group))
         for model, group in cases:
             states = model.states()
             assert group.generators
             expected = apply_config_action(group, states)
-            assert np.array_equal(state_action(group, states), expected)
+            space = StateSpace(states, group)
+            assert np.array_equal(space.action, expected)
+            assert (np.sort(space.action, axis=1) == np.arange(len(states))).all()
+            assert np.array_equal(space.orbits, orbit_ids(expected))
+
+    def test_repeated_state_rejected(self):
+        states = [b"\x00\x00", b"\x01\x00", b"\x00\x00"]
+        for group in (None, PermutationGroup([], n=2), PermutationGroup([Permutation([1, 0])])):
+            with pytest.raises(ValueError, match="listed twice"):
+                StateSpace(states, group)
+
+    def test_trivial_and_no_group(self):
+        states = IndependentSetModel(Graph(3, [(0, 1), (1, 2)]), 1.0).states()
+        trivial = StateSpace(states, PermutationGroup([], n=3))
+        assert trivial.action is None
+        assert trivial.orbits.tolist() == list(range(len(states)))
+        plain = StateSpace(states)
+        assert plain.action is None and plain.orbits is None
+        assert plain.index == {s: i for i, s in enumerate(states)}
+        assert plain.bits.tolist() == [list(s) for s in states]
+        assert len(plain) == len(states) and plain.states == tuple(states)
 
     def test_tuple_images_above_255_points(self):
         n = 300
@@ -382,18 +406,19 @@ class TestStateAction:
         states += [bytes(int(i == v) for i in range(n)) for v in range(n)]
         states.append(bytes(n))
         with pytest.raises(ValueError, match="does not preserve the state space"):
-            state_action(group, states)
+            StateSpace(states, group)
         group = PermutationGroup(group.generators[:1])
-        action = state_action(group, states)
-        assert np.array_equal(action, apply_config_action(group, states))
-        assert list(orbit_ids(action)) == [0] * n + [1] * n + [2]
+        space = StateSpace(states, group)
+        assert np.array_equal(space.action, apply_config_action(group, states))
+        assert list(orbit_ids(space.action)) == [0] * n + [1] * n + [2]
+        assert list(space.orbits) == [0] * n + [1] * n + [2]
 
     def test_group_must_preserve_the_states(self):
         # on the path 0-1-2, swapping 0 and 1 maps {0, 2} to {1, 2}
         states = IndependentSetModel(Graph(3, [(0, 1), (1, 2)]), 1.0).states()
         swap = PermutationGroup([parse_cycles("(0 1)", n=3)])
         with pytest.raises(ValueError, match="maps \\(1, 0, 1\\) to \\(0, 1, 1\\)"):
-            state_action(swap, states)
+            StateSpace(states, swap)
 
 
 class TestEnumeration:
