@@ -71,6 +71,16 @@ done
 "${cli[@]}" sample --model clauses --clauses "$out/fs4/model.clauses.txt" \
   --evidence "$out/fs4/model.evidence.txt" --chain gibbs,orbital-gibbs --mode pr \
   --steps 2000 --out "$out/sample_fs4"
+# the exact Gibbs kernels of a clause model with evidence, base and orbital:
+# both matrices written, and each detailed-balance violation at most 1e-10
+"${cli[@]}" gen --model fs --people 3 --evidence-fraction 0.3 --seed 1 --out "$out/fs3"
+"${cli[@]}" exact --model clauses --clauses "$out/fs3/model.clauses.txt" \
+  --evidence "$out/fs3/model.evidence.txt" --chain gibbs,orbital-gibbs \
+  --out "$out/exact_fs3" > "$out/exact_fs3.txt"
+cat "$out/exact_fs3.txt"
+awk '/detailed balance violation/ { gsub(/.*violation |\)/, ""); n++; if ($0 + 0 > 1e-10) bad = 1 }
+     END { exit !(n == 2 && !bad) }' "$out/exact_fs3.txt" \
+  || { echo "exact clauses fs3: want two violations at most 1e-10"; exit 1; }
 # product replacement on tuple images: fs16 has 272 variables, past 255 points
 "${cli[@]}" gen --model fs --people 16 --out "$out/fs16"
 "${cli[@]}" sample --model clauses --clauses "$out/fs16/model.clauses.txt" \
@@ -177,6 +187,7 @@ for f in mix/mix.csv sample/trace_id_seed0.csv sample_k9/trace_orbital-id_seed0.
          sample_grid16_pr/trace_orbital-id_seed0.csv \
          sample_grid16_exact/trace_orbital-id_seed0.csv \
          exact/pi.csv exact/matrix_id.csv exact/matrix_orbital-id.csv \
+         exact_fs3/matrix_gibbs.csv exact_fs3/matrix_orbital-gibbs.csv \
          tvcurve/tvcurve.csv coupling/coupling.csv detect/generators.txt; do
   test -s "$out/$f" || { echo "missing or empty: $f"; exit 1; }
 done

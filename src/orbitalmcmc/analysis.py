@@ -23,7 +23,7 @@ import numpy as np
 from .chains import ChainKind, ChainTrace, IndependentSetModel
 from .errors import GuardExceededError, enumeration_cap
 from .graphs import Graph
-from .perm import Config, PermutationGroup, StateSpace, config_rows
+from .perm import Config, PermutationGroup, StateSpace
 
 
 class ExactDistribution(StateSpace):
@@ -103,9 +103,11 @@ def transition_matrix(model, kind: ChainKind,
                       group: Optional[PermutationGroup] = None) -> TransitionMatrix:
     """Exact transition matrix of a chain kind on an enumerated state space.
 
-    Base kernels sum `model.moves` over every state; orbital kernels
-    multiply the base kernel by the exact orbit-averaging matrix of the
-    orbit ids of the kernel's `StateSpace`, whose action, given a group,
+    Base kernels sum the model's `move_table` over the kernel's `StateSpace`
+    with one `bincount`, which adds each cell's moves in table order; orbital
+    kernels average the base kernel's columns over the orbits of the space,
+    (rows @ C)[:, orbits] for C the N x M orbit indicator with each column
+    divided by its orbit's size, N N M work.  The space's action, given a group,
     must keep the states inside the list (ValueError otherwise) and by
     which `representative_rows` reduces any kernel.  A group without
     generators leaves one-state orbits and the dense base kernels.  An N x N
@@ -119,13 +121,14 @@ def transition_matrix(model, kind: ChainKind,
     states = tuple(model.states())
     check_dense_kernel(len(states))
     space = StateSpace(states, group)
-    index, rows = space.index, np.zeros((len(states),) * 2)
-    for i, s in enumerate(states):
-        for t, p in model.moves(s):
-            rows[i, index[t]] += p
+    targets, probs = model.move_table(space)
+    n = len(states)
+    cells = (np.arange(n)[:, None] * n + targets).ravel()
+    rows = np.bincount(cells, weights=probs.ravel(), minlength=n * n).reshape(n, n)
     if kind.is_orbital and space.action is not None:
-        same = space.orbits[:, None] == space.orbits[None, :]
-        rows = rows @ (same / same.sum(axis=1, keepdims=True))
+        ids = space.orbits
+        sizes = np.bincount(ids)
+        rows = (rows @ (np.eye(len(sizes))[ids] / sizes))[:, ids]
     return TransitionMatrix(space, rows)
 
 
@@ -206,11 +209,17 @@ class DetailedBalanceReport:
 
 def check_detailed_balance(matrix: TransitionMatrix, dist: ExactDistribution,
                            tol: float = 1e-12) -> DetailedBalanceReport:
-    """Largest |pi(x)P(x,y) - pi(y)P(y,x)| over all state pairs."""
+    """Largest |pi(x)P(x,y) - pi(y)P(y,x)| over all state pairs, read in
+    blocks of at most max(1, 2^18 // N) rows x, each block's flows multiplied
+    from pi and the rows alone: 2 MiB a temporary at most."""
     if matrix.space.states != dist.states:
         raise ValueError("matrix and distribution enumerate different states")
-    flow = dist.probs[:, None] * matrix.rows
-    violation = float(np.abs(flow - flow.T).max())
+    pi, rows, violation = dist.probs, matrix.rows, 0.0
+    block = max(1, (1 << 18) // len(pi))
+    for x in range(0, len(pi), block):
+        out = pi[x:x + block, None] * rows[x:x + block]
+        back = (pi[:, None] * rows[:, x:x + block]).T
+        violation = max(violation, float(np.abs(out - back).max()))
     return DetailedBalanceReport(violation, tol)
 
 
@@ -388,11 +397,11 @@ class CouplingSimulator:
     and the exact constants of its drift bound.
 
     The model's states are enumerated once, in lexicographic order, into one
-    `StateSpace` with the group, read for its 0/1 matrix, index and orbit
-    ids, and index tables over them are built once with numpy:
-    `blocked[s, w]`, whether state s holds a neighbour of vertex w, one
-    product with the adjacency matrix; `flip[s, w]`, the index of s with
-    vertex w removed or added, -1 when that is not a state; the distance-one
+    `StateSpace` with the group, read for its 0/1 matrix, orbit ids and
+    `flip` table (the index of s with vertex w removed or added, -1 when
+    that is not a state), and index tables over them are built once with
+    numpy: `blocked[s, w]`, whether state s holds a neighbour of vertex w,
+    one product with the adjacency matrix; the distance-one
     pairs (X, X minus one vertex) as (upper, lower, vertex) index arrays, X
     in lexicographic order and the vertex ascending; and the case of every
     pair and vertex, one case rule read by `varrho` and the coupled draw.
@@ -415,16 +424,11 @@ class CouplingSimulator:
         self.space = space = StateSpace(model.states(), group)
         self._order = group.order()
         n = model.n
-        bits = space.bits.astype(bool)
+        bits, flip = space.bits.astype(bool), space.flip
         adjacency = np.zeros((n, n), dtype=bool)
         for v, w in model.graph.edges:
             adjacency[v, w] = adjacency[w, v] = True
         blocked = bits @ adjacency
-        flip = np.empty(bits.shape, dtype=np.intp)
-        for w in range(n):
-            toggled = bits.copy()
-            toggled[:, w] ^= True
-            flip[:, w] = [space.index.get(s, -1) for s in config_rows(toggled)]
         upper, vertex = np.nonzero(bits)
         lower = flip[upper, vertex]
         # the case rule: 1 if the pair differs at w, 2 if w is in both, 3 if

@@ -8,8 +8,10 @@ analysis read; every state is a `Config`, one 0/1 byte per variable:
 - `start`, the start state, valid by construction;
 - `stepper(rng)`, one base move as a closure `move(bits)` over the
   generator, a new state by two slices and a byte;
-- `moves(bits)`, the exact one-step distribution of that move as
-  (state, probability) pairs;
+- `move_table(space)`, the exact one-step distribution of that move from
+  every state of a `perm.StateSpace` of its states, as two N x K arrays,
+  target state indices and probabilities, row i listing states[i]'s moves
+  in the move's order, targets read off the space's `flip` table;
 - `states()` and `weights(states)`, the enumerated state space and its
   unnormalized stationary weights.
 
@@ -42,14 +44,15 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from random import Random
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .clauses import WeightedClauseSet, weight_value
 from .errors import GuardExceededError, InfeasibleModelError, enumeration_cap
 from .graphs import Graph, enumerate_independent_sets
-from .perm import Config, OrbitSampler, PermutationGroup, SamplerMode, config_matrix
+from .perm import (Config, OrbitSampler, PermutationGroup, SamplerMode, StateSpace,
+                   config_matrix)
 
 _BIT = (b"\x00", b"\x01")  # a variable's value as a one-byte configuration
 SCAN_CHUNK = 64  # assignments per step of the scan for a start state
@@ -131,21 +134,18 @@ class IndependentSetModel:
             return bits
         return move
 
-    def moves(self, bits: Config) -> Iterator[tuple[Config, float]]:
-        """`stepper`'s move from `bits` as (state, probability) pairs; a
-        state can appear more than once."""
-        n, lam = self.graph.n, self.lam
-        p_del = 1.0 / (n * (1.0 + lam))
-        p_ins = lam / (n * (1.0 + lam))
-        for v, (gather, empty) in enumerate(self._neighbours):
-            if bits[v]:
-                yield bits[:v] + b"\x00" + bits[v + 1:], p_del
-                yield bits, 1.0 / n - p_del
-            elif gather(bits) == empty:
-                yield bits[:v] + b"\x01" + bits[v + 1:], p_ins
-                yield bits, 1.0 / n - p_ins
-            else:
-                yield bits, 1.0 / n
+    def move_table(self, space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
+        """`stepper`'s move from every state of `space`, its independent sets,
+        as N x 2n (targets, probs): per vertex in order, the toggle, then the
+        stay.  A vertex can be inserted iff its toggle is listed; a blocked
+        one's toggle is (self, 0.0)."""
+        n, lam, flip = self.graph.n, self.lam, space.flip
+        p_del, p_ins = 1.0 / (n * (1.0 + lam)), lam / (n * (1.0 + lam))
+        here = np.arange(len(space))[:, None]
+        toggle = np.where(space.bits == 1, p_del, np.where(flip >= 0, p_ins, 0.0))
+        targets = np.stack(np.broadcast_arrays(np.where(flip >= 0, flip, here), here), axis=2)
+        probs = np.stack((toggle, 1.0 / n - toggle), axis=2)
+        return targets.reshape(len(space), -1), probs.reshape(len(space), -1)
 
     def states(self) -> list[Config]:
         return enumerate_independent_sets(self.graph)
@@ -169,7 +169,7 @@ class ClauseModel:
     """A weighted clause set conditioned on evidence, moved by Gibbs.
 
     `evidence` maps variable names to truth values.  Clamped variables keep
-    their value: `stepper` and `moves` resample only `free`, the unclamped
+    their value: `stepper` and `move_table` resample only `free`, the unclamped
     variables, and the scans below enumerate the free variables alone.
     Per variable, the model precomputes the clauses it occurs in, so the
     exact single-site conditional costs only the touched clauses, and is
@@ -305,18 +305,20 @@ class ClauseModel:
             return bits[:v] + _BIT[value] + bits[v + 1:]
         return move
 
-    def moves(self, bits: Config) -> Iterator[tuple[Config, float]]:
-        """`stepper`'s move from `bits` as (state, probability) pairs; a
-        state can appear more than once."""
-        free = self.free
+    def move_table(self, space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
+        """`stepper`'s move from every state of `space`, states of this model,
+        as N x 2m (targets, probs) for m free variables: per free variable in
+        order, value 1, then value 0, a value of conditional probability 0
+        as (self, 0.0).  With no free variable, N x 1: (self, 1.0)."""
+        free, p1, here = list(self.free), self._p1, np.arange(len(space))[:, None]
         if not free:
-            yield bits, 1.0
-        for v in free:
-            p1 = self._p1(bits, v)
-            for value, p in ((1, p1), (0, 1.0 - p1)):
-                if p == 0.0:
-                    continue
-                yield bits[:v] + _BIT[value] + bits[v + 1:], p / len(free)
+            return here, np.ones((len(space), 1))
+        probs = np.array([[p1(s, v) for v in free] for s in space.states]).reshape(here.size, -1)
+        probs = np.stack((probs, 1.0 - probs), axis=2)
+        bits = space.bits[:, free, None]
+        moved = (bits != (1, 0)) & (probs != 0.0)  # a drawn value that differs
+        targets = np.where(moved, space.flip[:, free, None], here[:, :, None])
+        return targets.reshape(here.size, -1), (probs / len(free)).reshape(here.size, -1)
 
     def states(self) -> list[Config]:
         """Every assignment satisfying the hard clauses and the evidence, lexicographically."""

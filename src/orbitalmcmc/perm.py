@@ -314,7 +314,9 @@ class StateSpace:
     """Distinct configurations as every exact judge reads them: `states`,
     their `index`, their `config_matrix` `bits` (built on first read) and,
     given a group, `action[g][i]`, the index of generator g applied to
-    states[i] (one column gather of `bits`), and `orbits`, its `orbit_ids`.
+    states[i] (one column gather of `bits`), and `orbits`, its `orbit_ids`;
+    `flip`, the toggle table that the models' `move_table` reads, is built
+    on first read too.
     A trivial group leaves `action` None, one orbit per state; no group,
     both None.  ValueError if a state repeats or an image is not listed."""
 
@@ -339,6 +341,22 @@ class StateSpace:
     @functools.cached_property
     def bits(self) -> np.ndarray:
         return config_matrix(self.states, len(self.states[0]) if self.states else 0)
+
+    @functools.cached_property
+    def flip(self) -> np.ndarray:
+        """flip[s, v], the index of states[s] with bit v toggled, -1 if that
+        is not listed: per bit, one binary search of the toggled rows of
+        `bits` among the rows, each row one byte string."""
+        bits, flip = self.bits.copy(), np.empty(self.bits.shape, dtype=np.intp)
+        keys = self.bits.view(row := np.dtype((np.void, bits.shape[1]))).ravel()
+        order = np.argsort(keys)
+        for v in range(bits.shape[1]):
+            bits[:, v] ^= 1
+            wanted = bits.view(row).ravel()
+            found = order[np.searchsorted(keys, wanted, sorter=order) % len(keys)]
+            flip[:, v] = np.where(keys[found] == wanted, found, -1)
+            bits[:, v] ^= 1
+        return flip
 
     def __len__(self) -> int:
         return len(self.states)

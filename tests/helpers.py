@@ -5,19 +5,19 @@ import math
 import re
 from operator import itemgetter
 from random import Random
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from orbitalmcmc.analysis import (CouplingReport, CouplingSimulator, ExactDistribution,
                                   TVSeries)
 from orbitalmcmc.autgroup import Cells, color_cells, is_automorphism
-from orbitalmcmc.chains import ChainKind, ChainTrace
+from orbitalmcmc.chains import ChainKind, ChainTrace, ClauseModel
 from orbitalmcmc.clauses import Clause, WeightedClauseSet, parse_clause_file
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
 from orbitalmcmc.perm import (BURN_IN_PER_SLOT, DRAW_MOVES, MAX_BYTES_N, MIN_SLOTS, Config,
-                              Permutation, PermutationGroup, SamplerMode, _compose, _scatter,
-                              config_orbit_partition, orbit_ids)
+                              Permutation, PermutationGroup, SamplerMode, StateSpace, _compose,
+                              _scatter, config_orbit_partition, orbit_ids)
 
 # Two equal-weight clauses over three variables; the classic two-fold
 # symmetric example: (a or !c) and (b or !c), both weighted 0.5.
@@ -535,6 +535,52 @@ def reference_gibbs_step(model, bits: bytes, rng: Random) -> bytes:
     v = model.free[rng.randrange(len(model.free))]
     value = 1 if rng.random() < model.conditional_p1(bits, v) else 0
     return bits[:v] + bytes((value,)) + bits[v + 1:]
+
+
+def moves(model, bits: Config) -> Iterator[tuple[Config, float]]:
+    """Reference for a row of `model.move_table`: the model's `stepper` move
+    from `bits` as (state, probability) pairs, a state possibly more than
+    once.  A Gibbs value of conditional probability 0 is skipped; the
+    conditionals come from `_p1`, so they fill its tables."""
+    if isinstance(model, ClauseModel):
+        free = model.free
+        if not free:
+            yield bits, 1.0
+        for v in free:
+            p1 = model._p1(bits, v)
+            for value, p in ((1, p1), (0, 1.0 - p1)):
+                if p == 0.0:
+                    continue
+                yield bits[:v] + bytes((value,)) + bits[v + 1:], p / len(free)
+        return
+    n, lam = model.graph.n, model.lam
+    p_del = 1.0 / (n * (1.0 + lam))
+    p_ins = lam / (n * (1.0 + lam))
+    for v, (gather, empty) in enumerate(model._neighbours):
+        if bits[v]:
+            yield bits[:v] + b"\x00" + bits[v + 1:], p_del
+            yield bits, 1.0 / n - p_del
+        elif gather(bits) == empty:
+            yield bits[:v] + b"\x01" + bits[v + 1:], p_ins
+            yield bits, 1.0 / n - p_ins
+        else:
+            yield bits, 1.0 / n
+
+
+def reference_kernel(model, kind: ChainKind,
+                     group: Optional[PermutationGroup] = None) -> np.ndarray:
+    """Reference for `transition_matrix` rows: `moves` added state by state
+    with `+=`, then, for an orbital kind, the product with the N x N
+    orbit-averaging matrix."""
+    space = StateSpace(model.states(), group)
+    rows = np.zeros((len(space),) * 2)
+    for i, s in enumerate(space.states):
+        for t, p in moves(model, s):
+            rows[i, space.index[t]] += p
+    if ChainKind(kind).is_orbital and space.action is not None:
+        same = space.orbits[:, None] == space.orbits[None, :]
+        rows = rows @ (same / same.sum(axis=1, keepdims=True))
+    return rows
 
 
 def reference_exact_sample(els, bits: bytes, rng: Random) -> bytes:

@@ -39,8 +39,9 @@ from orbitalmcmc.graphs import Graph, enumerate_independent_sets
 from orbitalmcmc import perm
 from orbitalmcmc.perm import Permutation, PermutationGroup, SamplerMode, StateSpace, orbit_ids
 
-from helpers import (CoupledSteps, coupling_drift_by_steps, distance_one_pairs, exact_rho,
-                     exact_varrho, parse_cycles, reference_coupled_draw, reference_drift_draws,
+from helpers import (HARD_PAIRS_TEXT, CoupledSteps, coupling_drift_by_steps,
+                     distance_one_pairs, exact_rho, exact_varrho, parse_cycles,
+                     reference_coupled_draw, reference_drift_draws, reference_kernel,
                      reference_tv_curve, two_spin_model, walk_gather)
 
 NAMES9 = list("abcdefghi")
@@ -226,6 +227,32 @@ class TestTransitionMatrices:
         report = check_detailed_balance(matrix, pi, tol=1e-12)
         assert report.passed
 
+    def test_balance_blocks_equal_the_dense_formula(self):
+        # the digest kernels in one block, grid 4 and cliques 4 (N > 512) in several
+        kernels = []
+        for graph in (gen_grid(3), gen_connected_cliques(3), gen_complete(3), gen_grid(4),
+                      gen_connected_cliques(4)):
+            model = IndependentSetModel(graph, 1.0)
+            kernels += [(transition_matrix(model, kind, group=automorphism_generators(graph)),
+                         exact_distribution(model)) for kind in ChainKind if kind.base is
+                        ChainKind.INSERT_DELETE]
+        model, swap = ClauseModel(two_spin_model()), PermutationGroup([parse_cycles("(0 1)", n=2)])
+        kernels.append((transition_matrix(model, ChainKind.ORBITAL_GIBBS, swap),
+                        exact_distribution(model)))
+        # a planted violation: mass moved within the last row of grid 4's
+        # base kernel, to the first state, a block away
+        grid4 = IndependentSetModel(gen_grid(4), 1.0)
+        matrix, pi = transition_matrix(grid4, ChainKind.INSERT_DELETE), exact_distribution(grid4)
+        rows = matrix.rows.copy()
+        rows[-1, 0] += 1e-3
+        rows[-1, -1] -= 1e-3
+        kernels.append((TransitionMatrix(matrix.space, rows), pi))
+        for matrix, pi in kernels:
+            flow = pi.probs[:, None] * matrix.rows
+            dense = float(np.abs(flow - flow.T).max())
+            assert check_detailed_balance(matrix, pi).max_violation == dense
+        assert dense > 1e-9  # the planted one: pi of the last state times 1e-3
+
     def test_detailed_balance_fails_for_wrong_pi(self):
         rows = np.array([[0.9, 0.1], [0.5, 0.5]])
         matrix = TransitionMatrix(StateSpace((b"\x00", b"\x01")), rows)
@@ -300,6 +327,53 @@ class TestEvidence:
         assert matrix.space.states == (bytes((1, 0)),)
         assert matrix.rows.tolist() == [[1.0]]
         assert exact_distribution(model).probs.tolist() == [1.0]
+
+
+def move_table_cases():
+    """Models and groups for the byte-for-byte kernel oracle."""
+    for name, graph in (("grid3", gen_grid(3)), ("grid4", gen_grid(4)),
+                        ("cliques3", gen_connected_cliques(3)),
+                        ("cliques4", gen_connected_cliques(4)),
+                        ("complete2", gen_complete(2)), ("complete3", gen_complete(3))):
+        yield pytest.param(IndependentSetModel(graph, 1.0), automorphism_generators(graph),
+                           id=name)
+    yield pytest.param(ClauseModel(two_spin_model()),
+                       PermutationGroup([parse_cycles("(0 1)", n=2)]), id="two-spin")
+    clause_set, _ = gen_friends_smokers(3)
+    for evidence, name in ((None, "fs3"), (FS3_EVIDENCE[0], "fs3-evidence")):
+        yield pytest.param(ClauseModel(clause_set, evidence),
+                           model_symmetry_group(clause_set, evidence).model_group, id=name)
+    hard = parse_clause_file(HARD_PAIRS_TEXT)  # a Gibbs move can find a value barred
+    yield pytest.param(ClauseModel(hard), model_symmetry_group(hard).model_group,
+                       id="hard-pairs")
+    yield pytest.param(ClauseModel(two_spin_model(), {"x1": True, "x2": False}),
+                       PermutationGroup([], n=2), id="fully-clamped")
+
+
+class TestMoveTable:
+    @pytest.mark.parametrize("model,group", move_table_cases())
+    def test_kernel_equals_the_reference_loop(self, model, group):
+        for kind in (model.base, ChainKind("orbital-" + model.base.value)):
+            matrix = transition_matrix(model, kind, group=group)
+            assert matrix.rows.tobytes() == reference_kernel(model, kind, group).tobytes()
+
+    def test_one_table_per_kernel(self, monkeypatch):
+        calls = []
+
+        def spy(self, space):
+            calls.append(space)
+            return move_table(self, space)
+
+        move_table = IndependentSetModel.move_table
+        monkeypatch.setattr(IndependentSetModel, "move_table", spy)
+        model, group = IndependentSetModel(gen_grid(3), 1.0), grid3_group()
+        for kind in (ChainKind.INSERT_DELETE, ChainKind.ORBITAL_INSERT_DELETE):
+            matrix = transition_matrix(model, kind, group=group)
+            assert calls == [matrix.space]
+            calls.clear()
+        dist = exact_distribution(model)  # pi never builds a toggle table
+        tv_curve(run_chain(model, ChainKind.INSERT_DELETE, 50, seed=1), dist, [10, 51])
+        assert "flip" not in vars(dist)
 
 
 class TestTotalVariation:

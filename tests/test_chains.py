@@ -25,7 +25,7 @@ from orbitalmcmc.families import gen_complete, gen_friends_smokers, gen_grid
 from orbitalmcmc.graphs import Graph
 from orbitalmcmc.perm import OrbitSampler, PermutationGroup, SamplerMode
 
-from helpers import (FS_EVIDENCE, HARD_PAIRS_TEXT, parse_cycles, reference_chain,
+from helpers import (FS_EVIDENCE, HARD_PAIRS_TEXT, moves, parse_cycles, reference_chain,
                      reference_gibbs_step, reference_insert_delete_step, satisfied_by,
                      two_spin_model)
 
@@ -178,7 +178,7 @@ class TestEvidence:
         model = ClauseModel(parse_clause_file(text), {"b": True})
         start = bytes((0, 1, 1))
         expected = {}
-        for state, p in model.moves(start):
+        for state, p in moves(model, start):
             expected[state] = expected.get(state, 0.0) + p
         assert sum(expected.values()) == pytest.approx(1.0, abs=1e-15)
         rng = Random(45)
@@ -198,7 +198,7 @@ class TestEvidence:
         before = rng.getstate()
         assert gibbs_step(model, (1, 0), rng) == (1, 0)
         assert rng.getstate() == before
-        assert list(model.moves((1, 0))) == [((1, 0), 1.0)]
+        assert list(moves(model, (1, 0))) == [((1, 0), 1.0)]
 
     def test_evidence_conflicting_with_hard_clause(self):
         with pytest.raises(InfeasibleModelError):
@@ -237,7 +237,7 @@ class TestHardClauseKernels:
         model = ClauseModel(HARD_PAIRS)
         states = set(model.states())
         for s in states:
-            for t, p in model.moves(s):
+            for t, p in moves(model, s):
                 assert t in states and p > 0
 
     @pytest.mark.parametrize("kind", [ChainKind.GIBBS, ChainKind.ORBITAL_GIBBS])
@@ -369,23 +369,23 @@ class TestConditionalTables:
         for model in (edge, fs4_with_a_wide_clause()[0]):
             trace = run_chain(model, ChainKind.GIBBS, 20_000, seed=48)
             for state in trace.states[::10]:
-                list(model.moves(state))  # fills every table along the run
+                list(moves(model, state))  # fills every table along the run
             for v in range(model.n):
                 if v in model.free and len(reads(model, v)) <= TABLE_WIDTH:
                     assert 0 < len(model._tables[v][1]) <= 2 ** TABLE_WIDTH
                 else:
                     assert model._tables[v] is None
         for state in edge.states():  # meets every neighbourhood of x0
-            list(edge.moves(state))
+            list(moves(edge, state))
         assert len(edge._tables[0][1]) == 2 ** TABLE_WIDTH
 
     def test_infeasible_neighbourhood_raises_every_time(self):
         model = ClauseModel(parse_clause_file("vars: a b\ninf :: a | b\ninf :: !a | b\n"))
         for _ in range(2):
             with pytest.raises(InfeasibleModelError, match="no value of variable a"):
-                list(model.moves(bytes((0, 0))))
+                list(moves(model, bytes((0, 0))))
         assert model._tables[0][1] == {}
-        assert list(model.moves(bytes((0, 1)))) == [
+        assert list(moves(model, bytes((0, 1)))) == [
             (bytes((1, 1)), 0.25), (bytes((0, 1)), 0.25), (bytes((0, 1)), 0.5)]
         assert model._tables[0][1] == {1: 0.5}  # keyed by b alone
 

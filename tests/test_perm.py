@@ -421,6 +421,32 @@ class TestStateAction:
             StateSpace(states, swap)
 
 
+class TestFlip:
+    @pytest.mark.parametrize("order", ["listed", "reversed", "shuffled"])
+    def test_matches_the_dict_lookup(self, order):
+        # independent sets, where toggles leave the list, and every assignment
+        # of fs3 with evidence, in any order: the search reads no sorted input
+        clause_set, _ = gen_friends_smokers(3)
+        for states in (IndependentSetModel(gen_grid(3), 1.0).states(),
+                       ClauseModel(clause_set, {"smokes_p0": False}).states()):
+            states = list(states)
+            if order == "reversed":
+                states.reverse()
+            elif order == "shuffled":
+                Random(5).shuffle(states)
+            space = StateSpace(states)
+            expected = [[space.index.get(s[:v] + bytes((1 - s[v],)) + s[v + 1:], -1)
+                         for v in range(len(s))] for s in states]
+            assert space.flip.tolist() == expected
+            assert (space.flip < 0).any() == (len(states) < 2 ** len(states[0]))
+
+    def test_edge_shapes(self):
+        assert StateSpace([]).flip.shape == (0, 0)
+        assert StateSpace([b""]).flip.shape == (1, 0)
+        assert StateSpace([b"\x01"]).flip.tolist() == [[-1]]
+        assert StateSpace([b"\x01", b"\x00"]).flip.tolist() == [[1], [0]]
+
+
 class TestEnumeration:
     def test_grid_order(self):
         assert grid3_group().order() == 8
