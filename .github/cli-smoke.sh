@@ -99,6 +99,12 @@ done
   > "$out/detect_fs12.txt"
 grep -qx "group order: 479001600" "$out/detect_fs12.txt" \
   || { echo "detect clauses: fs12 group order missing"; exit 1; }
+# K_49 lies far past the brute-force corpus: Schreier-Sims on its 48
+# detected generators must give 49!
+"${cli[@]}" detect --model complete --k 7 > "$out/detect_k49.txt"
+want="group order: $(python3 -c 'import math; print(math.factorial(49))')"
+grep -qx "$want" "$out/detect_k49.txt" \
+  || { echo "detect complete 7: missing line: $want"; exit 1; }
 # detection past 2,000 vertices: fs20 with 6 people pinned, 14! 4! 2!
 "${cli[@]}" gen --model fs --people 20 --evidence-fraction 0.3 --seed 1 --out "$out/fs20"
 "${cli[@]}" detect --model clauses --clauses "$out/fs20/model.clauses.txt" \

@@ -308,8 +308,10 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution, eps: float) -
     renormalized, until the first at or below eps.  Descent: from the last
     square above eps, multiply in each lower square in turn and keep the
     product while its distance stays above eps; tau is one past the
-    exponent reached.  Verification: P^tau squared up to three times, the
-    distance staying at or below eps at 2 tau, 4 tau and 8 tau.
+    exponent reached.  Verification: P^tau, which the descent already
+    built (its last product at or below eps, or the first square at or
+    below eps when none is), squared up to three times, the distance
+    staying at or below eps at 2 tau, 4 tau and 8 tau.
 
     A kernel with a group `action` runs all this on its
     `representative_rows`, one row per state orbit, and d(t) is unchanged:
@@ -364,13 +366,16 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution, eps: float) -
             squares.append(times(squares[-1], squares[-1]))
         last = distance(squares[top])
 
-    power, t = None, 0  # power = P^t with d(t) > eps
+    # power = P^t with d(t) > eps; crossed = P^(t + 2^j) for the last j
+    # whose step was at or below eps, the steps after it adding up to 2^j - 1
+    power, t, crossed = None, 0, squares[top]
     for j in reversed(range(top)):
         step = squares[j] if power is None else times(power, squares[j])
         if distance(step) > eps:
             power, t = step, t + 2 ** j
-    tau = t + 1
-    power = squares[0] if power is None else times(power, squares[0])
+        else:
+            crossed = step
+    tau, power = t + 1, crossed
 
     check = 2 * tau
     while check <= min(MIXING_HORIZON, 8 * tau):

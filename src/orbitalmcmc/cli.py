@@ -18,6 +18,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, autgroup, chains, clauses, families, graphs, perm
 from .errors import GuardExceededError, InfeasibleModelError, enumeration_cap
 
@@ -99,6 +101,23 @@ def write_csv(path: Path, header: list, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_matrix(path: Path, labels: list, rows: np.ndarray) -> None:
+    """`write_csv` of the header "state" and `labels`, then per matrix row
+    its label and each cell's `repr`.  No field needs quoting, labels being
+    0/1 strings and cells float reprs, so each line is joined directly; a
+    line starts as "0.0" in every cell, and `repr` runs only on the cells
+    whose bits are not +0.0's, so a sparse kernel costs one `repr` per move."""
+    zeros = ["0.0"] * rows.shape[1]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["state", *labels]) + "\r\n")
+        for label, row in zip(labels, rows):
+            line = [label, *zeros]
+            nonzero = np.flatnonzero(row.view(np.uint64))  # -0.0 and nan included
+            for j, x in zip((nonzero + 1).tolist(), row[nonzero].tolist()):
+                line[j] = repr(x)
+            fh.write(",".join(line) + "\r\n")
 
 
 def state_label(state: perm.Config) -> str:
@@ -323,9 +342,7 @@ def cmd_exact(args) -> int:
         group = bundle.group if kind.is_orbital else None
         matrix = analysis.transition_matrix(bundle.chain_model, kind, group=group)
         path = out_file(args, f"matrix_{kind.value}.csv")
-        write_csv(path, ["state"] + labels,
-                  ([label, *map(repr, row.tolist())]
-                   for label, row in zip(labels, matrix.rows)))
+        write_matrix(path, labels, matrix.rows)
         balance = analysis.check_detailed_balance(matrix, dist, tol=1e-10)
         print(f"wrote {path} (detailed balance violation "
               f"{balance.max_violation:.3e})")

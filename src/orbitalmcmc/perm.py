@@ -259,51 +259,87 @@ def _schreier_sims(n: int, gens: Sequence[Image]) -> list[dict]:
     """A stabilizer chain by deterministic Schreier-Sims (Sims 1970; Seress,
     Permutation Group Algorithms, 2003): per base point b_i, a dict from
     each point of b_i's orbit under the stabilizer of b_0..b_{i-1} to an
-    element u taking b_i there and u's inverse, b_i first with the identity.
+    element u taking b_i there and u's inverse (for `bytes` images, as a
+    256-byte translate table), b_i first with the identity.
     Each new base point is the first point moved by the residue needing it;
-    a level is done when all its Schreier generators sift to the identity."""
+    a level is done when all its Schreier generators sift to the identity.
+
+    Each (orbit point, strong generator) pair is sifted to the identity
+    once: `done[i][p]` counts the strong generators of level i already
+    checked against its p-th orbit point, and since no transversal entry or
+    base point is ever replaced, a checked pair would sift to the identity
+    again.  Pairs are visited point by point, then generator by generator,
+    so the first residue that is not the identity is the one a full rescan
+    would find.  An orbit grows only by what is new: its old points under
+    the new generator, then the new points under every strong generator.
+    Compose and inverse are bound once per storage form: a `bytes` strong
+    generator is padded once to a 256-byte table and an inverse kept as
+    `bytes.maketrans`'s table, so each product is one `bytes.translate`;
+    tuple images use `_compose` and `_scatter`."""
     ident = _as_image(range(n))
-    base, strong, chain = [], [], []
+    if type(ident) is bytes:
+        pad, compose, inverse = _PAD[n:], bytes.translate, bytes.maketrans
+    else:
+        pad, compose, inverse = (), _compose, _scatter
+    base, strong, chain, done = [], [], [], []
 
     def sift(g, i):
         for i in range(i, len(base)):
             beta = g[base[i]]
             if beta != base[i]:  # else the transversal element is the identity
-                if beta not in chain[i]:
+                entry = chain[i].get(beta)
+                if entry is None:
                     return g, i
-                g = _compose(g, chain[i][beta][1])
+                g = compose(g, entry[1])
         return g, len(base)
 
     def add(h, j, first):  # h fixes b_0..b_{j-1}
         if j == len(base):
             base.append(next(x for x, y in enumerate(h) if x != y))
             strong.append([])
-            chain.append({base[j]: (ident, ident)})
+            chain.append({base[j]: (ident, inverse(ident, ident))})
+            done.append([])
+        h += pad
         for level in range(first, j + 1):
-            strong[level].append(h)
-            t = chain[level]
-            todo = list(t)
-            for beta in todo:  # extend the orbit and its transversal
-                for s in strong[level]:
+            level_gens, t = strong[level], chain[level]
+            level_gens.append(h)
+            new = []
+            # the orbit is closed under the old generators: only h leaves it
+            for beta, (u, _) in list(t.items()):
+                if h[beta] not in t:
+                    w = compose(u, h)
+                    t[h[beta]] = (w, inverse(w, ident))
+                    new.append(h[beta])
+            for beta in new:  # new points: every strong generator
+                u = t[beta][0]
+                for s in level_gens:
                     if s[beta] not in t:
-                        u = _compose(t[beta][0], s)
-                        t[s[beta]] = (u, _scatter(u, ident))
-                        todo.append(s[beta])
+                        w = compose(u, s)
+                        t[s[beta]] = (w, inverse(w, ident))
+                        new.append(s[beta])
 
-    def residues(i):
-        for beta, (u, _) in chain[i].items():
-            for s in strong[i]:
-                us, (v, v_inv) = _compose(u, s), chain[i][s[beta]]
+    def residue(i):  # the first residue at level i that is not the identity
+        t, level_gens, checked = chain[i], strong[i], done[i]
+        checked += [0] * (len(t) - len(checked))
+        for p, (beta, (u, _)) in enumerate(t.items()):
+            for k in range(checked[p], len(level_gens)):
+                s = level_gens[k]
+                us, (v, v_inv) = compose(u, s), t[s[beta]]
                 if us != v:
-                    yield sift(_compose(us, v_inv), i + 1)
+                    h, j = sift(compose(us, v_inv), i + 1)
+                    if h != ident:
+                        checked[p] = k
+                        return h, j
+            checked[p] = len(level_gens)
+        return None, i - 1
 
     for g in gens:
         h, j = sift(g, 0)
         if h != ident:
             add(h, j, 0)
     i = len(base) - 1
-    while i >= 0:  # the first residue that is not the identity, if any
-        h, j = next((r for r in residues(i) if r[0] != ident), (None, i - 1))
+    while i >= 0:
+        h, j = residue(i)
         if h is not None:
             add(h, j, i + 1)
         i = j

@@ -14,10 +14,11 @@ from orbitalmcmc.analysis import (CouplingReport, CouplingSimulator, ExactDistri
 from orbitalmcmc.autgroup import Cells, color_cells, is_automorphism
 from orbitalmcmc.chains import ChainKind, ChainTrace, ClauseModel
 from orbitalmcmc.clauses import Clause, WeightedClauseSet, parse_clause_file
+from orbitalmcmc.cli import write_csv
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
 from orbitalmcmc.perm import (BURN_IN_PER_SLOT, DRAW_MOVES, MAX_BYTES_N, MIN_SLOTS, Config,
-                              Permutation, PermutationGroup, SamplerMode, StateSpace, _compose,
-                              _scatter, config_orbit_partition, orbit_ids)
+                              Permutation, PermutationGroup, SamplerMode, StateSpace, _as_image,
+                              _compose, _scatter, config_orbit_partition, orbit_ids)
 
 # Two equal-weight clauses over three variables; the classic two-fold
 # symmetric example: (a or !c) and (b or !c), both weighted 0.5.
@@ -106,6 +107,59 @@ def elements(group: PermutationGroup) -> tuple[Permutation, ...]:
     return tuple(map(Permutation._trusted, rows))
 
 
+def reference_schreier_sims(n: int, gens: Sequence) -> list[dict]:
+    """Reference for `perm._schreier_sims`: the same chain, re-sifting every
+    Schreier generator on each return to a level and rescanning every
+    (orbit point, strong generator) pair to extend an orbit; each level's
+    dict maps a point to (u, u's inverse), both n-point images."""
+    ident = _as_image(range(n))
+    base, strong, chain = [], [], []
+
+    def sift(g, i):
+        for i in range(i, len(base)):
+            beta = g[base[i]]
+            if beta != base[i]:  # else the transversal element is the identity
+                if beta not in chain[i]:
+                    return g, i
+                g = _compose(g, chain[i][beta][1])
+        return g, len(base)
+
+    def add(h, j, first):  # h fixes b_0..b_{j-1}
+        if j == len(base):
+            base.append(next(x for x, y in enumerate(h) if x != y))
+            strong.append([])
+            chain.append({base[j]: (ident, ident)})
+        for level in range(first, j + 1):
+            strong[level].append(h)
+            t = chain[level]
+            todo = list(t)
+            for beta in todo:  # extend the orbit and its transversal
+                for s in strong[level]:
+                    if s[beta] not in t:
+                        u = _compose(t[beta][0], s)
+                        t[s[beta]] = (u, _scatter(u, ident))
+                        todo.append(s[beta])
+
+    def residues(i):
+        for beta, (u, _) in chain[i].items():
+            for s in strong[i]:
+                us, (v, v_inv) = _compose(u, s), chain[i][s[beta]]
+                if us != v:
+                    yield sift(_compose(us, v_inv), i + 1)
+
+    for g in gens:
+        h, j = sift(g, 0)
+        if h != ident:
+            add(h, j, 0)
+    i = len(base) - 1
+    while i >= 0:  # the first residue that is not the identity, if any
+        h, j = next((r for r in residues(i) if r[0] != ident), (None, i - 1))
+        if h is not None:
+            add(h, j, i + 1)
+        i = j
+    return chain
+
+
 def two_spin_model() -> WeightedClauseSet:
     """Two binary variables with a symmetric pairwise potential.
 
@@ -129,6 +183,13 @@ def satisfied_by(clause: Clause, bits) -> bool:
 def marginal(dist: ExactDistribution, var: int) -> float:
     """Reference for P(var = 1) under `dist`: a sum over its states in order."""
     return float(sum(p for s, p in zip(dist.states, dist.probs) if s[var]))
+
+
+def reference_write_matrix(path, labels: list, rows: np.ndarray) -> None:
+    """Reference for `cli.write_matrix`: `cli.write_csv` of the header and
+    one row per matrix row, `repr` called on every cell."""
+    write_csv(path, ["state"] + labels,
+              ([label, *map(repr, row.tolist())] for label, row in zip(labels, rows)))
 
 
 def reference_tv_curve(trace: ChainTrace, exact: ExactDistribution,

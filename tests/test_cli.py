@@ -4,17 +4,19 @@ import csv
 import hashlib
 import warnings
 
+import numpy as np
 import pytest
 
 from orbitalmcmc import analysis, chains, clauses
 from orbitalmcmc.analysis import representative_rows
 from orbitalmcmc.autgroup import automorphism_generators
 from orbitalmcmc.chains import IndependentSetModel
+from orbitalmcmc import cli
 from orbitalmcmc.cli import main, parse_seeds
 from orbitalmcmc.clauses import format_clause_file
 from orbitalmcmc.families import gen_grid
 
-from helpers import EXAMPLE_CLAUSES, HARD_PAIRS_TEXT
+from helpers import EXAMPLE_CLAUSES, HARD_PAIRS_TEXT, reference_write_matrix
 
 
 def csv_rows(path) -> list[list[str]]:
@@ -591,6 +593,32 @@ class TestResultFiles:
                 digests[f"{name}/{path.name}"] = hashlib.sha256(
                     path.read_bytes()).hexdigest()
         assert digests == RESULT_DIGESTS
+
+    @pytest.mark.parametrize("model", [
+        ["--model", "grid", "--k", "3", "--chain", "id,orbital-id"],
+        ["--model", "clauses", "--clauses", "{fs3}/model.clauses.txt",
+         "--evidence", "{fs3}/model.evidence.txt", "--chain", "gibbs,orbital-gibbs"]],
+        ids=["grid3", "fs3-evidence"])
+    def test_matrices_equal_the_cell_by_cell_writer(self, capsys, monkeypatch, tmp_path,
+                                                   model):
+        run_cli(capsys, "gen", "--model", "fs", "--people", "3", "--evidence-fraction",
+                "0.3", "--seed", "1", "--out", str(tmp_path / "fs3"))
+        argv = [arg.format(fs3=tmp_path / "fs3") for arg in model]
+        assert run_cli(capsys, "exact", *argv, "--out", str(tmp_path / "new"))[0] == 0
+        monkeypatch.setattr(cli, "write_matrix", reference_write_matrix)
+        assert run_cli(capsys, "exact", *argv, "--out", str(tmp_path / "old"))[0] == 0
+        kinds = argv[-1].split(",")
+        for kind in kinds:
+            name = f"matrix_{kind}.csv"
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
+    def test_matrix_writer_keeps_every_cell_repr(self, tmp_path):
+        rows = np.array([[0.0, -0.0, 5e-324, 1.0], [np.nan, np.inf, -np.inf, 0.1 + 0.2],
+                         [0.0, 0.0, 0.0, 0.0]])
+        labels = ["00", "01", ""]
+        cli.write_matrix(tmp_path / "new.csv", labels, rows)
+        reference_write_matrix(tmp_path / "old.csv", labels, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def trace_states(path) -> list[str]:

@@ -21,6 +21,7 @@ from orbitalmcmc.perm import (
     ProductReplacement,
     SamplerMode,
     StateSpace,
+    _schreier_sims,
     burnside_config_orbit_count,
     config_orbit_partition,
     format_cycles,
@@ -31,7 +32,7 @@ from orbitalmcmc.perm import (
 from helpers import (ReferenceProductReplacement, apply_config_action, closure_elements,
                      compose, config_orbits, cycle_count_burnside, elements, inverse,
                      load_generating_set, parse_cycles, reference_exact_sample,
-                     two_spin_model)
+                     reference_schreier_sims, two_spin_model)
 
 NAMES9 = list("abcdefghi")
 
@@ -59,6 +60,24 @@ def dihedral300_group() -> PermutationGroup:
     n = 300
     return PermutationGroup([Permutation([(x + 1) % n for x in range(n)]),
                              Permutation([-x % n for x in range(n)])])
+
+
+def small_random_groups() -> list[PermutationGroup]:
+    """Two groups without generators, 50 random groups of up to 3 random
+    generators on 1-8 points, and `dihedral300_group` last."""
+    rng = Random(14)
+    groups = [PermutationGroup([], n=0), PermutationGroup([], n=5)]
+    for _ in range(50):
+        n = rng.randint(1, 8)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            mapping = list(range(n))
+            rng.shuffle(mapping)
+            gens.append(Permutation(mapping))
+        groups.append(PermutationGroup(gens, n=n))
+    # dihedral group of order 600 on 300 points: tuple images, uint16 rows
+    groups.append(dihedral300_group())
+    return groups
 
 
 def random_element(group, rng, word_len=6):
@@ -471,20 +490,7 @@ class TestEnumeration:
             elements(cliques3_group())
 
     def test_chain_equals_the_closure(self):
-        rng = Random(14)
-        groups = [PermutationGroup([], n=0), PermutationGroup([], n=5)]
-        for _ in range(50):
-            n = rng.randint(1, 8)
-            gens = []
-            for _ in range(rng.randint(0, 3)):
-                mapping = list(range(n))
-                rng.shuffle(mapping)
-                gens.append(Permutation(mapping))
-            groups.append(PermutationGroup(gens, n=n))
-        # dihedral group of order 600 on 300 points: tuple images, uint16 rows
-        rotate = Permutation([(x + 1) % 300 for x in range(300)])
-        reflect = Permutation([-x % 300 for x in range(300)])
-        groups.append(PermutationGroup([rotate, reflect]))
+        groups = small_random_groups()
         for group in groups:
             expected = closure_elements(group)
             assert group.order() == len(expected)
@@ -493,6 +499,27 @@ class TestEnumeration:
         assert elements(PermutationGroup([], n=0)) == (Permutation.identity(0),)
         assert groups[-1].order() == 600
         assert groups[-1].image_array().dtype == np.uint16
+
+    def test_chain_equals_the_reference(self):
+        for group in small_random_groups():
+            assert_reference_chain(group)
+
+    @pytest.mark.parametrize("make", [
+        *(lambda seed=seed: fs10_perfbench_group(seed) for seed in (1, 2, 3)),
+        lambda: model_symmetry_group(gen_friends_smokers(12)[0]).model_group,
+        lambda: model_symmetry_group(gen_friends_smokers(16)[0]).model_group,
+        lambda: automorphism_generators(gen_connected_cliques(4)),
+        lambda: automorphism_generators(gen_complete(3)),
+        lambda: automorphism_generators(gen_complete(5))],
+        ids=["fs10-seed1", "fs10-seed2", "fs10-seed3", "fs12", "fs16", "cliques4",
+             "complete3", "complete5"])
+    def test_detected_chain_equals_the_reference(self, make):
+        assert_reference_chain(make())
+
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_complete_graph_order(self, k):
+        group = automorphism_generators(gen_complete(k))
+        assert PermutationGroup(group.generators).order() == math.factorial(k * k)
 
     @pytest.mark.parametrize("people", [12, 16])
     def test_fs_order_without_enumeration(self, monkeypatch, people):
@@ -544,6 +571,26 @@ class TestEnumeration:
                 orbit = orbits[c]
                 stab = sum(1 for g in els if g.apply_config(c) == c)
                 assert len(orbit) * stab == len(els)
+
+
+def fs10_perfbench_group(seed: int) -> PermutationGroup:
+    """fs10's group under the evidence perfbench's fs-gibbs run draws for
+    `seed`: three people, two smoking and one not."""
+    people = Random(seed).sample(range(10), 3)
+    evidence = {f"smokes_p{p}": value for p, value in zip(people, (True, True, False))}
+    return model_symmetry_group(gen_friends_smokers(10)[0], evidence).model_group
+
+
+def assert_reference_chain(group: PermutationGroup) -> None:
+    """The chain `_schreier_sims` builds from the bare generators equals
+    `reference_schreier_sims`'s level by level: the base, each level's
+    insertion order and every transversal image u."""
+    gens = [g.image for g in group.generators]
+    chain = _schreier_sims(group.n, gens)
+    expected = reference_schreier_sims(group.n, gens)
+    assert [list(level) for level in chain] == [list(level) for level in expected]
+    for level, want in zip(chain, expected):
+        assert [u for u, _ in level.values()] == [u for u, _ in want.values()]
 
 
 class TestProductReplacement:
