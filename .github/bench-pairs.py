@@ -16,13 +16,16 @@ runs first in even pairs and the change in odd ones; `--first-seed`
 metric of BENCHMARK.json's `end_to_end` list, both sides' runs with median
 and quartiles, the number of pairs in which the change was better, the
 relative change of the medians, whether it is within the metric's bound,
-the parent's interquartile range, and whether the metric is unresolved:
-the parent's interquartile range is larger than the bound times the
-parent's median, so the runs spread too widely to tell a change within
-the bound from none, unless every change run beats every parent run.
-The summary line of an unresolved metric ends in UNRESOLVED.  A pair in
-which either run failed is left out.  The exit status is 1 if a run failed
-or reported a failed check, 0 otherwise.
+the parent's interquartile range, whether the metric is unresolved (the
+parent's interquartile range is larger than the bound times the parent's
+median, so the runs spread too widely to tell a change within the bound
+from none, unless every change run beats every parent run), and whether
+it is a gain: of at least ten pairs, the change is better in at least
+nine tenths, ties counting for neither side, and its median is better
+than the parent's by more than the parent's interquartile range.  The
+summary line of an unresolved metric ends in UNRESOLVED, that of a gain in
+GAIN.  A pair in which either run failed is left out.  The exit status is
+1 if a run failed or reported a failed check, 0 otherwise.
 """
 
 import argparse
@@ -103,13 +106,16 @@ def compare(metric: dict, runs: dict) -> dict:
     median_change = change["median"] / parent["median"] - 1 if parent["median"] else 0.0
     worse = median_change if lower else -median_change
     iqr = parent["q3"] - parent["q1"]
+    gap = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
     separated = (max(runs["change"]) < min(runs["parent"]) if lower
                  else min(runs["change"]) > max(runs["parent"]))
     return {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "parent": parent, "change": change, "change_better_pairs": better,
             "median_change": median_change, "within_bound": worse <= metric["bound"],
             "parent_iqr": iqr,
-            "unresolved": iqr > metric["bound"] * parent["median"] and not separated}
+            "unresolved": iqr > metric["bound"] * parent["median"] and not separated,
+            "gain": len(runs["parent"]) >= 10 and 10 * better >= 9 * len(runs["parent"])
+                    and gap > iqr}
 
 
 def main(argv=None) -> int:
@@ -172,7 +178,7 @@ def main(argv=None) -> int:
                   f"{m['change']['median']:.6g} ({m['median_change']:+.1%}, better in "
                   f"{m['change_better_pairs']}/{rec['pairs']}, "
                   f"{'within' if m['within_bound'] else 'OUTSIDE'} bound {m['bound']:.0%})"
-                  + (" UNRESOLVED" if m["unresolved"] else ""))
+                  + (" UNRESOLVED" if m["unresolved"] else "") + (" GAIN" if m["gain"] else ""))
     return status
 
 

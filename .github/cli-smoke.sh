@@ -68,9 +68,18 @@ for line in "group order: 4" "variable orbits: 8" "feature orbits: 22"; do
     || { echo "detect clauses: missing line: $line"; exit 1; }
 done
 # Gibbs chains on a clause model with evidence, base and orbital in PR mode
-"${cli[@]}" sample --model clauses --clauses "$out/fs4/model.clauses.txt" \
-  --evidence "$out/fs4/model.evidence.txt" --chain gibbs,orbital-gibbs --mode pr \
-  --steps 2000 --out "$out/sample_fs4"
+fs4=(--model clauses --clauses "$out/fs4/model.clauses.txt" --chain gibbs,orbital-gibbs
+     --evidence "$out/fs4/model.evidence.txt" --mode pr --steps 2000)
+"${cli[@]}" sample "${fs4[@]}" --out "$out/sample_fs4"
+# one process runs every chain on one model: conditional tables that seed 0
+# filled must leave seed 1's traces byte for byte as a run of seed 1 alone
+# (a bare --seeds N means seeds 0..N-1, so seed 1 alone is "1,")
+"${cli[@]}" sample "${fs4[@]}" --seeds 0,1 --out "$out/sample_fs4_seeds01"
+"${cli[@]}" sample "${fs4[@]}" --seeds 1, --out "$out/sample_fs4_seed1"
+for kind in gibbs orbital-gibbs; do
+  cmp "$out/sample_fs4_seeds01/trace_${kind}_seed1.csv" "$out/sample_fs4_seed1/trace_${kind}_seed1.csv" \
+    || { echo "sample fs4: seed 1's $kind trace differs after seed 0"; exit 1; }
+done
 # the exact Gibbs kernels of a clause model with evidence, base and orbital:
 # both matrices written, and each detailed-balance violation at most 1e-10
 "${cli[@]}" gen --model fs --people 3 --evidence-fraction 0.3 --seed 1 --out "$out/fs3"

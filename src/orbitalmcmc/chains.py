@@ -56,7 +56,7 @@ from .perm import (Config, OrbitSampler, PermutationGroup, SamplerMode, StateSpa
 
 _BIT = (b"\x00", b"\x01")  # a variable's value as a one-byte configuration
 SCAN_CHUNK = 64  # assignments per step of the scan for a start state
-TABLE_WIDTH = 8  # most variables a tabled conditional reads: 2^8 floats a table at most
+TABLE_WIDTH = 8  # a conditional table stores at most 2^8 floats; later misses are computed
 
 
 class ChainKind(str, Enum):
@@ -172,8 +172,8 @@ class ClauseModel:
     their value: `stepper` and `move_table` resample only `free`, the unclamped
     variables, and the scans below enumerate the free variables alone.
     Per variable, the model precomputes the clauses it occurs in, so the
-    exact single-site conditional costs only the touched clauses, and is
-    tabled per neighbourhood for a variable reading at most `TABLE_WIDTH` others.
+    exact single-site conditional costs only the touched clauses; per free
+    variable it is tabled by neighbourhood, 2^`TABLE_WIDTH` entries at most (`_p1`).
     Construction finds `start`, the first assignment in counting order
     (bit i of the counter is the i-th free variable, so free variables all
     zero comes first) that satisfies every hard clause, by a scan in
@@ -204,15 +204,14 @@ class ClauseModel:
                 others = tuple((u, int(not m)) for u, m in c.literals if u != v)
                 terms[v].append((c.is_hard, weight, int(not neg), others))
         self._terms = [tuple(t) for t in terms]
-        # per variable: (a gather of the others it reads, a table) if tabled, else None
+        # per free variable: (a gather of the others it reads, a table); clamped: None
         self._tables = [None] * self.n
         for v in self.free:  # a conditional past a float would be exp(inf - inf), NaN
             if not math.isfinite(sum(abs(w) for hard, w, *_ in self._terms[v] if not hard)):
                 raise ValueError(f"the soft weights of variable {clause_set.variables[v]} "
                                  "sum past the float range")
             read = sorted({u for *_, others in self._terms[v] for u, _ in others})
-            if len(read) <= TABLE_WIDTH:
-                self._tables[v] = (itemgetter(*read) if read else itemgetter(slice(0)), {})
+            self._tables[v] = (itemgetter(*read) if read else itemgetter(slice(0)), {})
         m, cap = len(self.free), enumeration_cap()
         for low in range(0, min(2 ** m, cap), SCAN_CHUNK):
             rows = self._satisfying(np.arange(low, min(low + SCAN_CHUNK, 2 ** m, cap)), range(m))
@@ -277,13 +276,14 @@ class ClauseModel:
         return w1 / (w0 + w1)
 
     def _p1(self, bits: Config, v: int) -> float:
-        """`conditional_p1(bits, v)`, lazily tabled if v has a table; an
-        infeasible neighbourhood is never stored, so it raises every time."""
-        if (table := self._tables[v]) is None:
-            return self.conditional_p1(bits, v)
-        p1 = table[1].get(key := table[0](bits))
+        """`conditional_p1(bits, v)`, v free, stored while v's table holds fewer than
+        2^`TABLE_WIDTH` entries; an infeasible neighbourhood, never stored, raises every time."""
+        gather, table = self._tables[v]
+        p1 = table.get(key := gather(bits))
         if p1 is None:
-            p1 = table[1][key] = self.conditional_p1(bits, v)
+            p1 = self.conditional_p1(bits, v)
+            if len(table) < 2 ** TABLE_WIDTH:
+                table[key] = p1
         return p1
 
     def stepper(self, rng: Random) -> Callable[[Config], Config]:

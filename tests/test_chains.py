@@ -1,5 +1,6 @@
 """Base chain kernels, orbit wrapper, and trace determinism."""
 
+from operator import itemgetter
 from random import Random
 
 import numpy as np
@@ -325,6 +326,15 @@ def fs4_with_a_wide_clause() -> tuple[ClauseModel, PermutationGroup]:
             model_symmetry_group(clause_set, evidence).model_group)
 
 
+def edge_model() -> ClauseModel:
+    """11 free variables: x0 reads x1..x8, exactly TABLE_WIDTH others, and
+    every other variable reads more, through the clause on x1..x10."""
+    names = [f"x{i}" for i in range(11)]
+    return ClauseModel(parse_clause_file(
+        f"vars: {' '.join(names)}\n0.4 :: {' | '.join(names[:9])}\n"
+        f"-0.6 :: {' | '.join(names[1:])}\n"))
+
+
 def reads(model: ClauseModel, v: int) -> set:
     """The other variables that the clauses of variable v read."""
     return {u for c in model.clause_set.clauses if any(w == v for w, _ in c.literals)
@@ -360,24 +370,48 @@ class TestConditionalTables:
                        for v in model.free)
 
     def test_tables_stay_within_their_bound(self):
-        # x0 reads x1..x8, exactly TABLE_WIDTH others; every other variable
-        # reads more, through the clause on x1..x10
-        names = [f"x{i}" for i in range(11)]
-        text = (f"vars: {' '.join(names)}\n0.4 :: {' | '.join(names[:9])}\n"
-                f"-0.6 :: {' | '.join(names[1:])}\n")
-        edge = ClauseModel(parse_clause_file(text))
-        for model in (edge, fs4_with_a_wide_clause()[0]):
+        for model in (edge_model(), fs4_with_a_wide_clause()[0]):
             trace = run_chain(model, ChainKind.GIBBS, 20_000, seed=48)
             for state in trace.states[::10]:
                 list(moves(model, state))  # fills every table along the run
             for v in range(model.n):
-                if v in model.free and len(reads(model, v)) <= TABLE_WIDTH:
+                if v in model.free:
                     assert 0 < len(model._tables[v][1]) <= 2 ** TABLE_WIDTH
                 else:
                     assert model._tables[v] is None
+        assert len(model.free) < model.n  # fs4 clamps some variables
+        edge = edge_model()
         for state in edge.states():  # meets every neighbourhood of x0
             list(moves(edge, state))
         assert len(edge._tables[0][1]) == 2 ** TABLE_WIDTH
+
+    def test_a_full_table_stores_no_more(self):
+        edge = edge_model()
+        states = edge.states()
+        assert len(states) == 2 ** 11 and len(reads(edge, 1)) == 10
+        for state in states:
+            list(moves(edge, state))
+        # x1's first 2^TABLE_WIDTH neighbourhoods, in the order the states met them
+        gather = itemgetter(*sorted(reads(edge, 1)))
+        first = list(dict.fromkeys(map(gather, states)))[:2 ** TABLE_WIDTH]
+        table = edge._tables[1][1]
+        assert list(table) == first
+        for state in states[::-1]:  # misses past the bound are computed, not stored
+            assert all(edge._p1(state, v) == edge.conditional_p1(state, v) for v in edge.free)
+        assert list(table) == first
+
+    @pytest.mark.parametrize("kind,mode", [
+        (ChainKind.GIBBS, SamplerMode.EXACT),
+        (ChainKind.ORBITAL_GIBBS, SamplerMode.EXACT),
+        (ChainKind.ORBITAL_GIBBS, SamplerMode.PRODUCT_REPLACEMENT)])
+    def test_warm_tables_leave_a_run_unchanged(self, kind, mode):
+        warm, fresh = edge_model(), edge_model()
+        group = (model_symmetry_group(warm.clause_set).model_group
+                 if kind.is_orbital else None)
+        run_chain(warm, kind, 20_000, seed=49, group=group, mode=mode)
+        assert any(len(table) == 2 ** TABLE_WIDTH for _, table in warm._tables)
+        assert (run_chain(warm, kind, 5_000, seed=50, group=group, mode=mode).states
+                == run_chain(fresh, kind, 5_000, seed=50, group=group, mode=mode).states)
 
     def test_infeasible_neighbourhood_raises_every_time(self):
         model = ClauseModel(parse_clause_file("vars: a b\ninf :: a | b\ninf :: !a | b\n"))
