@@ -42,6 +42,12 @@ done
 cat "$out/coupling.txt"
 grep -Eq '^measured drift .* vs bound .*: ok$' "$out/coupling.txt" \
   || { echo "coupling: no drift-within-bound verdict"; exit 1; }
+# connected cliques 3, the third graph family: all five coupling cases occur
+"${cli[@]}" coupling --model cliques --k 3 --trials 2000 --out "$out/coupling_cliques" \
+  > "$out/coupling_cliques.txt"
+cat "$out/coupling_cliques.txt"
+grep -Eq '^measured drift .* vs bound .*: ok$' "$out/coupling_cliques.txt" \
+  || { echo "coupling cliques 3: no drift-within-bound verdict"; exit 1; }
 # K_9: the drift draws from a group of 362,880 elements without listing them
 "${cli[@]}" coupling --model complete --k 3 --trials 2000 --out "$out/coupling_k9" > "$out/coupling_k9.txt"
 cat "$out/coupling_k9.txt"

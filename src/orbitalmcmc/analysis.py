@@ -197,6 +197,12 @@ def _reduced_pi(matrix: TransitionMatrix, dist: ExactDistribution,
     return pi if indicator is None else pi @ indicator
 
 
+def _check_same_states(matrix: TransitionMatrix, dist: ExactDistribution) -> None:
+    """ValueError unless the kernel and pi list the same states in one order."""
+    if matrix.space.states != dist.states:
+        raise ValueError("matrix and distribution enumerate different states")
+
+
 @dataclass(frozen=True)
 class DetailedBalanceReport:
     max_violation: float
@@ -212,8 +218,7 @@ def check_detailed_balance(matrix: TransitionMatrix, dist: ExactDistribution,
     """Largest |pi(x)P(x,y) - pi(y)P(y,x)| over all state pairs, read in
     blocks of at most max(1, 2^18 // N) rows x, each block's flows multiplied
     from pi and the rows alone: 2 MiB a temporary at most."""
-    if matrix.space.states != dist.states:
-        raise ValueError("matrix and distribution enumerate different states")
+    _check_same_states(matrix, dist)
     pi, rows, violation = dist.probs, matrix.rows, 0.0
     block = max(1, (1 << 18) // len(pi))
     for x in range(0, len(pi), block):
@@ -226,8 +231,7 @@ def check_detailed_balance(matrix: TransitionMatrix, dist: ExactDistribution,
 def stationary_deviation(matrix: TransitionMatrix,
                          dist: ExactDistribution) -> float:
     """Max-norm of pi P - pi."""
-    if matrix.space.states != dist.states:
-        raise ValueError("matrix and distribution enumerate different states")
+    _check_same_states(matrix, dist)
     return float(np.abs(dist.probs @ matrix.rows - dist.probs).max())
 
 
@@ -333,8 +337,7 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution, eps: float) -
     """
     if not (0 < eps < 1):
         raise ValueError("eps must be in (0, 1)")
-    if matrix.space.states != dist.states:
-        raise ValueError("matrix and distribution enumerate different states")
+    _check_same_states(matrix, dist)
     ladder = matrix._ladder
     if ladder is None:
         if not is_connected(matrix):
@@ -404,11 +407,11 @@ class CouplingSimulator:
     The model's states are enumerated once, in lexicographic order, into one
     `StateSpace` with the group, read for its 0/1 matrix, orbit ids and
     `flip` table (the index of s with vertex w removed or added, -1 when
-    that is not a state), and index tables over them are built once with
-    numpy: `blocked[s, w]`, whether state s holds a neighbour of vertex w,
-    one product with the adjacency matrix; the distance-one
-    pairs (X, X minus one vertex) as (upper, lower, vertex) index arrays, X
-    in lexicographic order and the vertex ascending; and the case of every
+    that is not a state, so a vertex that s lacks is blocked exactly where
+    `flip` is negative, the rule of the model's `move_table`), and index
+    tables over them are built once with numpy: the distance-one pairs
+    (X, X minus one vertex) as (upper, lower, vertex) index arrays, X in
+    lexicographic order and the vertex ascending, and the case of every
     pair and vertex, one case rule read by `varrho` and the coupled draw.
     The model must run `orbital-id` chains.
 
@@ -428,34 +431,28 @@ class CouplingSimulator:
         self.model = model
         self.space = space = StateSpace(model.states(), group)
         self._order = group.order()
-        n = model.n
-        bits, flip = space.bits.astype(bool), space.flip
-        adjacency = np.zeros((n, n), dtype=bool)
-        for v, w in model.graph.edges:
-            adjacency[v, w] = adjacency[w, v] = True
-        blocked = bits @ adjacency
+        n, bits, flip = model.n, space.bits == 1, space.flip
         upper, vertex = np.nonzero(bits)
         lower = flip[upper, vertex]
         # the case rule: 1 if the pair differs at w, 2 if w is in both, 3 if
         # both can take w, 4 if only the lower can, 5 if neither
-        cases = np.select([np.arange(n) == vertex[:, None], bits[upper], ~blocked[upper],
-                           blocked[lower]], [1, 2, 3, 5], 4).astype(np.uint8)
-        self._bits, self._adjacency, self._flip = bits, adjacency, flip
+        cases = np.select([np.arange(n) == vertex[:, None], bits[upper], flip[upper] >= 0,
+                           flip[lower] < 0], [1, 2, 3, 5], 4).astype(np.uint8)
         self._upper, self._lower, self._cases = upper, lower, cases
-        lam = model.lam
-        self._p_insert, self._p_delete = lam / (1.0 + lam), 1.0 / (1.0 + lam)
-        # the draw reads scalars through memoryviews, as Python ints, and
-        # draws its indices as `perm`'s module docstring says, from these bounds
+        # the draw reads scalars through memoryviews, as Python ints; it draws
+        # indices as `perm`'s docstring says, coins by the model's probabilities
         self._views = tuple(map(memoryview, (upper, lower, cases, flip, space.orbits)))
-        self._bounds = (n, n.bit_length(), self._order, self._order.bit_length())
+        self._scalars = (n, n.bit_length(), self._order, self._order.bit_length(),
+                         model._p_insert, model._p_delete)
 
     def rho(self) -> float:
         """Fraction of adjacent-extension triples landing in different orbits:
-        over every state X and ordered edge (v, w) with both X + v and X + w
-        independent, how often the two are not in one orbit."""
-        takes = ~self._bits & (self._flip >= 0)  # X + v is a state
-        extended = self.space.orbits[self._flip]  # the orbit of X + v where it is one
-        v, w = np.nonzero(self._adjacency)
+        over every state X and edge {v, w} (once each, as for ordered edges)
+        with both X + v and X + w independent, how often they share no orbit."""
+        flip = self.space.flip
+        takes = (self.space.bits == 0) & (flip >= 0)  # X + v is a state
+        extended = self.space.orbits[flip]  # the orbit of X + v where it is one
+        v, w = np.array(sorted(self.model.graph.edges), dtype=np.intp).reshape(-1, 2).T
         both = takes[:, v] & takes[:, w]
         total = int(both.sum())
         if total == 0:
@@ -465,8 +462,7 @@ class CouplingSimulator:
     def varrho(self) -> float:
         """Probability that a uniform vertex choice from a uniform distance-one
         pair can only be inserted into the smaller set: case 4."""
-        hits = int(np.count_nonzero(self._cases == 4))
-        return hits / (len(self._upper) * self.model.n)
+        return int(np.count_nonzero(self._cases == 4)) / self._cases.size
 
     def _draw(self, pair: int, rng: Random) -> tuple[int, int, int, int]:
         """One coupled step of the distance-one pair with index `pair`, on
@@ -475,7 +471,7 @@ class CouplingSimulator:
         new upper and lower states.  Draws, from rng, the vertex, then the
         acceptance coin if the case has one, then the element."""
         upper, lower, cases, flip, orbit = self._views
-        n, kn, order, korder = self._bounds
+        n, kn, order, korder, p_insert, p_delete = self._scalars
         hi, lo = upper[pair], lower[pair]
         w = rng.getrandbits(kn)
         while w >= n:
@@ -483,12 +479,12 @@ class CouplingSimulator:
         case = cases[pair, w]
         a, b = hi, lo  # the pre-images of the common element
         if case == 1:
-            a = b = hi if rng.random() < self._p_insert else lo
-        elif case == 2 and rng.random() < self._p_delete:
+            a = b = hi if rng.random() < p_insert else lo
+        elif case == 2 and rng.random() < p_delete:
             a, b = flip[hi, w], flip[lo, w]
-        elif case == 3 and rng.random() < self._p_insert:
+        elif case == 3 and rng.random() < p_insert:
             a, b = flip[hi, w], flip[lo, w]
-        elif case == 4 and rng.random() < self._p_insert:
+        elif case == 4 and rng.random() < p_insert:
             b = flip[lo, w]
             if orbit[b] == orbit[hi]:
                 b = hi

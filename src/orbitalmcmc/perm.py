@@ -11,9 +11,10 @@ n.  A permutation is stored as one raw image, the sequence of images of
 larger clause models have more than 256 vertices).  For `bytes`,
 `bytes.translate` gathers and `bytes.maketrans` scatters at C speed, which
 gives composition, inversion and, in one call, the action on a
-configuration.  Only `_compose` (gather), `_scatter`, `ProductReplacement`
-and `OrbitSampler` look at the storage form; all other code indexes an
-image, which reads the same ints from both forms.
+configuration.  Only `_compose` (gather), `_scatter`, `_image_ops` (the
+compose and inverse that `_schreier_sims` and `ProductReplacement` bind),
+`PermutationGroup._elements` and `OrbitSampler` look at the storage form;
+all other code indexes an image, which reads the same ints from both forms.
 
 Groups are represented by generating sets and a stabilizer chain, built
 lazily by deterministic Schreier-Sims on the raw images: the order is the
@@ -76,12 +77,6 @@ def config_matrix(states: Sequence[Config], n: int) -> np.ndarray:
     return np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), n)
 
 
-def config_rows(bits: np.ndarray) -> list[Config]:
-    """The rows of a 0/1 matrix as configurations: `config_matrix` undone."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    return bits.view(np.dtype((np.void, bits.shape[1]))).ravel().tolist()
-
-
 def _compose(a: Image, b: Image) -> Image:
     """Raw image of a followed by b: x -> b[a[x]]."""
     if type(a) is bytes:
@@ -102,6 +97,13 @@ def _scatter(a: Image, values: Image) -> Image:
     for i, v in zip(a, values):
         out[i] = v
     return type(values)(out)
+
+
+def _image_ops(n: int) -> tuple:
+    """(pad, compose, inverse) for raw images on n points: for `bytes`, an
+    image plus pad is a 256-byte translate table, as every inverse is."""
+    return ((_PAD[n:], bytes.translate, bytes.maketrans) if n <= MAX_BYTES_N
+            else ((), _compose, _scatter))
 
 
 class Permutation:
@@ -272,15 +274,10 @@ def _schreier_sims(n: int, gens: Sequence[Image]) -> list[dict]:
     so the first residue that is not the identity is the one a full rescan
     would find.  An orbit grows only by what is new: its old points under
     the new generator, then the new points under every strong generator.
-    Compose and inverse are bound once per storage form: a `bytes` strong
+    Compose and inverse are `_image_ops`, bound once: a `bytes` strong
     generator is padded once to a 256-byte table and an inverse kept as
-    `bytes.maketrans`'s table, so each product is one `bytes.translate`;
-    tuple images use `_compose` and `_scatter`."""
-    ident = _as_image(range(n))
-    if type(ident) is bytes:
-        pad, compose, inverse = _PAD[n:], bytes.translate, bytes.maketrans
-    else:
-        pad, compose, inverse = (), _compose, _scatter
+    `bytes.maketrans`'s table, so each product is one `bytes.translate`."""
+    ident, (pad, compose, inverse) = _as_image(range(n)), _image_ops(n)
     base, strong, chain, done = [], [], [], []
 
     def sift(g, i):
@@ -348,49 +345,57 @@ def _schreier_sims(n: int, gens: Sequence[Image]) -> list[dict]:
 
 class StateSpace:
     """Distinct configurations as every exact judge reads them: `states`,
-    their `index`, their `config_matrix` `bits` (built on first read) and,
-    given a group, `action[g][i]`, the index of generator g applied to
-    states[i] (one column gather of `bits`), and `orbits`, its `orbit_ids`;
-    `flip`, the toggle table that the models' `move_table` reads, is built
-    on first read too.
+    their `index`, their `config_matrix` `bits` and `flip`, the toggle table
+    the models' `move_table` reads (both built on first read), and, given a
+    group, `action[g][i]`, the index of generator g applied to states[i], and
+    `orbits`, its `orbit_ids`.  `action` and `flip` find rows by one search.
     A trivial group leaves `action` None, one orbit per state; no group,
     both None.  ValueError if a state repeats or an image is not listed."""
 
     def __init__(self, states: Iterable[Config], group: Optional[PermutationGroup] = None):
         self.states = tuple(states)
-        self.index = index = {s: i for i, s in enumerate(self.states)}
-        if len(index) < len(self.states):
+        self.index = {s: i for i, s in enumerate(self.states)}
+        if len(self.index) < len(self.states):
             raise ValueError("a state is listed twice")
         gens = () if group is None else group.generators
-        self.action = np.empty((len(gens), len(index)), dtype=np.intp) if gens else None
+        if gens and gens[0].n != (width := self.bits.shape[1]):
+            raise ValueError(f"a group on {gens[0].n} points for states of length {width}")
+        self.action = np.empty((len(gens), len(self.states)), dtype=np.intp) if gens else None
         for g, perm in enumerate(gens):
-            images = config_rows(self.bits[:, np.argsort(perm.mapping)])  # bit i to perm[i]
-            try:
-                self.action[g] = [index[image] for image in images]
-            except KeyError as miss:
-                i = images.index(miss.args[0])
+            images = self.bits[:, np.argsort(perm.mapping)]  # bit i to perm[i]
+            found = self.action[g] = self._find(images)
+            if (found < 0).any():
+                i = int(np.argmax(found < 0))
                 raise ValueError("group does not preserve the state space: a generator "
-                                 f"maps {tuple(self.states[i])} to {tuple(images[i])}") from None
+                                 f"maps {tuple(self.states[i])} to {tuple(images[i].tolist())}")
         self.orbits = (None if group is None else
-                       orbit_ids(self.action) if gens else np.arange(len(index)))
+                       orbit_ids(self.action) if gens else np.arange(len(self.states)))
 
     @functools.cached_property
     def bits(self) -> np.ndarray:
         return config_matrix(self.states, len(self.states[0]) if self.states else 0)
 
     @functools.cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:  # rows of `bits` as byte strings
+        keys = self.bits.view(np.dtype((np.void, self.bits.shape[1]))).ravel()
+        return keys, np.argsort(keys)
+
+    def _find(self, rows: np.ndarray) -> np.ndarray:
+        """The index of each row of a 0/1 uint8 matrix among the states, -1
+        where it is not listed: one binary search among the sorted states."""
+        keys, order = self._sorted
+        wanted = np.ascontiguousarray(rows).view(keys.dtype).ravel()
+        found = order[np.searchsorted(keys, wanted, sorter=order) % len(keys)]
+        return np.where(keys[found] == wanted, found, -1)
+
+    @functools.cached_property
     def flip(self) -> np.ndarray:
         """flip[s, v], the index of states[s] with bit v toggled, -1 if that
-        is not listed: per bit, one binary search of the toggled rows of
-        `bits` among the rows, each row one byte string."""
+        is not listed: per bit, one `_find` of the toggled rows."""
         bits, flip = self.bits.copy(), np.empty(self.bits.shape, dtype=np.intp)
-        keys = self.bits.view(row := np.dtype((np.void, bits.shape[1]))).ravel()
-        order = np.argsort(keys)
         for v in range(bits.shape[1]):
             bits[:, v] ^= 1
-            wanted = bits.view(row).ravel()
-            found = order[np.searchsorted(keys, wanted, sorter=order) % len(keys)]
-            flip[:, v] = np.where(keys[found] == wanted, found, -1)
+            flip[:, v] = self._find(bits)
             bits[:, v] ^= 1
         return flip
 
@@ -480,16 +485,14 @@ class ProductReplacement:
 
     Burn-in and draws run one loop, `_moves(count)`, a closure bound once
     over the slots, the accumulator and the generator, which draws each
-    slot index as the module docstring says.  `bytes` images are composed
-    through full 256-byte tables: a slot padded with the identity above n,
-    or its inverse, which `bytes.maketrans` already gives as such a table.
+    slot index as the module docstring says, and composes through
+    `_image_ops`: a `bytes` slot padded to a 256-byte table, or its inverse.
     """
 
     def __init__(self, group: PermutationGroup, *, rng: Random):
         gens = group.generators
         ident = acc = Permutation.identity(group.n).image
-        pad, compose, inverse = ((_PAD[group.n:], bytes.translate, bytes.maketrans)
-                                 if type(ident) is bytes else ((), _compose, _scatter))
+        pad, compose, inverse = _image_ops(group.n)
         n_slots = max(MIN_SLOTS, 2 * len(gens) + 1) if gens else 0
         self._slots = slots = [gens[i % len(gens)].image for i in range(n_slots)]
         s, s1, getrandbits, random = n_slots, n_slots - 1, rng.getrandbits, rng.random

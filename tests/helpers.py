@@ -420,6 +420,24 @@ def exact_rho(graph: Graph, group: PermutationGroup) -> float:
     return apart / total
 
 
+def reference_cases(model, space: StateSpace) -> np.ndarray:
+    """Reference for `CouplingSimulator._cases`: the case rule on a table of
+    blocked vertices, `blocked[s, w]` whether state s holds a neighbour of
+    w, one product of the states' 0/1 matrix with the adjacency matrix; the
+    lower state of each pair is its upper state with the vertex cleared."""
+    n = model.n
+    adjacency = np.zeros((n, n), dtype=bool)
+    for v, w in model.graph.edges:
+        adjacency[v, w] = adjacency[w, v] = True
+    bits = space.bits.astype(bool)
+    upper, vertex = np.nonzero(bits)
+    upper_bits = bits[upper]
+    lower_bits = upper_bits.copy()
+    lower_bits[np.arange(len(upper)), vertex] = False
+    return np.select([np.arange(n) == vertex[:, None], upper_bits, ~(upper_bits @ adjacency),
+                      lower_bits @ adjacency], [1, 2, 3, 5], 4).astype(np.uint8)
+
+
 def exact_varrho(graph: Graph) -> float:
     """Reference for `CouplingSimulator.varrho`: the probability that a
     uniform vertex choice from a uniform distance-one pair can only be
@@ -686,7 +704,7 @@ def reference_coupled_draw(sim: CouplingSimulator, pair: int, rng: Random) -> tu
     hi, lo = int(sim._upper[pair]), int(sim._lower[pair])
     w = rng.randrange(sim.model.n)
     case = int(sim._cases[pair, w])
-    flip, orbit, lam = sim._flip, sim.space.orbits, sim.model.lam
+    flip, orbit, lam = sim.space.flip, sim.space.orbits, sim.model.lam
     a, b = hi, lo
     if case == 1:
         a = b = hi if rng.random() < lam / (1.0 + lam) else lo

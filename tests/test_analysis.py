@@ -41,8 +41,8 @@ from orbitalmcmc.perm import Permutation, PermutationGroup, SamplerMode, StateSp
 
 from helpers import (HARD_PAIRS_TEXT, CoupledSteps, coupling_drift_by_steps,
                      distance_one_pairs, exact_rho, exact_varrho, parse_cycles,
-                     reference_coupled_draw, reference_drift_draws, reference_kernel,
-                     reference_tv_curve, two_spin_model, walk_gather)
+                     reference_cases, reference_coupled_draw, reference_drift_draws,
+                     reference_kernel, reference_tv_curve, two_spin_model, walk_gather)
 
 NAMES9 = list("abcdefghi")
 
@@ -1177,13 +1177,17 @@ class TestCoupling:
 
     @pytest.mark.parametrize("graph,trivial", [
         (gen_grid(3), False), (gen_grid(4), False), (gen_connected_cliques(3), False),
-        (gen_complete(2), False), (gen_complete(3), False),
+        (gen_connected_cliques(4), False), (gen_complete(2), False), (gen_complete(3), False),
         (Graph(3, [(0, 1), (1, 2)]), True)],
-        ids=["grid3", "grid4", "cliques3", "complete2", "complete3", "path3-trivial"])
+        ids=["grid3", "grid4", "cliques3", "cliques4", "complete2", "complete3",
+             "path3-trivial"])
     def test_constants_equal_the_oracles(self, graph, trivial):
+        # blocking read off `flip` gives the cases of the adjacency product
         group = (PermutationGroup([], n=graph.n) if trivial
                  else automorphism_generators(graph))
-        sim = CoupledSteps(IndependentSetModel(graph, 1.0), group)
+        model = IndependentSetModel(graph, 1.0)
+        sim = CoupledSteps(model, group)
+        assert np.array_equal(sim._cases, reference_cases(model, sim.space))
         assert sim.pairs() == distance_one_pairs(graph)
         assert sim.rho() == exact_rho(graph, group)
         assert sim.varrho() == exact_varrho(graph)

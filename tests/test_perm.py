@@ -379,8 +379,10 @@ class TestOrbits:
 
 
 class TestStateAction:
-    def test_matches_the_apply_config_oracle(self):
-        # the models whose kernels, traces and taus test_streams pins, and fs3
+    @pytest.mark.parametrize("order", ["listed", "reversed", "shuffled"])
+    def test_matches_the_apply_config_oracle(self, order):
+        # the models whose kernels, traces and taus test_streams pins, and fs3,
+        # in any order: the search reads no sorted input
         clause_set, _ = gen_friends_smokers(3)
         evidence = {"smokes_p0": False}
         cases = [(IndependentSetModel(graph, 1.0), automorphism_generators(graph))
@@ -390,7 +392,11 @@ class TestStateAction:
         cases.append((ClauseModel(clause_set, evidence),
                       model_symmetry_group(clause_set, evidence).model_group))
         for model, group in cases:
-            states = model.states()
+            states = list(model.states())
+            if order == "reversed":
+                states.reverse()
+            elif order == "shuffled":
+                Random(5).shuffle(states)
             assert group.generators
             expected = apply_config_action(group, states)
             space = StateSpace(states, group)
@@ -437,6 +443,13 @@ class TestStateAction:
         states = IndependentSetModel(Graph(3, [(0, 1), (1, 2)]), 1.0).states()
         swap = PermutationGroup([parse_cycles("(0 1)", n=3)])
         with pytest.raises(ValueError, match="maps \\(1, 0, 1\\) to \\(0, 1, 1\\)"):
+            StateSpace(states, swap)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_group_must_act_on_the_states_points(self, n):
+        states = IndependentSetModel(Graph(3, [(0, 1), (1, 2)]), 1.0).states()
+        swap = PermutationGroup([parse_cycles("(0 1)", n=n)])
+        with pytest.raises(ValueError, match=f"group on {n} points for states of length 3"):
             StateSpace(states, swap)
 
 
