@@ -96,6 +96,15 @@ cat "$out/exact_fs3.txt"
 awk '/detailed balance violation/ { gsub(/.*violation |\)/, ""); n++; if ($0 + 0 > 1e-10) bad = 1 }
      END { exit !(n == 2 && !bad) }' "$out/exact_fs3.txt" \
   || { echo "exact clauses fs3: want two violations at most 1e-10"; exit 1; }
+# the same model's mixing time runs on its lumped orbit quotient
+"${cli[@]}" mix --model clauses --clauses "$out/fs3/model.clauses.txt" \
+  --evidence "$out/fs3/model.evidence.txt" --chain orbital-gibbs --epsilon 0.1,0.01 \
+  --out "$out/mix_fs3" > "$out/mix_fs3.txt"
+cat "$out/mix_fs3.txt"
+for line in "orbital-gibbs eps=0.1: tau=59" "orbital-gibbs eps=0.01: tau=116"; do
+  grep -qx "$line" "$out/mix_fs3.txt" \
+    || { echo "mix clauses fs3: missing line: $line"; exit 1; }
+done
 # product replacement on tuple images: fs16 has 272 variables, past 255 points
 "${cli[@]}" gen --model fs --people 16 --out "$out/fs16"
 "${cli[@]}" sample --model clauses --clauses "$out/fs16/model.clauses.txt" \

@@ -76,7 +76,7 @@ class TransitionMatrix:
 
     space: StateSpace
     rows: np.ndarray
-    # mixing_time's (squares, gather, orbit indicator), set once the kernel passes its checks
+    # mixing_time's (squares, gather, orbit ids), set once the kernel passes its checks
     _ladder: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -135,66 +135,64 @@ def transition_matrix(model, kind: ChainKind,
 def representative_rows(matrix: TransitionMatrix
                         ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """The kernel reduced to one row per orbit of its group action, for
-    `mixing_time`: (rows, gather, indicator), with the M orbits in order
-    of their first states.
+    `mixing_time`: (rows, gather, orbits), with the M orbits in order of
+    their first states.
 
     If the rows of the first states are constant on column orbits, as those
     of every orbital kernel K = P A are, the kernel is lumped: rows is the
     M x M quotient Q(O, O') = K(first state of O, O'), gather None and
-    indicator the N x M 0/1 matrix of states by orbit, summing pi by orbit.
-    ValueError unless, to 1e-12, the rows of an orbit lump alike and every
-    column is constant on orbits.  Otherwise rows are the M x N rows of the
-    first states, `rows.take(gather)` expands them, and those of every
-    power P^t, to the whole kernel: if x = g r, then P^t(x, y) =
-    P^t(r, g^-1 y), and indicator is None.  ValueError unless, to 1e-12,
-    P[s, s] = P for the index array s of every generator.  A kernel with no
-    action is its own reduction: (rows, None, None)."""
+    orbits the space's orbit ids, summing pi by orbit.  ValueError unless,
+    to 1e-12, every column is constant on orbits, checked first as it lets
+    each orbit sum be read off a representative column, then the rows of an
+    orbit lump alike.  Otherwise rows are the M x N rows of the first
+    states, `rows.take(gather)` expands them, and those of every power P^t,
+    to the whole kernel: if x = g r, then P^t(x, y) = P^t(r, g^-1 y), and
+    orbits is None.  ValueError unless, to 1e-12, P[s, s] = P for the index
+    array s of every generator.  A kernel with no action is its own
+    reduction: (rows, None, None)."""
     rows, space = matrix.rows, matrix.space
     n, action, ids = len(space), space.action, space.orbits
     if action is None:
         return rows, None, None
     reps = np.unique(ids, return_index=True)[1]
     columns = reps[ids]  # the first state of each state's orbit
-    first, gather, indicator = rows[reps], None, None
+    first = rows[reps]
     if np.abs(first - first[:, columns]).max() <= 1e-12:
-        indicator = np.eye(len(reps))[ids]
-        lumped = rows @ indicator
-        if np.abs(lumped - lumped[reps][ids]).max() > 1e-12:
-            raise ValueError("kernel is not lumpable: rows differ within an orbit")
         if np.abs(rows - rows[:, columns]).max() > 1e-12:
             raise ValueError("kernel columns are not constant on orbits")
-        reduced = lumped[reps]
-    else:
-        back = np.argsort(action, axis=1)  # index arrays of the inverses
-        # P[s, s] - P vanishes off the nonzeros of P and their preimages under s
-        i, j = np.nonzero(rows)
-        values = rows[i, j]
-        for s in (*action, *back):
-            if np.abs(rows[s[i], s[j]] - values).max() > 1e-12:
-                raise ValueError("kernel does not commute with the group action")
-        gather = np.empty((n, n), dtype=np.intp)
-        gather[reps] = np.arange(len(reps) * n).reshape(-1, n)
-        images, queue, seen = action.tolist(), reps.tolist(), set(reps.tolist())
-        for z in queue:  # breadth first from the first states, the queue growing as read
-            for g, image in enumerate(images):
-                if (x := image[z]) not in seen:  # row x = row z, columns moved by g
-                    seen.add(x)
-                    queue.append(x)
-                    gather[x] = gather[z][back[g]]
-        reduced = first
-    return reduced, gather, indicator
+        lumped = rows[:, reps] * np.bincount(ids)
+        if np.abs(lumped - lumped[reps][ids]).max() > 1e-12:
+            raise ValueError("kernel is not lumpable: rows differ within an orbit")
+        return lumped[reps], None, ids
+    back = np.argsort(action, axis=1)  # index arrays of the inverses
+    # P[s, s] - P vanishes off the nonzeros of P and their preimages under s
+    i, j = np.nonzero(rows)
+    values = rows[i, j]
+    for s in (*action, *back):
+        if np.abs(rows[s[i], s[j]] - values).max() > 1e-12:
+            raise ValueError("kernel does not commute with the group action")
+    gather = np.empty((n, n), dtype=np.intp)
+    gather[reps] = np.arange(len(reps) * n).reshape(-1, n)
+    images, queue, seen = action.tolist(), reps.tolist(), set(reps.tolist())
+    for z in queue:  # breadth first from the first states, the queue growing as read
+        for g, image in enumerate(images):
+            if (x := image[z]) not in seen:  # row x = row z, columns moved by g
+                seen.add(x)
+                queue.append(x)
+                gather[x] = gather[z][back[g]]
+    return first, gather, None
 
 
 def _reduced_pi(matrix: TransitionMatrix, dist: ExactDistribution,
-                indicator: Optional[np.ndarray]) -> np.ndarray:
+                orbits: Optional[np.ndarray]) -> np.ndarray:
     """pi for `representative_rows`, the one path by which `mixing_time`
-    reduces pi: summed orbit by orbit through the orbit indicator of a
-    lumped kernel, else (indicator None) unchanged.  ValueError unless
-    pi[s] = pi to 1e-12 for every generator's index array s, if any."""
+    reduces pi: summed orbit by orbit over the orbit ids of a lumped
+    kernel, else (orbits None) unchanged.  ValueError unless pi[s] = pi to
+    1e-12 for every generator's index array s, if any."""
     pi, action = dist.probs, () if matrix.space.action is None else matrix.space.action
     if any(np.abs(pi[s] - pi).max() > 1e-12 for s in action):
         raise ValueError("pi is not invariant under the group action")
-    return pi if indicator is None else pi @ indicator
+    return pi if orbits is None else np.bincount(orbits, weights=pi)
 
 
 def _check_same_states(matrix: TransitionMatrix, dist: ExactDistribution) -> None:
@@ -328,8 +326,8 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution, eps: float) -
     gather.  Without an action, M = N and nothing is gathered.
 
     Per kernel, kept on it from its first call: the irreducibility and
-    aperiodicity checks, `representative_rows`, a lumped kernel's orbit
-    indicator and each square, a later call squaring only past the last one kept.
+    aperiodicity checks, `representative_rows`, a lumped kernel's orbit ids
+    and each square, a later call squaring only past the last one kept.
 
     Per call: pi, checked and reduced by `_reduced_pi` given an action,
     before the kernel's work is kept; the distance of each square read, the
@@ -344,10 +342,10 @@ def mixing_time(matrix: TransitionMatrix, dist: ExactDistribution, eps: float) -
             raise ValueError("chain is not irreducible")
         if not (np.diag(matrix.rows) > 0).any():
             raise ValueError("cannot verify aperiodicity: no positive diagonal")
-        rows, gather, indicator = representative_rows(matrix)
-        ladder = [rows], gather, indicator  # [rows] grows: squares[j] = P^(2^j), M rows
-    squares, gather, indicator = ladder
-    pi = _reduced_pi(matrix, dist, indicator)
+        rows, gather, orbits = representative_rows(matrix)
+        ladder = [rows], gather, orbits  # [rows] grows: squares[j] = P^(2^j), M rows
+    squares, gather, orbits = ladder
+    pi = _reduced_pi(matrix, dist, orbits)
     object.__setattr__(matrix, "_ladder", ladder)  # kept once pi has passed its check
 
     def distance(power: np.ndarray) -> float:
@@ -461,7 +459,10 @@ class CouplingSimulator:
 
     def varrho(self) -> float:
         """Probability that a uniform vertex choice from a uniform distance-one
-        pair can only be inserted into the smaller set: case 4."""
+        pair can only be inserted into the smaller set: case 4.  ValueError
+        if there is no such pair."""
+        if not self._cases.size:
+            raise ValueError("graph admits no distance-one pairs")
         return int(np.count_nonzero(self._cases == 4)) / self._cases.size
 
     def _draw(self, pair: int, rng: Random) -> tuple[int, int, int, int]:

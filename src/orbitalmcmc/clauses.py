@@ -270,11 +270,12 @@ def model_symmetry_group(model: WeightedClauseSet,
     distinct = dict.fromkeys(map(Permutation._trusted, projected.tolist()))
     model_group = PermutationGroup(distinct, n=model.n)
 
-    clause_ids = orbit_ids(action)[list(vmap.clause)]
+    ids = orbit_ids(action)  # the unnegated vertices' orbits, kept among them, come first
+    clause_ids = ids[list(vmap.clause)]
     return SymmetryReport(
         graph_group=graph_group,
         model_group=model_group,
-        variable_orbits=tuple(model_group.orbit_partition()),
+        variable_orbits=tuple(_orbit_tuples(ids[:model.n], range(model.n))),
         feature_orbits=tuple(_orbit_tuples(np.unique(clause_ids, return_inverse=True)[1],
                                            range(len(model.clauses)))),
     )

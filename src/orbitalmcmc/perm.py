@@ -222,10 +222,6 @@ class PermutationGroup:
         return np.array([g.mapping for g in self.generators],
                         dtype=np.intp).reshape(len(self.generators), self.n)
 
-    def orbit_partition(self) -> list[tuple[int, ...]]:
-        """Point orbits as sorted tuples, ordered by least point."""
-        return _orbit_tuples(orbit_ids(self.point_action()), range(self.n))
-
     @functools.cached_property
     def _chain(self) -> list[dict]:
         return _schreier_sims(self.n, [g.image for g in self.generators])

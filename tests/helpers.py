@@ -18,7 +18,8 @@ from orbitalmcmc.cli import write_csv
 from orbitalmcmc.graphs import Graph, enumerate_independent_sets
 from orbitalmcmc.perm import (BURN_IN_PER_SLOT, DRAW_MOVES, MAX_BYTES_N, MIN_SLOTS, Config,
                               Permutation, PermutationGroup, SamplerMode, StateSpace, _as_image,
-                              _compose, _scatter, config_orbit_partition, orbit_ids)
+                              _compose, _orbit_tuples, _scatter, config_orbit_partition,
+                              orbit_ids)
 
 # Two equal-weight clauses over three variables; the classic two-fold
 # symmetric example: (a or !c) and (b or !c), both weighted 0.5.
@@ -105,6 +106,11 @@ def elements(group: PermutationGroup) -> tuple[Permutation, ...]:
     els = group.image_array()
     rows = map(bytes, els) if group.n <= MAX_BYTES_N else map(tuple, els.tolist())
     return tuple(map(Permutation._trusted, rows))
+
+
+def orbit_partition(group: PermutationGroup) -> list[tuple[int, ...]]:
+    """The group's point orbits as sorted tuples, ordered by least point."""
+    return _orbit_tuples(orbit_ids(group.point_action()), range(group.n))
 
 
 def reference_schreier_sims(n: int, gens: Sequence) -> list[dict]:
@@ -260,6 +266,17 @@ def walk_gather(matrix) -> np.ndarray:
         # row x = row z with its columns moved by generator g
         gather[x] = ids[x] * n + np.arange(n) if z < 0 else gather[z][back[g]]
     return gather
+
+
+def reference_lumping(matrix, dist: ExactDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for the lumped branch of `analysis.representative_rows` and
+    for `analysis._reduced_pi`: the kernel and pi each multiplied by the
+    N x M 0/1 orbit indicator, (the first state's row of K C per orbit,
+    pi C), the orbits in order of their first states."""
+    ids = orbit_ids(matrix.space.action)
+    indicator = np.eye(int(ids.max()) + 1)[ids]
+    reps = np.unique(ids, return_index=True)[1]
+    return (matrix.rows @ indicator)[reps], dist.probs @ indicator
 
 
 def brute_force_automorphisms(graph: Graph) -> list[Permutation]:

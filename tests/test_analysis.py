@@ -42,7 +42,8 @@ from orbitalmcmc.perm import Permutation, PermutationGroup, SamplerMode, StateSp
 from helpers import (HARD_PAIRS_TEXT, CoupledSteps, coupling_drift_by_steps,
                      distance_one_pairs, exact_rho, exact_varrho, parse_cycles,
                      reference_cases, reference_coupled_draw, reference_drift_draws,
-                     reference_kernel, reference_tv_curve, two_spin_model, walk_gather)
+                     reference_kernel, reference_lumping, reference_tv_curve,
+                     two_spin_model, walk_gather)
 
 NAMES9 = list("abcdefghi")
 
@@ -544,6 +545,22 @@ def tau_digest_cases():
     return [(graph, automorphism_generators(graph)) for graph in graphs]
 
 
+def lumping_cases():
+    """Orbital kernels of graph and clause models, with their groups."""
+    for name, make, k in (("grid", gen_grid, 3), ("grid", gen_grid, 4),
+                          ("cliques", gen_connected_cliques, 3),
+                          ("cliques", gen_connected_cliques, 4),
+                          ("complete", gen_complete, 3)):
+        graph = make(k)
+        yield pytest.param(IndependentSetModel(graph, 1.0), ChainKind.ORBITAL_INSERT_DELETE,
+                           automorphism_generators(graph), id=f"{name}{k}")
+    clause_set, _ = gen_friends_smokers(3)
+    evidence = FS3_EVIDENCE[0]
+    yield pytest.param(ClauseModel(clause_set, evidence), ChainKind.ORBITAL_GIBBS,
+                       model_symmetry_group(clause_set, evidence).model_group,
+                       id="fs3-evidence")
+
+
 class TestOrbitQuotient:
     def test_lumped_equals_dense_on_digest_cases(self):
         for graph, group in tau_digest_cases():
@@ -583,7 +600,7 @@ class TestOrbitQuotient:
         assert analysis._reduced_pi(base, pi, None) is pi.probs
         orbital = transition_matrix(model, ChainKind.ORBITAL_INSERT_DELETE, grid3_group())
         rows, gather, lumping = representative_rows(orbital)
-        assert np.array_equal(lumping, indicator(orbital))
+        assert lumping is orbital.space.orbits
         lumped_pi = analysis._reduced_pi(orbital, pi, lumping)
         assert rows.shape == (m, m) and lumped_pi.shape == (m,) and gather is None
 
@@ -616,6 +633,39 @@ class TestOrbitQuotient:
             assert check_detailed_balance(TransitionMatrix(StateSpace(states), rows),
                                           ExactDistribution(states, lumped_pi, 1.0),
                                           tol=1e-15).passed
+
+    @pytest.mark.parametrize("model,kind,group", lumping_cases())
+    def test_quotient_equals_the_indicator_product(self, model, kind, group):
+        matrix = transition_matrix(model, kind, group)
+        pi = exact_distribution(model)
+        rows, gather, orbits = representative_rows(matrix)
+        assert gather is None and orbits is matrix.space.orbits
+        quotient, lumped_pi = reference_lumping(matrix, pi)
+        assert np.abs(rows - quotient).max() <= 1e-15
+        assert np.abs(analysis._reduced_pi(matrix, pi, orbits) - lumped_pi).max() <= 1e-15
+
+    def test_action_fixing_every_state_lumps_to_itself(self):
+        # the group swaps b and c, which the evidence fixes: every state is
+        # its own orbit, so the lumped quotient is the whole kernel, M = N
+        clause_set = parse_clause_file("vars: a b c\n1 :: a | b\n1 :: a | c\n0.3 :: !a\n")
+        evidence = {"b": True, "c": True}
+        group = model_symmetry_group(clause_set, evidence).model_group
+        model = ClauseModel(clause_set, evidence)
+        matrix = transition_matrix(model, ChainKind.ORBITAL_GIBBS, group)
+        assert matrix.space.action.tolist() == [[0, 1]]
+        rows, gather, orbits = representative_rows(matrix)
+        assert gather is None and orbits.tolist() == [0, 1] and rows.shape == (2, 2)
+        pi = exact_distribution(model)
+        for eps in (0.1, 0.01):
+            assert mixing_time(matrix, pi, eps) == mixing_time(without_group(matrix), pi, eps) == 1
+
+    def test_column_check_comes_first(self):
+        # the swap of states 1 and 2: the first states 0 and 1 have rows
+        # constant on {1, 2}; row 2 is not, and lumps unlike row 1
+        space = group_space(*SWAP_SPACE)
+        rows = np.array([[.5, .25, .25], [.2, .4, .4], [.3, .2, .5]])
+        with pytest.raises(ValueError, match="columns are not constant on orbits"):
+            representative_rows(TransitionMatrix(space, rows))
 
     def test_base_kernel_with_orbit_ids_rejected(self):
         # the swap of states 1 and 2: the first states 0 and 1 have rows
@@ -897,14 +947,6 @@ def taus_in_every_order(matrix, pi, epsilons):
     return fresh
 
 
-def indicator(matrix: TransitionMatrix) -> np.ndarray:
-    """The N x M orbit indicator of a lumped kernel's action, as `mixing_time` keeps it."""
-    ids = orbit_ids(matrix.space.action)
-    out = np.zeros((len(ids), int(ids.max()) + 1))
-    out[np.arange(len(ids)), ids] = 1.0
-    return out
-
-
 def uninvariant(pi: ExactDistribution, action: np.ndarray) -> ExactDistribution:
     """pi with more weight on one state that the first generator moves."""
     probs = pi.probs.copy()
@@ -978,8 +1020,8 @@ class TestMixingLadder:
             assert calls == [(2, 63)]
 
     def test_warm_calls_find_no_orbits(self, monkeypatch):
-        # the first call keeps the orbit indicator of a lumped kernel; later
-        # calls check pi and reduce it through the kept indicator alone
+        # the first call keeps the orbit ids of a lumped kernel; later calls
+        # check pi and reduce it through the kept orbit ids alone
         calls = []
 
         def spy(action):
@@ -1310,6 +1352,12 @@ class TestCoupling:
             for freq, p in zip(counts / trials, row):
                 se = math.sqrt(p * (1 - p) / trials)
                 assert abs(freq - p) <= 3 * se + 1e-9
+
+    def test_varrho_needs_a_distance_one_pair(self):
+        graph = Graph(0, [])
+        sim = CouplingSimulator(IndependentSetModel(graph, 1.0), automorphism_generators(graph))
+        with pytest.raises(ValueError, match="graph admits no distance-one pairs"):
+            sim.varrho()
 
     def test_varrho_probability_range(self):
         for graph in (gen_grid(3), gen_complete(2)):

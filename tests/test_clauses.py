@@ -25,6 +25,7 @@ from helpers import (
     clause_multiset,
     config_orbits,
     elements,
+    orbit_partition,
     parse_cycles,
     permuted_clause_multiset,
     two_spin_model,
@@ -166,6 +167,15 @@ class TestModelSymmetry:
             base = clause_multiset(model)
             for g in report.model_group.generators:
                 assert permuted_clause_multiset(model, g) == base
+
+    def test_variable_orbits_are_the_model_groups_orbits(self):
+        rng = Random(22)
+        cases = [(random_clause_set(rng), rng.choice([{}, {"x0": True}, {"x1": False}]))
+                 for _ in range(30)]
+        cases += [gen_friends_smokers(4, evidence_fraction=0.5, seed=1), (EXAMPLE_CLAUSES, {})]
+        for model, evidence in cases:
+            report = model_symmetry_group(model, evidence)
+            assert list(report.variable_orbits) == orbit_partition(report.model_group)
 
     def test_evidence_gives_subgroup(self):
         model = EXAMPLE_CLAUSES
